@@ -151,8 +151,6 @@ def _search_config(args) -> criteria.SearchConfig:
         cfg.t_max = args.t_max
     if getattr(args, "exhaustive_limit", None) is not None:
         cfg.exhaustive_limit = args.exhaustive_limit
-    if getattr(args, "workers", None) is not None:
-        cfg.worker_count = args.workers
     return cfg
 
 
@@ -174,11 +172,7 @@ def cmd_decide(args) -> int:
         "reflected": reflected,
         "verdict": verdict.to_dict(),
     }
-    config = {
-        "t_max": cfg.t_max,
-        "exhaustive_limit": cfg.exhaustive_limit,
-        "workers": cfg.worker_count,
-    }
+    config = {"t_max": cfg.t_max, "exhaustive_limit": cfg.exhaustive_limit}
     _emit(_run_record("decide", fields, config, result, started), args.format)
     return {
         criteria.Outcome.EXISTS: EXIT_EXISTS,
@@ -282,7 +276,7 @@ def cmd_construct(args) -> int:
     if state.steps >= 2:
         window_hi = args.window_hi
         if window_hi is None:
-            window_hi = min(-state.c_seq[-2] - 1, 5000)
+            window_hi = -state.c_seq[-2] - 1
         report = generator.verify(state, window_hi, period_max=args.period_max)
         result["report"] = {
             "window_hi": window_hi,
@@ -318,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--exhaustive-limit", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_decide)
 
@@ -327,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, metavar="LO:HI")
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--exhaustive-limit", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_witness)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -72,7 +71,6 @@ class SearchConfig:
     t_max: Optional[int] = None
     exhaustive_limit: int = 24
     heuristic_budget: int = 200_000
-    worker_count: int = 1
     max_period: int = DEFAULT_MAX_PERIOD
 
 
@@ -222,22 +220,19 @@ def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
 # Exhaustive search (lexicographic DFS over subsets containing 0)
 
 
-def _search_branch(
-    T: int,
-    x_mask: int,
-    y_mask: int,
-    variant: str,
-    prefix_mask: int,
-    start: int,
-) -> tuple[Optional[int], int]:
-    """Scan the lex-ordered branch rooted at ``prefix_mask`` (0 included).
+def _search_exhaustive(
+    ctx: ConditionContext, variant: str, stats: SearchStats
+) -> Optional[Certificate]:
+    """Scan every subset of Z_T that contains 0, in lexicographic order.
 
-    Children append elements from ``start`` upward, so the DFS emits
+    Children append elements above the largest member, so the DFS emits
     candidate subsets exactly in lexicographic order of their sorted
-    element lists; the first valid one is the branch minimum.  Returns
-    (winning mask or None, subsets examined).
+    element lists; the first valid one is the minimum.  None means no
+    valid subset exists at this T.
     """
+    T = ctx.T
     full = (1 << T) - 1
+    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
     u_mask = x_mask | y_mask
     rot_u = [rotate(u_mask, r, T) for r in range(T)]
     rot_x = [rotate(x_mask, r, T) for r in range(T)]
@@ -266,13 +261,6 @@ def _search_branch(
             pre |= rot_u[r]
         return True
 
-    members = list(mask_members(prefix_mask))
-    cover = 0
-    cover_x = 0
-    for r in members:
-        cover |= rot_u[r]
-        cover_x |= rot_x[r]
-
     def dfs(members: list[int], cover: int, cover_x: int, nxt: int) -> Optional[int]:
         nonlocal examined
         examined += 1
@@ -291,30 +279,8 @@ def _search_branch(
                 return hit
         return None
 
-    return dfs(members, cover, cover_x, start), examined
-
-
-def _search_exhaustive(
-    ctx: ConditionContext, variant: str, workers: int, stats: SearchStats
-) -> Optional[Certificate]:
-    T = ctx.T
-    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
-    if workers <= 1 or T < 4:
-        mask, examined = _search_branch(T, x_mask, y_mask, variant, 1, 1)
-        stats.subsets_examined += examined
-    else:
-        # Branch on the second-smallest element: {0} alone, then {0, k, ...}
-        # for k = 1..T-1.  Branches are contiguous lex ranges, so the first
-        # branch with a hit holds the global minimum regardless of worker
-        # scheduling.
-        jobs = [(T, x_mask, y_mask, variant, 1, T)]  # the singleton {0}
-        jobs += [(T, x_mask, y_mask, variant, 1 | (1 << k), k + 1) for k in range(1, T)]
-        mask = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for hit, examined in pool.map(_search_branch, *zip(*jobs)):
-                stats.subsets_examined += examined
-                if mask is None and hit is not None:
-                    mask = hit
+    mask = dfs([0], rot_u[0], rot_x[0], 1)
+    stats.subsets_examined += examined
     if mask is None:
         return None
     return Certificate(T, ResidueSubset(T, mask), variant)
@@ -394,7 +360,7 @@ def find_certificate(
     t0 = time.perf_counter()
     try:
         if ctx.T <= cfg.exhaustive_limit:
-            return _search_exhaustive(ctx, variant, cfg.worker_count, stats)
+            return _search_exhaustive(ctx, variant, stats)
         return _search_heuristic(ctx, variant, cfg.heuristic_budget, stats)
     finally:
         stats.wall_time += time.perf_counter() - t0
@@ -416,7 +382,7 @@ def check_singleton(s: CanonicalSet) -> Optional[Certificate]:
         )
     ctx = lift_period(s, 1)
     stats = SearchStats()
-    return _search_exhaustive(ctx, SUFFICIENT, 1, stats)
+    return _search_exhaustive(ctx, SUFFICIENT, stats)
 
 
 def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
@@ -452,7 +418,7 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
         T = k * s.m
         ctx = lift_period(s, k, max_period=max_period)
         if T <= cfg.exhaustive_limit:
-            nec = _search_exhaustive(ctx, NECESSARY, cfg.worker_count, stats)
+            nec = _search_exhaustive(ctx, NECESSARY, stats)
             if nec is None:
                 if T > s.m:
                     log.info(
@@ -460,7 +426,7 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
                         "T=%d (base period %d)", T, s.m,
                     )
                 return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
-            suf = _search_exhaustive(ctx, SUFFICIENT, cfg.worker_count, stats)
+            suf = _search_exhaustive(ctx, SUFFICIENT, stats)
         else:
             try:
                 suf = _search_heuristic(ctx, SUFFICIENT, cfg.heuristic_budget, stats)

@@ -6,7 +6,8 @@ class MinaddError(Exception):
 
 
 class ValidationError(MinaddError):
-    """A set description violates a structural invariant."""
+    """An input (a set description or a construct parameter) violates a
+    structural invariant."""
 
 
 class ResidueOutOfRange(ValidationError):
@@ -31,6 +32,18 @@ class DuplicateElement(ValidationError):
 
 class EmptySet(ValidationError):
     pass
+
+
+class NonPositivePeriod(ValidationError):
+    pass
+
+
+class ExtraNotBelowThreshold(ValidationError):
+    pass
+
+
+class InvalidConstructParameter(ValidationError):
+    """A step count or slack the inductive construction cannot use."""
 
 
 class PeriodOverflow(MinaddError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import ExclusionCollision, PrefixTooShort
+from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
 
 Runs = tuple[tuple[int, int], ...]
 
@@ -92,14 +92,17 @@ def initial_state() -> GeneratorState:
     return GeneratorState((-1,), (-3,), ((1, 12),))
 
 
+def sumset_runs(state: GeneratorState) -> Runs:
+    """W_prefix + {c_1, ..., c_i} as maximal runs."""
+    return merge_runs(
+        [(a + c, b + c) for a, b in state.runs for c in state.c_seq]
+    )
+
+
 def next_d(state: GeneratorState) -> int:
     """Largest negative integer missed by W_prefix + {c_1, ..., c_i}."""
-    shifted = [
-        (a + c, b + c) for a, b in state.runs for c in state.c_seq
-    ]
-    covered = merge_runs(shifted)
     n = -1
-    for a, b in reversed(covered):
+    for a, b in reversed(sumset_runs(state)):
         if n > b:
             break
         if n >= a:
@@ -116,7 +119,7 @@ def choose_c(state: GeneratorState, d_i: int, slack: int) -> int:
     the very first step.
     """
     if slack < 1:
-        raise ValueError(f"slack must be >= 1, got {slack}")
+        raise InvalidConstructParameter(f"slack must be >= 1, got {slack}")
     c_prev = state.c_seq[-1]
     d_prev = state.d_seq[-1]
     return min(d_i + 2 * c_prev - slack, d_prev - state.w_max - 1)
@@ -164,7 +167,7 @@ def generate(
 ) -> GeneratorState:
     """Run k induction steps; slack_fn(i) supplies the offset at step i."""
     if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
+        raise InvalidConstructParameter(f"step count must be >= 1, got {k}")
     state = initial_state()
     for i in range(2, k + 1):
         state = step(state, slack_fn(i))
@@ -199,6 +202,12 @@ def verify(
     look for a prefix element whose translate falls into a hole — periods
     with no such violation are reported, not asserted against (a finite
     prefix cannot certify the limit property).
+
+    window_lo defaults to d_N; window_hi may be at most -c_{N-1} - 1, the
+    authoritative bound of an N-step prefix.  Every check works on the
+    prefix runs, never integer by integer: coverage (2) is one walk over
+    the merged runs of prefix + {c_1, ..., c_N}, so the cost grows with
+    the number of runs times N and not with the window length.
     """
     if state.steps < 2:
         raise PrefixTooShort("need at least two steps before verification")
@@ -213,12 +222,15 @@ def verify(
         for i in range(len(state.runs) - 1)
     )
 
-    lo = window_lo if window_lo is not None else state.d_seq[-1]
-    coverage_ok, first_uncovered = True, None
-    for n in range(lo, window_hi + 1):
-        if not any(runs_contains(state.runs, n - c) for c in state.c_seq):
-            coverage_ok, first_uncovered = False, n
+    # Walk the sumset runs once: n is the least integer of the window not
+    # yet known to be covered.
+    n = window_lo if window_lo is not None else state.d_seq[-1]
+    for a, b in sumset_runs(state):
+        if n > window_hi or a > n:
             break
+        n = max(n, b + 1)
+    coverage_ok = n > window_hi
+    first_uncovered = None if coverage_ok else n
 
     uniqueness_failures = []
     for j, d_j in enumerate(state.d_seq):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ModulusMismatch, ResidueOutOfRange
+from .errors import ModulusMismatch, NonPositivePeriod, ResidueOutOfRange
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class ResidueSubset:
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
+            raise NonPositivePeriod(f"modulus must be positive, got {self.modulus}")
         if self.mask < 0 or self.mask >> self.modulus:
             raise ResidueOutOfRange(
                 f"mask {self.mask:#x} has bits outside modulus {self.modulus}"

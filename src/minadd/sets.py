@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateElement,
     EmptySet,
+    ExtraNotBelowThreshold,
+    NonPositivePeriod,
     PeriodOverflow,
     ResidueOutOfRange,
     Y0NotNegative,
@@ -59,7 +61,7 @@ class RawSet:
 
     def __post_init__(self) -> None:
         if self.period < 1:
-            raise ValueError(f"period must be positive, got {self.period}")
+            raise NonPositivePeriod(f"period must be positive, got {self.period}")
         if self.residues.modulus != self.period:
             raise ValueError("residues modulus must equal period")
         if self.orientation not in (BELOW, ABOVE):
@@ -69,7 +71,7 @@ class RawSet:
             raise DuplicateElement(f"duplicate extras in {extras}")
         for e in extras:
             if e >= self.threshold:
-                raise ValueError(
+                raise ExtraNotBelowThreshold(
                     f"extra {e} is not below the threshold {self.threshold}"
                 )
         object.__setattr__(self, "extras", extras)

@@ -60,6 +60,14 @@ class TestCanonicalize:
         path = setfile("period = 2\nresidues =\nthreshold = 0\n")
         assert cli.main(["canonicalize", path]) == cli.EXIT_BAD_INPUT
 
+    def test_zero_period(self, setfile, capsys):
+        path = setfile("period = 0\nresidues =\nthreshold = 0\nextras = -1\n")
+        assert cli.main(["canonicalize", path]) == cli.EXIT_BAD_INPUT
+
+    def test_extra_at_threshold(self, setfile, capsys):
+        path = setfile("period = 3\nresidues = 0\nthreshold = 5\nextras = 1,5\n")
+        assert cli.main(["decide", path]) == cli.EXIT_BAD_INPUT
+
     def test_above_bounded_flagged(self, setfile, capsys):
         path = setfile(
             "period = 5\nresidues = 0\nthreshold = 0\nextras = -3\n"
@@ -166,3 +174,22 @@ class TestConstruct:
             cli.main(["construct", "--steps", "3", "--slack", "weird:x"])
             == cli.EXIT_BAD_INPUT
         )
+
+    def test_zero_steps(self, capsys):
+        assert cli.main(["construct", "--steps", "0"]) == cli.EXIT_BAD_INPUT
+
+    def test_zero_slack(self, capsys):
+        argv = ["construct", "--steps", "3", "--slack", "const:0"]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+
+    def test_negative_slack(self, capsys):
+        argv = ["construct", "--steps", "3", "--slack", "cycle:1,-2"]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+
+    def test_default_window_is_authoritative_bound(self, capsys):
+        code, rec = run_json(capsys, ["construct", "--steps", "12"])
+        assert code == 0
+        c_seq = rec["result"]["state"]["c_seq"]
+        report = rec["result"]["report"]
+        assert report["window_hi"] == -c_seq[-2] - 1
+        assert report["coverage_ok"] and report["first_uncovered"] is None

@@ -19,6 +19,7 @@ from minadd.criteria import (
     find_certificate,
 )
 from minadd.errors import ModulusMismatch, NotSingleton
+from minadd.oracle import naive_find_certificate
 from minadd.residues import ResidueSubset
 from minadd.sets import ConditionContext, lift_period, validate_canonical
 
@@ -111,16 +112,16 @@ class TestFindCertificate:
         v = decide(s, cfg)
         assert v.outcome is Outcome.UNKNOWN
 
-    def test_parallel_matches_serial(self):
+    def test_serial_matches_oracle(self):
         rng = random.Random(3)
         for _ in range(25):
             ctx = random_context(rng, 4, 9)
             for variant in (NECESSARY, SUFFICIENT):
-                serial = find_certificate(ctx, variant, SearchConfig(worker_count=1))
-                parallel = find_certificate(ctx, variant, SearchConfig(worker_count=2))
-                assert (serial is None) == (parallel is None)
-                if serial is not None:
-                    assert serial.c == parallel.c
+                fast = find_certificate(ctx, variant)
+                slow = naive_find_certificate(ctx, variant)
+                assert (fast is None) == (slow is None)
+                if fast is not None:
+                    assert fast.c == slow.c
 
 
 class TestCheckSingleton:

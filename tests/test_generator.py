@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -154,6 +155,57 @@ def test_random_slacks():
         report = verify(st, hi, window_lo=max(st.d_seq[-1], -3000))
         assert report.gaps_ok and report.coverage_ok
         assert not report.uniqueness_failures
+
+
+def reference_coverage(state, window_hi, window_lo=None):
+    """Integer-by-integer coverage of [window_lo, window_hi] by prefix + c."""
+    lo = window_lo if window_lo is not None else state.d_seq[-1]
+    for n in range(lo, window_hi + 1):
+        if not any(runs_contains(state.runs, n - c) for c in state.c_seq):
+            return False, n
+    return True, None
+
+
+def mutate(rng, state):
+    """Drop a run or punch a hole into one, keeping d, c and slacks."""
+    runs = list(state.runs)
+    i = rng.randrange(len(runs))
+    a, b = runs[i]
+    if rng.random() < 0.5 and len(runs) > 1:
+        del runs[i]
+    elif b - a >= 2:
+        p = rng.randint(a + 1, b - 1)
+        runs[i:i + 1] = [(a, p - 1), (p + 1, b)]
+    return GeneratorState(state.d_seq, state.c_seq, tuple(runs), state.slack_seq)
+
+
+def test_run_coverage_matches_reference():
+    rng = random.Random(2017)
+    uncovered = 0
+    for k in range(2, 9):
+        slacks = [rng.randint(1, 5) for _ in range(k + 1)]
+        base = generate(k, lambda i: slacks[i])
+        bound = -base.c_seq[-2] - 1
+        for trial in range(30):
+            st = base if trial == 0 else mutate(rng, base)
+            window_hi = rng.randint(max(st.d_seq[-1], -2000) - 20, min(bound, 2000))
+            window_lo = rng.choice(
+                [None, rng.randint(window_hi - 2000, window_hi + 2)]
+            )
+            report = verify(st, window_hi, window_lo=window_lo)
+            want = reference_coverage(st, window_hi, window_lo)
+            assert (report.coverage_ok, report.first_uncovered) == want
+            uncovered += not want[0]
+    assert uncovered > 0  # the mutations must exercise the failing branch
+
+
+def test_full_authoritative_window_is_fast():
+    st = generate(40)
+    t0 = time.perf_counter()
+    report = verify(st, -st.c_seq[-2] - 1)
+    elapsed = time.perf_counter() - t0
+    assert report.ok and report.first_uncovered is None
+    assert elapsed < 2.0
 
 
 def test_determinism():
