@@ -12,7 +12,6 @@ from .criteria import (
     Reason,
     SearchConfig,
     Verdict,
-    check_singleton,
     cond_a,
     cond_b_necessary,
     cond_b_sufficient,
@@ -48,7 +47,6 @@ __all__ = [
     "WitnessWindow",
     "build_witness",
     "canonicalize",
-    "check_singleton",
     "cond_a",
     "cond_b_necessary",
     "cond_b_sufficient",

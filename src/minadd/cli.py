@@ -20,7 +20,7 @@ import time
 from typing import Callable, Optional
 
 from . import criteria, generator, witness as witness_mod
-from .errors import MinaddError, ParseError, ValidationError
+from .errors import MinaddError, ParseError
 from .residues import ResidueSubset
 from .sets import ABOVE, BELOW, CanonicalSet, RawSet, canonicalize, reflect
 
@@ -103,10 +103,18 @@ def load_canonical(fields: dict) -> CanonicalSet:
     )
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text; an unreadable or undecodable file is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
     """Read a set file; returns (canonical set, input echo, was_reflected)."""
-    with open(path) as fh:
-        fields = parse_set_file(fh.read())
+    fields = parse_set_file(_read_text(path))
     if "m" in fields:
         return load_canonical(fields), fields, False
     raw = load_raw(fields)
@@ -145,15 +153,6 @@ def _run_record(command: str, inputs: dict, config: dict, result: dict,
     }
 
 
-def _search_config(args) -> criteria.SearchConfig:
-    cfg = criteria.SearchConfig()
-    if getattr(args, "t_max", None) is not None:
-        cfg.t_max = args.t_max
-    if getattr(args, "exhaustive_limit", None) is not None:
-        cfg.exhaustive_limit = args.exhaustive_limit
-    return cfg
-
-
 def cmd_canonicalize(args) -> int:
     started = time.perf_counter()
     s, fields, reflected = load_set(args.file)
@@ -165,14 +164,13 @@ def cmd_canonicalize(args) -> int:
 def cmd_decide(args) -> int:
     started = time.perf_counter()
     s, fields, reflected = load_set(args.file)
-    cfg = _search_config(args)
-    verdict = criteria.decide(s, cfg)
+    verdict = criteria.decide(s, criteria.SearchConfig(t_max=args.t_max))
     result = {
         "canonical": s.to_dict(),
         "reflected": reflected,
         "verdict": verdict.to_dict(),
     }
-    config = {"t_max": cfg.t_max, "exhaustive_limit": cfg.exhaustive_limit}
+    config = {"t_max": args.t_max}
     _emit(_run_record("decide", fields, config, result, started), args.format)
     return {
         criteria.Outcome.EXISTS: EXIT_EXISTS,
@@ -193,8 +191,7 @@ def cmd_witness(args) -> int:
     started = time.perf_counter()
     s, fields, _ = load_set(args.file)
     lo, hi = _parse_window(args.window)
-    cfg = _search_config(args)
-    verdict = criteria.decide(s, cfg)
+    verdict = criteria.decide(s, criteria.SearchConfig(t_max=args.t_max))
     if verdict.certificate is None:
         result = {"canonical": s.to_dict(), "verdict": verdict.to_dict()}
         _emit(_run_record("witness", fields, {}, result, started), args.format)
@@ -220,28 +217,61 @@ def cmd_witness(args) -> int:
     return EXIT_EXISTS if cov.ok and mini.ok else EXIT_VERIFY_FAILED
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_int_fields(part, scalars: str, lists: str) -> bool:
+    """``part`` is an object whose named fields hold integers (``scalars``)
+    and lists of integers (``lists``)."""
+    return isinstance(part, dict) and all(
+        _is_int(part.get(key)) for key in scalars.split()
+    ) and all(
+        isinstance(part.get(key), list) and all(map(_is_int, part[key]))
+        for key in lists.split()
+    )
+
+
+def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWindow]:
+    """Read a ``witness`` run record (or its bare result) for re-checking."""
+    try:
+        record = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"witness record is not valid JSON: {exc}") from exc
+    payload = record.get("result", record) if isinstance(record, dict) else None
+    if not isinstance(payload, dict):
+        raise ParseError("witness record is not a JSON object")
+    canonical, window = payload.get("canonical"), payload.get("witness")
+    if not (_has_int_fields(canonical, "m", "x y0 y1")
+            and _is_int(canonical.get("shift", 0))
+            and _has_int_fields(window, "lo hi T y_plus y_minus",
+                                "c c1 c2 d_elements")
+            and isinstance(window.get("provenance"), dict)
+            and all(t is None or _is_int(t)
+                    for t in window["provenance"].values())):
+        raise ParseError("witness record: 'canonical' or 'witness' lacks a "
+                         "field or holds a non-integer where an integer belongs")
+    try:
+        return (CanonicalSet.from_dict(canonical),
+                witness_mod.WitnessWindow.from_dict(window))
+    except ValueError as exc:  # a provenance key that is not an integer
+        raise ParseError(f"witness record: {exc}") from exc
+
+
 def cmd_verify_witness(args) -> int:
     started = time.perf_counter()
-    try:
-        with open(args.file) as fh:
-            record = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"witness record is not valid JSON: {exc}") from exc
-    try:
-        payload = record.get("result", record)
-        s = CanonicalSet.from_dict(payload["canonical"])
-        w = witness_mod.WitnessWindow.from_dict(payload["witness"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"witness record missing field: {exc}") from exc
-    cov = witness_mod.verify_coverage(s, w)
-    mini = witness_mod.verify_local_minimality(s, w)
-    result = {
-        "coverage": {"ok": cov.ok, "failures": list(cov.failures)},
-        "minimality": {"ok": mini.ok, "failures": list(mini.failures)},
+    s, w = load_witness_record(args.file)
+    reports = {
+        "certificate": witness_mod.verify_certificate(s, w),
+        "coverage": witness_mod.verify_coverage(s, w),
+        "minimality": witness_mod.verify_local_minimality(s, w),
     }
+    result = {name: {"ok": rep.ok, "failures": list(rep.failures)}
+              for name, rep in reports.items()}
     _emit(_run_record("verify-witness", {"file": args.file}, {}, result,
                       started), args.format)
-    return EXIT_EXISTS if cov.ok and mini.ok else EXIT_VERIFY_FAILED
+    ok = all(rep.ok for rep in reports.values())
+    return EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
 
 
 def parse_slack_spec(spec: str) -> Callable[[int], int]:
@@ -277,7 +307,7 @@ def cmd_construct(args) -> int:
         window_hi = args.window_hi
         if window_hi is None:
             window_hi = -state.c_seq[-2] - 1
-        report = generator.verify(state, window_hi, period_max=args.period_max)
+        report = generator.verify(state, window_hi)
         result["report"] = {
             "window_hi": window_hi,
             "gaps_ok": report.gaps_ok,
@@ -311,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide existence of a minimal complement")
     p.add_argument("file")
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--exhaustive-limit", type=int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_decide)
 
@@ -319,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--window", required=True, metavar="LO:HI")
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--exhaustive-limit", type=int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_witness)
 
@@ -335,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--slack", default="const:1")
     p.add_argument("--window-hi", type=int, default=None)
-    p.add_argument("--period-max", type=int, default=50)
     add_format(p)
     p.set_defaults(func=cmd_construct)
 
@@ -346,9 +373,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except MinaddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -10,31 +10,28 @@ multiple of the period) together with a subset C of Z_T such that
 Condition (b) comes in two strengths.  The *necessary* form (failure
 refutes existence) asks that c + y escape C + X_T.  The *sufficient* form
 (success proves existence) asks that c + y escape (C \\ {c}) + (X_T | Y1).
-The decision engine combines both with an increasing scan over lifted
-moduli.
+The decision engine checks the necessary form once, at the base modulus,
+and then scans lifted moduli for a sufficient certificate.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import BudgetExceeded, ModulusMismatch, NotSingleton
+from .errors import BudgetExceeded, ModulusMismatch
 from .residues import ResidueSubset, mask_members, rotate
-from .sets import (
-    DEFAULT_MAX_PERIOD,
-    CanonicalSet,
-    ConditionContext,
-    lift_period,
-)
-
-log = logging.getLogger(__name__)
+from .sets import CanonicalSet, ConditionContext, lift_period
 
 NECESSARY = "necessary"
 SUFFICIENT = "sufficient"
+
+#: Moduli up to this are scanned completely; above it only the heuristic runs.
+EXHAUSTIVE_LIMIT = 24
+#: Node budget of one heuristic search.
+HEURISTIC_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -60,18 +57,12 @@ class Certificate:
 
 @dataclass
 class SearchConfig:
-    """Tuning knobs for the certificate search.
+    """The search bound: ``decide`` scans T = m, 2m, ... up to t_max.
 
-    t_max defaults to 8 * m when unset.  Subsets at moduli up to
-    exhaustive_limit are scanned completely (sound for non-existence);
-    beyond it a cover-driven heuristic runs under a node budget and can
-    only prove existence.
+    t_max defaults to 8 * m when unset.
     """
 
     t_max: Optional[int] = None
-    exhaustive_limit: int = 24
-    heuristic_budget: int = 200_000
-    max_period: int = DEFAULT_MAX_PERIOD
 
 
 @dataclass
@@ -109,7 +100,7 @@ class Verdict:
     """Decision output: does a minimal additive complement exist?
 
     ``modulus`` carries the working modulus at which the deciding event
-    fired (the failing modulus for NECESSARY_FAILED, the certificate's T
+    fired (the base modulus m for NECESSARY_FAILED, the certificate's T
     for the certificate reasons, t_max for SEARCH_EXHAUSTED).
     """
 
@@ -344,55 +335,37 @@ def _search_heuristic(
 def find_certificate(
     ctx: ConditionContext,
     variant: str = SUFFICIENT,
-    cfg: Optional[SearchConfig] = None,
     stats: Optional[SearchStats] = None,
 ) -> Optional[Certificate]:
     """Search for a valid C at the context's modulus.
 
-    Below cfg.exhaustive_limit the scan is complete: None means no valid C
-    exists.  Above it the heuristic runs and None (or BudgetExceeded) only
-    means "not found".
+    Up to EXHAUSTIVE_LIMIT the scan is complete: None means no valid C
+    exists.  Above it the heuristic runs under HEURISTIC_BUDGET nodes, and
+    None (or BudgetExceeded) only means "not found".
     """
     if variant not in (NECESSARY, SUFFICIENT):
         raise ValueError(f"unknown variant {variant!r}")
-    cfg = cfg or SearchConfig()
     stats = stats if stats is not None else SearchStats()
     t0 = time.perf_counter()
     try:
-        if ctx.T <= cfg.exhaustive_limit:
+        if ctx.T <= EXHAUSTIVE_LIMIT:
             return _search_exhaustive(ctx, variant, stats)
-        return _search_heuristic(ctx, variant, cfg.heuristic_budget, stats)
+        return _search_heuristic(ctx, variant, HEURISTIC_BUDGET, stats)
     finally:
         stats.wall_time += time.perf_counter() - t0
-
-
-def check_singleton(s: CanonicalSet) -> Optional[Certificate]:
-    """Exact decider for a single exceptional residue class.
-
-    When y1 occupies exactly one residue class mod m, existence of a
-    minimal complement is equivalent to a certificate at T = m; None here
-    means NotExists, not merely "not found".
-    """
-    if not s.x_m:
-        raise NotSingleton("set has no periodic part")
-    y1_res = ResidueSubset.reduce(s.m, s.y1) if s.y1 else ResidueSubset(s.m, 0)
-    if len(y1_res) != 1:
-        raise NotSingleton(
-            f"expected exactly one exceptional residue class, got {len(y1_res)}"
-        )
-    ctx = lift_period(s, 1)
-    stats = SearchStats()
-    return _search_exhaustive(ctx, SUFFICIENT, stats)
 
 
 def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     """Decide whether a minimal additive complement to the set exists.
 
-    Scans working moduli T = m, 2m, ... up to t_max.  At each exhaustively
-    searchable T the necessary condition refutes (sound NotExists) and the
-    sufficient condition proves (Exists with certificate); past the
-    exhaustive limit only heuristic proofs of existence remain.  Unknown is
-    a value, not an error.
+    The necessary condition is searched once, at T = m (when m <=
+    EXHAUSTIVE_LIMIT): a complete miss there is a sound NotExists.  No
+    lifted modulus can refute what T = m does not, because the preimage
+    of a necessary certificate at m passes (a) and the necessary (b) at
+    every k*m (the lift lemma).  Then T = m, 2m, ... up to t_max is
+    scanned for a sufficient certificate, which proves Exists; past
+    EXHAUSTIVE_LIMIT only heuristic proofs remain.  Unknown is a value,
+    not an error.
     """
     cfg = cfg or SearchConfig()
     stats = SearchStats()
@@ -412,30 +385,21 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
         return done(Outcome.NOT_EXISTS, Reason.QUASIPERIODIC)
 
     t_max = cfg.t_max if cfg.t_max is not None else 8 * s.m
-    max_period = max(cfg.max_period, t_max)
     k = 1
     while k * s.m <= t_max:
         T = k * s.m
-        ctx = lift_period(s, k, max_period=max_period)
-        if T <= cfg.exhaustive_limit:
-            nec = _search_exhaustive(ctx, NECESSARY, stats)
-            if nec is None:
-                if T > s.m:
-                    log.info(
-                        "necessary condition failed only at lifted modulus "
-                        "T=%d (base period %d)", T, s.m,
-                    )
-                return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
-            suf = _search_exhaustive(ctx, SUFFICIENT, stats)
-        else:
-            try:
-                suf = _search_heuristic(ctx, SUFFICIENT, cfg.heuristic_budget, stats)
-            except BudgetExceeded:
-                stats.budget_exhausted = True
-                suf = None
+        ctx = lift_period(s, k)
+        if (k == 1 and T <= EXHAUSTIVE_LIMIT
+                and find_certificate(ctx, NECESSARY, stats) is None):
+            return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
+        try:
+            suf = find_certificate(ctx, SUFFICIENT, stats)
+        except BudgetExceeded:
+            stats.budget_exhausted = True
+            suf = None
         if suf is not None:
             reason = (
-                Reason.CERTIFICATE_AT_BASE if T == s.m else Reason.CERTIFICATE_AT_LIFT
+                Reason.CERTIFICATE_AT_BASE if k == 1 else Reason.CERTIFICATE_AT_LIFT
             )
             return done(Outcome.EXISTS, reason, T, suf)
         k += 1

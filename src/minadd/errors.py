@@ -46,20 +46,12 @@ class InvalidConstructParameter(ValidationError):
     """A step count or slack the inductive construction cannot use."""
 
 
-class PeriodOverflow(MinaddError):
-    """A lifted period exceeds the configured maximum."""
-
-
 class ModulusMismatch(MinaddError):
     pass
 
 
 class BudgetExceeded(MinaddError):
     """Heuristic search ran out of its node budget (means "not found")."""
-
-
-class NotSingleton(MinaddError):
-    pass
 
 
 class CapExceeded(MinaddError):
@@ -75,10 +67,6 @@ class WindowTooSmall(MinaddError):
 
 
 class MarginTooSmall(MinaddError):
-    pass
-
-
-class StructuralPremiseViolated(MinaddError):
     pass
 
 

@@ -19,6 +19,9 @@ from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShor
 
 Runs = tuple[tuple[int, int], ...]
 
+#: Candidate periods 1..PERIOD_PROBE_MAX that ``verify`` probes on the prefix.
+PERIOD_PROBE_MAX = 50
+
 
 def runs_contains(runs: Runs, n: int) -> bool:
     lo, hi = 0, len(runs) - 1
@@ -192,16 +195,15 @@ def verify(
     state: GeneratorState,
     window_hi: int,
     window_lo: Optional[int] = None,
-    period_max: int = 50,
 ) -> GeneratorReport:
     """Re-check everything the construction promises, on its prefix.
 
     (1) consecutive prefix elements differ by 1 or 2; (2) every integer in
     [window_lo, window_hi] is a prefix element plus some c; (3) each d_j is
-    reachable from exactly the matching c_j; (4) for each candidate period,
-    look for a prefix element whose translate falls into a hole — periods
-    with no such violation are reported, not asserted against (a finite
-    prefix cannot certify the limit property).
+    reachable from exactly the matching c_j; (4) for each candidate period
+    up to PERIOD_PROBE_MAX, look for a prefix element whose translate falls
+    into a hole — periods with no such violation are reported, not asserted
+    against (a finite prefix cannot certify the limit property).
 
     window_lo defaults to d_N; window_hi may be at most -c_{N-1} - 1, the
     authoritative bound of an N-step prefix.  Every check works on the
@@ -244,7 +246,7 @@ def verify(
     w_min = state.runs[0][0]
     periodic = [
         P
-        for P in range(1, period_max + 1)
+        for P in range(1, PERIOD_PROBE_MAX + 1)
         if not any(h - P >= w_min and runs_contains(state.runs, h - P) for h in holes)
     ]
 

@@ -76,10 +76,6 @@ class ResidueSubset:
         self._check(other)
         return ResidueSubset(self.modulus, self.mask | other.mask)
 
-    def intersection(self, other: "ResidueSubset") -> "ResidueSubset":
-        self._check(other)
-        return ResidueSubset(self.modulus, self.mask & other.mask)
-
     def shifted(self, k: int) -> "ResidueSubset":
         """The set {r + k mod m}; a cyclic rotation of the mask."""
         return ResidueSubset(self.modulus, rotate(self.mask, k, self.modulus))

@@ -24,16 +24,12 @@ from .errors import (
     EmptySet,
     ExtraNotBelowThreshold,
     NonPositivePeriod,
-    PeriodOverflow,
     ResidueOutOfRange,
     Y0NotNegative,
     Y0ResidueOutsideX,
     Y1ResidueInsideX,
 )
 from .residues import ResidueSubset
-
-#: Default ceiling for lifted periods; guards runaway search loops.
-DEFAULT_MAX_PERIOD = 4096
 
 BELOW = "below"
 ABOVE = "above"
@@ -281,14 +277,8 @@ class ConditionContext:
                 "lifted periodic residues and exception residues overlap"
             )
 
-    @property
-    def y1_nonempty(self) -> bool:
-        return bool(self.y1_res)
 
-
-def lift_period(
-    s: CanonicalSet, k: int, max_period: int = DEFAULT_MAX_PERIOD
-) -> ConditionContext:
+def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
     """Lift the modulus-m description to modulus T = k*m.
 
     The periodic residues expand to {i*m + x : 0 <= i < k, x in x_m}; the
@@ -299,8 +289,6 @@ def lift_period(
     if k < 1:
         raise ValueError(f"lift factor must be positive, got {k}")
     T = k * s.m
-    if T > max_period:
-        raise PeriodOverflow(f"lifted period {T} exceeds maximum {max_period}")
     x_mask = 0
     for i in range(k):
         x_mask |= s.x_m.mask << (i * s.m)

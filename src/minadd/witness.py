@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate
-from .errors import (
-    CertificateInvalid,
-    StructuralPremiseViolated,
-    WindowTooSmall,
-)
+from .errors import CertificateInvalid, WindowTooSmall
 from .residues import ResidueSubset
 from .sets import CanonicalSet, Margins, lift_period, margins
 
@@ -82,6 +78,19 @@ class WitnessWindow:
         )
 
 
+def _derive(
+    s: CanonicalSet, cert: Certificate
+) -> tuple[ResidueSubset, ResidueSubset, Margins]:
+    """C1, C2 and the margins of a certificate re-verified at its lift."""
+    if cert.T % s.m:
+        raise CertificateInvalid(f"certificate modulus {cert.T} is not a multiple of {s.m}")
+    ctx = lift_period(s, cert.T // s.m)
+    if not check_certificate(ctx, cert):
+        raise CertificateInvalid("certificate failed re-verification")
+    c1 = cert.c.sumset(ctx.x_t)
+    return c1, c1.complement(), margins(s)
+
+
 def build_witness(
     s: CanonicalSet, cert: Certificate, lo: int, hi: int
 ) -> WitnessWindow:
@@ -95,19 +104,12 @@ def build_witness(
     """
     if cert.variant != SUFFICIENT:
         raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
-    if cert.T % s.m:
-        raise CertificateInvalid(f"certificate modulus {cert.T} is not a multiple of {s.m}")
-    ctx = lift_period(s, cert.T // s.m, max_period=max(cert.T, 4096))
-    if not check_certificate(ctx, cert):
-        raise CertificateInvalid("certificate failed re-verification")
-    marg = margins(s)
+    c1, c2, marg = _derive(s, cert)
     T = cert.T
     if hi - lo < 4 * (marg.y0_margin + T):
         raise WindowTooSmall(
             f"window [{lo}, {hi}] shorter than {4 * (marg.y0_margin + T)}"
         )
-    c1 = cert.c.sumset(ctx.x_t)
-    c2 = c1.complement()
     if not c2:
         raise CertificateInvalid("no uncovered residue classes; condition (b) cannot hold")
 
@@ -150,6 +152,26 @@ def _safe_interval(w: WitnessWindow) -> tuple[int, int]:
     return w.lo + pad, w.hi - pad
 
 
+def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
+    """Re-derive what the window takes on trust from the set alone.
+
+    T must be a multiple of m, (T, C) must pass condition (a) and the
+    sufficient (b) at the lifted context, and C1, C2 and the margins must
+    equal their values recomputed from C and the set.
+    """
+    try:
+        derived = _derive(s, Certificate(w.T, w.c, SUFFICIENT))
+    except CertificateInvalid as exc:
+        return VerificationReport(False, (str(exc),))
+    failures = tuple(
+        f"{name} differs from its value recomputed from the set and C"
+        for name, claimed, actual in zip(
+            ("c1", "c2", "margins"), (w.c1, w.c2, w.margins), derived)
+        if claimed != actual
+    )
+    return VerificationReport(not failures, failures)
+
+
 def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     """Confirm every integer in the safe inner window is reached.
 
@@ -158,6 +180,10 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     uncovered integer is reported.
     """
     inner_lo, inner_hi = _safe_interval(w)
+    if inner_lo > inner_hi:
+        return VerificationReport(
+            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
+        )
     d_set = set(w.d_elements)
     for n in range(inner_lo, inner_hi + 1):
         if (n % w.T) in w.c1:
@@ -176,11 +202,12 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
     no periodic-part sum from the C classes can reach it, and subtracting
     the finite exceptions enumerates every other candidate element.
     """
-    for d in w.d_elements:
-        if (d % w.T) not in w.c:
-            raise StructuralPremiseViolated(
-                f"witness element {d} lies outside the certificate's classes"
-            )
+    outside = tuple(
+        f"witness element {d} lies outside the certificate's classes"
+        for d in w.d_elements if (d % w.T) not in w.c
+    )
+    if outside:
+        return VerificationReport(False, outside)
     inner_lo, inner_hi = _safe_interval(w)
     d_set = set(w.d_elements)
     failures = []

@@ -104,6 +104,10 @@ class TestDecide:
         code, rec = run_json(capsys, ["decide", setfile(PAPERLIKE), "--t-max", "0"])
         assert code == cli.EXIT_UNKNOWN
 
+    def test_record_config(self, setfile, capsys):
+        _, rec = run_json(capsys, ["decide", setfile(EVEN), "--t-max", "4"])
+        assert rec["config"] == {"t_max": 4}
+
     def test_missing_file(self, capsys):
         assert cli.main(["decide", "/nonexistent.set"]) == cli.EXIT_BAD_INPUT
 
@@ -193,3 +197,92 @@ class TestConstruct:
         report = rec["result"]["report"]
         assert report["window_hi"] == -c_seq[-2] - 1
         assert report["coverage_ok"] and report["first_uncovered"] is None
+
+
+@pytest.fixture
+def witness_record(setfile, capsys):
+    """A valid ``witness`` run record for the evens plus the point 1."""
+    _, rec = run_json(capsys, ["witness", setfile(EVEN), "--window=-40:40"])
+    return rec
+
+
+def verify_record(tmp_path, record) -> int:
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    return cli.main(["verify-witness", str(path)])
+
+
+class TestVerifyWitness:
+    def test_record_echoes_each_check(self, witness_record, tmp_path, capsys):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == 0
+        assert {k: v["ok"] for k, v in rec["result"].items()} == {
+            "certificate": True, "coverage": True, "minimality": True}
+
+    def test_empty_safe_interval_fails(self, tmp_path, capsys):
+        record = {
+            "canonical": {"m": 2, "x": [0], "y0": [], "y1": [1], "shift": 0},
+            "witness": {"lo": 0, "hi": 1, "T": 2, "c": [0], "c1": [0],
+                        "c2": [1], "y_plus": 1, "y_minus": 1,
+                        "d_elements": [], "provenance": {}},
+        }
+        assert verify_record(tmp_path, record) == cli.EXIT_VERIFY_FAILED
+
+    @pytest.mark.parametrize("field, value", [("c1", [0, 1]), ("c2", [])])
+    def test_forged_c1_c2_fail(self, witness_record, tmp_path, capsys, field, value):
+        witness_record["result"]["witness"][field] = value
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+    def test_forged_margins_fail(self, witness_record, tmp_path, capsys):
+        witness_record["result"]["witness"]["y_plus"] = 15
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+    def test_modulus_not_multiple_of_period(self, tmp_path, capsys):
+        record = {
+            "canonical": {"m": 2, "x": [0], "y0": [], "y1": [1]},
+            "witness": {"lo": -40, "hi": 40, "T": 3, "c": [0], "c1": [0],
+                        "c2": [1, 2], "y_plus": 1, "y_minus": 1,
+                        "d_elements": [], "provenance": {}},
+        }
+        assert verify_record(tmp_path, record) == cli.EXIT_VERIFY_FAILED
+
+    def test_element_outside_certificate_classes_fails(
+        self, witness_record, tmp_path, capsys
+    ):
+        witness_record["result"]["witness"]["d_elements"].append(1)  # odd
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+    def test_invalid_certificate_fails(self, witness_record, tmp_path, capsys):
+        # {0, 1} covers through X alone, so neither element owns a sum
+        witness_record["result"]["witness"]["c"] = [0, 1]
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+
+class TestBadInputNeverExitsOne:
+    def test_directory_as_set_file(self, tmp_path, capsys):
+        assert cli.main(["decide", str(tmp_path)]) == cli.EXIT_BAD_INPUT
+
+    def test_non_utf8_set_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.set"
+        path.write_bytes(b"m = 2\nx = 0\ny1 = 1 # \xe9\xff\n")
+        assert cli.main(["decide", str(path)]) == cli.EXIT_BAD_INPUT
+
+    def test_record_is_a_list(self, tmp_path, capsys):
+        assert verify_record(tmp_path, [1, 2, 3]) == cli.EXIT_BAD_INPUT
+
+    def test_non_integer_provenance_key(self, witness_record, tmp_path, capsys):
+        witness_record["result"]["witness"]["provenance"]["x"] = None
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
+
+    def test_string_lo(self, witness_record, tmp_path, capsys):
+        witness_record["result"]["witness"]["lo"] = "-40"
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
+
+    def test_deleted_flags_rejected(self, setfile, capsys):
+        for argv in (["decide", setfile(EVEN), "--exhaustive-limit", "3"],
+                     ["construct", "--steps", "3", "--period-max", "-3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == cli.EXIT_BAD_INPUT

@@ -1,0 +1,93 @@
+"""Fuzz the CLI's two file loaders: every input keeps the exit-code contract.
+
+Exit 1 means "no minimal complement exists", so a traceback must never
+reach it; whatever the file holds, ``cli.main`` returns a code in 0..4 and
+raises nothing.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from minadd import cli
+from minadd.criteria import decide
+from minadd.sets import validate_canonical
+from minadd.witness import build_witness
+
+CODES = set(range(5))
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+small_int = st.integers(-40, 40)
+int_list = st.lists(small_int, max_size=5).map(lambda xs: ",".join(map(str, xs)))
+field_line = st.one_of(
+    st.tuples(st.sampled_from(["period", "threshold", "m", "shift"]),
+              st.one_of(small_int.map(str), st.text(max_size=4))),
+    st.tuples(st.sampled_from(["residues", "extras", "x", "y0", "y1"]),
+              st.one_of(int_list, st.text(max_size=6))),
+    st.tuples(st.just("orientation"),
+              st.sampled_from(["below", "above", "sideways"])),
+    st.tuples(st.text(max_size=6), st.text(max_size=6)),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+set_text = st.lists(field_line, max_size=6).map("\n".join)
+
+json_value = st.recursive(
+    st.none() | st.booleans() | small_int | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def valid_record() -> dict:
+    s = validate_canonical(6, [0, 3], (), [1, 4, -7])
+    w = build_witness(s, decide(s).certificate, -60, 60)
+    return {"result": {"canonical": s.to_dict(), "witness": w.to_dict()}}
+
+
+RECORD = valid_record()
+FIELDS = [("canonical", k) for k in RECORD["result"]["canonical"]] + [
+    ("witness", k) for k in RECORD["result"]["witness"]]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(text=set_text | st.text(max_size=60))
+def test_set_file_text(workdir, text):
+    path = workdir / "input.set"
+    path.write_text(text)
+    assert cli.main(["canonicalize", str(path)]) in CODES
+    assert cli.main(["decide", str(path), "--t-max", "6"]) in CODES
+
+
+@FUZZ
+@given(data=st.binary(max_size=40))
+def test_set_file_bytes(workdir, data):
+    path = workdir / "input.set"
+    path.write_bytes(data)
+    assert cli.main(["canonicalize", str(path)]) in CODES
+
+
+@FUZZ
+@given(edits=st.lists(st.tuples(st.sampled_from(FIELDS), json_value),
+                      min_size=1, max_size=3),
+       whole=st.none() | json_value)
+def test_witness_record(workdir, edits, whole):
+    record = json.loads(json.dumps(RECORD))
+    for (part, key), value in edits:
+        record["result"][part][key] = value
+    path = workdir / "record.json"
+    path.write_text(json.dumps(record if whole is None else whole))
+    assert cli.main(["verify-witness", str(path)]) in CODES
+
+
+def test_unedited_record_verifies(workdir):
+    path = workdir / "record.json"
+    path.write_text(json.dumps(RECORD))
+    assert cli.main(["verify-witness", str(path)]) == cli.EXIT_EXISTS

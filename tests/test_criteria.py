@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import random_context, shifted_copy
+from conftest import random_canonical, random_context, shifted_copy
+from minadd import criteria
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
@@ -11,14 +12,13 @@ from minadd.criteria import (
     Reason,
     SearchConfig,
     check_certificate,
-    check_singleton,
     cond_a,
     cond_b_necessary,
     cond_b_sufficient,
     decide,
     find_certificate,
 )
-from minadd.errors import ModulusMismatch, NotSingleton
+from minadd.errors import BudgetExceeded, ModulusMismatch
 from minadd.oracle import naive_find_certificate
 from minadd.residues import ResidueSubset
 from minadd.sets import ConditionContext, lift_period, validate_canonical
@@ -89,28 +89,28 @@ class TestFindCertificate:
         cert = find_certificate(ctx, SUFFICIENT)
         assert cert.c.members() == (0,)
 
-    def test_heuristic_mode_finds_and_reverifies(self):
+    def test_heuristic_mode_finds_and_reverifies(self, monkeypatch):
         # force the heuristic by dropping the exhaustive limit below T
+        monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 1)
         ctx = ctx_of(4, [0, 2], [1, 3])
-        cfg = SearchConfig(exhaustive_limit=1)
-        cert = find_certificate(ctx, SUFFICIENT, cfg)
+        cert = find_certificate(ctx, SUFFICIENT)
         assert cert is not None
         assert cond_a(ctx, cert.c) and cond_b_sufficient(ctx, cert.c)
 
-    def test_heuristic_budget_exhausted(self):
-        from minadd.errors import BudgetExceeded
-
+    def test_heuristic_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 1)
+        monkeypatch.setattr(criteria, "HEURISTIC_BUDGET", 1)
         ctx = ctx_of(8, [0], [1])
         with pytest.raises(BudgetExceeded):
-            find_certificate(
-                ctx, SUFFICIENT, SearchConfig(exhaustive_limit=1, heuristic_budget=1)
-            )
+            find_certificate(ctx, SUFFICIENT)
 
-    def test_decide_survives_heuristic_budget(self):
+    def test_decide_survives_heuristic_budget(self, monkeypatch):
+        monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 1)
+        monkeypatch.setattr(criteria, "HEURISTIC_BUDGET", 5)
         s = validate_canonical(5, [2, 3], [-3], [-1, 4])
-        cfg = SearchConfig(exhaustive_limit=1, heuristic_budget=5, t_max=10)
-        v = decide(s, cfg)
+        v = decide(s, SearchConfig(t_max=10))
         assert v.outcome is Outcome.UNKNOWN
+        assert v.stats.budget_exhausted
 
     def test_serial_matches_oracle(self):
         rng = random.Random(3)
@@ -125,20 +125,27 @@ class TestFindCertificate:
 
 
 class TestCheckSingleton:
+    """One exceptional residue class: the two forms of (b) coincide, so a
+    scan of T = m alone decides existence."""
+
+    @staticmethod
+    def decide_at_base(s):
+        return decide(s, SearchConfig(t_max=s.m))
+
     def test_even_plus_one(self):
-        s = validate_canonical(2, [0], (), [1])
-        cert = check_singleton(s)
-        assert cert is not None and cert.T == 2 and cert.c.members() == (0,)
+        v = self.decide_at_base(validate_canonical(2, [0], (), [1]))
+        assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_BASE
+        assert v.certificate.T == 2 and v.certificate.c.members() == (0,)
 
     def test_residue_one_of_three(self):
-        assert check_singleton(validate_canonical(3, [0], (), [1])) is None
+        v = self.decide_at_base(validate_canonical(3, [0], (), [1]))
+        assert v.outcome is Outcome.NOT_EXISTS and v.modulus == 3
+        assert v.reason is Reason.NECESSARY_FAILED
 
     def test_same_class_larger_element(self):
-        assert check_singleton(validate_canonical(3, [0], (), [4])) is None
-
-    def test_not_singleton(self):
-        with pytest.raises(NotSingleton):
-            check_singleton(validate_canonical(3, [0], (), [1, 2]))
+        v = self.decide_at_base(validate_canonical(3, [0], (), [4]))
+        assert v.outcome is Outcome.NOT_EXISTS and v.modulus == 3
+        assert v.reason is Reason.NECESSARY_FAILED
 
 
 class TestDecide:
@@ -236,6 +243,50 @@ class TestProperties:
                     nec = find_certificate(ctx, NECESSARY)
                     suf = find_certificate(ctx, SUFFICIENT)
                     assert (nec is None) == (suf is None)
+
+    def test_lift_lemma(self):
+        # The preimage of a necessary certificate at m passes (a) and the
+        # necessary (b) at 2m and 3m, so no lifted modulus can refute.
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(150):
+            s = random_canonical(rng, 6)
+            if not s.y1:
+                continue
+            cert = find_certificate(lift_period(s, 1), NECESSARY)
+            if cert is None:
+                continue
+            for k in (2, 3):
+                ctx = lift_period(s, k)
+                pre = ResidueSubset.of(
+                    ctx.T, [r for r in range(ctx.T) if r % s.m in cert.c]
+                )
+                assert cond_a(ctx, pre) and cond_b_necessary(ctx, pre)
+                checked += 1
+        assert checked >= 50
+
+    def test_necessary_search_only_at_base(self, monkeypatch):
+        calls = []
+        search = criteria._search_exhaustive
+
+        def recording(ctx, variant, stats):
+            calls.append((ctx.T, variant))
+            return search(ctx, variant, stats)
+
+        monkeypatch.setattr(criteria, "_search_exhaustive", recording)
+        rng = random.Random(9)
+        lifted = 0
+        deep = [  # UNKNOWN at T = 15, EXISTS at T = 14
+            validate_canonical(5, [2, 3], [-12], [-5, 1]),
+            validate_canonical(7, [2, 3, 6], (), [1, 11, 14]),
+        ]
+        for s in deep + [random_canonical(rng, 5) for _ in range(60)]:
+            calls.clear()
+            decide(s, SearchConfig(t_max=3 * s.m))
+            necessary = [T for T, variant in calls if variant == NECESSARY]
+            assert necessary in ([], [s.m])
+            lifted += any(T > s.m for T, _ in calls)
+        assert lifted >= 3  # the scans went past the base modulus
 
     def test_consistency_base_vs_lift(self):
         # A base-period certificate implies the lifted scan also succeeds there.

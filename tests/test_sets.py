@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from minadd.errors import (
     EmptySet,
-    PeriodOverflow,
     Y0NotNegative,
     Y0ResidueOutsideX,
     Y1ResidueInsideX,
@@ -167,11 +166,6 @@ class TestLift:
             ctx = lift_period(s, k)
             for n in range(0, 4 * ctx.T):
                 assert ((n % s.m) in s.x_m) == ((n % ctx.T) in ctx.x_t)
-
-    def test_overflow(self):
-        s = validate_canonical(5, [2, 3])
-        with pytest.raises(PeriodOverflow):
-            lift_period(s, 10, max_period=40)
 
 
 class TestWindowElements:
