@@ -203,9 +203,11 @@ def canonicalize(raw: RawSet) -> CanonicalSet:
     shift = -(-raw.threshold // m) * m  # smallest multiple of m >= threshold
     y0: list[int] = []
     y1: list[int] = []
-    # Periodic elements caught between the threshold and the shift point.
-    for t in range(raw.threshold, shift):
-        if (t % m) in raw.residues:
+    # Periodic elements caught between the threshold and the shift point:
+    # shift - threshold < m, so each class has at most one.
+    for r in raw.residues.members():
+        t = raw.threshold + (r - raw.threshold) % m
+        if t < shift:
             y0.append(t - shift)
     for e in raw.extras:
         v = e - shift

@@ -14,6 +14,7 @@ minimality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate
@@ -113,9 +114,8 @@ def build_witness(
     if not c2:
         raise CertificateInvalid("no uncovered residue classes; condition (b) cannot hold")
 
-    targets = [n for n in range(lo, hi + 1) if (n % T) in c2]
-    pool_lo, pool_hi = lo - marg.y_plus, hi - marg.y_minus
-    pool = [d for d in range(pool_lo, pool_hi + 1) if (d % T) in cert.c]
+    targets = _class_integers(c2, lo, hi)
+    pool = _class_integers(cert.c, lo - marg.y_plus, hi - marg.y_minus)
 
     target_set = set(targets)
     covers: dict[int, list[int]] = {}  # d -> targets it reaches
@@ -145,6 +145,16 @@ def build_witness(
     return WitnessWindow(
         lo, hi, T, cert.c, c1, c2, marg, tuple(sorted(kept)), provenance
     )
+
+
+def _class_integers(classes: ResidueSubset, lo: int, hi: int) -> list[int]:
+    """The integers of [lo, hi] whose residue lies in ``classes``, class
+    by class."""
+    T = classes.modulus
+    out: list[int] = []
+    for r in classes.members():
+        out.extend(range(lo + (r - lo) % T, hi + 1, T))
+    return out
 
 
 def _safe_interval(w: WitnessWindow) -> tuple[int, int]:
@@ -178,20 +188,48 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     C1-residue integers must be reached through the periodic part,
     C2-residue integers through the exceptional offsets; the first
     uncovered integer is reported.
+
+    The check works per residue class: it visits the first integer of
+    each class mod T in the safe window, and on the C1 side the first
+    integer of each class mod lcm(T, m).  With W the safe window's length
+    it takes O(|D|*|Y1| + min(W, T)) steps plus
+    min(W, lcm(T, m)) * min(m, |D|) bit tests; on a record with m | T
+    that is at most T * m tests, whatever the window length.
     """
     inner_lo, inner_hi = _safe_interval(w)
     if inner_lo > inner_hi:
         return VerificationReport(
             False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
         )
-    d_set = set(w.d_elements)
-    for n in range(inner_lo, inner_hi + 1):
-        if (n % w.T) in w.c1:
-            ok = any(d <= n and ((n - d) % s.m) in s.x_m for d in w.d_elements)
+    T, m = w.T, s.m
+    # n is reached through m*N + X iff some d <= n has (n - d) % m in X;
+    # the least element of d's class mod m then works too.
+    least: dict[int, int] = {}
+    for d in w.d_elements:
+        if d < least.get(d % m, d + 1):
+            least[d % m] = d
+    reached = {d + y for d in w.d_elements for y in s.y1}
+    # Two integers of one class mod lcm(T, m) share the C1 test and the
+    # classes of D that reach them, so only the first in the window counts.
+    c1_end = min(inner_lo + lcm(T, m), inner_hi + 1)
+    uncovered = []
+    for first in range(inner_lo, min(inner_lo + T, inner_hi + 1)):
+        if w.c1.mask >> first % T & 1:
+            for n in range(first, c1_end, T):
+                if not any(d <= n and s.x_m.mask >> (n - d) % m & 1
+                           for d in least.values()):
+                    uncovered.append(n)
+                    break
         else:
-            ok = any(n - y in d_set for y in s.y1)
-        if not ok:
-            return VerificationReport(False, (f"uncovered integer {n}",), n)
+            n = first
+            while n in reached:
+                n += T
+            if n <= inner_hi:
+                uncovered.append(n)
+
+    if uncovered:
+        n = min(uncovered)
+        return VerificationReport(False, (f"uncovered integer {n}",), n)
     return VerificationReport(True)
 
 
@@ -201,15 +239,18 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
     Complete on the window because a private target has a C2 residue, so
     no periodic-part sum from the C classes can reach it, and subtracting
     the finite exceptions enumerates every other candidate element.
+
+    Cost: O(|D|*|Y1|) set lookups plus one bit test per element on the
+    T-bit masks of C and C2, whatever the window length hi - lo.
     """
     outside = tuple(
         f"witness element {d} lies outside the certificate's classes"
-        for d in w.d_elements if (d % w.T) not in w.c
+        for d in w.d_elements if not w.c.mask >> d % w.T & 1
     )
     if outside:
         return VerificationReport(False, outside)
     inner_lo, inner_hi = _safe_interval(w)
-    d_set = set(w.d_elements)
+    d_set, y1 = set(w.d_elements), set(s.y1)
     failures = []
     for d in w.d_elements:
         if not inner_lo <= d <= inner_hi:
@@ -218,10 +259,10 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
         if n_d is None:
             failures.append(f"element {d} has no private target")
             continue
-        if (n_d % w.T) not in w.c2:
+        if not w.c2.mask >> n_d % w.T & 1:
             failures.append(f"target {n_d} of {d} is not in an uncovered class")
             continue
-        if not any(n_d - y == d for y in s.y1):
+        if n_d - d not in y1:
             failures.append(f"element {d} does not reach its target {n_d}")
             continue
         for y in s.y1:

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -17,6 +20,36 @@ def setfile(tmp_path):
         return str(p)
 
     return write
+
+
+@contextlib.contextmanager
+def bounded_work(max_lines=300_000, max_peak_mb=20):
+    """Fail once the block runs more than ``max_lines`` Python lines, or
+    afterwards if its allocations peaked above ``max_peak_mb``.
+
+    Bounds the work rather than the wall time, so host load cannot fail
+    it, and a walk over a huge range stops at the budget instead of
+    running on.
+    """
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > max_lines:
+                raise AssertionError(f"more than {max_lines} lines run")
+        return tracer
+
+    tracemalloc.start()
+    sys.settrace(tracer)
+    try:
+        yield
+    finally:
+        sys.settrace(None)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < max_peak_mb * 2**20, f"allocations peaked at {peak} bytes"
 
 
 def run_json(capsys, argv):
@@ -55,6 +88,14 @@ class TestCanonicalize:
         canon = rec["result"]["canonical"]
         assert canon["m"] == 5 and canon["x"] == [2, 3]
         assert canon["shift"] == 10
+
+    def test_huge_period_costs_time_in_residues(self, setfile, capsys):
+        path = setfile("period = 10000000\nresidues = 0\nthreshold = 1\n")
+        with bounded_work():
+            code, rec = run_json(capsys, ["canonicalize", path])
+        assert code == 0
+        assert rec["result"]["canonical"] == {
+            "m": 10000000, "x": [0], "y0": [], "y1": [], "shift": 10000000}
 
     def test_empty_set_exit_code(self, setfile, capsys):
         path = setfile("period = 2\nresidues =\nthreshold = 0\n")
@@ -253,6 +294,53 @@ class TestVerifyWitness:
     ):
         witness_record["result"]["witness"]["d_elements"].append(1)  # odd
         assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+    def test_huge_window_is_rejected_quickly(
+        self, witness_record, tmp_path, capsys
+    ):
+        witness_record["result"]["witness"]["hi"] = 10**12
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        with bounded_work():
+            code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert rec["result"]["coverage"]["failures"][0].startswith(
+            "uncovered integer ")
+
+    def test_huge_covered_window_is_checked_quickly(
+        self, witness_record, tmp_path, capsys
+    ):
+        # c1 forged to every class and an odd element added: each integer
+        # of [lo, 10**12] is then reached, so no early exit ends the check.
+        witness = witness_record["result"]["witness"]
+        witness.update(hi=10**12, c1=[0, 1], c2=[])
+        witness["d_elements"].insert(0, witness["d_elements"][0] - 1)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        with bounded_work():
+            code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert rec["result"]["coverage"] == {"ok": True, "failures": []}
+
+    def test_huge_period_with_small_modulus_is_rejected_quickly(
+        self, tmp_path, capsys
+    ):
+        # m does not divide T, so the C1 classes repeat mod lcm(T, m) =
+        # 10**9; the window, not that period, bounds the work.
+        record = {
+            "canonical": {"m": 10**9, "x": [0], "y0": [], "y1": [1]},
+            "witness": {"lo": -40, "hi": 40, "T": 2, "c": [0], "c1": [0],
+                        "c2": [1], "y_plus": 1, "y_minus": 1,
+                        "d_elements": [-10, 0, 10], "provenance": {}},
+        }
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        with bounded_work():
+            code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert not rec["result"]["certificate"]["ok"]
+        assert rec["result"]["coverage"]["failures"] == [
+            "uncovered integer -37"]
 
     def test_invalid_certificate_fails(self, witness_record, tmp_path, capsys):
         # {0, 1} covers through X alone, so neither element owns a sum

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from minadd.errors import ModulusMismatch, ResidueOutOfRange
@@ -62,3 +64,11 @@ def test_rotate_matches_member_arithmetic():
                 got = mask_members(rotate(mask, k, modulus))
                 want = tuple(sorted({(r + k) % modulus for r in mask_members(mask)}))
                 assert got == want
+
+
+def test_members_matches_mask_members():
+    rng = random.Random(3)
+    for modulus in (1, 2, 63, 64, 65, 200):
+        for mask in (0, (1 << modulus) - 1, 1 << (modulus - 1),
+                     *(rng.getrandbits(modulus) for _ in range(50))):
+            assert ResidueSubset(modulus, mask).members() == mask_members(mask)

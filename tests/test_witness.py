@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from minadd import witness
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
@@ -16,6 +17,7 @@ from minadd.oracle import WindowSet, verify_complement_window
 from minadd.residues import ResidueSubset
 from minadd.sets import validate_canonical
 from minadd.witness import (
+    VerificationReport,
     WitnessWindow,
     build_witness,
     verify_coverage,
@@ -164,3 +166,85 @@ def test_serialization_round_trip():
     again = WitnessWindow.from_dict(w.to_dict())
     assert again == w
     assert verify_coverage(EVEN_SET, again).ok
+
+
+# -- reference: the integer-by-integer walks the class arithmetic replaced --
+
+
+def reference_class_integers(classes, lo, hi):
+    return [n for n in range(lo, hi + 1) if (n % classes.modulus) in classes]
+
+
+def reference_coverage(s, w):
+    pad = w.margins.y0_margin + w.T
+    inner_lo, inner_hi = w.lo + pad, w.hi - pad
+    if inner_lo > inner_hi:
+        return VerificationReport(
+            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
+        )
+    d_set = set(w.d_elements)
+    for n in range(inner_lo, inner_hi + 1):
+        if (n % w.T) in w.c1:
+            ok = any(d <= n and ((n - d) % s.m) in s.x_m for d in w.d_elements)
+        else:
+            ok = any(n - y in d_set for y in s.y1)
+        if not ok:
+            return VerificationReport(False, (f"uncovered integer {n}",), n)
+    return VerificationReport(True)
+
+
+def _random_classes(rng, T):
+    return ResidueSubset(T, rng.getrandbits(T))
+
+
+def tampered(rng, s, w):
+    """Mutations of an honest window, each a record verify-witness may get."""
+    T, d = w.T, list(w.d_elements)
+    yield dataclasses.replace(w, d_elements=tuple(
+        x for x in d if rng.random() > 0.05))
+    yield dataclasses.replace(w, d_elements=tuple(sorted(
+        d + rng.sample(range(w.lo, w.hi + 1), 3))))
+    yield dataclasses.replace(w, d_elements=tuple(rng.sample(d, len(d))))
+    yield dataclasses.replace(w, d_elements=tuple(
+        d + rng.sample(d, min(len(d), 3))))
+    yield dataclasses.replace(
+        w, c1=_random_classes(rng, T), c2=_random_classes(rng, T))
+    yield dataclasses.replace(w, lo=w.lo + rng.randint(-3 * T, 3 * T),
+                              hi=w.hi + rng.randint(-3 * T, 3 * T))
+    if s.m > 1:  # a forged modulus that is not a multiple of m
+        T2 = rng.choice([t for t in range(1, 3 * T) if t % s.m])
+        yield dataclasses.replace(
+            w, T=T2, c=_random_classes(rng, T2), c1=_random_classes(rng, T2),
+            c2=_random_classes(rng, T2))
+
+
+def test_class_arithmetic_matches_integer_walk(monkeypatch):
+    """Same witnesses and coverage reports as the integer walks, on honest
+    and tampered windows; a forged T with m not dividing it is what needs
+    the C1 walk over classes mod lcm(T, m) rather than mod T."""
+    rng = random.Random(2024)
+    from conftest import random_canonical
+
+    compared = failed = 0
+    while compared < 1500:
+        s = random_canonical(rng, 6)
+        v = decide(s, SearchConfig(t_max=2 * s.m))
+        if v.outcome is not Outcome.EXISTS or v.certificate is None:
+            continue
+        T = v.certificate.T
+        lo = -rng.randint(5, 10) * (T + 3) - rng.randrange(T)
+        hi = rng.randint(5, 10) * (T + 3) + rng.randrange(T)
+        try:
+            w = build_witness(s, v.certificate, lo, hi)
+        except WindowTooSmall:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(witness, "_class_integers", reference_class_integers)
+            assert build_witness(s, v.certificate, lo, hi).to_dict() == w.to_dict()
+        for record in (w, *tampered(rng, s, w)):
+            got, want = verify_coverage(s, record), reference_coverage(s, record)
+            assert (got.ok, got.failures, got.first_uncovered) == (
+                want.ok, want.failures, want.first_uncovered), record
+            compared += 1
+            failed += not want.ok
+    assert failed >= 200
