@@ -291,8 +291,6 @@ def parse_slack_spec(spec: str) -> Callable[[int], int]:
             values = [int(tok) for tok in rest.split(",")]
         except ValueError as exc:
             raise ParseError(f"bad slack spec {spec!r}") from exc
-        if not values:
-            raise ParseError("cycle slack needs at least one value")
         return lambda i: values[i % len(values)]
     raise ParseError(f"bad slack spec {spec!r}; use const:N or cycle:a,b,c")
 

@@ -119,16 +119,6 @@ class Verdict:
             "stats": self.stats.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Verdict":
-        cert = d.get("certificate")
-        return cls(
-            Outcome(d["outcome"]),
-            Reason(d["reason"]),
-            d.get("modulus"),
-            Certificate.from_dict(cert) if cert else None,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Condition predicates
@@ -143,60 +133,61 @@ def _check_modulus(ctx: ConditionContext, c: ResidueSubset) -> None:
 
 def cond_a(ctx: ConditionContext, c: ResidueSubset) -> bool:
     """Covering condition: C + (X_T | Y1) hits every residue mod T."""
-    _check_modulus(ctx, c)
-    T = ctx.T
-    u = ctx.x_t.mask | ctx.y1_res.mask
-    full = (1 << T) - 1
-    cover = 0
-    for r in mask_members(c.mask):
-        cover |= rotate(u, r, T)
-        if cover == full:
-            return True
-    return cover == full
+    return c.sumset(ctx.x_t.union(ctx.y1_res)).is_full()
+
+
+def _cond_b(members, rot_y, rot_f, necessary: bool) -> bool:
+    """Condition (b) for the subset C of Z_T listed by ``members``.
+
+    ``rot_y[r]`` is Y1 + r and ``rot_f[r]`` is F + r as masks mod T, for
+    each member r, where F is X_T in the necessary form and X_T | Y1 in
+    the sufficient form.  Every c in C must have some c + y outside the
+    union of F + c' over all c' in C (necessary) or over all c' != c
+    (sufficient).  The masks are nonnegative, so ``rot_y[r] & ~f`` has no
+    bits outside Z_T.
+    """
+    if necessary:
+        cover = 0
+        for r in members:
+            cover |= rot_f[r]
+        return all(rot_y[r] & ~cover for r in members)
+    # forbidden for member i = union of rot_f over all other members
+    suf = [0] * (len(members) + 1)
+    for i in range(len(members) - 1, -1, -1):
+        suf[i] = suf[i + 1] | rot_f[members[i]]
+    pre = 0
+    for i, r in enumerate(members):
+        if not rot_y[r] & ~(pre | suf[i + 1]):
+            return False
+        pre |= rot_f[r]
+    return True
+
+
+class _Rotations(dict):
+    """mask + r (mod T) for each residue r looked up, computed once."""
+
+    def __init__(self, mask: int, T: int) -> None:
+        super().__init__()
+        self.mask, self.T = mask, T
+
+    def __missing__(self, r: int) -> int:
+        rot = self[r] = rotate(self.mask, r, self.T)
+        return rot
 
 
 def cond_b_necessary(ctx: ConditionContext, c: ResidueSubset) -> bool:
     """Every c in C has some y with c + y outside C + X_T (mod T)."""
     _check_modulus(ctx, c)
-    if not c.mask:
-        return True  # vacuous; cond_a rules out empty C separately
-    if not ctx.y1_res.mask:
-        return False
-    T = ctx.T
-    cover_x = 0
-    for r in mask_members(c.mask):
-        cover_x |= rotate(ctx.x_t.mask, r, T)
-    escape = ~cover_x & ((1 << T) - 1)
-    return all(
-        rotate(ctx.y1_res.mask, r, T) & escape for r in mask_members(c.mask)
-    )
+    return _cond_b(c.members(), _Rotations(ctx.y1_res.mask, ctx.T),
+                   _Rotations(ctx.x_t.mask, ctx.T), True)
 
 
 def cond_b_sufficient(ctx: ConditionContext, c: ResidueSubset) -> bool:
     """Every c in C has some y with c + y outside (C \\ {c}) + (X_T | Y1)."""
     _check_modulus(ctx, c)
-    if not c.mask:
-        return True
-    if not ctx.y1_res.mask:
-        return False
-    T = ctx.T
-    full = (1 << T) - 1
     u = ctx.x_t.mask | ctx.y1_res.mask
-    members = mask_members(c.mask)
-    rot_u = [rotate(u, r, T) for r in members]
-    # forbidden for member i = union of rot_u over all other members
-    n = len(members)
-    prefix = [0] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = prefix[i] | rot_u[i]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | rot_u[i]
-    for i, r in enumerate(members):
-        forbidden = prefix[i] | suffix[i + 1]
-        if not rotate(ctx.y1_res.mask, r, T) & ~forbidden & full:
-            return False
-    return True
+    return _cond_b(c.members(), _Rotations(ctx.y1_res.mask, ctx.T),
+                   _Rotations(u, ctx.T), False)
 
 
 def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
@@ -225,37 +216,20 @@ def _search_exhaustive(
     full = (1 << T) - 1
     x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
     u_mask = x_mask | y_mask
+    necessary = variant == NECESSARY
     rot_u = [rotate(u_mask, r, T) for r in range(T)]
-    rot_x = [rotate(x_mask, r, T) for r in range(T)]
     rot_y = [rotate(y_mask, r, T) for r in range(T)]
+    rot_f = [rotate(x_mask, r, T) for r in range(T)] if necessary else rot_u
     # coverage that could still be added by elements >= k
     tail_u = [0] * (T + 1)
     for k in range(T - 1, -1, -1):
         tail_u[k] = tail_u[k + 1] | rot_u[k]
-
-    necessary = variant == NECESSARY
     examined = 0
 
-    def valid(members: list[int], cover_x: int) -> bool:
-        if necessary:
-            escape = ~cover_x & full
-            return all(rot_y[r] & escape for r in members)
-        n = len(members)
-        pre = 0
-        suf = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suf[i] = suf[i + 1] | rot_u[members[i]]
-        for i, r in enumerate(members):
-            forbidden = pre | suf[i + 1]
-            if not rot_y[r] & ~forbidden & full:
-                return False
-            pre |= rot_u[r]
-        return True
-
-    def dfs(members: list[int], cover: int, cover_x: int, nxt: int) -> Optional[int]:
+    def dfs(members: list[int], cover: int, nxt: int) -> Optional[int]:
         nonlocal examined
         examined += 1
-        if cover == full and valid(members, cover_x):
+        if cover == full and _cond_b(members, rot_y, rot_f, necessary):
             mask = 0
             for r in members:
                 mask |= 1 << r
@@ -264,13 +238,13 @@ def _search_exhaustive(
             if cover | tail_u[k] != full:
                 break  # elements >= k can never complete coverage
             members.append(k)
-            hit = dfs(members, cover | rot_u[k], cover_x | rot_x[k], k + 1)
+            hit = dfs(members, cover | rot_u[k], k + 1)
             members.pop()
             if hit is not None:
                 return hit
         return None
 
-    mask = dfs([0], rot_u[0], rot_x[0], 1)
+    mask = dfs([0], rot_u[0], 1)
     stats.subsets_examined += examined
     if mask is None:
         return None
@@ -287,46 +261,53 @@ def _search_heuristic(
     """Branch on preimages of the least uncovered residue.
 
     Sound for existence only: any hit is re-verified before being
-    returned; exhausting the budget raises BudgetExceeded.
+    returned; exhausting the budget raises BudgetExceeded.  The path can
+    be as deep as T, so the DFS keeps an explicit stack of child
+    iterators, and a rotation is computed the first time it is needed.
     """
     T = ctx.T
     full = (1 << T) - 1
     u_mask = ctx.x_t.mask | ctx.y1_res.mask
     if not u_mask:
         return None
-    rot_u = [rotate(u_mask, r, T) for r in range(T)]
-    b_pred = cond_b_sufficient if variant == SUFFICIENT else cond_b_necessary
-    nodes = 0
+    offsets = mask_members(u_mask)
+    necessary = variant == NECESSARY
+    rot_u = _Rotations(u_mask, T)
+    rot_y = _Rotations(ctx.y1_res.mask, T)
+    rot_f = _Rotations(ctx.x_t.mask, T) if necessary else rot_u
 
-    def dfs(c_mask: int, cover: int) -> Optional[int]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"heuristic search exceeded {budget} nodes")
-        if cover == full:
-            cand = ResidueSubset(T, c_mask)
-            if b_pred(ctx, cand):
-                return c_mask
-            return None
-        uncovered = (~cover & full)
+    def children(c_mask: int, cover: int):
+        uncovered = ~cover & full
         r = (uncovered & -uncovered).bit_length() - 1
         # any c with r in c + U, i.e. c in r - U
-        for offset in mask_members(u_mask):
+        for offset in offsets:
             c = (r - offset) % T
-            if c_mask >> c & 1:
-                continue
-            hit = dfs(c_mask | (1 << c), cover | rot_u[c])
-            if hit is not None:
-                return hit
-        return None
+            if not c_mask >> c & 1:
+                yield c_mask | 1 << c, cover | rot_u[c]
 
+    nodes = 0
+    node = (1, u_mask)
+    stack = []
     try:
-        mask = dfs(1, rot_u[0])
+        while node is not None:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"heuristic search exceeded {budget} nodes")
+            c_mask, cover = node
+            if cover != full:
+                stack.append(children(c_mask, cover))
+            elif _cond_b(mask_members(c_mask), rot_y, rot_f, necessary):
+                break
+            node = None
+            while stack and node is None:
+                node = next(stack[-1], None)
+                if node is None:
+                    stack.pop()
     finally:
         stats.subsets_examined += nodes
-    if mask is None:
+    if node is None:
         return None
-    cert = Certificate(T, ResidueSubset(T, mask), variant)
+    cert = Certificate(T, ResidueSubset(T, node[0]), variant)
     if not check_certificate(ctx, cert):
         raise AssertionError("heuristic search produced an invalid candidate")
     return cert

@@ -92,9 +92,8 @@ class ResidueSubset:
         """{a + b mod m : a in self, b in other}."""
         self._check(other)
         acc = 0
-        for r in range(self.modulus):
-            if self.mask >> r & 1:
-                acc |= rotate(other.mask, r, self.modulus)
+        for r in self.members():
+            acc |= rotate(other.mask, r, self.modulus)
         return ResidueSubset(self.modulus, acc)
 
     def _check(self, other: "ResidueSubset") -> None:

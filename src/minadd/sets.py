@@ -291,9 +291,8 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
     if k < 1:
         raise ValueError(f"lift factor must be positive, got {k}")
     T = k * s.m
-    x_mask = 0
-    for i in range(k):
-        x_mask |= s.x_m.mask << (i * s.m)
+    # The m-bit pattern written out k times, in time linear in T.
+    x_mask = int(format(s.x_m.mask, f"0{s.m}b") * k, 2)
     return ConditionContext(
         T, ResidueSubset(T, x_mask), ResidueSubset.reduce(T, s.y1)
     )

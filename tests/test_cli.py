@@ -152,6 +152,15 @@ class TestDecide:
     def test_missing_file(self, capsys):
         assert cli.main(["decide", "/nonexistent.set"]) == cli.EXIT_BAD_INPUT
 
+    def test_large_period(self, setfile, capsys):
+        # The heuristic search adds one element per level, 1000 levels deep.
+        path = setfile("m = 2000\nx = 0\ny1 = 1\n")
+        with bounded_work():
+            code, rec = run_json(capsys, ["decide", path])
+        assert code == cli.EXIT_EXISTS
+        cert = rec["result"]["verdict"]["certificate"]
+        assert cert["c"] == list(range(0, 2000, 2))
+
     def test_deterministic_payload(self, setfile, capsys):
         path = setfile(EVEN)
         _, rec1 = run_json(capsys, ["decide", path])
@@ -341,6 +350,27 @@ class TestVerifyWitness:
         assert not rec["result"]["certificate"]["ok"]
         assert rec["result"]["coverage"]["failures"] == [
             "uncovered integer -37"]
+
+    def test_huge_modulus_is_rejected_quickly(self, tmp_path, capsys):
+        # Lifting to T = 2000000 and testing C = {0} cost time linear in T.
+        record = {
+            "canonical": {"m": 2, "x": [0], "y0": [], "y1": [1]},
+            "witness": {"lo": -40, "hi": 40, "T": 2000000, "c": [0], "c1": [0],
+                        "c2": [1], "y_plus": 1, "y_minus": 1,
+                        "d_elements": [], "provenance": {}},
+        }
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        with bounded_work():
+            code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert rec["result"] == {
+            "certificate": {"ok": False, "failures": [
+                "certificate failed re-verification"]},
+            "coverage": {"ok": False, "failures": [
+                "safe interval [1999961, -1999961] is empty"]},
+            "minimality": {"ok": True, "failures": []},
+        }
 
     def test_invalid_certificate_fails(self, witness_record, tmp_path, capsys):
         # {0, 1} covers through X alone, so neither element owns a sum

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_canonical, random_context, shifted_copy
-from minadd import criteria
+from minadd import criteria, oracle
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
@@ -199,6 +199,22 @@ class TestDecide:
             if v.outcome is Outcome.EXISTS and v.certificate is not None:
                 ctx = lift_period(s, v.certificate.T // s.m)
                 assert check_certificate(ctx, v.certificate)
+
+
+def test_predicates_match_definitions():
+    rng = random.Random(11)
+    for i in range(600):
+        ctx = random_context(rng, 1, 10)
+        T = ctx.T
+        if i % 3 == 0:  # no exceptions at all
+            ctx = ConditionContext(T, ctx.x_t, ResidueSubset(T, 0))
+        for c in (ResidueSubset(T, 0), ResidueSubset.full(T),
+                  ResidueSubset(T, rng.getrandbits(T))):
+            args = (T, set(ctx.x_t.members()), set(ctx.y1_res.members()),
+                    list(c.members()))
+            assert cond_a(ctx, c) == oracle._cond_a(*args)
+            assert cond_b_necessary(ctx, c) == oracle._cond_b_necessary(*args)
+            assert cond_b_sufficient(ctx, c) == oracle._cond_b_sufficient(*args)
 
 
 class TestProperties:

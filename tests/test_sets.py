@@ -160,6 +160,16 @@ class TestLift:
         assert ctx.T == 5
         assert ctx.x_t == s.x_m
 
+    def test_lift_matches_shifted_copies(self):
+        for m in range(1, 9):
+            for x_mask in range(1, 1 << m):
+                s = CanonicalSet(m, ResidueSubset(m, x_mask))
+                for k in range(1, 9):
+                    copies = 0
+                    for i in range(k):
+                        copies |= x_mask << (i * m)
+                    assert lift_period(s, k).x_t.mask == copies
+
     def test_lift_preserves_periodic_membership(self):
         s = validate_canonical(6, [1, 4], (), [3])
         for k in (1, 2, 3, 5):
