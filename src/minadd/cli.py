@@ -14,12 +14,13 @@ m, x, y0, y1, shift.  Integer lists are comma-separated, ascending.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from typing import Callable, Optional
 
-from . import criteria, generator, witness as witness_mod
+from . import __version__, criteria, generator, witness as witness_mod
 from .errors import MinaddError, ParseError
 from .residues import ResidueSubset
 from .sets import ABOVE, BELOW, CanonicalSet, RawSet, canonicalize, reflect
@@ -126,7 +127,8 @@ def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(record, indent=2, sort_keys=True))
+        # One line: without ``indent`` the C encoder does the work.
+        print(json.dumps(record, sort_keys=True))
         return
     _emit_text(record)
 
@@ -150,6 +152,7 @@ def _run_record(command: str, inputs: dict, config: dict, result: dict,
         "config": config,
         "result": result,
         "timing": {"wall_time": time.perf_counter() - started},
+        "version": __version__,
     }
 
 
@@ -302,9 +305,7 @@ def cmd_construct(args) -> int:
     result: dict = {"state": state.to_dict()}
     ok = True
     if state.steps >= 2:
-        window_hi = args.window_hi
-        if window_hi is None:
-            window_hi = -state.c_seq[-2] - 1
+        window_hi = generator.window_end(state, args.window_hi)
         report = generator.verify(state, window_hi)
         result["report"] = {
             "window_hi": window_hi,
@@ -320,7 +321,10 @@ def cmd_construct(args) -> int:
     return EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="minadd",
         description="Decide and witness minimal additive complements of "

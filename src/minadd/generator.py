@@ -12,6 +12,7 @@ injection point for breaking eventual periodicity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -95,21 +96,36 @@ def initial_state() -> GeneratorState:
     return GeneratorState((-1,), (-3,), ((1, 12),))
 
 
-def sumset_runs(state: GeneratorState) -> Runs:
-    """W_prefix + {c_1, ..., c_i} as maximal runs."""
-    return merge_runs(
-        [(a + c, b + c) for a, b in state.runs for c in state.c_seq]
-    )
+def _translates_at(
+    runs: Runs, starts: list[int], c_seq: Sequence[int], n: int
+) -> list[tuple[int, int]]:
+    """The runs of prefix + c, over c in c_seq, that contain n.
+
+    ``starts`` lists the run starts.  Exact when the runs are sorted and
+    disjoint, as ``merge_runs`` leaves them: then the only run that can
+    hold n - c is the last one starting at or below it, and one
+    ``bisect_right`` per c finds it.
+    """
+    hits = []
+    for c in c_seq:
+        i = bisect_right(starts, n - c) - 1
+        if i >= 0 and runs[i][1] >= n - c:
+            a, b = runs[i]
+            hits.append((a + c, b + c))
+    return hits
 
 
 def next_d(state: GeneratorState) -> int:
-    """Largest negative integer missed by W_prefix + {c_1, ..., c_i}."""
+    """Largest negative integer missed by W_prefix + {c_1, ..., c_i}.
+
+    Walks down from -1 without building the sumset: while n is covered,
+    every integer from the lowest start of a translate-run holding n up
+    to n is covered too, so the walk jumps to one below that start.
+    """
+    starts = [a for a, _ in state.runs]
     n = -1
-    for a, b in reversed(sumset_runs(state)):
-        if n > b:
-            break
-        if n >= a:
-            n = a - 1
+    while hits := _translates_at(state.runs, starts, state.c_seq, n):
+        n = min(a for a, _ in hits) - 1
     return n
 
 
@@ -177,6 +193,23 @@ def generate(
     return state
 
 
+def window_end(state: GeneratorState, window_hi: Optional[int] = None) -> int:
+    """End of the window [d_N, window_hi] that ``construct`` verifies.
+
+    window_hi defaults to the authoritative bound -c_{N-1} - 1 of an N-step
+    prefix (N >= 2).  A window_hi below d_N leaves the window empty, and
+    coverage of no integer proves nothing, so it is rejected.
+    """
+    if window_hi is None:
+        return -state.c_seq[-2] - 1
+    if window_hi < state.d_seq[-1]:
+        raise InvalidConstructParameter(
+            f"window end {window_hi} is below d_N = {state.d_seq[-1]}; "
+            "the verification window would be empty"
+        )
+    return window_hi
+
+
 @dataclass(frozen=True)
 class GeneratorReport:
     gaps_ok: bool
@@ -207,9 +240,12 @@ def verify(
 
     window_lo defaults to d_N; window_hi may be at most -c_{N-1} - 1, the
     authoritative bound of an N-step prefix.  Every check works on the
-    prefix runs, never integer by integer: coverage (2) is one walk over
-    the merged runs of prefix + {c_1, ..., c_N}, so the cost grows with
-    the number of runs times N and not with the window length.
+    prefix runs, never integer by integer.  Coverage (2) walks up from
+    window_lo the way ``next_d`` walks down: while n is covered it jumps
+    to one above the highest end of a translate-run holding n.  The walk
+    builds no sumset and is exact because the runs are sorted and
+    disjoint.  Each probe costs one bisection per c, and each probe but
+    the last passes the end of at least one translate-run in the window.
     """
     if state.steps < 2:
         raise PrefixTooShort("need at least two steps before verification")
@@ -224,13 +260,13 @@ def verify(
         for i in range(len(state.runs) - 1)
     )
 
-    # Walk the sumset runs once: n is the least integer of the window not
-    # yet known to be covered.
+    # n is the least integer of the window not yet known to be covered.
+    starts = [a for a, _ in state.runs]
     n = window_lo if window_lo is not None else state.d_seq[-1]
-    for a, b in sumset_runs(state):
-        if n > window_hi or a > n:
-            break
-        n = max(n, b + 1)
+    while n <= window_hi and (
+        hits := _translates_at(state.runs, starts, state.c_seq, n)
+    ):
+        n = max(b for _, b in hits) + 1
     coverage_ok = n > window_hi
     first_uncovered = None if coverage_ok else n
 

@@ -1,9 +1,13 @@
-"""Shared builders for randomized and exhaustive instance sweeps."""
+"""Shared builders for randomized and exhaustive instance sweeps, and a
+work bound for tests that must not depend on wall time."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
+import tracemalloc
 
 from minadd.residues import ResidueSubset
 from minadd.sets import (
@@ -99,3 +103,33 @@ def enumerate_contexts(t_cap: int, m_range=range(1, 6)):
                         continue
                     seen.add(key)
                     yield ConditionContext(T, lifted.x_t, y)
+
+
+@contextlib.contextmanager
+def bounded_work(max_lines=300_000, max_peak_mb=20):
+    """Fail once the block runs more than ``max_lines`` Python lines, or
+    afterwards if its allocations peaked above ``max_peak_mb``.
+
+    Bounds the work rather than the wall time, so host load cannot fail
+    it, and a walk over a huge range stops at the budget instead of
+    running on.
+    """
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > max_lines:
+                raise AssertionError(f"more than {max_lines} lines run")
+        return tracer
+
+    tracemalloc.start()
+    sys.settrace(tracer)
+    try:
+        yield
+    finally:
+        sys.settrace(None)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < max_peak_mb * 2**20, f"allocations peaked at {peak} bytes"

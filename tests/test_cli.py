@@ -1,10 +1,9 @@
-import contextlib
 import json
-import sys
-import tracemalloc
 
 import pytest
 
+import minadd
+from conftest import bounded_work
 from minadd import cli
 
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
@@ -20,36 +19,6 @@ def setfile(tmp_path):
         return str(p)
 
     return write
-
-
-@contextlib.contextmanager
-def bounded_work(max_lines=300_000, max_peak_mb=20):
-    """Fail once the block runs more than ``max_lines`` Python lines, or
-    afterwards if its allocations peaked above ``max_peak_mb``.
-
-    Bounds the work rather than the wall time, so host load cannot fail
-    it, and a walk over a huge range stops at the budget instead of
-    running on.
-    """
-    lines = 0
-
-    def tracer(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-            if lines > max_lines:
-                raise AssertionError(f"more than {max_lines} lines run")
-        return tracer
-
-    tracemalloc.start()
-    sys.settrace(tracer)
-    try:
-        yield
-    finally:
-        sys.settrace(None)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    assert peak < max_peak_mb * 2**20, f"allocations peaked at {peak} bytes"
 
 
 def run_json(capsys, argv):
@@ -248,6 +217,21 @@ class TestConstruct:
         assert report["window_hi"] == -c_seq[-2] - 1
         assert report["coverage_ok"] and report["first_uncovered"] is None
 
+    def test_empty_window_is_bad_input(self, capsys):
+        # [d_5, -100000] holds no integer, so coverage would pass vacuously.
+        argv = ["construct", "--steps", "5", "--window-hi", "-100000"]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        assert "would be empty" in capsys.readouterr().err
+
+    def test_forty_steps_within_work_budget(self, capsys):
+        # Rebuilding the sumset at every step ran 1.57 M lines here.
+        with bounded_work(max_lines=600_000):
+            code, rec = run_json(capsys, ["construct", "--steps", "40"])
+        assert code == 0
+        report = rec["result"]["report"]
+        assert report["gaps_ok"] and report["coverage_ok"]
+        assert report["uniqueness_failures"] == []
+
 
 @pytest.fixture
 def witness_record(setfile, capsys):
@@ -376,6 +360,64 @@ class TestVerifyWitness:
         # {0, 1} covers through X alone, so neither element owns a sum
         witness_record["result"]["witness"]["c"] = [0, 1]
         assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+
+def records(setfile, capsys):
+    """The canonicalize, decide and construct records, without timings."""
+    out = []
+    for argv in (["canonicalize", setfile(PAPERLIKE)],
+                 ["decide", setfile(EVEN)],
+                 ["construct", "--steps", "6", "--slack", "cycle:1,2"]):
+        _, rec = run_json(capsys, argv)
+        del rec["timing"]
+        rec["result"].get("verdict", {}).get("stats", {}).pop("wall_time", None)
+        out.append(rec)
+    return out
+
+
+class TestRecords:
+    def test_parser_reused_after_bad_argv(self, setfile, capsys):
+        before = records(setfile, capsys)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["construct", "--steps", "x"])
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        capsys.readouterr()
+        assert records(setfile, capsys) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["canonicalize", PAPERLIKE],
+        ["decide", EVEN],
+        ["witness", EVEN, "--window=-40:40"],
+        ["construct", "--steps", "5"],
+    ])
+    def test_json_is_one_line_of_the_record(self, setfile, capsys,
+                                            monkeypatch, argv):
+        emitted = []
+        emit = cli._emit
+        monkeypatch.setattr(
+            cli, "_emit", lambda rec, fmt: (emitted.append(rec), emit(rec, fmt)))
+        if argv[0] != "construct":
+            argv = [argv[0], setfile(argv[1])] + argv[2:]
+        cli.main(argv + ["--format", "json"])
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert json.loads(out) == emitted[0]
+
+    def test_every_command_records_the_version(self, witness_record, setfile,
+                                               tmp_path, capsys):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        recs = [witness_record] + [
+            run_json(capsys, argv)[1]
+            for argv in (["canonicalize", setfile(PAPERLIKE)],
+                         ["decide", setfile(EVEN)],
+                         ["witness", setfile(QUASI), "--window=-40:40"],
+                         ["verify-witness", str(path)],
+                         ["construct", "--steps", "1"],
+                         ["construct", "--steps", "3"])]
+        assert {rec["command"] for rec in recs} == {
+            "canonicalize", "decide", "witness", "verify-witness", "construct"}
+        assert all(rec["version"] == minadd.__version__ for rec in recs)
 
 
 class TestBadInputNeverExitsOne:

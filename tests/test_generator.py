@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from minadd.errors import PrefixTooShort
+from minadd import generator
+from minadd.cli import parse_slack_spec
+from minadd.errors import InvalidConstructParameter, PrefixTooShort
 from minadd.generator import (
     GeneratorState,
     choose_c,
@@ -197,6 +199,83 @@ def test_run_coverage_matches_reference():
             assert (report.coverage_ok, report.first_uncovered) == want
             uncovered += not want[0]
     assert uncovered > 0  # the mutations must exercise the failing branch
+
+
+def reference_sumset_runs(state):
+    """W_prefix + {c_1, ..., c_i} merged and sorted into maximal runs."""
+    return merge_runs(
+        [(a + c, b + c) for a, b in state.runs for c in state.c_seq]
+    )
+
+
+def reference_next_d(state):
+    """Largest negative integer missed by the merged sumset's runs."""
+    n = -1
+    for a, b in reversed(reference_sumset_runs(state)):
+        if n > b:
+            break
+        if n >= a:
+            n = a - 1
+    return n
+
+
+SLACK_SPECS = ("const:1", "const:2", "cycle:1,2,3", "cycle:3,1,4,1,5")
+
+
+@pytest.mark.parametrize("spec", SLACK_SPECS)
+def test_next_d_matches_reference(spec):
+    slack_fn = parse_slack_spec(spec)
+    st = initial_state()
+    for i in range(2, 31):
+        assert next_d(st) == reference_next_d(st), (spec, st.steps)
+        st = step(st, slack_fn(i))
+
+
+def test_next_d_matches_reference_on_mutated_states():
+    rng = random.Random(1706)
+    moved = 0
+    for k in range(2, 13):
+        base = generate(k, lambda i: rng.randint(1, 5))
+        d_base = reference_next_d(base)
+        for _ in range(40):
+            st = mutate(rng, base)
+            want = reference_next_d(st)
+            assert next_d(st) == want
+            moved += want != d_base
+    assert moved > 0  # some mutations must open a hole above the anchor
+
+
+@pytest.mark.parametrize("spec", SLACK_SPECS)
+def test_generate_matches_reference(spec, monkeypatch):
+    slack_fn = parse_slack_spec(spec)
+    got = [generate(k, slack_fn) for k in range(1, 26)]
+    monkeypatch.setattr(generator, "next_d", reference_next_d)
+    assert got == [generate(k, slack_fn) for k in range(1, 26)]
+
+
+def test_window_end():
+    st = generate(5)
+    assert generator.window_end(st) == -st.c_seq[-2] - 1
+    assert generator.window_end(st, st.d_seq[-1]) == st.d_seq[-1]
+    with pytest.raises(InvalidConstructParameter):
+        generator.window_end(st, st.d_seq[-1] - 1)
+    with pytest.raises(InvalidConstructParameter):
+        generator.window_end(st, -100000)
+
+
+def test_one_point_windows_match_membership():
+    # Every integer of the authoritative window, run ends and starts of
+    # each translate included, so an off-by-one in a probe shows.
+    rng = random.Random(31)
+    for k in range(2, 7):
+        base = generate(k, lambda i: rng.randint(1, 5))
+        for trial in range(8):
+            st = base if trial == 0 else mutate(rng, base)
+            for n in range(st.d_seq[-1], -st.c_seq[-2]):
+                report = verify(st, n, window_lo=n)
+                covered = any(runs_contains(st.runs, n - c) for c in st.c_seq)
+                assert (report.coverage_ok, report.first_uncovered) == (
+                    (True, None) if covered else (False, n))
 
 
 def test_full_authoritative_window_is_fast():
