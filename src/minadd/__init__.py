@@ -27,7 +27,6 @@ from .sets import (
     canonicalize,
     lift_period,
     margins,
-    reflect,
     validate_canonical,
     window_elements,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "find_certificate",
     "lift_period",
     "margins",
-    "reflect",
     "validate_canonical",
     "verify_coverage",
     "verify_local_minimality",

@@ -8,7 +8,9 @@ Exit codes: 0 success / complement exists, 1 complement does not exist,
 Set-description files are flat text, one ``key = value`` per line,
 ``#`` starts a comment.  A raw description uses the keys period, residues,
 threshold, extras, orientation (below/above); a canonical description uses
-m, x, y0, y1, shift.  Integer lists are comma-separated, ascending.
+m, x, y0, y1, shift.  Integer lists are comma-separated, ascending.  The
+fields of an ``orientation = above`` file describe -W, so the set that is
+canonicalized and decided is -W, and its records say ``reflected: true``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 from . import __version__, criteria, generator, witness as witness_mod
 from .errors import MinaddError, ParseError
 from .residues import ResidueSubset
-from .sets import ABOVE, BELOW, CanonicalSet, RawSet, canonicalize, reflect
+from .sets import CanonicalSet, RawSet, canonicalize, validate_canonical
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -31,8 +33,14 @@ EXIT_BAD_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_VERIFY_FAILED = 4
 
-RAW_KEYS = {"period", "residues", "threshold", "extras", "orientation"}
-CANONICAL_KEYS = {"m", "x", "y0", "y1", "shift"}
+EXIT_OF_OUTCOME = {
+    criteria.Outcome.EXISTS: EXIT_EXISTS,
+    criteria.Outcome.NOT_EXISTS: EXIT_NOT_EXISTS,
+    criteria.Outcome.UNKNOWN: EXIT_UNKNOWN,
+}
+
+BELOW = "below"
+ABOVE = "above"
 
 
 def _parse_int_list(value: str, field: str, line_no: int) -> list[int]:
@@ -88,18 +96,14 @@ def load_raw(fields: dict) -> RawSet:
         ResidueSubset.of(fields["period"], fields["residues"]),
         fields["threshold"],
         tuple(fields.get("extras", [])),
-        fields.get("orientation", BELOW),
     )
 
 
 def load_canonical(fields: dict) -> CanonicalSet:
     if "m" not in fields or "x" not in fields:
         raise ParseError("canonical description missing field 'm' or 'x'")
-    return CanonicalSet(
-        fields["m"],
-        ResidueSubset.of(fields["m"], fields["x"]),
-        tuple(fields.get("y0", [])),
-        tuple(fields.get("y1", [])),
+    return validate_canonical(
+        fields["m"], fields["x"], fields.get("y0", ()), fields.get("y1", ()),
         fields.get("shift", 0),
     )
 
@@ -118,11 +122,8 @@ def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
     fields = parse_set_file(_read_text(path))
     if "m" in fields:
         return load_canonical(fields), fields, False
-    raw = load_raw(fields)
-    reflected = raw.orientation == ABOVE
-    if reflected:
-        raw = reflect(raw)
-    return canonicalize(raw), fields, reflected
+    reflected = fields.get("orientation") == ABOVE
+    return canonicalize(load_raw(fields)), fields, reflected
 
 
 def _emit(record: dict, fmt: str) -> None:
@@ -144,28 +145,18 @@ def _emit_text(record: dict, indent: int = 0) -> None:
             print(f"{pad}{key} = {value}")
 
 
-def _run_record(command: str, inputs: dict, config: dict, result: dict,
-                started: float) -> dict:
-    return {
-        "command": command,
-        "input": inputs,
-        "config": config,
-        "result": result,
-        "timing": {"wall_time": time.perf_counter() - started},
-        "version": __version__,
-    }
+#: What a command returns: input echo, config, result, exit code.  ``main``
+#: wraps the first three in the one run record it emits.
+CommandResult = tuple[dict, dict, dict, int]
 
 
-def cmd_canonicalize(args) -> int:
-    started = time.perf_counter()
+def cmd_canonicalize(args) -> CommandResult:
     s, fields, reflected = load_set(args.file)
     result = {"canonical": s.to_dict(), "reflected": reflected}
-    _emit(_run_record("canonicalize", fields, {}, result, started), args.format)
-    return EXIT_EXISTS
+    return fields, {}, result, EXIT_EXISTS
 
 
-def cmd_decide(args) -> int:
-    started = time.perf_counter()
+def cmd_decide(args) -> CommandResult:
     s, fields, reflected = load_set(args.file)
     verdict = criteria.decide(s, criteria.SearchConfig(t_max=args.t_max))
     result = {
@@ -173,13 +164,7 @@ def cmd_decide(args) -> int:
         "reflected": reflected,
         "verdict": verdict.to_dict(),
     }
-    config = {"t_max": args.t_max}
-    _emit(_run_record("decide", fields, config, result, started), args.format)
-    return {
-        criteria.Outcome.EXISTS: EXIT_EXISTS,
-        criteria.Outcome.NOT_EXISTS: EXIT_NOT_EXISTS,
-        criteria.Outcome.UNKNOWN: EXIT_UNKNOWN,
-    }[verdict.outcome]
+    return fields, {"t_max": args.t_max}, result, EXIT_OF_OUTCOME[verdict.outcome]
 
 
 def _parse_window(spec: str) -> tuple[int, int]:
@@ -190,34 +175,28 @@ def _parse_window(spec: str) -> tuple[int, int]:
         raise ParseError(f"bad window {spec!r}, expected LO:HI") from exc
 
 
-def cmd_witness(args) -> int:
-    started = time.perf_counter()
+def cmd_witness(args) -> CommandResult:
     s, fields, _ = load_set(args.file)
     lo, hi = _parse_window(args.window)
+    config = {"t_max": args.t_max, "window": args.window}
     verdict = criteria.decide(s, criteria.SearchConfig(t_max=args.t_max))
+    result = {"canonical": s.to_dict(), "verdict": verdict.to_dict()}
     if verdict.certificate is None:
-        result = {"canonical": s.to_dict(), "verdict": verdict.to_dict()}
-        _emit(_run_record("witness", fields, {}, result, started), args.format)
         if verdict.outcome is criteria.Outcome.EXISTS:
             print("no certificate on this branch; witness unavailable",
                   file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-        return (EXIT_NOT_EXISTS
-                if verdict.outcome is criteria.Outcome.NOT_EXISTS
-                else EXIT_UNKNOWN)
+            return fields, config, result, EXIT_VERIFY_FAILED
+        return fields, config, result, EXIT_OF_OUTCOME[verdict.outcome]
     w = witness_mod.build_witness(s, verdict.certificate, lo, hi)
     cov = witness_mod.verify_coverage(s, w)
     mini = witness_mod.verify_local_minimality(s, w)
-    result = {
-        "canonical": s.to_dict(),
-        "verdict": verdict.to_dict(),
-        "witness": w.to_dict(),
-        "coverage": {"ok": cov.ok, "failures": list(cov.failures)},
-        "minimality": {"ok": mini.ok, "failures": list(mini.failures)},
-    }
-    _emit(_run_record("witness", fields, {"window": args.window}, result,
-                      started), args.format)
-    return EXIT_EXISTS if cov.ok and mini.ok else EXIT_VERIFY_FAILED
+    result.update(
+        witness=w.to_dict(),
+        coverage={"ok": cov.ok, "failures": list(cov.failures)},
+        minimality={"ok": mini.ok, "failures": list(mini.failures)},
+    )
+    ok = cov.ok and mini.ok
+    return fields, config, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
 
 
 def _is_int(value) -> bool:
@@ -261,8 +240,7 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
         raise ParseError(f"witness record: {exc}") from exc
 
 
-def cmd_verify_witness(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_witness(args) -> CommandResult:
     s, w = load_witness_record(args.file)
     reports = {
         "certificate": witness_mod.verify_certificate(s, w),
@@ -271,10 +249,9 @@ def cmd_verify_witness(args) -> int:
     }
     result = {name: {"ok": rep.ok, "failures": list(rep.failures)}
               for name, rep in reports.items()}
-    _emit(_run_record("verify-witness", {"file": args.file}, {}, result,
-                      started), args.format)
     ok = all(rep.ok for rep in reports.values())
-    return EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
+    return {"file": args.file}, {}, result, (
+        EXIT_EXISTS if ok else EXIT_VERIFY_FAILED)
 
 
 def parse_slack_spec(spec: str) -> Callable[[int], int]:
@@ -298,8 +275,7 @@ def parse_slack_spec(spec: str) -> Callable[[int], int]:
     raise ParseError(f"bad slack spec {spec!r}; use const:N or cycle:a,b,c")
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
+def cmd_construct(args) -> CommandResult:
     slack_fn = parse_slack_spec(args.slack)
     state = generator.generate(args.steps, slack_fn)
     result: dict = {"state": state.to_dict()}
@@ -317,8 +293,7 @@ def cmd_construct(args) -> int:
         }
         ok = report.ok
     config = {"steps": args.steps, "slack": args.slack}
-    _emit(_run_record("construct", {}, config, result, started), args.format)
-    return EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
+    return {}, config, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
 
 
 @functools.cache
@@ -373,11 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, config, result, code = args.func(args)
     except MinaddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    _emit({
+        "command": args.command,
+        "input": inputs,
+        "config": config,
+        "result": result,
+        "timing": {"wall_time": time.perf_counter() - started},
+        "version": __version__,
+    }, args.format)
+    return code
 
 
 if __name__ == "__main__":

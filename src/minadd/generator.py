@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Optional, Sequence
 
 from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
@@ -25,17 +26,10 @@ PERIOD_PROBE_MAX = 50
 
 
 def runs_contains(runs: Runs, n: int) -> bool:
-    lo, hi = 0, len(runs) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        a, b = runs[mid]
-        if n < a:
-            hi = mid - 1
-        elif n > b:
-            lo = mid + 1
-        else:
-            return True
-    return False
+    """n lies in one of the sorted, disjoint runs: the last run starting at
+    or below n, found as the last tuple not above (n, inf)."""
+    i = bisect_right(runs, (n, inf)) - 1
+    return i >= 0 and n <= runs[i][1]
 
 
 def merge_runs(intervals: Sequence[tuple[int, int]]) -> Runs:
@@ -65,13 +59,6 @@ class GeneratorState:
     @property
     def w_max(self) -> int:
         return self.runs[-1][1]
-
-    def w_elements(self, lo: int, hi: int) -> list[int]:
-        return [
-            n
-            for a, b in self.runs
-            for n in range(max(a, lo), min(b, hi) + 1)
-        ]
 
     def to_dict(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DuplicateElement,
@@ -31,37 +31,31 @@ from .errors import (
 )
 from .residues import ResidueSubset
 
-BELOW = "below"
-ABOVE = "above"
-
 
 @dataclass(frozen=True)
 class RawSet:
-    """User-facing description of an eventually periodic set.
+    """User-facing description of an eventually periodic set bounded below.
 
-    For a below-bounded set the membership rule is
+    The membership rule is
 
         n in W  <=>  (n >= threshold and n % period in residues)
                      or n in extras,
 
-    with every extra strictly below the threshold.  An above-bounded set is
-    stored *reflected*: the fields describe -W under the same rule, and
-    ``orientation`` records that the set of interest is the negation.
+    with every extra strictly below the threshold.  An above-bounded set W
+    is described by -W: a minimal complement C of -W gives the minimal
+    complement -C of W, since C + W = Z iff (-C) + (-W) = Z elementwise.
     """
 
     period: int
     residues: ResidueSubset
     threshold: int
     extras: tuple[int, ...] = ()
-    orientation: str = BELOW
 
     def __post_init__(self) -> None:
         if self.period < 1:
             raise NonPositivePeriod(f"period must be positive, got {self.period}")
         if self.residues.modulus != self.period:
             raise ValueError("residues modulus must equal period")
-        if self.orientation not in (BELOW, ABOVE):
-            raise ValueError(f"bad orientation {self.orientation!r}")
         extras = tuple(sorted(self.extras))
         if len(set(extras)) != len(extras):
             raise DuplicateElement(f"duplicate extras in {extras}")
@@ -72,29 +66,11 @@ class RawSet:
                 )
         object.__setattr__(self, "extras", extras)
 
-    def described_contains(self, n: int) -> bool:
-        """Membership in the stored (below-bounded) description."""
+    def contains(self, n: int) -> bool:
         if n >= self.threshold and (n % self.period) in self.residues:
             return True
         i = bisect.bisect_left(self.extras, n)
         return i < len(self.extras) and self.extras[i] == n
-
-    def contains(self, n: int) -> bool:
-        """Membership in the actual set (honors orientation)."""
-        if self.orientation == ABOVE:
-            return self.described_contains(-n)
-        return self.described_contains(n)
-
-
-def reflect(raw: RawSet) -> RawSet:
-    """Flip an above-bounded description into its below-bounded negation.
-
-    Minimal-complement existence is preserved: C + W = Z iff
-    (-C) + (-W) = Z, elementwise.
-    """
-    if raw.orientation != ABOVE:
-        raise ValueError("reflect expects an above-bounded set")
-    return RawSet(raw.period, raw.residues, raw.threshold, raw.extras, BELOW)
 
 
 @dataclass(frozen=True)
@@ -164,12 +140,8 @@ class CanonicalSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CanonicalSet":
-        return cls(
-            d["m"],
-            ResidueSubset.of(d["m"], d["x"]),
-            tuple(d["y0"]),
-            tuple(d["y1"]),
-            d.get("shift", 0),
+        return validate_canonical(
+            d["m"], d["x"], d["y0"], d["y1"], d.get("shift", 0)
         )
 
 
@@ -185,15 +157,13 @@ def validate_canonical(
 
 
 def canonicalize(raw: RawSet) -> CanonicalSet:
-    """Normalize a below-bounded raw description.
+    """Normalize a raw description.
 
     The shift is the smallest multiple of the period that is >= threshold,
     which keeps the periodic residue pattern unchanged.  Every element below
     the shift becomes a finite exception, routed by its residue class.
     Membership is preserved: n in raw  <=>  n - shift in result.
     """
-    if raw.orientation != BELOW:
-        raise ValueError("canonicalize expects a below-bounded set; reflect first")
     m = raw.period
     if not raw.residues:
         if not raw.extras:

@@ -11,7 +11,6 @@ import tracemalloc
 
 from minadd.residues import ResidueSubset
 from minadd.sets import (
-    BELOW,
     CanonicalSet,
     ConditionContext,
     RawSet,
@@ -71,7 +70,7 @@ def shifted_copy(s: CanonicalSet, d: int) -> CanonicalSet:
                 for w in window_elements(s, lo, threshold - 1 - d)
                 if w + d < threshold
             )
-        raw = RawSet(s.m, residues, threshold, extras, BELOW)
+        raw = RawSet(s.m, residues, threshold, extras)
     else:
         extras = tuple(e + d for e in ys)
         raw = RawSet(
@@ -79,7 +78,6 @@ def shifted_copy(s: CanonicalSet, d: int) -> CanonicalSet:
             ResidueSubset(s.m, 0),
             max(extras) + 1 if extras else 0,
             extras,
-            BELOW,
         )
     return canonicalize(raw)
 

@@ -29,7 +29,6 @@ from minadd.generator import generate, runs_contains, verify
 from minadd.oracle import naive_find_certificate
 from minadd.residues import ResidueSubset
 from minadd.sets import (
-    BELOW,
     CanonicalSet,
     ConditionContext,
     RawSet,
@@ -49,7 +48,7 @@ def report(name: str, ok: bool, budget: float, elapsed: float) -> None:
 
 def test_criterion_1_canonical_form_regression():
     t0 = time.perf_counter()
-    raw = RawSet(5, ResidueSubset.of(5, [2, 3]), 10, (2, 4, 7, 8, 9), BELOW)
+    raw = RawSet(5, ResidueSubset.of(5, [2, 3]), 10, (2, 4, 7, 8, 9))
     s = canonicalize(raw)
     ok = s.m == 5 and s.x_m.members() == (2, 3)
     ok = ok and all(

@@ -9,6 +9,7 @@ from minadd import cli
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
 EVEN = "m = 2\nx = 0\ny1 = 1\n"
 QUASI = "m = 3\nx = 0\ny0 = -3\n"
+FINITE = "m = 2\nx =\ny1 = 1,4\n"
 
 
 @pytest.fixture
@@ -409,15 +410,50 @@ class TestRecords:
         path.write_text(json.dumps(witness_record))
         recs = [witness_record] + [
             run_json(capsys, argv)[1]
-            for argv in (["canonicalize", setfile(PAPERLIKE)],
-                         ["decide", setfile(EVEN)],
-                         ["witness", setfile(QUASI), "--window=-40:40"],
+            for argv in (["canonicalize", setfile(PAPERLIKE, "paperlike.set")],
+                         ["decide", setfile(EVEN, "even.set")],
+                         ["witness", setfile(QUASI, "quasi.set"),
+                          "--window=-40:40"],
                          ["verify-witness", str(path)],
                          ["construct", "--steps", "1"],
                          ["construct", "--steps", "3"])]
         assert {rec["command"] for rec in recs} == {
             "canonicalize", "decide", "witness", "verify-witness", "construct"}
         assert all(rec["version"] == minadd.__version__ for rec in recs)
+
+    def test_every_record_has_the_one_envelope(self, witness_record, setfile,
+                                               tmp_path, capsys):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        runs = [(argv, run_json(capsys, argv)) for argv in (
+            ["canonicalize", setfile(PAPERLIKE, "paperlike.set")],
+            ["decide", setfile(EVEN, "even.set")],
+            ["witness", setfile(EVEN, "even.set"), "--window=-40:40",
+             "--t-max", "4"],
+            ["witness", setfile(QUASI, "quasi.set"), "--window=-40:40"],
+            ["witness", setfile(FINITE, "finite.set"), "--window=-40:40"],
+            ["verify-witness", str(path)],
+            ["construct", "--steps", "3"],
+        )]
+        assert [code for _, (code, _) in runs] == [
+            cli.EXIT_EXISTS, cli.EXIT_EXISTS, cli.EXIT_EXISTS,
+            cli.EXIT_NOT_EXISTS, cli.EXIT_VERIFY_FAILED, cli.EXIT_EXISTS,
+            cli.EXIT_EXISTS]
+        for argv, (_, rec) in runs:
+            assert set(rec) == {"command", "input", "config", "result",
+                                "timing", "version"}, argv
+            assert rec["command"] == argv[0]
+        assert [rec["config"] for argv, (_, rec) in runs
+                if argv[0] == "witness"] == [
+            {"t_max": 4, "window": "-40:40"},
+            {"t_max": None, "window": "-40:40"},
+            {"t_max": None, "window": "-40:40"}]
+
+    def test_finite_set_witness_explains_exit_four(self, setfile, capsys):
+        assert cli.main(["witness", setfile(FINITE), "--window=-4:4"]) == (
+            cli.EXIT_VERIFY_FAILED)
+        assert capsys.readouterr().err == (
+            "no certificate on this branch; witness unavailable\n")
 
 
 class TestBadInputNeverExitsOne:

@@ -24,7 +24,6 @@ def test_initial_state():
     assert st.d_seq == (-1,)
     assert st.c_seq == (-3,)
     assert st.runs == ((1, 12),)
-    assert st.w_elements(0, 20) == list(range(1, 13))
 
 
 def test_merge_runs():
@@ -243,6 +242,29 @@ def test_next_d_matches_reference_on_mutated_states():
             assert next_d(st) == want
             moved += want != d_base
     assert moved > 0  # some mutations must open a hole above the anchor
+
+
+def assert_runs_contains_matches_members(runs):
+    """Every integer from two below the first run to two above the last;
+    the reference writes the runs out element by element."""
+    members = {n for a, b in runs for n in range(a, b + 1)}
+    span = range(runs[0][0] - 2, runs[-1][1] + 3)
+    assert [runs_contains(runs, n) for n in span] == [n in members for n in span]
+
+
+@pytest.mark.parametrize("spec", SLACK_SPECS[:3])
+def test_runs_contains_matches_members(spec):
+    slack_fn = parse_slack_spec(spec)
+    for k in range(1, 13):
+        assert_runs_contains_matches_members(generate(k, slack_fn).runs)
+
+
+def test_runs_contains_matches_members_on_mutated_states():
+    rng = random.Random(4)
+    for k in range(2, 9):
+        base = generate(k, lambda i: rng.randint(1, 5))
+        for _ in range(20):
+            assert_runs_contains_matches_members(mutate(rng, base).runs)
 
 
 @pytest.mark.parametrize("spec", SLACK_SPECS)

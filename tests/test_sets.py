@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minadd import cli
 from minadd.errors import (
     EmptySet,
     Y0NotNegative,
@@ -12,23 +14,18 @@ from minadd.errors import (
 )
 from minadd.residues import ResidueSubset
 from minadd.sets import (
-    ABOVE,
-    BELOW,
     CanonicalSet,
     RawSet,
     canonicalize,
     lift_period,
     margins,
-    reflect,
     validate_canonical,
     window_elements,
 )
 
 # The running example: W = {2,4,7,8,9,12,13,17,18,22,23,...},
 # pattern {2,3} mod 5 from 10 on, with five sporadic small elements.
-EXAMPLE_RAW = RawSet(
-    5, ResidueSubset.of(5, [2, 3]), 10, (2, 4, 7, 8, 9), BELOW
-)
+EXAMPLE_RAW = RawSet(5, ResidueSubset.of(5, [2, 3]), 10, (2, 4, 7, 8, 9))
 
 
 class TestValidate:
@@ -108,7 +105,7 @@ def test_canonicalize_round_trip(m, x_bits, threshold, data):
             max_size=4,
         )
     )
-    raw = RawSet(m, residues, threshold, tuple(extras), BELOW)
+    raw = RawSet(m, residues, threshold, tuple(extras))
     s = canonicalize(raw)
     lo = min(extras, default=threshold) - 3 * m
     for n in range(lo, threshold + 3 * m + 1):
@@ -116,29 +113,45 @@ def test_canonicalize_round_trip(m, x_bits, threshold, data):
 
 
 class TestReflect:
-    def test_downward_naturals(self):
-        raw = RawSet(1, ResidueSubset.of(1, [0]), 0, (), ABOVE)
-        below = reflect(raw)
-        assert below.orientation == BELOW
-        for n in range(-5, 6):
-            assert raw.contains(n) == (n <= 0)
-            assert below.contains(-n) == raw.contains(n)
+    """An ``orientation = above`` file describes -W; the CLI canonicalizes
+    -W and flags the record, so n in W <=> canonical.contains(-n - shift)."""
 
-    def test_negated_multiples_with_extra(self):
-        # W = {..., -10, -5, 0} | {3}; stored reflected as {0,5,10,...} | {-3}
-        raw = RawSet(5, ResidueSubset.of(5, [0]), 0, (-3,), ABOVE)
-        assert raw.contains(3) and raw.contains(-5) and not raw.contains(1)
-        below = reflect(raw)
+    @staticmethod
+    def canonical_of_above(tmp_path, capsys, text):
+        path = tmp_path / "above.set"
+        path.write_text(text + "orientation = above\n")
+        assert cli.main(["canonicalize", str(path), "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["reflected"] is True
+        return CanonicalSet.from_dict(result["canonical"])
+
+    def test_downward_naturals(self, tmp_path, capsys):
+        # W = {..., -1, 0}; the file describes {0, 1, 2, ...}
+        s = self.canonical_of_above(
+            tmp_path, capsys, "period = 1\nresidues = 0\nthreshold = 0\n")
+        for n in range(-5, 6):
+            assert s.contains(-n - s.shift) == (n <= 0)
+
+    def test_negated_multiples_with_extra(self, tmp_path, capsys):
+        # W = {..., -10, -5, 0} | {3}; the file describes {0,5,10,...} | {-3}
+        s = self.canonical_of_above(
+            tmp_path, capsys,
+            "period = 5\nresidues = 0\nthreshold = 0\nextras = -3\n")
         rng = random.Random(7)
         for _ in range(100):
             n = rng.randint(-60, 60)
-            assert raw.contains(n) == below.contains(-n)
+            in_w = (n <= 0 and n % 5 == 0) or n == 3
+            assert s.contains(-n - s.shift) == in_w
 
-    def test_involution_on_membership(self):
-        raw = RawSet(3, ResidueSubset.of(3, [1]), 4, (0, 2), ABOVE)
-        below = reflect(raw)
+    def test_involution_on_membership(self, tmp_path, capsys):
+        # W = {..., -10, -7, -4} | {-2, 0}; the file describes
+        # {4, 7, 10, ...} | {0, 2}
+        s = self.canonical_of_above(
+            tmp_path, capsys,
+            "period = 3\nresidues = 1\nthreshold = 4\nextras = 0,2\n")
         for n in range(-20, 21):
-            assert raw.contains(n) == below.contains(-n)
+            in_w = (n <= -4 and n % 3 == 2) or n in (-2, 0)
+            assert s.contains(-n - s.shift) == in_w
 
 
 class TestLift:
