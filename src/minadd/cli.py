@@ -199,17 +199,15 @@ def cmd_witness(args) -> CommandResult:
     return fields, config, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _has_int_fields(part, scalars: str, lists: str) -> bool:
     """``part`` is an object whose named fields hold integers (``scalars``)
-    and lists of integers (``lists``)."""
+    and lists of integers (``lists``).  JSON gives a plain ``int`` or a
+    ``bool``, so ``type(v) is int`` tells them apart."""
     return isinstance(part, dict) and all(
-        _is_int(part.get(key)) for key in scalars.split()
+        type(part.get(key)) is int for key in scalars.split()
     ) and all(
-        isinstance(part.get(key), list) and all(map(_is_int, part[key]))
+        isinstance(part.get(key), list)
+        and all(type(v) is int for v in part[key])
         for key in lists.split()
     )
 
@@ -225,11 +223,11 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
         raise ParseError("witness record is not a JSON object")
     canonical, window = payload.get("canonical"), payload.get("witness")
     if not (_has_int_fields(canonical, "m", "x y0 y1")
-            and _is_int(canonical.get("shift", 0))
+            and type(canonical.get("shift", 0)) is int
             and _has_int_fields(window, "lo hi T y_plus y_minus",
                                 "c c1 c2 d_elements")
             and isinstance(window.get("provenance"), dict)
-            and all(t is None or _is_int(t)
+            and all(t is None or type(t) is int
                     for t in window["provenance"].values())):
         raise ParseError("witness record: 'canonical' or 'witness' lacks a "
                          "field or holds a non-integer where an integer belongs")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .criteria import NECESSARY, SUFFICIENT, Certificate
+from .criteria import SUFFICIENT, Certificate
 from .errors import CapExceeded, MarginTooSmall
 from .residues import ResidueSubset
 from .sets import CanonicalSet, ConditionContext, margins

@@ -9,12 +9,28 @@ elements form an irredundant cover of the C2-residue targets via the
 exceptional offsets.  Each survivor keeps a *private target* — a covered
 integer no other survivor can reach — which is the local evidence of
 minimality.
+
+The build does not walk every candidate.  Three facts make the prune
+periodic: (1) every source of a target lies in the candidate pool, so a
+target's initial count depends only on its class mod T; (2) an interior
+candidate's fate depends only on its class and on which of the span =
+max(Y1) - min(Y1) integers above it were pruned; (3) so, walking blocks
+of T integers from the top, a block's prune is a function of that state,
+and once a state repeats the prune repeats down to the lowest interior
+candidate.  The build walks blocks until a state repeats, at O(|Y1|)
+Python steps per candidate, copies the repeating stretch down, and tiles
+the private targets, which depend only on the prune within span of each
+survivor, at C-level cost linear in the output.  If no state repeats
+within the window, every block is walked, as a plain walk would.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
+from operator import add
 from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate
@@ -97,11 +113,36 @@ def build_witness(
 ) -> WitnessWindow:
     """Construct the window part of a minimal complement.
 
-    Pipeline: compute C1/C2 at modulus T; collect the C2-residue targets
-    in [lo, hi] and the candidate pool of C-class integers whose sums can
-    reach them; prune candidates in descending order whenever the rest
-    still covers every target through the exceptional offsets; record a
-    private target for each survivor.  Deterministic in all inputs.
+    The candidates are the integers of the C classes in the pool
+    [lo - y_plus, hi - y_minus], the targets the integers of the C2
+    classes in [lo, hi].  The candidates are pruned in descending order:
+    an interior one (d + y_minus >= lo and d + y_plus <= hi) goes when
+    every target it reaches keeps another unpruned candidate, and the
+    others stay.  Each survivor then gets its first target, in Y1 order,
+    that no other survivor reaches, or None.  Deterministic in all inputs.
+
+    The prune walks blocks of T integers from the top, and the state of a
+    block is an int: which of the span = max(Y1) - min(Y1) integers above
+    it were removed.  Three facts make the walk periodic:
+
+    1. every source t - y of a target t lies in the pool, so the count a
+       target starts with depends only on t mod T;
+    2. an interior candidate's fate depends only on its class and on the
+       removals among the span integers above it;
+    3. so a block's removals and the next state are a function of the
+       state, and once a state repeats, the removals between its two
+       occurrences repeat down to the lowest interior candidate.
+
+    That stretch is copied down instead of walked.  A survivor's private
+    target depends only on the removals within span of it, so it is
+    computed directly near the ends and for one period, and tiled in
+    between.
+
+    Cost: O(|Y1|) Python steps per candidate in the blocks walked until a
+    state repeats (at most 2**span + 1 blocks), and O(|Y1|) per survivor
+    whose target is computed directly; the tiled rest costs slice copies
+    and C-level iteration, linear in the output.  When no state repeats,
+    every block is walked and every private target computed directly.
     """
     if cert.variant != SUFFICIENT:
         raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
@@ -114,47 +155,112 @@ def build_witness(
     if not c2:
         raise CertificateInvalid("no uncovered residue classes; condition (b) cannot hold")
 
-    targets = _class_integers(c2, lo, hi)
-    pool = _class_integers(cert.c, lo - marg.y_plus, hi - marg.y_minus)
+    # Y1 is nonempty: condition (b) gives each member of C a target.
+    y1, c_mask = s.y1, cert.c.mask
+    span = y1[-1] - y1[0]
+    base = lo - marg.y_plus  # the lowest candidate
+    top, bottom = hi - marg.y_plus, lo - marg.y_minus  # interior ends
+    size = hi - marg.y_minus - base + 1
+    # kept[n - base] is 1 iff n is a candidate the prune has not removed
+    kept = bytearray(bytes(c_mask >> (base + i) % T & 1 for i in range(T))
+                     * (size // T + 1))[:size]
+    tile = _prune(kept, base, T, _block_rules(T, cert.c, c2, y1, top),
+                  span, top, bottom)
 
-    target_set = set(targets)
-    covers: dict[int, list[int]] = {}  # d -> targets it reaches
-    count: dict[int, int] = {t: 0 for t in targets}
-    for d in pool:
-        reached = [d + y for y in s.y1 if d + y in target_set]
-        covers[d] = reached
-        for t in reached:
-            count[t] += 1
-
-    kept = set(pool)
-    for d in sorted(pool, reverse=True):
-        # Only prune elements whose whole footprint sits inside the window;
-        # boundary elements stay to avoid edge artifacts.
-        if d + marg.y_minus < lo or d + marg.y_plus > hi:
-            continue
-        if all(count[t] >= 2 for t in covers[d]):
-            kept.discard(d)
-            for t in covers[d]:
-                count[t] -= 1
-
-    provenance: dict[int, Optional[int]] = {}
-    for d in sorted(kept):
-        private = next((t for t in covers[d] if count[t] == 1), None)
-        provenance[d] = private
-
-    return WitnessWindow(
-        lo, hi, T, cert.c, c1, c2, marg, tuple(sorted(kept)), provenance
-    )
+    ds = list(compress(range(base, base + size), kept))
+    i = j = k = 0
+    if tile is not None:
+        # The removals repeat over [bottom, cycle_top + span]: the state at
+        # the cycle top is the span above it.  So from bottom + span up to
+        # the cycle top, a survivor's private target repeats too.
+        cycle_top, period = tile
+        if bottom + span <= cycle_top - period:
+            i, j, k = (bisect_left(ds, bottom + span),
+                       bisect_right(ds, cycle_top - period),
+                       bisect_right(ds, cycle_top))
+    head = _private_targets(ds[:i], kept, base, y1, lo, hi, c2)
+    tail = _private_targets(ds[j:], kept, base, y1, lo, hi, c2)
+    # ds[j:k] is the walked cycle; its offsets, repeated, end in line with ds[i:j]
+    offsets = [t - d for d, t in zip(ds[j:k], tail)]
+    mid = ds[i:j]
+    if mid:
+        offsets = (offsets * (len(mid) // len(offsets) + 1))[-len(mid):]
+    provenance: dict[int, Optional[int]] = dict(zip(ds[:i], head))
+    provenance.update(zip(mid, map(add, mid, offsets)))
+    provenance.update(zip(ds[j:], tail))
+    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(ds), provenance)
 
 
-def _class_integers(classes: ResidueSubset, lo: int, hi: int) -> list[int]:
-    """The integers of [lo, hi] whose residue lies in ``classes``, class
-    by class."""
-    T = classes.modulus
-    out: list[int] = []
-    for r in classes.members():
-        out.extend(range(lo + (r - lo) % T, hi + 1, T))
-    return out
+def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
+                 y1: tuple[int, ...], top: int) -> list:
+    """(p, rules) for each candidate of a block whose top is congruent to
+    ``top``, top first; p is the candidate's offset from the block bottom.
+
+    A candidate d has one rule per target d + y it reaches: the mask of
+    bits j - 1 for its sources d + j above it (1 <= j <= span), and how
+    many of those may be removed while the target keeps another source.
+    """
+    sources = [sum(c.mask >> (t - y) % T & 1 for y in y1) for t in range(T)]
+    block = []
+    for p in range(T - 1, -1, -1):
+        r = (top + 1 + p) % T
+        if c.mask >> r & 1:
+            block.append((p, [
+                (sum(1 << y - z - 1 for z in y1[:k]
+                     if c.mask >> (r + y - z) % T & 1),
+                 sources[(r + y) % T] - 2)
+                for k, y in enumerate(y1) if c2.mask >> (r + y) % T & 1
+            ]))
+    return block
+
+
+def _prune(kept: bytearray, base: int, T: int, block: list, span: int,
+           top: int, bottom: int) -> Optional[tuple[int, int]]:
+    """Clear in ``kept`` the interior candidates, [bottom, top], that the
+    descending prune removes.
+
+    Returns (cycle top, period) once a block state repeats: from the
+    cycle top down to ``bottom`` the removals then repeat with the period.
+    Returns None when no state repeats.
+    """
+    seen: dict[int, int] = {}  # state -> the top of the block it was seen at
+    state, d0 = 0, top
+    while d0 >= bottom:
+        if state in seen:
+            period, n = seen[state] - d0, d0 + 1 - bottom
+            cycle = kept[d0 + 1 - base:d0 + 1 + period - base]
+            kept[bottom - base:d0 + 1 - base] = (cycle * (n // period + 1))[-n:]
+            return seen[state], period
+        seen[state] = d0
+        low, x = d0 - T + 1, state << T  # bit n - low of x: n removed
+        for p, rules in block:
+            if low + p < bottom:
+                break
+            if all((x >> p + 1 & above).bit_count() <= slack
+                   for above, slack in rules):
+                x |= 1 << p
+                kept[low + p - base] = 0
+        state = x & (1 << span) - 1
+        d0 -= T
+    return None
+
+
+def _private_targets(run: list[int], kept: bytearray, base: int,
+                     y1: tuple[int, ...], lo: int, hi: int,
+                     c2: ResidueSubset) -> list[Optional[int]]:
+    """The private target of each survivor in ``run``, consecutive
+    survivors in ascending order: its first d + y, in Y1 order, that is a
+    target no other survivor reaches, or None."""
+    if not run:
+        return []
+    t_lo, t_hi = max(lo, run[0] + y1[0]), min(hi, run[-1] + y1[-1])
+    sources = [0] * max(t_hi - t_lo + 1, 0)  # survivors reaching t_lo + i
+    for y in y1:
+        sources = list(map(add, sources, kept[t_lo - y - base:t_hi + 1 - y - base]))
+    T, c2_mask = c2.modulus, c2.mask
+    return [next((d + y for y in y1 if t_lo <= d + y <= t_hi
+                  and sources[d + y - t_lo] == 1 and c2_mask >> (d + y) % T & 1),
+                 None) for d in run]
 
 
 def _safe_interval(w: WitnessWindow) -> tuple[int, int]:

@@ -9,8 +9,6 @@ import json
 import random
 import time
 
-import pytest
-
 from conftest import enumerate_contexts, random_canonical, random_context, shifted_copy
 from minadd.criteria import (
     NECESSARY,

@@ -1,8 +1,12 @@
 import dataclasses
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from conftest import bounded_work, random_canonical
 from minadd import witness
 from minadd.criteria import (
     NECESSARY,
@@ -15,7 +19,7 @@ from minadd.criteria import (
 from minadd.errors import CertificateInvalid, WindowTooSmall
 from minadd.oracle import WindowSet, verify_complement_window
 from minadd.residues import ResidueSubset
-from minadd.sets import validate_canonical
+from minadd.sets import CanonicalSet, margins, validate_canonical
 from minadd.witness import (
     VerificationReport,
     WitnessWindow,
@@ -145,8 +149,6 @@ def test_witness_agrees_with_window_complement_check():
 
 def test_random_exists_instances_verify():
     rng = random.Random(9)
-    from conftest import random_canonical
-
     checked = 0
     for _ in range(120):
         s = random_canonical(rng, 4)
@@ -168,11 +170,56 @@ def test_serialization_round_trip():
     assert verify_coverage(EVEN_SET, again).ok
 
 
-# -- reference: the integer-by-integer walks the class arithmetic replaced --
+# -- reference: the integer-by-integer walks the class arithmetic and the
+# -- periodic tiling replaced --
 
 
 def reference_class_integers(classes, lo, hi):
-    return [n for n in range(lo, hi + 1) if (n % classes.modulus) in classes]
+    T = classes.modulus
+    return [n for n in range(lo, hi + 1) if classes.mask >> n % T & 1]
+
+
+def reference_build_witness(s, cert, lo, hi):
+    """The greedy prune walked candidate by candidate over a count array."""
+    if cert.variant != SUFFICIENT:
+        raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
+    c1, c2, marg = witness._derive(s, cert)
+    T = cert.T
+    if hi - lo < 4 * (marg.y0_margin + T):
+        raise WindowTooSmall(
+            f"window [{lo}, {hi}] shorter than {4 * (marg.y0_margin + T)}"
+        )
+    if not c2:
+        raise CertificateInvalid("no uncovered residue classes; condition (b) cannot hold")
+
+    targets = reference_class_integers(c2, lo, hi)
+    pool = reference_class_integers(cert.c, lo - marg.y_plus, hi - marg.y_minus)
+
+    target_set = set(targets)
+    covers = {}  # d -> targets it reaches
+    count = {t: 0 for t in targets}
+    for d in pool:
+        reached = [d + y for y in s.y1 if d + y in target_set]
+        covers[d] = reached
+        for t in reached:
+            count[t] += 1
+
+    kept = set(pool)
+    for d in sorted(pool, reverse=True):
+        # Only prune elements whose whole footprint sits inside the window.
+        if d + marg.y_minus < lo or d + marg.y_plus > hi:
+            continue
+        if all(count[t] >= 2 for t in covers[d]):
+            kept.discard(d)
+            for t in covers[d]:
+                count[t] -= 1
+
+    provenance = {}
+    for d in sorted(kept):
+        provenance[d] = next((t for t in covers[d] if count[t] == 1), None)
+    return WitnessWindow(
+        lo, hi, T, cert.c, c1, c2, marg, tuple(sorted(kept)), provenance
+    )
 
 
 def reference_coverage(s, w):
@@ -218,13 +265,11 @@ def tampered(rng, s, w):
             c2=_random_classes(rng, T2))
 
 
-def test_class_arithmetic_matches_integer_walk(monkeypatch):
+def test_class_arithmetic_matches_integer_walk():
     """Same witnesses and coverage reports as the integer walks, on honest
     and tampered windows; a forged T with m not dividing it is what needs
     the C1 walk over classes mod lcm(T, m) rather than mod T."""
     rng = random.Random(2024)
-    from conftest import random_canonical
-
     compared = failed = 0
     while compared < 1500:
         s = random_canonical(rng, 6)
@@ -238,9 +283,8 @@ def test_class_arithmetic_matches_integer_walk(monkeypatch):
             w = build_witness(s, v.certificate, lo, hi)
         except WindowTooSmall:
             continue
-        with monkeypatch.context() as patch:
-            patch.setattr(witness, "_class_integers", reference_class_integers)
-            assert build_witness(s, v.certificate, lo, hi).to_dict() == w.to_dict()
+        assert w.to_dict() == reference_build_witness(
+            s, v.certificate, lo, hi).to_dict()
         for record in (w, *tampered(rng, s, w)):
             got, want = verify_coverage(s, record), reference_coverage(s, record)
             assert (got.ok, got.failures, got.first_uncovered) == (
@@ -248,3 +292,146 @@ def test_class_arithmetic_matches_integer_walk(monkeypatch):
             compared += 1
             failed += not want.ok
     assert failed >= 200
+
+
+# -- the periodic tiling against the walk over every candidate --
+
+DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def assert_same_build(s, cert, lo, hi):
+    """build_witness and the reference give the same window, or both
+    refuse; the provenance lists its elements in ascending order, as the
+    record prints them."""
+    try:
+        want = reference_build_witness(s, cert, lo, hi)
+    except (CertificateInvalid, WindowTooSmall) as exc:
+        with pytest.raises(type(exc)):
+            build_witness(s, cert, lo, hi)
+        return False
+    got = build_witness(s, cert, lo, hi)
+    assert got.to_dict() == want.to_dict(), (s, cert, lo, hi)
+    assert list(got.provenance) == list(got.d_elements)
+    return True
+
+
+def random_window(rng, s, T, widths):
+    """A window at most ``widths`` T-blocks longer than the shortest one
+    build_witness accepts, placed at random around 0."""
+    width = 4 * (margins(s).y0_margin + T) + rng.randrange(widths * T + 1)
+    lo = -rng.randrange(width + 1)
+    return lo, lo + width
+
+
+def count_prune_outcomes(monkeypatch):
+    """Tally, per build, how the prune ended: no block state repeated; a
+    state repeated over a stretch too short to tile any private target;
+    or the private targets were tiled too."""
+    outcomes = Counter()
+    prune = witness._prune
+
+    def counted(kept, base, T, block, span, top, bottom):
+        tile = prune(kept, base, T, block, span, top, bottom)
+        if tile is None:
+            outcomes["no repeat"] += 1
+        else:
+            cycle_top, period = tile
+            short = cycle_top - bottom < span + period
+            outcomes["short" if short else "tiled"] += 1
+        return tile
+
+    monkeypatch.setattr(witness, "_prune", counted)
+    return outcomes
+
+
+def test_tiled_build_matches_reference_on_random_sets():
+    """Random sets at t_max = 2m, so that lifted moduli occur, on windows
+    from the shortest accepted one up to 400 blocks longer."""
+    rng = random.Random(8)
+    compared = lifted = 0
+    while compared < 300 or lifted < 10:
+        s = random_canonical(rng, 8)
+        v = decide(s, SearchConfig(t_max=2 * s.m))
+        if v.outcome is not Outcome.EXISTS or v.certificate is None:
+            continue
+        T = v.certificate.T
+        lo, hi = random_window(rng, s, T, rng.choice((0, 1, 4, 40, 400)))
+        assert assert_same_build(s, v.certificate, lo, hi)
+        compared += 1
+        lifted += T > s.m
+
+
+def test_tiled_build_matches_reference_on_decide_pool(monkeypatch):
+    """Every certificate of the decide pool, at its modulus and lifted to
+    twice it, on windows at most one block longer than the shortest
+    accepted: wide spans of Y1 there give long cycles, so some windows end
+    before a state repeats and some repeat too low for any private target
+    to be tiled."""
+    outcomes = count_prune_outcomes(monkeypatch)
+    pool = json.loads((DATA / "decide_pool.json").read_text())
+    rng = random.Random(5)
+    built = 0
+    for stratum in pool["strata"]:
+        for entry in stratum["entries"]:
+            cert = entry["expected"].get("certificate")
+            if cert is None:
+                continue
+            st = entry["set"]
+            s = validate_canonical(st["m"], st["x"], st["y0"], st["y1"])
+            for k in (1, 2):
+                T = k * cert["T"]
+                c = [r + i * cert["T"] for r in cert["c"] for i in range(k)]
+                lo, hi = random_window(rng, s, T, 1)
+                built += assert_same_build(
+                    s, Certificate(T, ResidueSubset.of(T, c), SUFFICIENT), lo, hi)
+    assert built >= 1500
+    assert min(outcomes[key] for key in ("no repeat", "short", "tiled")) >= 2, outcomes
+
+
+# From the decide pool: span 29 and a cycle of several blocks, so that on
+# short windows no state repeats, or one repeats too low to tile a target.
+LONG_CYCLE_SET = validate_canonical(5, [0], (), [-13, 1, 12, 16])
+LONG_CYCLE_CERT = Certificate(5, ResidueSubset.of(5, [0, 2]), SUFFICIENT)
+
+
+def test_tiled_build_matches_reference_on_short_windows(monkeypatch):
+    """Every window from the shortest accepted one up to 40 blocks longer,
+    at five offsets each: each length of the partial bottom block, and
+    each way the prune can end, occurs."""
+    outcomes = count_prune_outcomes(monkeypatch)
+    shortest = 4 * (margins(LONG_CYCLE_SET).y0_margin + LONG_CYCLE_CERT.T)
+    for width in range(shortest, shortest + 200):
+        for lo in range(-width // 2 - 5, -width // 2):
+            assert assert_same_build(LONG_CYCLE_SET, LONG_CYCLE_CERT, lo, lo + width)
+    assert min(outcomes[key] for key in ("no repeat", "short", "tiled")) >= 100, outcomes
+
+
+def test_tiled_build_matches_reference_on_witness_pool():
+    """Every witness-pool form at the benchmark's window; the raw forms
+    share one canonical set, which is built once."""
+    pool = json.loads((DATA / "witness_pool.json").read_text())
+    seen = set()
+    for groups in pool["by_m"].values():
+        for group in groups:
+            for inst in group:
+                for form in inst["forms"].values():
+                    key = json.dumps([form["canonical"], form["certificate"]])
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    cert = form["certificate"]
+                    s = CanonicalSet.from_dict(form["canonical"])
+                    T = cert["T"]
+                    assert assert_same_build(s, Certificate(
+                        T, ResidueSubset.of(T, cert["c"]), SUFFICIENT), -8000, 8000)
+    assert len(seen) >= 300
+
+
+def test_wide_window_build_is_bounded():
+    """A window of 200 001 integers costs a few hundred traced lines: the
+    walk stops at the first repeated state and the rest is tiled.  The
+    walk over every candidate runs about 2.25 M lines here and peaks at
+    44 MB."""
+    with bounded_work(max_lines=5_000):
+        w = build_witness(OVERLAP_SET, OVERLAP_CERT, -100_000, 100_000)
+    assert len(w.d_elements) == 50_001
