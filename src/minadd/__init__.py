@@ -28,7 +28,6 @@ from .sets import (
     lift_period,
     margins,
     validate_canonical,
-    window_elements,
 )
 from .witness import WitnessWindow, build_witness, verify_coverage, verify_local_minimality
 
@@ -56,7 +55,6 @@ __all__ = [
     "validate_canonical",
     "verify_coverage",
     "verify_local_minimality",
-    "window_elements",
 ]
 
 __version__ = "0.1.0"

@@ -202,12 +202,12 @@ def cmd_witness(args) -> CommandResult:
 def _has_int_fields(part, scalars: str, lists: str) -> bool:
     """``part`` is an object whose named fields hold integers (``scalars``)
     and lists of integers (``lists``).  JSON gives a plain ``int`` or a
-    ``bool``, so ``type(v) is int`` tells them apart."""
+    ``bool``, so testing the set of exact types tells them apart."""
     return isinstance(part, dict) and all(
         type(part.get(key)) is int for key in scalars.split()
     ) and all(
         isinstance(part.get(key), list)
-        and all(type(v) is int for v in part[key])
+        and {int}.issuperset(map(type, part[key]))
         for key in lists.split()
     )
 
@@ -227,8 +227,8 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
             and _has_int_fields(window, "lo hi T y_plus y_minus",
                                 "c c1 c2 d_elements")
             and isinstance(window.get("provenance"), dict)
-            and all(t is None or type(t) is int
-                    for t in window["provenance"].values())):
+            and {int, type(None)}.issuperset(
+                map(type, window["provenance"].values()))):
         raise ParseError("witness record: 'canonical' or 'witness' lacks a "
                          "field or holds a non-integer where an integer belongs")
     try:

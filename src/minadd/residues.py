@@ -9,7 +9,7 @@ passes around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ModulusMismatch, NonPositivePeriod, ResidueOutOfRange
 
@@ -64,9 +64,6 @@ class ResidueSubset:
 
     def __contains__(self, r: int) -> bool:
         return 0 <= r < self.modulus and bool(self.mask >> r & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -212,22 +212,6 @@ def margins(s: CanonicalSet) -> Margins:
     return Margins(max(ys), min(ys))
 
 
-def window_elements(s: CanonicalSet, lo: int, hi: int) -> list[int]:
-    """All elements of the canonical set in [lo, hi], sorted."""
-    if lo > hi:
-        raise ValueError(f"empty window [{lo}, {hi}]")
-    out = set()
-    if s.x_m:
-        start = max(lo, 0)
-        for n in range(start, hi + 1):
-            if (n % s.m) in s.x_m:
-                out.add(n)
-    for e in s.y0 + s.y1:
-        if lo <= e <= hi:
-            out.add(e)
-    return sorted(out)
-
-
 @dataclass(frozen=True)
 class ConditionContext:
     """Arena for the covering/witness conditions at a working modulus T.

@@ -22,6 +22,21 @@ Python steps per candidate, copies the repeating stretch down, and tiles
 the private targets, which depend only on the prune within span of each
 survivor, at C-level cost linear in the output.  If no state repeats
 within the window, every block is walked, as a plain walk would.
+
+The verifiers check a window on bitmasks: an int whose byte n - a is 1
+iff n is in D, read with ``int.from_bytes``, shifted once per y in Y1
+and summed bit-sliced into "reached" and "reached twice" masks, which
+are then ANDed with the classes of C1, C2 or C tiled over the window.
+Their Python work is one step per element, to set its byte, plus a few
+C-level passes over the elements and their targets; the rest is
+word-level work over the stretch of integers checked.  They run only
+when that stretch is at most MASK_STRETCH times |D|*|Y1| + T, which
+keeps their work within a constant factor of the set-and-class walk
+they replace.  A longer stretch, as in a record with a forged ``hi`` or
+a few far-apart elements, is checked by that walk, whose cost does not
+grow with the window, so the verifiers' worst-case bounds are the
+walk's.  The minimality walk also names the failures when the bitmasks
+find one.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate
@@ -288,6 +303,56 @@ def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     return VerificationReport(not failures, failures)
 
 
+#: The bitmask checks run when the stretch of integers they cover is at
+#: most this many times |D|*|Y1| + T, the count of sums and class steps
+#: the set-and-class walk takes.  Measured on a 2-CPU host (Python 3.11),
+#: a stretch integer costs the bitmasks about 10 ns of word-level work and
+#: a walk step about 60 ns of Python, so the two break even near 8 and at
+#: 16 the bitmasks cost at most about twice the walk.  The records of the
+#: benchmark's witness pool reach at most 10; a forged ``hi`` or a few
+#: far-apart elements go far over it and take the walk, whose cost does
+#: not grow with the window.
+MASK_STRETCH = 16
+
+
+def _masks_fit(w: WitnessWindow, y1: tuple[int, ...], width: int,
+               spans: int) -> bool:
+    """Whether the bitmask checks run on a safe window of ``width``
+    integers, widened by ``spans`` times max(Y1) - min(Y1)."""
+    return bool(y1) and 0 < width and width + spans * (y1[-1] - y1[0]) <= (
+        MASK_STRETCH * (len(w.d_elements) * len(y1) + w.T))
+
+
+def _indicator(values: list[int], a: int, b: int) -> int:
+    """Byte n - a is 1 iff n is in ``values``, which lie in [a, b]: the one
+    Python step per element of the bitmask checks."""
+    present = bytearray(b - a + 1)
+    for v in values:
+        present[v - a] = 1
+    return int.from_bytes(present, "little")
+
+
+def _pattern(mask: int, T: int, lo: int, width: int) -> int:
+    """Byte n - lo is 1 iff bit n % T of ``mask`` is, for n in [lo, lo + width)."""
+    row = bytes(mask >> n % T & 1 for n in range(lo, lo + min(T, width)))
+    return int.from_bytes((row * (width // len(row) + 1))[:width], "little")
+
+
+def _sources(indicator: int, y1: tuple[int, ...]) -> tuple[int, int]:
+    """From the indicator of D over [a, b], the masks ``ones`` and ``twos``
+    whose byte j is 1 iff at least one, and iff at least two, of the
+    n - y (y in Y1) are in D, for n = a + max(Y1) + j: the |Y1| shifts of
+    the indicator, summed bit-sliced (``twos`` gains what ``ones``
+    already had).  Exact for n up to b + min(Y1), where every n - y lies
+    in [a, b]; the bytes above are undercounted."""
+    ones = twos = 0
+    for y in y1:
+        x = indicator >> 8 * (y1[-1] - y)
+        twos |= ones & x
+        ones |= x
+    return ones, twos
+
+
 def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     """Confirm every integer in the safe inner window is reached.
 
@@ -295,29 +360,44 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     C2-residue integers through the exceptional offsets; the first
     uncovered integer is reported.
 
-    The check works per residue class: it visits the first integer of
-    each class mod T in the safe window, and on the C1 side the first
-    integer of each class mod lcm(T, m).  With W the safe window's length
-    it takes O(|D|*|Y1| + min(W, T)) steps plus
+    The C1 side works per residue class: it tests the first integer of
+    each class mod lcm(T, m) in the safe window against the least element
+    of each class mod m below the end of that first stretch, found by one
+    sort and a bisection.  The other classes are checked on bitmasks over
+    the safe window: the integers that some d + y reaches, ANDed out of
+    those classes tiled over the window, leave the uncovered ones, lowest
+    first.  That costs one Python step per element, to set its byte in an
+    indicator of D, plus word-level work over the window: |Y1| shifts,
+    the class tiling and a few ANDs and ORs.
+
+    When the window is longer than MASK_STRETCH times |D|*|Y1| + T, the
+    check walks instead: the set of the |D|*|Y1| sums, and per class mod
+    T the first integer not in it.  With W the safe window's length, the
+    walk takes O(|D|*|Y1| + min(W, T)) steps, and the C1 side
     min(W, lcm(T, m)) * min(m, |D|) bit tests; on a record with m | T
-    that is at most T * m tests, whatever the window length.
+    that is at most T * m tests, whatever the window length.  The
+    bitmasks run only within a constant factor of the walk's work, so
+    those bounds hold for the check as a whole.
     """
     inner_lo, inner_hi = _safe_interval(w)
     if inner_lo > inner_hi:
         return VerificationReport(
             False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
         )
-    T, m = w.T, s.m
-    # n is reached through m*N + X iff some d <= n has (n - d) % m in X;
-    # the least element of d's class mod m then works too.
-    least: dict[int, int] = {}
-    for d in w.d_elements:
-        if d < least.get(d % m, d + 1):
-            least[d % m] = d
-    reached = {d + y for d in w.d_elements for y in s.y1}
+    T, m, y1 = w.T, s.m, s.y1
+    ds = sorted(w.d_elements)
     # Two integers of one class mod lcm(T, m) share the C1 test and the
     # classes of D that reach them, so only the first in the window counts.
     c1_end = min(inner_lo + lcm(T, m), inner_hi + 1)
+    # n is reached through m*N + X iff some d <= n has (n - d) % m in X;
+    # the least element of d's class mod m then works too.
+    least: dict[int, int] = {}
+    for d in reversed(ds[:bisect_left(ds, c1_end)]):
+        least[d % m] = d
+    width = inner_hi - inner_lo + 1
+    masks = _masks_fit(w, y1, width, 1)
+    if not masks:
+        reached = {d + y for d in w.d_elements for y in y1}
     uncovered = []
     for first in range(inner_lo, min(inner_lo + T, inner_hi + 1)):
         if w.c1.mask >> first % T & 1:
@@ -326,17 +406,60 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
                            for d in least.values()):
                     uncovered.append(n)
                     break
-        else:
+        elif not masks:
             n = first
             while n in reached:
                 n += T
             if n <= inner_hi:
                 uncovered.append(n)
+    if masks:
+        a, b = inner_lo - y1[-1], inner_hi - y1[0]
+        inside = ds[bisect_left(ds, a):bisect_right(ds, b)]
+        reached_mask = _sources(_indicator(inside, a, b), y1)[0]
+        missed = _pattern(~w.c1.mask, T, inner_lo, width) & ~reached_mask
+        if missed:
+            uncovered.append(inner_lo + ((missed & -missed).bit_length() - 1) // 8)
 
     if uncovered:
         n = min(uncovered)
         return VerificationReport(False, (f"uncovered integer {n}",), n)
     return VerificationReport(True)
+
+
+def _minimal_by_masks(s: CanonicalSet, w: WitnessWindow,
+                      inner_lo: int, inner_hi: int) -> bool:
+    """Whether ``verify_local_minimality`` finds no failure, decided on
+    bitmasks.
+
+    The elements' classes are tested on an indicator of D over the safe
+    window widened by span = max(Y1) - min(Y1) on each side, and one by
+    one for the few elements beyond it.  The interior elements' targets
+    are looked up in one pass and their offsets tested as a set.  An
+    element reaches its own target, so the target is private iff no two
+    of its n - y are in D; so the indicator of the targets must miss the
+    reached-twice mask and the integers outside the C2 classes.
+    """
+    y1, T = s.y1, w.T
+    span = y1[-1] - y1[0]
+    ds = sorted(w.d_elements)
+    a, b = inner_lo - span, inner_hi + span
+    i, j = bisect_left(ds, a), bisect_right(ds, b)
+    indicator = _indicator(ds[i:j], a, b)
+    if indicator & ~_pattern(w.c.mask, T, a, b - a + 1) or not all(
+            w.c.mask >> d % T & 1 for d in ds[:i] + ds[j:]):
+        return False
+    interior = ds[bisect_left(ds, inner_lo):bisect_right(ds, inner_hi)]
+    targets = list(map(w.provenance.get, interior))
+    try:
+        offsets = set(map(sub, targets, interior))
+    except TypeError:  # a None target
+        return False
+    if not offsets <= set(y1):
+        return False
+    t_lo, t_hi = inner_lo + y1[0], inner_hi + y1[-1]
+    not_private = (_sources(indicator, y1)[1]
+                   | ~_pattern(w.c2.mask, T, t_lo, t_hi - t_lo + 1))
+    return not _indicator(targets, t_lo, t_hi) & not_private
 
 
 def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
@@ -346,17 +469,29 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
     no periodic-part sum from the C classes can reach it, and subtracting
     the finite exceptions enumerates every other candidate element.
 
-    Cost: O(|D|*|Y1|) set lookups plus one bit test per element on the
-    T-bit masks of C and C2, whatever the window length hi - lo.
+    The checks run first on bitmasks (see ``_minimal_by_masks``): one
+    Python step per element to set its byte in an indicator of D, C-level
+    passes over the interior elements and their targets, and word-level
+    work over the safe window widened by max(Y1) - min(Y1) on each side.
+    When they find a failure, or when that stretch is longer than
+    MASK_STRETCH times |D|*|Y1| + T, the walk below runs and names every
+    failure.  The walk costs O(|D|*|Y1|) set lookups plus one bit test
+    per element on the T-bit masks of C and C2, whatever the window
+    length hi - lo, and the bitmasks run only within a constant factor of
+    that work, so the bound holds for the check as a whole.
     """
-    outside = tuple(
-        f"witness element {d} lies outside the certificate's classes"
-        for d in w.d_elements if not w.c.mask >> d % w.T & 1
-    )
-    if outside:
-        return VerificationReport(False, outside)
     inner_lo, inner_hi = _safe_interval(w)
-    d_set, y1 = set(w.d_elements), set(s.y1)
+    y1 = s.y1
+    if (_masks_fit(w, y1, inner_hi - inner_lo + 1, 2)
+            and _minimal_by_masks(s, w, inner_lo, inner_hi)):
+        return VerificationReport(True)
+    T, c_mask = w.T, w.c.mask
+    if any(not c_mask >> r & 1 for r in {d % T for d in w.d_elements}):
+        return VerificationReport(False, tuple(
+            f"witness element {d} lies outside the certificate's classes"
+            for d in w.d_elements if not c_mask >> d % T & 1
+        ))
+    d_set, y1_set = set(w.d_elements), set(y1)
     failures = []
     for d in w.d_elements:
         if not inner_lo <= d <= inner_hi:
@@ -365,13 +500,13 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
         if n_d is None:
             failures.append(f"element {d} has no private target")
             continue
-        if not w.c2.mask >> n_d % w.T & 1:
+        if not w.c2.mask >> n_d % T & 1:
             failures.append(f"target {n_d} of {d} is not in an uncovered class")
             continue
-        if n_d - d not in y1:
+        if n_d - d not in y1_set:
             failures.append(f"element {d} does not reach its target {n_d}")
             continue
-        for y in s.y1:
+        for y in y1:
             other = n_d - y
             if other != d and other in d_set:
                 failures.append(

@@ -1,5 +1,6 @@
-"""Shared builders for randomized and exhaustive instance sweeps, and a
-work bound for tests that must not depend on wall time."""
+"""Shared builders for randomized and exhaustive instance sweeps, a
+window enumeration of canonical sets, and a work bound for tests that
+must not depend on wall time."""
 
 from __future__ import annotations
 
@@ -16,8 +17,23 @@ from minadd.sets import (
     RawSet,
     canonicalize,
     lift_period,
-    window_elements,
 )
+
+
+def window_elements(s: CanonicalSet, lo: int, hi: int) -> list[int]:
+    """All elements of the canonical set in [lo, hi], sorted."""
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    out = set()
+    if s.x_m:
+        start = max(lo, 0)
+        for n in range(start, hi + 1):
+            if (n % s.m) in s.x_m:
+                out.add(n)
+    for e in s.y0 + s.y1:
+        if lo <= e <= hi:
+            out.add(e)
+    return sorted(out)
 
 
 def random_context(rng: random.Random, t_lo: int = 1, t_hi: int = 12) -> ConditionContext:

@@ -1,0 +1,43 @@
+"""The benchmark's own output checks pass on the program as it stands.
+
+``bench/run.py`` checks every op's output against the committed answers,
+but only when the benchmark runs.  This loads it by path, the way
+``test_bench_spans.py`` loads the span recorder, builds the ``witness-cli``
+and ``construct`` ops for one seed into a temporary directory, runs each
+op once and asserts that no check reports a failed layer.  ``decide-scan``
+is left out: one pass of it takes several seconds.
+"""
+
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    spec = importlib.util.spec_from_file_location("bench_run", RUN)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache files under bench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    module.import_minadd()
+    return module
+
+
+@pytest.mark.parametrize("workload", ["witness-cli", "construct"])
+def test_every_check_passes(bench_run, tmp_path, workload):
+    ops = bench_run.build(workload, 1, tmp_path)
+    assert ops
+    counts = Counter()
+    for op in ops:
+        out, _ = op.run()
+        assert op.check(out, counts) == set()
+    assert counts["emit_bytes"] > 0

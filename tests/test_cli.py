@@ -316,6 +316,26 @@ class TestVerifyWitness:
         assert code == cli.EXIT_VERIFY_FAILED
         assert rec["result"]["coverage"] == {"ok": True, "failures": []}
 
+    @pytest.mark.parametrize("hi", [10**7, 10**12])
+    def test_far_apart_elements_are_checked_quickly(
+        self, witness_record, tmp_path, capsys, hi
+    ):
+        # Three elements spread over a window of hi integers: bitmasks over
+        # it would not fit the record's size, so the walks check it.
+        witness = witness_record["result"]["witness"]
+        witness.update(hi=hi, d_elements=[-10, 0, hi // 10])
+        assert witness["c2"] == [1]
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        with bounded_work():
+            code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert rec["result"]["coverage"] == {
+            "ok": False, "failures": ["uncovered integer -37"]}
+        assert rec["result"]["minimality"] == {
+            "ok": False,
+            "failures": [f"element {hi // 10} has no private target"]}
+
     def test_huge_period_with_small_modulus_is_rejected_quickly(
         self, tmp_path, capsys
     ):
@@ -470,6 +490,21 @@ class TestBadInputNeverExitsOne:
 
     def test_non_integer_provenance_key(self, witness_record, tmp_path, capsys):
         witness_record["result"]["witness"]["provenance"]["x"] = None
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_elements", True), ("d_elements", 2.0), ("c", False)])
+    def test_non_integer_list_entry(
+        self, witness_record, tmp_path, capsys, field, value
+    ):
+        witness_record["result"]["witness"][field].append(value)
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_non_integer_provenance_value(
+        self, witness_record, tmp_path, capsys, value
+    ):
+        witness_record["result"]["witness"]["provenance"]["0"] = value
         assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
 
     def test_string_lo(self, witness_record, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import window_elements
 from minadd import cli
 from minadd.errors import (
     EmptySet,
@@ -20,7 +21,6 @@ from minadd.sets import (
     lift_period,
     margins,
     validate_canonical,
-    window_elements,
 )
 
 # The running example: W = {2,4,7,8,9,12,13,17,18,22,23,...},

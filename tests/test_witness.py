@@ -171,7 +171,8 @@ def test_serialization_round_trip():
 
 
 # -- reference: the integer-by-integer walks the class arithmetic and the
-# -- periodic tiling replaced --
+# -- periodic tiling replaced, and the per-element minimality walk the
+# -- bitmask check replaced --
 
 
 def reference_class_integers(classes, lo, hi):
@@ -240,6 +241,42 @@ def reference_coverage(s, w):
     return VerificationReport(True)
 
 
+def reference_minimality(s, w):
+    """The per-element walk the bitmask check replaced: |Y1| set lookups
+    per interior element."""
+    outside = tuple(
+        f"witness element {d} lies outside the certificate's classes"
+        for d in w.d_elements if not w.c.mask >> d % w.T & 1
+    )
+    if outside:
+        return VerificationReport(False, outside)
+    pad = w.margins.y0_margin + w.T
+    inner_lo, inner_hi = w.lo + pad, w.hi - pad
+    d_set, y1 = set(w.d_elements), set(s.y1)
+    failures = []
+    for d in w.d_elements:
+        if not inner_lo <= d <= inner_hi:
+            continue
+        n_d = w.provenance.get(d)
+        if n_d is None:
+            failures.append(f"element {d} has no private target")
+            continue
+        if not w.c2.mask >> n_d % w.T & 1:
+            failures.append(f"target {n_d} of {d} is not in an uncovered class")
+            continue
+        if n_d - d not in y1:
+            failures.append(f"element {d} does not reach its target {n_d}")
+            continue
+        for y in s.y1:
+            other = n_d - y
+            if other != d and other in d_set:
+                failures.append(
+                    f"target {n_d} of {d} is also reached by {other} + {y}"
+                )
+                break
+    return VerificationReport(not failures, tuple(failures))
+
+
 def _random_classes(rng, T):
     return ResidueSubset(T, rng.getrandbits(T))
 
@@ -292,6 +329,118 @@ def test_class_arithmetic_matches_integer_walk():
             compared += 1
             failed += not want.ok
     assert failed >= 200
+
+
+# -- the bitmask verifiers against the walks --
+
+
+def tampered_provenance(rng, w):
+    """Provenance edits of an honest window: one interior element's target
+    dropped, set to None, moved by +-1 or by T, or pointed at another
+    survivor's target."""
+    pad = w.margins.y0_margin + w.T
+    interior = [d for d in w.d_elements
+                if w.lo + pad <= d <= w.hi - pad and w.provenance[d] is not None]
+    if len(interior) < 2:
+        return
+    d, other = rng.sample(interior, 2)
+    prov, target = w.provenance, w.provenance[d]
+    yield dataclasses.replace(w, provenance={k: v for k, v in prov.items() if k != d})
+    for moved in (None, target + 1, target - 1, target + w.T, target - w.T,
+                  prov[other]):
+        yield dataclasses.replace(w, provenance={**prov, d: moved})
+
+
+def same_report(got, want):
+    return (got.ok, got.failures, got.first_uncovered) == (
+        want.ok, want.failures, want.first_uncovered)
+
+
+def count_mask_fits(monkeypatch):
+    """Tally whether each verifier call found its stretch fit for the
+    bitmask checks."""
+    fits = Counter()
+    fit = witness._masks_fit
+
+    def counted(*args):
+        fit_now = fit(*args)
+        fits[fit_now] += 1
+        return fit_now
+
+    monkeypatch.setattr(witness, "_masks_fit", counted)
+    return fits
+
+
+@pytest.mark.parametrize("masks", [True, False], ids=["bitmasks", "walk"])
+def test_verifiers_match_references(monkeypatch, masks):
+    """Same coverage and minimality reports as the walks, on honest
+    windows, on ``tampered`` ones and on ones with tampered provenance;
+    once as shipped, and once with the bitmask checks forced off, so that
+    the retained walk runs."""
+    if not masks:
+        monkeypatch.setattr(witness, "MASK_STRETCH", 0)
+    fits = count_mask_fits(monkeypatch)
+    rng = random.Random(99)
+    compared = 0
+    failed = Counter()
+    while compared < 1200:
+        s = random_canonical(rng, 6)
+        v = decide(s, SearchConfig(t_max=2 * s.m))
+        if v.outcome is not Outcome.EXISTS or v.certificate is None:
+            continue
+        T = v.certificate.T
+        lo = -rng.randint(5, 10) * (T + 3) - rng.randrange(T)
+        hi = rng.randint(5, 10) * (T + 3) + rng.randrange(T)
+        try:
+            w = build_witness(s, v.certificate, lo, hi)
+        except WindowTooSmall:
+            continue
+        for record in (w, *tampered(rng, s, w), *tampered_provenance(rng, w)):
+            cov, mini = reference_coverage(s, record), reference_minimality(s, record)
+            assert same_report(verify_coverage(s, record), cov), record
+            assert same_report(verify_local_minimality(s, record), mini), record
+            compared += 1
+            failed["coverage"] += not cov.ok
+            failed["minimality"] += not mini.ok
+    assert min(failed.values()) >= 200, failed
+    if masks:
+        assert fits[True] >= 1500, fits
+    else:
+        assert fits[True] == 0, fits
+
+
+def test_witness_pool_records_take_bitmask_path(monkeypatch):
+    """Every canonical witness-pool form at the benchmark's window takes
+    the bitmask checks, which accept the honest window without the walk,
+    and gets the walk's reports, honest and with one element deleted."""
+    fits = count_mask_fits(monkeypatch)
+    stretch = witness.MASK_STRETCH
+    pool = json.loads((DATA / "witness_pool.json").read_text())
+    records = 0
+    for groups in pool["by_m"].values():
+        for group in groups:
+            for inst in group:
+                form = inst["forms"]["canonical"]
+                cert = form["certificate"]
+                s = CanonicalSet.from_dict(form["canonical"])
+                T = cert["T"]
+                w = build_witness(s, Certificate(
+                    T, ResidueSubset.of(T, cert["c"]), SUFFICIENT), -8000, 8000)
+                assert witness._minimal_by_masks(s, w, *witness._safe_interval(w))
+                d = list(w.d_elements)
+                del d[len(d) // 2]
+                for record in (w, dataclasses.replace(w, d_elements=tuple(d))):
+                    got = (verify_coverage(s, record),
+                           verify_local_minimality(s, record))
+                    monkeypatch.setattr(witness, "MASK_STRETCH", 0)
+                    want = (verify_coverage(s, record),
+                            verify_local_minimality(s, record))
+                    monkeypatch.setattr(witness, "MASK_STRETCH", stretch)
+                    assert all(map(same_report, got, want)), record
+                    records += 1
+    assert records >= 378
+    # the walk's calls, with MASK_STRETCH at 0, are the False ones
+    assert fits == {True: 2 * records, False: 2 * records}, fits
 
 
 # -- the periodic tiling against the walk over every candidate --
