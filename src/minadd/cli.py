@@ -213,7 +213,10 @@ def _has_int_fields(part, scalars: str, lists: str) -> bool:
 
 
 def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWindow]:
-    """Read a ``witness`` run record (or its bare result) for re-checking."""
+    """Read a ``witness`` run record (or its bare result) for re-checking.
+
+    Only the fields the checks start from are read: a ``provenance`` map
+    that older records carry is ignored."""
     try:
         record = json.loads(_read_text(path))
     except (ValueError, RecursionError) as exc:
@@ -225,17 +228,11 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
     if not (_has_int_fields(canonical, "m", "x y0 y1")
             and type(canonical.get("shift", 0)) is int
             and _has_int_fields(window, "lo hi T y_plus y_minus",
-                                "c c1 c2 d_elements")
-            and isinstance(window.get("provenance"), dict)
-            and {int, type(None)}.issuperset(
-                map(type, window["provenance"].values()))):
+                                "c c1 c2 d_elements")):
         raise ParseError("witness record: 'canonical' or 'witness' lacks a "
                          "field or holds a non-integer where an integer belongs")
-    try:
-        return (CanonicalSet.from_dict(canonical),
-                witness_mod.WitnessWindow.from_dict(window))
-    except ValueError as exc:  # a provenance key that is not an integer
-        raise ParseError(f"witness record: {exc}") from exc
+    return (CanonicalSet.from_dict(canonical),
+            witness_mod.WitnessWindow.from_dict(window))
 
 
 def cmd_verify_witness(args) -> CommandResult:
@@ -279,7 +276,8 @@ def cmd_construct(args) -> CommandResult:
     result: dict = {"state": state.to_dict()}
     ok = True
     if state.steps >= 2:
-        window_hi = generator.window_end(state, args.window_hi)
+        # the authoritative window [d_N, -c_{N-1} - 1] of an N-step prefix
+        window_hi = -state.c_seq[-2] - 1
         report = generator.verify(state, window_hi)
         result["report"] = {
             "window_hi": window_hi,
@@ -337,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--slack", default="const:1")
-    p.add_argument("--window-hi", type=int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_construct)
 

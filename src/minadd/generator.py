@@ -180,23 +180,6 @@ def generate(
     return state
 
 
-def window_end(state: GeneratorState, window_hi: Optional[int] = None) -> int:
-    """End of the window [d_N, window_hi] that ``construct`` verifies.
-
-    window_hi defaults to the authoritative bound -c_{N-1} - 1 of an N-step
-    prefix (N >= 2).  A window_hi below d_N leaves the window empty, and
-    coverage of no integer proves nothing, so it is rejected.
-    """
-    if window_hi is None:
-        return -state.c_seq[-2] - 1
-    if window_hi < state.d_seq[-1]:
-        raise InvalidConstructParameter(
-            f"window end {window_hi} is below d_N = {state.d_seq[-1]}; "
-            "the verification window would be empty"
-        )
-    return window_hi
-
-
 @dataclass(frozen=True)
 class GeneratorReport:
     gaps_ok: bool

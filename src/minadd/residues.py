@@ -81,10 +81,6 @@ class ResidueSubset:
         self._check(other)
         return ResidueSubset(self.modulus, self.mask | other.mask)
 
-    def shifted(self, k: int) -> "ResidueSubset":
-        """The set {r + k mod m}; a cyclic rotation of the mask."""
-        return ResidueSubset(self.modulus, rotate(self.mask, k, self.modulus))
-
     def sumset(self, other: "ResidueSubset") -> "ResidueSubset":
         """{a + b mod m : a in self, b in other}."""
         self._check(other)

@@ -6,9 +6,11 @@ complement C2, which only the finite exceptions can reach.  The witness
 materializes the window part of a minimal complement D': all integers in
 the C classes, greedily pruned in descending order until the remaining
 elements form an irredundant cover of the C2-residue targets via the
-exceptional offsets.  Each survivor keeps a *private target* — a covered
-integer no other survivor can reach — which is the local evidence of
-minimality.
+exceptional offsets.  So each interior survivor owns a *private target*,
+an integer of a C2 class that no other survivor reaches, which is the
+local evidence of minimality.  The window lists D' alone: a verifier
+finds each private target from D' and Y1 in the |D'|*|Y1| work it takes
+to count the sums.
 
 The build does not walk every candidate.  Three facts make the prune
 periodic: (1) every source of a target lies in the candidate pool, so a
@@ -18,25 +20,23 @@ max(Y1) - min(Y1) integers above it were pruned; (3) so, walking blocks
 of T integers from the top, a block's prune is a function of that state,
 and once a state repeats the prune repeats down to the lowest interior
 candidate.  The build walks blocks until a state repeats, at O(|Y1|)
-Python steps per candidate, copies the repeating stretch down, and tiles
-the private targets, which depend only on the prune within span of each
-survivor, at C-level cost linear in the output.  If no state repeats
-within the window, every block is walked, as a plain walk would.
+Python steps per candidate, and copies the repeating stretch down.  If
+no state repeats within the window, every block is walked, as a plain
+walk would.
 
 The verifiers check a window on bitmasks: an int whose byte n - a is 1
 iff n is in D, read with ``int.from_bytes``, shifted once per y in Y1
 and summed bit-sliced into "reached" and "reached twice" masks, which
 are then ANDed with the classes of C1, C2 or C tiled over the window.
 Their Python work is one step per element, to set its byte, plus a few
-C-level passes over the elements and their targets; the rest is
-word-level work over the stretch of integers checked.  They run only
-when that stretch is at most MASK_STRETCH times |D|*|Y1| + T, which
-keeps their work within a constant factor of the set-and-class walk
-they replace.  A longer stretch, as in a record with a forged ``hi`` or
-a few far-apart elements, is checked by that walk, whose cost does not
-grow with the window, so the verifiers' worst-case bounds are the
-walk's.  The minimality walk also names the failures when the bitmasks
-find one.
+C-level passes over the elements; the rest is word-level work over the
+stretch of integers checked.  They run only when that stretch is at
+most MASK_STRETCH times |D|*|Y1| + T, which keeps their work within a
+constant factor of the set-and-class walk they replace.  A longer
+stretch, as in a record with a forged ``hi`` or a few far-apart
+elements, is checked by that walk, whose cost does not grow with the
+window, so the verifiers' worst-case bounds are the walk's.  The
+minimality walk also names the failures when the bitmasks find one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm
-from operator import add, sub
 from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate
@@ -63,11 +62,10 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class WitnessWindow:
-    """The window part of a minimal complement, with minimality evidence.
-
-    ``provenance`` maps each kept element to its private target, or None
-    for elements kept only because their coverage footprint crosses the
-    window boundary (pruning never touches those).
+    """The window part of a minimal complement: its elements in
+    ``d_elements``, ascending, with the certificate and margins they were
+    built from.  It carries no minimality evidence of its own; each
+    interior element's private target follows from the elements and Y1.
     """
 
     lo: int
@@ -78,7 +76,6 @@ class WitnessWindow:
     c2: ResidueSubset
     margins: Margins
     d_elements: tuple[int, ...]
-    provenance: dict[int, Optional[int]]
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +88,6 @@ class WitnessWindow:
             "y_plus": self.margins.y_plus,
             "y_minus": self.margins.y_minus,
             "d_elements": list(self.d_elements),
-            "provenance": {str(d): t for d, t in self.provenance.items()},
         }
 
     @classmethod
@@ -106,7 +102,6 @@ class WitnessWindow:
             ResidueSubset.of(T, d["c2"]),
             Margins(d["y_plus"], d["y_minus"]),
             tuple(d["d_elements"]),
-            {int(k): v for k, v in d["provenance"].items()},
         )
 
 
@@ -133,8 +128,8 @@ def build_witness(
     classes in [lo, hi].  The candidates are pruned in descending order:
     an interior one (d + y_minus >= lo and d + y_plus <= hi) goes when
     every target it reaches keeps another unpruned candidate, and the
-    others stay.  Each survivor then gets its first target, in Y1 order,
-    that no other survivor reaches, or None.  Deterministic in all inputs.
+    others stay.  So every interior survivor keeps a target that no other
+    survivor reaches.  Deterministic in all inputs.
 
     The prune walks blocks of T integers from the top, and the state of a
     block is an int: which of the span = max(Y1) - min(Y1) integers above
@@ -148,16 +143,12 @@ def build_witness(
        state, and once a state repeats, the removals between its two
        occurrences repeat down to the lowest interior candidate.
 
-    That stretch is copied down instead of walked.  A survivor's private
-    target depends only on the removals within span of it, so it is
-    computed directly near the ends and for one period, and tiled in
-    between.
+    That stretch is copied down instead of walked.
 
     Cost: O(|Y1|) Python steps per candidate in the blocks walked until a
-    state repeats (at most 2**span + 1 blocks), and O(|Y1|) per survivor
-    whose target is computed directly; the tiled rest costs slice copies
-    and C-level iteration, linear in the output.  When no state repeats,
-    every block is walked and every private target computed directly.
+    state repeats (at most 2**span + 1 blocks); the copied rest costs a
+    slice assignment and C-level iteration, linear in the output.  When
+    no state repeats, every block is walked.
     """
     if cert.variant != SUFFICIENT:
         raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
@@ -179,31 +170,9 @@ def build_witness(
     # kept[n - base] is 1 iff n is a candidate the prune has not removed
     kept = bytearray(bytes(c_mask >> (base + i) % T & 1 for i in range(T))
                      * (size // T + 1))[:size]
-    tile = _prune(kept, base, T, _block_rules(T, cert.c, c2, y1, top),
-                  span, top, bottom)
-
-    ds = list(compress(range(base, base + size), kept))
-    i = j = k = 0
-    if tile is not None:
-        # The removals repeat over [bottom, cycle_top + span]: the state at
-        # the cycle top is the span above it.  So from bottom + span up to
-        # the cycle top, a survivor's private target repeats too.
-        cycle_top, period = tile
-        if bottom + span <= cycle_top - period:
-            i, j, k = (bisect_left(ds, bottom + span),
-                       bisect_right(ds, cycle_top - period),
-                       bisect_right(ds, cycle_top))
-    head = _private_targets(ds[:i], kept, base, y1, lo, hi, c2)
-    tail = _private_targets(ds[j:], kept, base, y1, lo, hi, c2)
-    # ds[j:k] is the walked cycle; its offsets, repeated, end in line with ds[i:j]
-    offsets = [t - d for d, t in zip(ds[j:k], tail)]
-    mid = ds[i:j]
-    if mid:
-        offsets = (offsets * (len(mid) // len(offsets) + 1))[-len(mid):]
-    provenance: dict[int, Optional[int]] = dict(zip(ds[:i], head))
-    provenance.update(zip(mid, map(add, mid, offsets)))
-    provenance.update(zip(ds[j:], tail))
-    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(ds), provenance)
+    _prune(kept, base, T, _block_rules(T, cert.c, c2, y1, top), span, top, bottom)
+    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg,
+                         tuple(compress(range(base, base + size), kept)))
 
 
 def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
@@ -230,13 +199,12 @@ def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
 
 
 def _prune(kept: bytearray, base: int, T: int, block: list, span: int,
-           top: int, bottom: int) -> Optional[tuple[int, int]]:
+           top: int, bottom: int) -> None:
     """Clear in ``kept`` the interior candidates, [bottom, top], that the
     descending prune removes.
 
-    Returns (cycle top, period) once a block state repeats: from the
-    cycle top down to ``bottom`` the removals then repeat with the period.
-    Returns None when no state repeats.
+    Once a block state repeats, the removals between its two occurrences
+    are copied down to ``bottom`` instead of walked.
     """
     seen: dict[int, int] = {}  # state -> the top of the block it was seen at
     state, d0 = 0, top
@@ -245,7 +213,7 @@ def _prune(kept: bytearray, base: int, T: int, block: list, span: int,
             period, n = seen[state] - d0, d0 + 1 - bottom
             cycle = kept[d0 + 1 - base:d0 + 1 + period - base]
             kept[bottom - base:d0 + 1 - base] = (cycle * (n // period + 1))[-n:]
-            return seen[state], period
+            return
         seen[state] = d0
         low, x = d0 - T + 1, state << T  # bit n - low of x: n removed
         for p, rules in block:
@@ -257,25 +225,6 @@ def _prune(kept: bytearray, base: int, T: int, block: list, span: int,
                 kept[low + p - base] = 0
         state = x & (1 << span) - 1
         d0 -= T
-    return None
-
-
-def _private_targets(run: list[int], kept: bytearray, base: int,
-                     y1: tuple[int, ...], lo: int, hi: int,
-                     c2: ResidueSubset) -> list[Optional[int]]:
-    """The private target of each survivor in ``run``, consecutive
-    survivors in ascending order: its first d + y, in Y1 order, that is a
-    target no other survivor reaches, or None."""
-    if not run:
-        return []
-    t_lo, t_hi = max(lo, run[0] + y1[0]), min(hi, run[-1] + y1[-1])
-    sources = [0] * max(t_hi - t_lo + 1, 0)  # survivors reaching t_lo + i
-    for y in y1:
-        sources = list(map(add, sources, kept[t_lo - y - base:t_hi + 1 - y - base]))
-    T, c2_mask = c2.modulus, c2.mask
-    return [next((d + y for y in y1 if t_lo <= d + y <= t_hi
-                  and sources[d + y - t_lo] == 1 and c2_mask >> (d + y) % T & 1),
-                 None) for d in run]
 
 
 def _safe_interval(w: WitnessWindow) -> tuple[int, int]:
@@ -433,11 +382,12 @@ def _minimal_by_masks(s: CanonicalSet, w: WitnessWindow,
 
     The elements' classes are tested on an indicator of D over the safe
     window widened by span = max(Y1) - min(Y1) on each side, and one by
-    one for the few elements beyond it.  The interior elements' targets
-    are looked up in one pass and their offsets tested as a set.  An
-    element reaches its own target, so the target is private iff no two
-    of its n - y are in D; so the indicator of the targets must miss the
-    reached-twice mask and the integers outside the C2 classes.
+    one for the few elements beyond it.  Every source of a sum d + y of
+    an interior d lies in that stretch, so the reached-once and
+    reached-twice masks are exact for those sums; the private ones are
+    reached once and lie in a C2 class.  Shifting them back by each y in
+    Y1 marks the elements that own one, and every interior element must
+    be marked.
     """
     y1, T = s.y1, w.T
     span = y1[-1] - y1[0]
@@ -448,69 +398,57 @@ def _minimal_by_masks(s: CanonicalSet, w: WitnessWindow,
     if indicator & ~_pattern(w.c.mask, T, a, b - a + 1) or not all(
             w.c.mask >> d % T & 1 for d in ds[:i] + ds[j:]):
         return False
-    interior = ds[bisect_left(ds, inner_lo):bisect_right(ds, inner_hi)]
-    targets = list(map(w.provenance.get, interior))
-    try:
-        offsets = set(map(sub, targets, interior))
-    except TypeError:  # a None target
-        return False
-    if not offsets <= set(y1):
-        return False
-    t_lo, t_hi = inner_lo + y1[0], inner_hi + y1[-1]
-    not_private = (_sources(indicator, y1)[1]
-                   | ~_pattern(w.c2.mask, T, t_lo, t_hi - t_lo + 1))
-    return not _indicator(targets, t_lo, t_hi) & not_private
+    # byte k of ones, twos and private is about the sum a + max(Y1) + k
+    ones, twos = _sources(indicator, y1)
+    width = inner_hi - inner_lo + 1
+    private = ones & ~twos & _pattern(w.c2.mask, T, a + y1[-1], width + span)
+    owners = 0
+    for y in y1:
+        owners |= private << 8 * (y1[-1] - y)
+    # byte k of the indicator and of owners is about the integer a + k
+    return not (indicator & ~owners) >> 8 * span & (1 << 8 * width) - 1
 
 
 def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
-    """Check each interior element's private target is reachable only by it.
+    """Check each interior element owns a private target: some d + y (y in
+    Y1) in a C2 class that no other element of D reaches.
 
     Complete on the window because a private target has a C2 residue, so
     no periodic-part sum from the C classes can reach it, and subtracting
-    the finite exceptions enumerates every other candidate element.
+    the finite exceptions enumerates every other candidate element.  The
+    targets are not taken from the record but found from D and Y1.
 
     The checks run first on bitmasks (see ``_minimal_by_masks``): one
-    Python step per element to set its byte in an indicator of D, C-level
-    passes over the interior elements and their targets, and word-level
-    work over the safe window widened by max(Y1) - min(Y1) on each side.
-    When they find a failure, or when that stretch is longer than
-    MASK_STRETCH times |D|*|Y1| + T, the walk below runs and names every
-    failure.  The walk costs O(|D|*|Y1|) set lookups plus one bit test
-    per element on the T-bit masks of C and C2, whatever the window
-    length hi - lo, and the bitmasks run only within a constant factor of
-    that work, so the bound holds for the check as a whole.
+    Python step per element to set its byte in an indicator of D, and
+    word-level work over the safe window widened by max(Y1) - min(Y1) on
+    each side.  When they find a failure, or when that stretch is longer
+    than MASK_STRETCH times |D|*|Y1| + T, the walk below runs and names
+    every failure.  The walk collects the |D|*|Y1| sums d + y in sets of
+    those reached once and twice, keeps the private ones, and marks their
+    |Y1| possible owners: O(|D|*|Y1|) set operations plus one bit test per
+    sum on the T-bit mask of C2, whatever the window length hi - lo.  The
+    bitmasks run only within a constant factor of that work, so the bound
+    holds for the check as a whole.
     """
     inner_lo, inner_hi = _safe_interval(w)
     y1 = s.y1
     if (_masks_fit(w, y1, inner_hi - inner_lo + 1, 2)
             and _minimal_by_masks(s, w, inner_lo, inner_hi)):
         return VerificationReport(True)
-    T, c_mask = w.T, w.c.mask
+    T, c_mask, c2_mask = w.T, w.c.mask, w.c2.mask
     if any(not c_mask >> r & 1 for r in {d % T for d in w.d_elements}):
         return VerificationReport(False, tuple(
             f"witness element {d} lies outside the certificate's classes"
             for d in w.d_elements if not c_mask >> d % T & 1
         ))
-    d_set, y1_set = set(w.d_elements), set(y1)
-    failures = []
-    for d in w.d_elements:
-        if not inner_lo <= d <= inner_hi:
-            continue
-        n_d = w.provenance.get(d)
-        if n_d is None:
-            failures.append(f"element {d} has no private target")
-            continue
-        if not w.c2.mask >> n_d % T & 1:
-            failures.append(f"target {n_d} of {d} is not in an uncovered class")
-            continue
-        if n_d - d not in y1_set:
-            failures.append(f"element {d} does not reach its target {n_d}")
-            continue
-        for y in y1:
-            other = n_d - y
-            if other != d and other in d_set:
-                failures.append(
-                    f"target {n_d} of {d} is also reached by {other} + {y}"
-                )
-                break
-    return VerificationReport(not failures, tuple(failures))
+    # the sums d + y reached at least once, and at least twice, as in _sources
+    d_set, ones, twos = set(w.d_elements), set(), set()
+    for y in y1:
+        sums = {d + y for d in d_set}
+        twos |= ones & sums
+        ones |= sums
+    # d owns a private target iff d + y is one for some y in Y1
+    owners = {n - y for n in ones - twos if c2_mask >> n % T & 1 for y in y1}
+    failures = tuple(f"element {d} has no private target" for d in w.d_elements
+                     if inner_lo <= d <= inner_hi and d not in owners)
+    return VerificationReport(not failures, failures)

@@ -25,7 +25,7 @@ from minadd.criteria import (
 )
 from minadd.generator import generate, runs_contains, verify
 from minadd.oracle import naive_find_certificate
-from minadd.residues import ResidueSubset
+from minadd.residues import ResidueSubset, rotate
 from minadd.sets import (
     CanonicalSet,
     ConditionContext,
@@ -246,7 +246,8 @@ def test_criterion_9_invariance_properties():
         if cert is None:
             continue
         t = rng.randrange(1, ctx.T) if ctx.T > 1 else 0
-        moved = Certificate(ctx.T, cert.c.shifted(t), SUFFICIENT)
+        moved_c = ResidueSubset(ctx.T, rotate(cert.c.mask, t, ctx.T))
+        moved = Certificate(ctx.T, moved_c, SUFFICIENT)
         ok = ok and check_certificate(ctx, moved)
         checked += 1
 

@@ -5,7 +5,7 @@ import pytest
 
 from minadd import generator
 from minadd.cli import parse_slack_spec
-from minadd.errors import InvalidConstructParameter, PrefixTooShort
+from minadd.errors import PrefixTooShort
 from minadd.generator import (
     GeneratorState,
     choose_c,
@@ -276,13 +276,16 @@ def test_generate_matches_reference(spec, monkeypatch):
 
 
 def test_window_end():
-    st = generate(5)
-    assert generator.window_end(st) == -st.c_seq[-2] - 1
-    assert generator.window_end(st, st.d_seq[-1]) == st.d_seq[-1]
-    with pytest.raises(InvalidConstructParameter):
-        generator.window_end(st, st.d_seq[-1] - 1)
-    with pytest.raises(InvalidConstructParameter):
-        generator.window_end(st, -100000)
+    # The authoritative window [d_N, -c_{N-1} - 1] always holds an integer,
+    # so the default window of construct can never be empty; its end is the
+    # last one verify accepts.
+    for steps in range(2, 13):
+        st = generate(steps)
+        end = -st.c_seq[-2] - 1
+        assert st.d_seq[-1] <= end
+        assert verify(st, end, window_lo=max(st.d_seq[-1], end - 2000)).coverage_ok
+        with pytest.raises(PrefixTooShort):
+            verify(st, end + 1)
 
 
 def test_one_point_windows_match_membership():

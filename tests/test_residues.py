@@ -46,10 +46,10 @@ def test_sumset_modulus_mismatch():
 
 
 def test_shifted_rotation():
-    s = ResidueSubset.of(5, [0, 4])
-    assert s.shifted(1).members() == (0, 1)
-    assert s.shifted(-1).members() == (3, 4)
-    assert s.shifted(5) == s
+    mask = ResidueSubset.of(5, [0, 4]).mask
+    assert mask_members(rotate(mask, 1, 5)) == (0, 1)
+    assert mask_members(rotate(mask, -1, 5)) == (3, 4)
+    assert rotate(mask, 5, 5) == mask
 
 
 @pytest.mark.parametrize("mask,expected", [(0, ()), (0b1011, (0, 1, 3))])

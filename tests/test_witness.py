@@ -34,10 +34,8 @@ EVEN_CERT = Certificate(2, ResidueSubset.of(2, [0]), SUFFICIENT)
 
 def test_even_witness_is_all_evens():
     w = build_witness(EVEN_SET, EVEN_CERT, -20, 20)
-    assert w.d_elements == tuple(range(-20, 20, 2))  # evens in [-21, 19]
     # every odd target has exactly one preimage, so nothing is prunable
-    for d in w.d_elements:
-        assert w.provenance[d] == d + 1
+    assert w.d_elements == tuple(range(-20, 20, 2))  # evens in [-21, 19]
 
 
 def test_even_witness_verifies():
@@ -52,11 +50,10 @@ def test_deleted_element_breaks_coverage():
     pruned = dataclasses.replace(
         w,
         d_elements=tuple(d for d in w.d_elements if d != victim),
-        provenance={d: t for d, t in w.provenance.items() if d != victim},
     )
     report = verify_coverage(EVEN_SET, pruned)
     assert not report.ok
-    assert report.first_uncovered == w.provenance[victim]
+    assert report.first_uncovered == victim + 1
 
 
 # With exceptions {1, 3} every odd target has two even preimages, so the
@@ -76,7 +73,6 @@ def test_redundant_element_fails_minimality():
     bloated = dataclasses.replace(
         w,
         d_elements=tuple(sorted(w.d_elements + (extra,))),
-        provenance={**w.provenance, extra: None},
     )
     report = verify_local_minimality(OVERLAP_SET, bloated)
     assert not report.ok
@@ -171,8 +167,7 @@ def test_serialization_round_trip():
 
 
 # -- reference: the integer-by-integer walks the class arithmetic and the
-# -- periodic tiling replaced, and the per-element minimality walk the
-# -- bitmask check replaced --
+# -- periodic tiling replaced, and local minimality as defined --
 
 
 def reference_class_integers(classes, lo, hi):
@@ -215,12 +210,7 @@ def reference_build_witness(s, cert, lo, hi):
             for t in covers[d]:
                 count[t] -= 1
 
-    provenance = {}
-    for d in sorted(kept):
-        provenance[d] = next((t for t in covers[d] if count[t] == 1), None)
-    return WitnessWindow(
-        lo, hi, T, cert.c, c1, c2, marg, tuple(sorted(kept)), provenance
-    )
+    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(sorted(kept)))
 
 
 def reference_coverage(s, w):
@@ -242,8 +232,8 @@ def reference_coverage(s, w):
 
 
 def reference_minimality(s, w):
-    """The per-element walk the bitmask check replaced: |Y1| set lookups
-    per interior element."""
+    """The definition: every interior element of D has some d + y (y in
+    Y1) in a C2 class that no other element of D reaches."""
     outside = tuple(
         f"witness element {d} lies outside the certificate's classes"
         for d in w.d_elements if not w.c.mask >> d % w.T & 1
@@ -252,28 +242,15 @@ def reference_minimality(s, w):
         return VerificationReport(False, outside)
     pad = w.margins.y0_margin + w.T
     inner_lo, inner_hi = w.lo + pad, w.hi - pad
-    d_set, y1 = set(w.d_elements), set(s.y1)
+    reached = Counter(d + y for d in set(w.d_elements) for y in s.y1)
     failures = []
     for d in w.d_elements:
         if not inner_lo <= d <= inner_hi:
             continue
-        n_d = w.provenance.get(d)
-        if n_d is None:
+        private = [d + y for y in s.y1
+                   if reached[d + y] == 1 and (d + y) % w.T in w.c2]
+        if not private:
             failures.append(f"element {d} has no private target")
-            continue
-        if not w.c2.mask >> n_d % w.T & 1:
-            failures.append(f"target {n_d} of {d} is not in an uncovered class")
-            continue
-        if n_d - d not in y1:
-            failures.append(f"element {d} does not reach its target {n_d}")
-            continue
-        for y in s.y1:
-            other = n_d - y
-            if other != d and other in d_set:
-                failures.append(
-                    f"target {n_d} of {d} is also reached by {other} + {y}"
-                )
-                break
     return VerificationReport(not failures, tuple(failures))
 
 
@@ -331,24 +308,37 @@ def test_class_arithmetic_matches_integer_walk():
     assert failed >= 200
 
 
-# -- the bitmask verifiers against the walks --
+# -- the verifiers, on bitmasks and on the walk, against the references --
 
 
-def tampered_provenance(rng, w):
-    """Provenance edits of an honest window: one interior element's target
-    dropped, set to None, moved by +-1 or by T, or pointed at another
-    survivor's target."""
+def tampered_elements(rng, s, w):
+    """(kind, record) for edits of one interior element of an honest
+    window: "deleted"; "added", a pruned candidate, which reaches only
+    targets that others reach too and so has no private target; and
+    "moved" to a candidate that reaches the element's private target,
+    which it then owns, so the window stays minimal unless the move takes
+    another element's private target."""
     pad = w.margins.y0_margin + w.T
-    interior = [d for d in w.d_elements
-                if w.lo + pad <= d <= w.hi - pad and w.provenance[d] is not None]
-    if len(interior) < 2:
+    inner_lo, inner_hi = w.lo + pad, w.hi - pad
+    d_set = set(w.d_elements)
+    interior = [d for d in w.d_elements if inner_lo <= d <= inner_hi]
+    if not interior:
         return
-    d, other = rng.sample(interior, 2)
-    prov, target = w.provenance, w.provenance[d]
-    yield dataclasses.replace(w, provenance={k: v for k, v in prov.items() if k != d})
-    for moved in (None, target + 1, target - 1, target + w.T, target - w.T,
-                  prov[other]):
-        yield dataclasses.replace(w, provenance={**prov, d: moved})
+    victim = rng.choice(interior)
+    rest = d_set - {victim}
+    yield "deleted", dataclasses.replace(w, d_elements=tuple(sorted(rest)))
+    pruned = [n for n in range(inner_lo, inner_hi + 1)
+              if n % w.T in w.c and n not in d_set]
+    if pruned:
+        added = d_set | {rng.choice(pruned)}
+        yield "added", dataclasses.replace(w, d_elements=tuple(sorted(added)))
+    reached = Counter(d + y for d in d_set for y in s.y1)
+    moves = sorted({victim + y - z for y in s.y1 for z in s.y1
+                    if reached[victim + y] == 1 and (victim + y - z) % w.T in w.c}
+                   - d_set)
+    if moves:
+        moved = rest | {rng.choice(moves)}
+        yield "moved", dataclasses.replace(w, d_elements=tuple(sorted(moved)))
 
 
 def same_report(got, want):
@@ -371,18 +361,49 @@ def count_mask_fits(monkeypatch):
     return fits
 
 
+def decide_pool_certificates():
+    """(set, certificate) for every certificate of the decide pool, at its
+    modulus and lifted to twice it."""
+    pool = json.loads((DATA / "decide_pool.json").read_text())
+    for stratum in pool["strata"]:
+        for entry in stratum["entries"]:
+            cert = entry["expected"].get("certificate")
+            if cert is None:
+                continue
+            st = entry["set"]
+            s = validate_canonical(st["m"], st["x"], st["y0"], st["y1"])
+            for k in (1, 2):
+                T = k * cert["T"]
+                c = [r + i * cert["T"] for r in cert["c"] for i in range(k)]
+                yield s, Certificate(T, ResidueSubset.of(T, c), SUFFICIENT)
+
+
 @pytest.mark.parametrize("masks", [True, False], ids=["bitmasks", "walk"])
 def test_verifiers_match_references(monkeypatch, masks):
-    """Same coverage and minimality reports as the walks, on honest
-    windows, on ``tampered`` ones and on ones with tampered provenance;
-    once as shipped, and once with the bitmask checks forced off, so that
-    the retained walk runs."""
+    """Same coverage and minimality reports as the definitions, on honest
+    windows, on ``tampered`` ones and on ones with one interior element
+    deleted, added or moved; once as shipped, and once with the bitmask
+    checks forced off, so that the retained walk runs.  The prune seldom
+    removes a candidate of these random sets, so the decide pool's
+    certificates, whose wide spans of Y1 make it prune, give the added
+    and moved elements."""
     if not masks:
         monkeypatch.setattr(witness, "MASK_STRETCH", 0)
     fits = count_mask_fits(monkeypatch)
     rng = random.Random(99)
     compared = 0
-    failed = Counter()
+    failed, edits = Counter(), Counter()
+
+    def compare(s, record):
+        nonlocal compared
+        cov, mini = reference_coverage(s, record), reference_minimality(s, record)
+        assert same_report(verify_coverage(s, record), cov), record
+        assert same_report(verify_local_minimality(s, record), mini), record
+        compared += 1
+        failed["coverage"] += not cov.ok
+        failed["minimality"] += not mini.ok
+        return mini.ok
+
     while compared < 1200:
         s = random_canonical(rng, 6)
         v = decide(s, SearchConfig(t_max=2 * s.m))
@@ -395,14 +416,20 @@ def test_verifiers_match_references(monkeypatch, masks):
             w = build_witness(s, v.certificate, lo, hi)
         except WindowTooSmall:
             continue
-        for record in (w, *tampered(rng, s, w), *tampered_provenance(rng, w)):
-            cov, mini = reference_coverage(s, record), reference_minimality(s, record)
-            assert same_report(verify_coverage(s, record), cov), record
-            assert same_report(verify_local_minimality(s, record), mini), record
-            compared += 1
-            failed["coverage"] += not cov.ok
-            failed["minimality"] += not mini.ok
+        for record in (w, *tampered(rng, s, w)):
+            compare(s, record)
+    for s, cert in decide_pool_certificates():
+        try:
+            w = build_witness(s, cert, *random_window(rng, s, cert.T, 10))
+        except (CertificateInvalid, WindowTooSmall):
+            continue
+        compare(s, w)
+        for kind, record in tampered_elements(rng, s, w):
+            edits[kind, compare(s, record)] += 1
     assert min(failed.values()) >= 200, failed
+    # an added element never owns a private target; a moved one mostly does
+    assert edits["added", True] == 0 and edits["added", False] >= 50, edits
+    assert edits["moved", True] >= 200, edits
     if masks:
         assert fits[True] >= 1500, fits
     else:
@@ -450,8 +477,7 @@ DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 def assert_same_build(s, cert, lo, hi):
     """build_witness and the reference give the same window, or both
-    refuse; the provenance lists its elements in ascending order, as the
-    record prints them."""
+    refuse."""
     try:
         want = reference_build_witness(s, cert, lo, hi)
     except (CertificateInvalid, WindowTooSmall) as exc:
@@ -460,7 +486,6 @@ def assert_same_build(s, cert, lo, hi):
         return False
     got = build_witness(s, cert, lo, hi)
     assert got.to_dict() == want.to_dict(), (s, cert, lo, hi)
-    assert list(got.provenance) == list(got.d_elements)
     return True
 
 
@@ -472,22 +497,35 @@ def random_window(rng, s, T, widths):
     return lo, lo + width
 
 
+OUTCOMES = ("no repeat", "copied fewer", "copied more")
+
+
+class CountedBlock(list):
+    """A block's candidate list that counts the blocks the prune walks:
+    one iteration each."""
+
+    walked = 0
+
+    def __iter__(self):
+        self.walked += 1
+        return super().__iter__()
+
+
 def count_prune_outcomes(monkeypatch):
-    """Tally, per build, how the prune ended: no block state repeated; a
-    state repeated over a stretch too short to tile any private target;
-    or the private targets were tiled too."""
+    """Tally, per build, how the prune ended: no block state repeated, so
+    every block was walked; or a state repeated and fewer, or more, blocks
+    were copied than walked.  Copying more than were walked tiles the
+    cycle more than once."""
     outcomes = Counter()
     prune = witness._prune
 
     def counted(kept, base, T, block, span, top, bottom):
-        tile = prune(kept, base, T, block, span, top, bottom)
-        if tile is None:
-            outcomes["no repeat"] += 1
-        else:
-            cycle_top, period = tile
-            short = cycle_top - bottom < span + period
-            outcomes["short" if short else "tiled"] += 1
-        return tile
+        block = CountedBlock(block)
+        prune(kept, base, T, block, span, top, bottom)
+        blocks = max(0, (top - bottom) // T + 1)
+        copied = blocks - block.walked
+        outcomes["no repeat" if not copied else
+                 "copied fewer" if copied < block.walked else "copied more"] += 1
 
     monkeypatch.setattr(witness, "_prune", counted)
     return outcomes
@@ -514,31 +552,20 @@ def test_tiled_build_matches_reference_on_decide_pool(monkeypatch):
     """Every certificate of the decide pool, at its modulus and lifted to
     twice it, on windows at most one block longer than the shortest
     accepted: wide spans of Y1 there give long cycles, so some windows end
-    before a state repeats and some repeat too low for any private target
-    to be tiled."""
+    before a state repeats and some repeat after most of the window was
+    walked."""
     outcomes = count_prune_outcomes(monkeypatch)
-    pool = json.loads((DATA / "decide_pool.json").read_text())
     rng = random.Random(5)
     built = 0
-    for stratum in pool["strata"]:
-        for entry in stratum["entries"]:
-            cert = entry["expected"].get("certificate")
-            if cert is None:
-                continue
-            st = entry["set"]
-            s = validate_canonical(st["m"], st["x"], st["y0"], st["y1"])
-            for k in (1, 2):
-                T = k * cert["T"]
-                c = [r + i * cert["T"] for r in cert["c"] for i in range(k)]
-                lo, hi = random_window(rng, s, T, 1)
-                built += assert_same_build(
-                    s, Certificate(T, ResidueSubset.of(T, c), SUFFICIENT), lo, hi)
+    for s, cert in decide_pool_certificates():
+        lo, hi = random_window(rng, s, cert.T, 1)
+        built += assert_same_build(s, cert, lo, hi)
     assert built >= 1500
-    assert min(outcomes[key] for key in ("no repeat", "short", "tiled")) >= 2, outcomes
+    assert min(outcomes[key] for key in OUTCOMES) >= 2, outcomes
 
 
 # From the decide pool: span 29 and a cycle of several blocks, so that on
-# short windows no state repeats, or one repeats too low to tile a target.
+# short windows no state repeats, or one repeats after most blocks were walked.
 LONG_CYCLE_SET = validate_canonical(5, [0], (), [-13, 1, 12, 16])
 LONG_CYCLE_CERT = Certificate(5, ResidueSubset.of(5, [0, 2]), SUFFICIENT)
 
@@ -552,7 +579,7 @@ def test_tiled_build_matches_reference_on_short_windows(monkeypatch):
     for width in range(shortest, shortest + 200):
         for lo in range(-width // 2 - 5, -width // 2):
             assert assert_same_build(LONG_CYCLE_SET, LONG_CYCLE_CERT, lo, lo + width)
-    assert min(outcomes[key] for key in ("no repeat", "short", "tiled")) >= 100, outcomes
+    assert min(outcomes[key] for key in OUTCOMES) >= 100, outcomes
 
 
 def test_tiled_build_matches_reference_on_witness_pool():
