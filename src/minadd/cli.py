@@ -23,7 +23,7 @@ import time
 from typing import Callable, Optional
 
 from . import __version__, criteria, generator, witness as witness_mod
-from .errors import MinaddError, ParseError
+from .errors import MinaddError, ParseError, WindowTooLarge
 from .residues import ResidueSubset
 from .sets import CanonicalSet, RawSet, canonicalize, validate_canonical
 
@@ -187,9 +187,14 @@ def cmd_witness(args) -> CommandResult:
                   file=sys.stderr)
             return fields, config, result, EXIT_VERIFY_FAILED
         return fields, config, result, EXIT_OF_OUTCOME[verdict.outcome]
-    w = witness_mod.build_witness(s, verdict.certificate, lo, hi)
-    cov = witness_mod.verify_coverage(s, w)
-    mini = witness_mod.verify_local_minimality(s, w)
+    try:
+        # the build and the checks hold a byte per integer of the window
+        w = witness_mod.build_witness(s, verdict.certificate, lo, hi)
+        cov = witness_mod.verify_coverage(s, w)
+        mini = witness_mod.verify_local_minimality(s, w)
+    except (OverflowError, MemoryError) as exc:
+        raise WindowTooLarge(f"window {args.window} does not fit in "
+                             f"memory ({type(exc).__name__})") from exc
     result.update(
         witness=w.to_dict(),
         coverage={"ok": cov.ok, "failures": list(cov.failures)},
@@ -250,24 +255,26 @@ def cmd_verify_witness(args) -> CommandResult:
 
 
 def parse_slack_spec(spec: str) -> Callable[[int], int]:
-    """'const:N', 'cycle:a,b,c', or a bare integer."""
-    if spec.isdigit():
-        value = int(spec)
-        return lambda i: value
+    """'const:N', 'cycle:a,b,c', or a bare integer.
+
+    A bare integer is a string of decimal digits.  ``str.isdigit`` would
+    also pass superscripts such as '²', which ``int`` rejects; any
+    ``ValueError`` of ``int``, the digit limit's included, is bad input.
+    """
     kind, _, rest = spec.partition(":")
-    if kind == "const":
-        try:
-            value = int(rest)
-        except ValueError as exc:
-            raise ParseError(f"bad slack spec {spec!r}") from exc
-        return lambda i: value
-    if kind == "cycle":
-        try:
+    try:
+        if spec.isdecimal():
+            values = [int(spec)]
+        elif kind == "const":
+            values = [int(rest)]
+        elif kind == "cycle":
             values = [int(tok) for tok in rest.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"bad slack spec {spec!r}") from exc
-        return lambda i: values[i % len(values)]
-    raise ParseError(f"bad slack spec {spec!r}; use const:N or cycle:a,b,c")
+        else:
+            raise ParseError(
+                f"bad slack spec {spec!r}; use const:N or cycle:a,b,c")
+    except ValueError as exc:
+        raise ParseError(f"bad slack spec {spec!r}") from exc
+    return lambda i: values[i % len(values)]
 
 
 def cmd_construct(args) -> CommandResult:
@@ -276,17 +283,8 @@ def cmd_construct(args) -> CommandResult:
     result: dict = {"state": state.to_dict()}
     ok = True
     if state.steps >= 2:
-        # the authoritative window [d_N, -c_{N-1} - 1] of an N-step prefix
-        window_hi = -state.c_seq[-2] - 1
-        report = generator.verify(state, window_hi)
-        result["report"] = {
-            "window_hi": window_hi,
-            "gaps_ok": report.gaps_ok,
-            "coverage_ok": report.coverage_ok,
-            "first_uncovered": report.first_uncovered,
-            "uniqueness_failures": list(report.uniqueness_failures),
-            "periodic_candidates": list(report.periodic_candidates),
-        }
+        report = generator.verify(state)
+        result["report"] = report.to_dict()
         ok = report.ok
     config = {"steps": args.steps, "slack": args.slack}
     return {}, config, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED

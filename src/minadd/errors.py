@@ -66,6 +66,10 @@ class WindowTooSmall(MinaddError):
     pass
 
 
+class WindowTooLarge(MinaddError):
+    """A witness window too long to hold a byte per integer."""
+
+
 class MarginTooSmall(MinaddError):
     pass
 

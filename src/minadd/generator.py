@@ -8,21 +8,24 @@ appends the interval [-2c_{i-1}, -2c_i - 1] minus the points -c_i + d_j,
 which punches single-integer holes so consecutive elements always differ
 by 1 or 2.  The free negative offset ("slack") in the choice of c_i is the
 injection point for breaking eventual periodicity.
+
+``verify`` re-checks an N-step prefix on the one window its answer rests
+on, [d_N, -c_{N-1} - 1]: the gaps, the coverage of that window, and the
+unique representation of each anchor.  Non-periodicity belongs to the
+limit set and is not something a finite prefix can show, so it is not
+probed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import inf
 from typing import Callable, Optional, Sequence
 
 from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
 
 Runs = tuple[tuple[int, int], ...]
-
-#: Candidate periods 1..PERIOD_PROBE_MAX that ``verify`` probes on the prefix.
-PERIOD_PROBE_MAX = 50
 
 
 def runs_contains(runs: Runs, n: int) -> bool:
@@ -182,48 +185,44 @@ def generate(
 
 @dataclass(frozen=True)
 class GeneratorReport:
+    """What ``verify`` found on the window [d_N, window_hi]."""
+
+    window_hi: int
     gaps_ok: bool
     coverage_ok: bool
     first_uncovered: Optional[int]
     uniqueness_failures: tuple[str, ...]
-    periodic_candidates: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
-        # The periodicity probe is heuristic and never gates the report.
         return self.gaps_ok and self.coverage_ok and not self.uniqueness_failures
 
+    def to_dict(self) -> dict:
+        return {**asdict(self),
+                "uniqueness_failures": list(self.uniqueness_failures)}
 
-def verify(
-    state: GeneratorState,
-    window_hi: int,
-    window_lo: Optional[int] = None,
-) -> GeneratorReport:
+
+def verify(state: GeneratorState) -> GeneratorReport:
     """Re-check everything the construction promises, on its prefix.
 
-    (1) consecutive prefix elements differ by 1 or 2; (2) every integer in
-    [window_lo, window_hi] is a prefix element plus some c; (3) each d_j is
-    reachable from exactly the matching c_j; (4) for each candidate period
-    up to PERIOD_PROBE_MAX, look for a prefix element whose translate falls
-    into a hole — periods with no such violation are reported, not asserted
-    against (a finite prefix cannot certify the limit property).
+    (1) consecutive prefix elements differ by 1 or 2; (2) every integer of
+    the window [d_N, -c_{N-1} - 1] is a prefix element plus some c; (3) each d_j is reachable from exactly the
+    matching c_j.  The window ends at -c_{N-1} - 1, the authoritative bound
+    of an N-step prefix: above it, coverage may rest on elements that later
+    steps add.  Eventual non-periodicity is a property of the limit set,
+    which no finite prefix can certify, so it is not checked.
 
-    window_lo defaults to d_N; window_hi may be at most -c_{N-1} - 1, the
-    authoritative bound of an N-step prefix.  Every check works on the
-    prefix runs, never integer by integer.  Coverage (2) walks up from
-    window_lo the way ``next_d`` walks down: while n is covered it jumps
-    to one above the highest end of a translate-run holding n.  The walk
-    builds no sumset and is exact because the runs are sorted and
-    disjoint.  Each probe costs one bisection per c, and each probe but
-    the last passes the end of at least one translate-run in the window.
+    Every check works on the prefix runs, never integer by integer.
+    Coverage (2) walks up from d_N the way ``next_d`` walks down: while n
+    is covered it jumps to one above the highest end of a translate-run
+    holding n.  The walk builds no sumset and is exact because the runs
+    are sorted and disjoint.  Each probe costs one bisection per c, and
+    each probe but the last passes the end of at least one translate-run
+    in the window.
     """
     if state.steps < 2:
         raise PrefixTooShort("need at least two steps before verification")
-    if window_hi >= -state.c_seq[-2]:
-        raise PrefixTooShort(
-            f"window end {window_hi} beyond authoritative bound "
-            f"{-state.c_seq[-2] - 1}"
-        )
+    window_hi = -state.c_seq[-2] - 1
 
     gaps_ok = all(
         state.runs[i + 1][0] - state.runs[i][1] == 2
@@ -232,7 +231,7 @@ def verify(
 
     # n is the least integer of the window not yet known to be covered.
     starts = [a for a, _ in state.runs]
-    n = window_lo if window_lo is not None else state.d_seq[-1]
+    n = state.d_seq[-1]
     while n <= window_hi and (
         hits := _translates_at(state.runs, starts, state.c_seq, n)
     ):
@@ -248,18 +247,10 @@ def verify(
                 f"anchor {d_j} reached via {hits}, expected [{state.c_seq[j]}]"
             )
 
-    holes = [state.runs[i][1] + 1 for i in range(len(state.runs) - 1)]
-    w_min = state.runs[0][0]
-    periodic = [
-        P
-        for P in range(1, PERIOD_PROBE_MAX + 1)
-        if not any(h - P >= w_min and runs_contains(state.runs, h - P) for h in holes)
-    ]
-
     return GeneratorReport(
+        window_hi,
         gaps_ok,
         coverage_ok,
         first_uncovered,
         tuple(uniqueness_failures),
-        tuple(periodic),
     )

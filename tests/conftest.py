@@ -45,8 +45,17 @@ def random_context(rng: random.Random, t_lo: int = 1, t_hi: int = 12) -> Conditi
     return ConditionContext(T, ResidueSubset(T, x_mask), ResidueSubset(T, y_mask))
 
 
-def random_canonical(rng: random.Random, m_max: int = 5) -> CanonicalSet:
-    """A valid canonical set with a nonempty periodic part."""
+def random_canonical(
+    rng: random.Random, m_max: int = 5, repeat_classes: bool = False
+) -> CanonicalSet:
+    """A valid canonical set with a nonempty periodic part.
+
+    Y1 holds at most one element per residue class mod m unless
+    ``repeat_classes`` is set; then most of its elements get a second one
+    in their class, so that the targets of a witness candidate keep other
+    sources and the prune has candidates to remove.  Those draws come
+    last, so they leave every other draw of a seed as it is.
+    """
     m = rng.randint(1, m_max)
     x_mask = rng.getrandbits(m) or 1
     x = ResidueSubset(m, x_mask)
@@ -65,7 +74,9 @@ def random_canonical(rng: random.Random, m_max: int = 5) -> CanonicalSet:
             if rng.random() < 0.6
         }
     )
-    # distinct residues guaranteed: one element per residue class at most
+    if repeat_classes:
+        y1 = sorted({*y1, *(y + m * rng.choice((-3, -2, -1, 1, 2, 3))
+                            for y in y1 if rng.random() < 0.9)})
     return CanonicalSet(m, x, tuple(y0), tuple(y1))
 
 

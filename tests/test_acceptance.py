@@ -218,8 +218,7 @@ def test_criterion_8_construction_regression_and_properties():
         ok = ok and all(
             b <= a - 2 for a, b in zip(st.d_seq, st.d_seq[1:])
         )
-        hi = min(-st.c_seq[-2] - 1, 3000)
-        rep = verify(st, hi, window_lo=max(st.d_seq[-1], -3000))
+        rep = verify(st)
         ok = ok and rep.gaps_ok and rep.coverage_ok
         ok = ok and not rep.uniqueness_failures
     report("8 inductive construction regression and properties",

@@ -184,6 +184,8 @@ class TestConstruct:
         code, rec = run_json(capsys, ["construct", "--steps", "8"])
         assert code == 0
         report = rec["result"]["report"]
+        assert set(report) == {"window_hi", "gaps_ok", "coverage_ok",
+                               "first_uncovered", "uniqueness_failures"}
         assert report["gaps_ok"] and report["coverage_ok"]
         assert report["uniqueness_failures"] == []
 
@@ -525,6 +527,37 @@ class TestBadInputNeverExitsOne:
     def test_string_lo(self, witness_record, tmp_path, capsys):
         witness_record["result"]["witness"]["lo"] = "-40"
         assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("spec", [
+        "²", "①", "const:²", "cycle:1,²",
+        pytest.param("1" * 5000, id="5000-digits")])
+    def test_non_decimal_slack(self, capsys, spec):
+        # '²' and '①' pass str.isdigit but not int; 5000 digits pass
+        # neither the digit limit of int.
+        argv = ["construct", "--steps", "3", "--slack", spec]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: bad slack spec")
+
+    def test_window_beyond_an_index(self, setfile, capsys):
+        bound = 10**19
+        argv = ["witness", setfile(EVEN), f"--window=-{bound}:{bound}"]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: window")
+        assert "OverflowError" in err
+
+    def test_window_beyond_memory(self, setfile, capsys, monkeypatch):
+        # A window that fits an index but not memory; the build is made to
+        # fail as it would, so that no test allocates such a window.
+        def build(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.witness_mod, "build_witness", build)
+        assert cli.main(["witness", setfile(EVEN), "--window=-40:40"]) == (
+            cli.EXIT_BAD_INPUT)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: window")
+        assert "MemoryError" in err
 
     def test_deleted_flags_rejected(self, setfile, capsys):
         for argv in (["decide", setfile(EVEN), "--exhaustive-limit", "3"],

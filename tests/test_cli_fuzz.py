@@ -1,4 +1,5 @@
-"""Fuzz the CLI's two file loaders: every input keeps the exit-code contract.
+"""Fuzz the CLI's two file loaders and ``construct --slack``: every input
+keeps the exit-code contract.
 
 Exit 1 means "no minimal complement exists", so a traceback must never
 reach it; whatever the file holds, ``cli.main`` returns a code in 0..4 and
@@ -38,6 +39,17 @@ json_value = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
+)
+
+slack_int = st.integers(-3, 10**6).map(str)
+slack_text = st.one_of(
+    slack_int,
+    st.tuples(st.sampled_from(["const:", "cycle:", ""]),
+              st.lists(slack_int | st.text(max_size=3), max_size=4))
+    .map(lambda kv: kv[0] + ",".join(kv[1])),
+    # digits that str.isdigit or int accept beyond ASCII: '²', '①', '٣'
+    st.text(st.sampled_from("0123456789+-_ :,²①٣"), max_size=6),
+    st.text(max_size=8),
 )
 
 
@@ -91,3 +103,11 @@ def test_unedited_record_verifies(workdir):
     path = workdir / "record.json"
     path.write_text(json.dumps(RECORD))
     assert cli.main(["verify-witness", str(path)]) == cli.EXIT_EXISTS
+
+
+@FUZZ
+@given(steps=st.integers(-1, 4), spec=slack_text)
+def test_construct_slack(steps, spec):
+    # ``--slack=`` keeps a spec that starts with '-' an option value.
+    assert cli.main(["construct", "--steps", str(steps),
+                     f"--slack={spec}"]) in CODES

@@ -8,6 +8,7 @@ from minadd.cli import parse_slack_spec
 from minadd.errors import PrefixTooShort
 from minadd.generator import (
     GeneratorState,
+    _translates_at,
     choose_c,
     generate,
     initial_state,
@@ -119,8 +120,7 @@ def test_generate_two():
 
 def test_verify_default_slack():
     st = generate(10)
-    hi = min(-st.c_seq[-2] - 1, 4000)
-    report = verify(st, hi, window_lo=max(st.d_seq[-1], -4000))
+    report = verify(st)
     assert report.gaps_ok and report.coverage_ok
     assert not report.uniqueness_failures
 
@@ -134,17 +134,25 @@ def test_verify_unique_representation_of_second_anchor():
 
 def test_verify_rejects_short_prefix():
     with pytest.raises(PrefixTooShort):
-        verify(initial_state(), 5)
-    with pytest.raises(PrefixTooShort):
-        verify(generate(3), 10**9)
+        verify(initial_state())
+
+
+def periodic_candidates(state, period_max=50):
+    """The periods 1..period_max under which no hole of the prefix has a
+    prefix element that many below it.  A finite prefix cannot certify
+    periodicity of the limit set, so this is only a probe of the prefix."""
+    holes = [state.runs[i][1] + 1 for i in range(len(state.runs) - 1)]
+    w_min = state.runs[0][0]
+    return tuple(
+        P for P in range(1, period_max + 1)
+        if not any(h - P >= w_min and runs_contains(state.runs, h - P)
+                   for h in holes))
 
 
 def test_varying_slack_breaks_small_periods():
     st = generate(15, lambda i: 1 + (i % 3))
-    hi = min(-st.c_seq[-2] - 1, 4000)
-    report = verify(st, hi, window_lo=-2000)
-    assert report.ok
-    assert report.periodic_candidates == ()
+    assert verify(st).ok
+    assert periodic_candidates(st) == ()
 
 
 def test_random_slacks():
@@ -152,16 +160,14 @@ def test_random_slacks():
     for _ in range(10):
         slacks = [rng.randint(1, 5) for _ in range(21)]
         st = generate(20, lambda i: slacks[i - 1])
-        hi = min(-st.c_seq[-2] - 1, 3000)
-        report = verify(st, hi, window_lo=max(st.d_seq[-1], -3000))
+        report = verify(st)
         assert report.gaps_ok and report.coverage_ok
         assert not report.uniqueness_failures
 
 
-def reference_coverage(state, window_hi, window_lo=None):
-    """Integer-by-integer coverage of [window_lo, window_hi] by prefix + c."""
-    lo = window_lo if window_lo is not None else state.d_seq[-1]
-    for n in range(lo, window_hi + 1):
+def reference_coverage(state):
+    """Integer-by-integer coverage of [d_N, -c_{N-1} - 1] by prefix + c."""
+    for n in range(state.d_seq[-1], -state.c_seq[-2]):
         if not any(runs_contains(state.runs, n - c) for c in state.c_seq):
             return False, n
     return True, None
@@ -186,15 +192,10 @@ def test_run_coverage_matches_reference():
     for k in range(2, 9):
         slacks = [rng.randint(1, 5) for _ in range(k + 1)]
         base = generate(k, lambda i: slacks[i])
-        bound = -base.c_seq[-2] - 1
         for trial in range(30):
             st = base if trial == 0 else mutate(rng, base)
-            window_hi = rng.randint(max(st.d_seq[-1], -2000) - 20, min(bound, 2000))
-            window_lo = rng.choice(
-                [None, rng.randint(window_hi - 2000, window_hi + 2)]
-            )
-            report = verify(st, window_hi, window_lo=window_lo)
-            want = reference_coverage(st, window_hi, window_lo)
+            report = verify(st)
+            want = reference_coverage(st)
             assert (report.coverage_ok, report.first_uncovered) == want
             uncovered += not want[0]
     assert uncovered > 0  # the mutations must exercise the failing branch
@@ -276,37 +277,36 @@ def test_generate_matches_reference(spec, monkeypatch):
 
 
 def test_window_end():
-    # The authoritative window [d_N, -c_{N-1} - 1] always holds an integer,
-    # so the default window of construct can never be empty; its end is the
-    # last one verify accepts.
+    # verify checks the authoritative window [d_N, -c_{N-1} - 1], which
+    # always holds an integer, so construct never checks an empty window.
     for steps in range(2, 13):
         st = generate(steps)
-        end = -st.c_seq[-2] - 1
-        assert st.d_seq[-1] <= end
-        assert verify(st, end, window_lo=max(st.d_seq[-1], end - 2000)).coverage_ok
-        with pytest.raises(PrefixTooShort):
-            verify(st, end + 1)
+        report = verify(st)
+        assert report.window_hi == -st.c_seq[-2] - 1 >= st.d_seq[-1]
+        assert report.coverage_ok
 
 
 def test_one_point_windows_match_membership():
-    # Every integer of the authoritative window, run ends and starts of
-    # each translate included, so an off-by-one in a probe shows.
+    # The probe of the coverage walk at every integer of the authoritative
+    # window, run ends and starts of each translate included, so an
+    # off-by-one in a probe shows: it finds exactly the translate-runs of
+    # the prefix that hold n.
     rng = random.Random(31)
     for k in range(2, 7):
         base = generate(k, lambda i: rng.randint(1, 5))
         for trial in range(8):
             st = base if trial == 0 else mutate(rng, base)
+            starts = [a for a, _ in st.runs]
             for n in range(st.d_seq[-1], -st.c_seq[-2]):
-                report = verify(st, n, window_lo=n)
-                covered = any(runs_contains(st.runs, n - c) for c in st.c_seq)
-                assert (report.coverage_ok, report.first_uncovered) == (
-                    (True, None) if covered else (False, n))
+                want = [(a + c, b + c) for c in st.c_seq for a, b in st.runs
+                        if a <= n - c <= b]
+                assert _translates_at(st.runs, starts, st.c_seq, n) == want
 
 
 def test_full_authoritative_window_is_fast():
     st = generate(40)
     t0 = time.perf_counter()
-    report = verify(st, -st.c_seq[-2] - 1)
+    report = verify(st)
     elapsed = time.perf_counter() - t0
     assert report.ok and report.first_uncovered is None
     assert elapsed < 2.0

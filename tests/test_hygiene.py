@@ -10,6 +10,11 @@ A module-level function or class of ``src/minadd`` whose name starts with
 one underscore is private to its module, so the module itself must
 reference it somewhere outside its own definition; one that only a test
 or nothing at all calls is dead code.
+
+A module-level constant of ``src/minadd`` (a name bound by a plain
+assignment at the top of a module, dunders aside) must be read somewhere
+in the package outside its own assignment, as a name or as a module
+attribute; one that only a test reads is a knob the program never turns.
 """
 
 import ast
@@ -59,3 +64,40 @@ def test_every_private_helper_is_used():
     files = sorted((ROOT / "src" / "minadd").glob("*.py"))
     assert len(files) >= 8
     assert [o for p in files for o in orphaned_helpers(p)] == []
+
+
+def module_constants(path: Path) -> list[tuple[str, int, set]]:
+    """(name, line, ids of its assignment's nodes) per module-level
+    constant; dunders such as ``__all__`` and ``__version__`` are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    out = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                out.append((target.id, node.lineno, set(map(id, ast.walk(node)))))
+    return out
+
+
+def unread_constants(files: list[Path]) -> list[str]:
+    trees = [ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in files]
+    unread = []
+    for path in files:
+        for name, line, own in module_constants(path):
+            reads = (
+                ref for tree in trees for ref in ast.walk(tree)
+                if id(ref) not in own and (
+                    isinstance(ref, ast.Name) and ref.id == name
+                    and isinstance(ref.ctx, ast.Load)
+                    or isinstance(ref, ast.Attribute) and ref.attr == name))
+            if next(reads, None) is None:
+                unread.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    return unread
+
+
+def test_every_constant_is_read():
+    files = sorted((ROOT / "src" / "minadd").glob("*.py"))
+    assert len(files) >= 8
+    assert sum(len(module_constants(p)) for p in files) >= 10
+    assert unread_constants(files) == []

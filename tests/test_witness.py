@@ -378,21 +378,30 @@ def decide_pool_certificates():
                 yield s, Certificate(T, ResidueSubset.of(T, c), SUFFICIENT)
 
 
+def has_pruned_candidate(w) -> bool:
+    """Some integer of a C class in the safe interval is not in D."""
+    inner_lo, inner_hi = witness._safe_interval(w)
+    kept = set(w.d_elements)
+    return any(n % w.T in w.c and n not in kept
+               for n in range(inner_lo, inner_hi + 1))
+
+
 @pytest.mark.parametrize("masks", [True, False], ids=["bitmasks", "walk"])
 def test_verifiers_match_references(monkeypatch, masks):
     """Same coverage and minimality reports as the definitions, on honest
     windows, on ``tampered`` ones and on ones with one interior element
     deleted, added or moved; once as shipped, and once with the bitmask
-    checks forced off, so that the retained walk runs.  The prune seldom
-    removes a candidate of these random sets, so the decide pool's
-    certificates, whose wide spans of Y1 make it prune, give the added
-    and moved elements."""
+    checks forced off, so that the retained walk runs.  The random sets
+    repeat classes in Y1, so that most of their windows have pruned
+    candidates; the decide pool's certificates, whose wide spans of Y1
+    make it prune, give the added and moved elements."""
     if not masks:
         monkeypatch.setattr(witness, "MASK_STRETCH", 0)
     fits = count_mask_fits(monkeypatch)
     rng = random.Random(99)
     compared = 0
     failed, edits = Counter(), Counter()
+    pruned = 0
 
     def compare(s, record):
         nonlocal compared
@@ -405,7 +414,7 @@ def test_verifiers_match_references(monkeypatch, masks):
         return mini.ok
 
     while compared < 1200:
-        s = random_canonical(rng, 6)
+        s = random_canonical(rng, 6, repeat_classes=True)
         v = decide(s, SearchConfig(t_max=2 * s.m))
         if v.outcome is not Outcome.EXISTS or v.certificate is None:
             continue
@@ -416,6 +425,7 @@ def test_verifiers_match_references(monkeypatch, masks):
             w = build_witness(s, v.certificate, lo, hi)
         except WindowTooSmall:
             continue
+        pruned += has_pruned_candidate(w)
         for record in (w, *tampered(rng, s, w)):
             compare(s, record)
     for s, cert in decide_pool_certificates():
@@ -427,6 +437,7 @@ def test_verifiers_match_references(monkeypatch, masks):
         for kind, record in tampered_elements(rng, s, w):
             edits[kind, compare(s, record)] += 1
     assert min(failed.values()) >= 200, failed
+    assert pruned >= 100, pruned
     # an added element never owns a private target; a moved one mostly does
     assert edits["added", True] == 0 and edits["added", False] >= 50, edits
     assert edits["moved", True] >= 200, edits
