@@ -340,7 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Python 3.11's argparse hands ``--opt=--`` an empty list, past the
+    # option's type and choices; every option here takes one value.
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{dest.replace('_', '-')}: "
+                         "expected one argument")
     started = time.perf_counter()
     try:
         inputs, config, result, code = args.func(args)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import BudgetExceeded, ModulusMismatch
+from .errors import BudgetExceeded, ModulusMismatch, ValidationError
 from .residues import ResidueSubset, mask_members, rotate
 from .sets import CanonicalSet, ConditionContext, lift_period
 
@@ -327,13 +327,9 @@ def find_certificate(
     if variant not in (NECESSARY, SUFFICIENT):
         raise ValueError(f"unknown variant {variant!r}")
     stats = stats if stats is not None else SearchStats()
-    t0 = time.perf_counter()
-    try:
-        if ctx.T <= EXHAUSTIVE_LIMIT:
-            return _search_exhaustive(ctx, variant, stats)
-        return _search_heuristic(ctx, variant, HEURISTIC_BUDGET, stats)
-    finally:
-        stats.wall_time += time.perf_counter() - t0
+    if ctx.T <= EXHAUSTIVE_LIMIT:
+        return _search_exhaustive(ctx, variant, stats)
+    return _search_heuristic(ctx, variant, HEURISTIC_BUDGET, stats)
 
 
 def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
@@ -346,9 +342,14 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     every k*m (the lift lemma).  Then T = m, 2m, ... up to t_max is
     scanned for a sufficient certificate, which proves Exists; past
     EXHAUSTIVE_LIMIT only heuristic proofs remain.  Unknown is a value,
-    not an error.
+    not an error.  A t_max below m leaves no modulus to scan, so it is
+    refused with ValidationError rather than answered Unknown.
     """
     cfg = cfg or SearchConfig()
+    t_max = cfg.t_max if cfg.t_max is not None else 8 * s.m
+    if t_max < s.m:
+        raise ValidationError(
+            f"t_max {t_max} is below the period {s.m}: no modulus to scan")
     stats = SearchStats()
     t0 = time.perf_counter()
 
@@ -365,7 +366,6 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     if not s.y1:
         return done(Outcome.NOT_EXISTS, Reason.QUASIPERIODIC)
 
-    t_max = cfg.t_max if cfg.t_max is not None else 8 * s.m
     k = 1
     while k * s.m <= t_max:
         T = k * s.m

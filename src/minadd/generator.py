@@ -6,8 +6,11 @@ negative integer the partial sumset misses), complement elements c_i, and
 a growing prefix W_i of the target set, stored as maximal runs.  Each step
 appends the interval [-2c_{i-1}, -2c_i - 1] minus the points -c_i + d_j,
 which punches single-integer holes so consecutive elements always differ
-by 1 or 2.  The free negative offset ("slack") in the choice of c_i is the
-injection point for breaking eventual periodicity.
+by 1 or 2.  That interval starts inside or just past the prefix's top
+run, and every excluded point lies above the prefix, so a step appends
+its runs above the prefix, the first one extending the top run: the runs
+stay sorted and disjoint without a merge.  The free negative offset ("slack") in the choice of c_i
+is the injection point for breaking eventual periodicity.
 
 ``verify`` re-checks an N-step prefix on the one window its answer rests
 on, [d_N, -c_{N-1} - 1]: the gaps, the coverage of that window, and the
@@ -20,30 +23,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from math import inf
 from typing import Callable, Optional, Sequence
 
 from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
 
 Runs = tuple[tuple[int, int], ...]
-
-
-def runs_contains(runs: Runs, n: int) -> bool:
-    """n lies in one of the sorted, disjoint runs: the last run starting at
-    or below n, found as the last tuple not above (n, inf)."""
-    i = bisect_right(runs, (n, inf)) - 1
-    return i >= 0 and n <= runs[i][1]
-
-
-def merge_runs(intervals: Sequence[tuple[int, int]]) -> Runs:
-    """Union of closed intervals as sorted, maximal, disjoint runs."""
-    out: list[list[int]] = []
-    for a, b in sorted(intervals):
-        if out and a <= out[-1][1] + 1:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return tuple((a, b) for a, b in out)
 
 
 @dataclass(frozen=True)
@@ -88,12 +72,13 @@ def initial_state() -> GeneratorState:
 
 def _translates_at(
     runs: Runs, starts: list[int], c_seq: Sequence[int], n: int
-) -> list[tuple[int, int]]:
-    """The runs of prefix + c, over c in c_seq, that contain n.
+) -> list[tuple[int, int, int]]:
+    """The runs of prefix + c, over c in c_seq, that contain n, each as
+    (start, end, c), in the order of c_seq.
 
     ``starts`` lists the run starts.  Exact when the runs are sorted and
-    disjoint, as ``merge_runs`` leaves them: then the only run that can
-    hold n - c is the last one starting at or below it, and one
+    disjoint, as ``step`` leaves them: then the only run that can hold
+    n - c is the last one starting at or below it, and one
     ``bisect_right`` per c finds it.
     """
     hits = []
@@ -101,7 +86,7 @@ def _translates_at(
         i = bisect_right(starts, n - c) - 1
         if i >= 0 and runs[i][1] >= n - c:
             a, b = runs[i]
-            hits.append((a + c, b + c))
+            hits.append((a + c, b + c, c))
     return hits
 
 
@@ -115,7 +100,7 @@ def next_d(state: GeneratorState) -> int:
     starts = [a for a, _ in state.runs]
     n = -1
     while hits := _translates_at(state.runs, starts, state.c_seq, n):
-        n = min(a for a, _ in hits) - 1
+        n = min(a for a, _, _ in hits) - 1
     return n
 
 
@@ -135,38 +120,45 @@ def choose_c(state: GeneratorState, d_i: int, slack: int) -> int:
 
 
 def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
-    """One induction step: extend d, c, and the prefix runs."""
+    """One induction step: extend d, c, and the prefix runs.
+
+    The new interval [lo, hi] starts inside or just past the prefix's top
+    run, and every excluded point lies above the prefix, so the pieces
+    between consecutive excluded points are appended in order, the first
+    one extending the top run.
+    """
     d_i = next_d(state)
     c_i = choose_c(state, d_i, slack)
     c_prev = state.c_seq[-1]
     assert d_i <= state.d_seq[-1] - 2, "anchor sequence must drop by >= 2"
 
     lo, hi = -2 * c_prev, -2 * c_i - 1
+    top_lo, w_max = state.runs[-1][0], state.w_max
+    assert top_lo <= lo <= w_max + 1, "the new interval must meet the top run"
     excluded = sorted(-c_i + d_j for d_j in state.d_seq)
     assert len(set(excluded)) == len(excluded)
-    for p in excluded:
-        if runs_contains(state.runs, p):
-            raise ExclusionCollision(
-                f"excluded point {p} already lies in the prefix"
-            )
-        if not lo < p <= -c_i - 1:
-            raise ExclusionCollision(
-                f"excluded point {p} outside ({lo}, {-c_i - 1}]"
-            )
+    if excluded[0] <= w_max:
+        raise ExclusionCollision(
+            f"excluded point {excluded[0]} already lies in the prefix"
+        )
+    if excluded[0] <= lo or excluded[-1] > -c_i - 1:
+        raise ExclusionCollision(
+            f"excluded points {excluded} not all in ({lo}, {-c_i - 1}]"
+        )
 
-    pieces: list[tuple[int, int]] = list(state.runs)
-    cur = lo
+    runs = list(state.runs[:-1])
+    cur = top_lo
     for p in excluded:
         if cur <= p - 1:
-            pieces.append((cur, p - 1))
+            runs.append((cur, p - 1))
         cur = p + 1
     if cur <= hi:
-        pieces.append((cur, hi))
+        runs.append((cur, hi))
 
     return GeneratorState(
         state.d_seq + (d_i,),
         state.c_seq + (c_i,),
-        merge_runs(pieces),
+        tuple(runs),
         state.slack_seq + (slack,),
     )
 
@@ -205,12 +197,13 @@ class GeneratorReport:
 def verify(state: GeneratorState) -> GeneratorReport:
     """Re-check everything the construction promises, on its prefix.
 
-    (1) consecutive prefix elements differ by 1 or 2; (2) every integer of
-    the window [d_N, -c_{N-1} - 1] is a prefix element plus some c; (3) each d_j is reachable from exactly the
-    matching c_j.  The window ends at -c_{N-1} - 1, the authoritative bound
-    of an N-step prefix: above it, coverage may rest on elements that later
-    steps add.  Eventual non-periodicity is a property of the limit set,
-    which no finite prefix can certify, so it is not checked.
+    (1) consecutive prefix elements differ by 1 or 2; (2) every integer
+    of the window [d_N, -c_{N-1} - 1] is a prefix element plus some c;
+    (3) each d_j is reachable from exactly the matching c_j.  The window
+    ends at -c_{N-1} - 1, the authoritative bound of an N-step prefix:
+    above it, coverage may rest on elements that later steps add.
+    Eventual non-periodicity is a property of the limit set, which no
+    finite prefix can certify, so it is not checked.
 
     Every check works on the prefix runs, never integer by integer.
     Coverage (2) walks up from d_N the way ``next_d`` walks down: while n
@@ -218,33 +211,32 @@ def verify(state: GeneratorState) -> GeneratorReport:
     holding n.  The walk builds no sumset and is exact because the runs
     are sorted and disjoint.  Each probe costs one bisection per c, and
     each probe but the last passes the end of at least one translate-run
-    in the window.
+    in the window.  Uniqueness (3) takes the c of each translate-run
+    holding d_j from the same probe.
     """
     if state.steps < 2:
         raise PrefixTooShort("need at least two steps before verification")
-    window_hi = -state.c_seq[-2] - 1
+    runs, c_seq = state.runs, state.c_seq
+    window_hi = -c_seq[-2] - 1
 
     gaps_ok = all(
-        state.runs[i + 1][0] - state.runs[i][1] == 2
-        for i in range(len(state.runs) - 1)
+        runs[i + 1][0] - runs[i][1] == 2 for i in range(len(runs) - 1)
     )
 
     # n is the least integer of the window not yet known to be covered.
-    starts = [a for a, _ in state.runs]
+    starts = [a for a, _ in runs]
     n = state.d_seq[-1]
-    while n <= window_hi and (
-        hits := _translates_at(state.runs, starts, state.c_seq, n)
-    ):
-        n = max(b for _, b in hits) + 1
+    while n <= window_hi and (hits := _translates_at(runs, starts, c_seq, n)):
+        n = max(b for _, b, _ in hits) + 1
     coverage_ok = n > window_hi
     first_uncovered = None if coverage_ok else n
 
     uniqueness_failures = []
-    for j, d_j in enumerate(state.d_seq):
-        hits = [c for c in state.c_seq if runs_contains(state.runs, d_j - c)]
-        if hits != [state.c_seq[j]]:
+    for d_j, c_j in zip(state.d_seq, c_seq):
+        hits = [c for *_, c in _translates_at(runs, starts, c_seq, d_j)]
+        if hits != [c_j]:
             uniqueness_failures.append(
-                f"anchor {d_j} reached via {hits}, expected [{state.c_seq[j]}]"
+                f"anchor {d_j} reached via {hits}, expected [{c_j}]"
             )
 
     return GeneratorReport(

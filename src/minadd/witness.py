@@ -428,9 +428,14 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
     |Y1| possible owners: O(|D|*|Y1|) set operations plus one bit test per
     sum on the T-bit mask of C2, whatever the window length hi - lo.  The
     bitmasks run only within a constant factor of that work, so the bound
-    holds for the check as a whole.
+    holds for the check as a whole.  An empty safe interval fails, as it
+    does for coverage, rather than passing with nothing checked.
     """
     inner_lo, inner_hi = _safe_interval(w)
+    if inner_lo > inner_hi:
+        return VerificationReport(
+            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
+        )
     y1 = s.y1
     if (_masks_fit(w, y1, inner_hi - inner_lo + 1, 2)
             and _minimal_by_masks(s, w, inner_lo, inner_hi)):

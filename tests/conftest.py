@@ -1,5 +1,6 @@
 """Shared builders for randomized and exhaustive instance sweeps, a
-window enumeration of canonical sets, and a work bound for tests that
+window enumeration of canonical sets, the generic run helpers that the
+construct tests take as references, and a work bound for tests that
 must not depend on wall time."""
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ import itertools
 import random
 import sys
 import tracemalloc
+from bisect import bisect_right
+from math import inf
 
 from minadd.residues import ResidueSubset
 from minadd.sets import (
@@ -34,6 +37,24 @@ def window_elements(s: CanonicalSet, lo: int, hi: int) -> list[int]:
         if lo <= e <= hi:
             out.add(e)
     return sorted(out)
+
+
+def runs_contains(runs, n: int) -> bool:
+    """n lies in one of the sorted, disjoint runs: the last run starting at
+    or below n, found as the last tuple not above (n, inf)."""
+    i = bisect_right(runs, (n, inf)) - 1
+    return i >= 0 and n <= runs[i][1]
+
+
+def merge_runs(intervals) -> tuple[tuple[int, int], ...]:
+    """Union of closed intervals as sorted, maximal, disjoint runs."""
+    out: list[list[int]] = []
+    for a, b in sorted(intervals):
+        if out and a <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return tuple((a, b) for a, b in out)
 
 
 def random_context(rng: random.Random, t_lo: int = 1, t_hi: int = 12) -> ConditionContext:

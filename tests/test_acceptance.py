@@ -9,7 +9,13 @@ import json
 import random
 import time
 
-from conftest import enumerate_contexts, random_canonical, random_context, shifted_copy
+from conftest import (
+    enumerate_contexts,
+    random_canonical,
+    random_context,
+    runs_contains,
+    shifted_copy,
+)
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
@@ -23,7 +29,7 @@ from minadd.criteria import (
     decide,
     find_certificate,
 )
-from minadd.generator import generate, runs_contains, verify
+from minadd.generator import generate, verify
 from minadd.oracle import naive_find_certificate
 from minadd.residues import ResidueSubset, rotate
 from minadd.sets import (

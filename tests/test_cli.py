@@ -112,8 +112,12 @@ class TestDecide:
         assert rec["result"]["verdict"]["reason"] == "quasiperiodic"
 
     def test_unknown(self, setfile, capsys):
-        code, rec = run_json(capsys, ["decide", setfile(PAPERLIKE), "--t-max", "0"])
+        # no certificate at T = 5, the one modulus scanned
+        path = setfile("m = 5\nx = 0,1\ny1 = -2,9\n")
+        code, rec = run_json(capsys, ["decide", path, "--t-max", "5"])
         assert code == cli.EXIT_UNKNOWN
+        assert rec["result"]["verdict"]["reason"] == "search-exhausted"
+        assert rec["result"]["verdict"]["stats"]["subsets_examined"] > 0
 
     def test_record_config(self, setfile, capsys):
         _, rec = run_json(capsys, ["decide", setfile(EVEN), "--t-max", "4"])
@@ -382,7 +386,8 @@ class TestVerifyWitness:
                 "certificate failed re-verification"]},
             "coverage": {"ok": False, "failures": [
                 "safe interval [1999961, -1999961] is empty"]},
-            "minimality": {"ok": True, "failures": []},
+            "minimality": {"ok": False, "failures": [
+                "safe interval [1999961, -1999961] is empty"]},
         }
 
     def test_invalid_certificate_fails(self, witness_record, tmp_path, capsys):
@@ -558,6 +563,38 @@ class TestBadInputNeverExitsOne:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: window")
         assert "MemoryError" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["construct", "--steps=--"], "--steps"),
+        (["construct", "--steps", "3", "--slack=--"], "--slack"),
+        (["decide", "W.set", "--t-max=--"], "--t-max"),
+        (["witness", "W.set", "--window=--"], "--window"),
+        (["witness", "W.set", "--window=-4:4", "--t-max=--"], "--t-max"),
+        (["canonicalize", "W.set", "--format=--"], "--format"),
+    ], ids=["steps", "slack", "decide-t-max", "window", "witness-t-max",
+            "format"])
+    def test_option_given_dashes(self, setfile, capsys, argv, option):
+        # Python 3.11's argparse hands ``--opt=--`` an empty list, skipping
+        # the option's type and choices.
+        argv = [setfile(EVEN) if a == "W.set" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {option}: expected one argument\n")
+
+    @pytest.mark.parametrize("t_max", ["-5", "0", "1"])
+    @pytest.mark.parametrize("command", [[], ["--window=-40:40"]],
+                             ids=["decide", "witness"])
+    def test_t_max_below_period(self, setfile, capsys, command, t_max):
+        # m = 2: no modulus lies in [m, t_max], so no search would run
+        argv = (["witness" if command else "decide", setfile(EVEN)] + command
+                + ["--t-max", t_max, "--format", "json"])
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: t_max {t_max} is below the period 2: "
+                           "no modulus to scan\n")
 
     def test_deleted_flags_rejected(self, setfile, capsys):
         for argv in (["decide", setfile(EVEN), "--exhaustive-limit", "3"],

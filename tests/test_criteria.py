@@ -18,7 +18,7 @@ from minadd.criteria import (
     decide,
     find_certificate,
 )
-from minadd.errors import BudgetExceeded, ModulusMismatch
+from minadd.errors import BudgetExceeded, ModulusMismatch, ValidationError
 from minadd.oracle import naive_find_certificate
 from minadd.residues import ResidueSubset, rotate
 from minadd.sets import ConditionContext, lift_period, validate_canonical
@@ -183,11 +183,20 @@ class TestDecide:
         assert v.certificate is None
 
     def test_unknown_when_budget_tiny(self):
-        s = validate_canonical(5, [2, 3], [-3], [-1, 4])
-        # Forbid any search at all: the scan exhausts immediately.
-        v = decide(s, SearchConfig(t_max=0))
+        s = validate_canonical(5, [0, 1], [], [-2, 9])
+        # The smallest budget, one modulus: no certificate at T = 5.
+        v = decide(s, SearchConfig(t_max=5))
         assert v.outcome is Outcome.UNKNOWN
         assert v.reason is Reason.SEARCH_EXHAUSTED
+        assert v.stats.subsets_examined > 0
+
+    @pytest.mark.parametrize("t_max", [-5, 0, 4])
+    def test_t_max_below_period_is_refused(self, t_max):
+        # No modulus lies in [m, t_max], so an Unknown would claim an
+        # exhausted search that never ran.
+        s = validate_canonical(5, [2, 3], [-3], [-1, 4])
+        with pytest.raises(ValidationError, match="below the period 5"):
+            decide(s, SearchConfig(t_max=t_max))
 
     def test_certificates_reverify(self):
         rng = random.Random(11)

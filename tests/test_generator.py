@@ -3,18 +3,18 @@ import time
 
 import pytest
 
+from conftest import merge_runs, runs_contains
 from minadd import generator
 from minadd.cli import parse_slack_spec
-from minadd.errors import PrefixTooShort
+from minadd.errors import ExclusionCollision, PrefixTooShort
 from minadd.generator import (
+    GeneratorReport,
     GeneratorState,
     _translates_at,
     choose_c,
     generate,
     initial_state,
-    merge_runs,
     next_d,
-    runs_contains,
     step,
     verify,
 )
@@ -197,6 +197,7 @@ def test_run_coverage_matches_reference():
             report = verify(st)
             want = reference_coverage(st)
             assert (report.coverage_ok, report.first_uncovered) == want
+            assert report == reference_verify(st)
             uncovered += not want[0]
     assert uncovered > 0  # the mutations must exercise the failing branch
 
@@ -276,6 +277,80 @@ def test_generate_matches_reference(spec, monkeypatch):
     assert got == [generate(k, slack_fn) for k in range(1, 26)]
 
 
+def reference_step(state, slack=1):
+    """The step as a generic union: the excluded points are tested for
+    membership in the prefix, and the new pieces are merged with all of
+    the prefix runs."""
+    d_i = generator.next_d(state)
+    c_i = generator.choose_c(state, d_i, slack)
+    lo, hi = -2 * state.c_seq[-1], -2 * c_i - 1
+    excluded = sorted(-c_i + d_j for d_j in state.d_seq)
+    pieces = list(state.runs)
+    cur = lo
+    for p in excluded:
+        if runs_contains(state.runs, p) or not lo < p <= -c_i - 1:
+            raise ExclusionCollision(f"excluded point {p}")
+        if cur <= p - 1:
+            pieces.append((cur, p - 1))
+        cur = p + 1
+    if cur <= hi:
+        pieces.append((cur, hi))
+    return GeneratorState(state.d_seq + (d_i,), state.c_seq + (c_i,),
+                          merge_runs(pieces), state.slack_seq + (slack,))
+
+
+def reference_verify(state):
+    """``verify`` on the merged sumset runs and by membership tests."""
+    window_hi = -state.c_seq[-2] - 1
+    gaps_ok = all(b[0] - a[1] == 2 for a, b in zip(state.runs, state.runs[1:]))
+    n = state.d_seq[-1]
+    for a, b in reference_sumset_runs(state):
+        if a <= n <= b:
+            n = b + 1
+    coverage_ok = n > window_hi
+    failures = []
+    for d_j, c_j in zip(state.d_seq, state.c_seq):
+        hits = [c for c in state.c_seq if runs_contains(state.runs, d_j - c)]
+        if hits != [c_j]:
+            failures.append(f"anchor {d_j} reached via {hits}, expected [{c_j}]")
+    return GeneratorReport(window_hi, gaps_ok, coverage_ok,
+                           None if coverage_ok else n, tuple(failures))
+
+
+_cycles = random.Random(1703)
+RANDOM_CYCLES = tuple(
+    "cycle:" + ",".join(str(_cycles.randint(1, 9))
+                        for _ in range(_cycles.randint(2, 6)))
+    for _ in range(10))
+
+
+@pytest.mark.parametrize("spec", SLACK_SPECS[:3] + RANDOM_CYCLES)
+def test_step_appends_what_a_merge_gives(spec):
+    slack_fn = parse_slack_spec(spec)
+    got = [generate(k, slack_fn) for k in range(1, 41)]
+    reports = [verify(st) for st in got[1:]]
+    want = [initial_state()]
+    for i in range(2, 41):
+        want.append(reference_step(want[-1], slack_fn(i)))
+    assert got == want
+    assert reports == [reference_verify(st) for st in want[1:]]
+    assert all(report.ok for report in reports)
+
+
+@pytest.mark.parametrize("slack", [1, 2, 3, 4])
+def test_unguarded_choice_collides(slack, monkeypatch):
+    # Without its prefix guard, choose_c puts the first excluded point
+    # inside W_1 = {1, ..., 12}; only the collision check stops the step.
+    def unguarded(state, d_i, slack):
+        return d_i + 2 * state.c_seq[-1] - slack
+
+    monkeypatch.setattr(generator, "choose_c", unguarded)
+    with pytest.raises(ExclusionCollision):
+        reference_step(initial_state(), slack)
+    with pytest.raises(ExclusionCollision):
+        step(initial_state(), slack)
+
+
 def test_window_end():
     # verify checks the authoritative window [d_N, -c_{N-1} - 1], which
     # always holds an integer, so construct never checks an empty window.
@@ -298,8 +373,8 @@ def test_one_point_windows_match_membership():
             st = base if trial == 0 else mutate(rng, base)
             starts = [a for a, _ in st.runs]
             for n in range(st.d_seq[-1], -st.c_seq[-2]):
-                want = [(a + c, b + c) for c in st.c_seq for a, b in st.runs
-                        if a <= n - c <= b]
+                want = [(a + c, b + c, c) for c in st.c_seq
+                        for a, b in st.runs if a <= n - c <= b]
                 assert _translates_at(st.runs, starts, st.c_seq, n) == want
 
 

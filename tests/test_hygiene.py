@@ -11,6 +11,13 @@ one underscore is private to its module, so the module itself must
 reference it somewhere outside its own definition; one that only a test
 or nothing at all calls is dead code.
 
+A public module-level function or class of ``src/minadd`` must be
+referenced somewhere in the package outside its own definition, or be
+named in ``__init__.py`` as part of the package's interface; one that
+only tests call belongs with the tests.  ``oracle.py`` is exempt: it is
+the naive reference that the tests diff the fast paths against, so
+nothing in the package calls it.
+
 A module-level constant of ``src/minadd`` (a name bound by a plain
 assignment at the top of a module, dunders aside) must be read somewhere
 in the package outside its own assignment, as a name or as a module
@@ -64,6 +71,37 @@ def test_every_private_helper_is_used():
     files = sorted((ROOT / "src" / "minadd").glob("*.py"))
     assert len(files) >= 8
     assert [o for p in files for o in orphaned_helpers(p)] == []
+
+
+# the field that holds the referenced name, per kind of reference
+NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def unreferenced_public(files: list[Path]) -> list[str]:
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in files}
+    refs = [(getattr(ref, NAME_FIELD[type(ref)]), id(ref))
+            for tree in trees.values() for ref in ast.walk(tree)
+            if type(ref) in NAME_FIELD]
+    unused = []
+    for path, tree in trees.items():
+        if path.name in ("__init__.py", "oracle.py"):
+            continue
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                continue
+            own = set(map(id, ast.walk(node)))
+            if not any(name == node.name and ref not in own
+                       for name, ref in refs):
+                unused.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    return unused
+
+
+def test_every_public_name_is_used():
+    files = sorted((ROOT / "src" / "minadd").glob("*.py"))
+    assert len(files) >= 8
+    assert unreferenced_public(files) == []
 
 
 def module_constants(path: Path) -> list[tuple[str, int, set]]:

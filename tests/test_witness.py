@@ -78,6 +78,27 @@ def test_redundant_element_fails_minimality():
     assert not report.ok
 
 
+@pytest.mark.parametrize("size", [1, 0, -10],
+                         ids=["one-integer", "empty", "hi-below-lo"])
+def test_empty_safe_interval_fails_both_checks(size):
+    # Narrow an honest window so that its safe interval [lo + pad, hi - pad]
+    # is [0, size - 1]: one integer, none, and at -10 the window's own hi
+    # lies below its lo.
+    w = build_witness(EVEN_SET, EVEN_CERT, -30, 30)
+    pad = w.margins.y0_margin + w.T
+    lo, hi = -pad, pad + size - 1
+    assert (hi < lo) == (size == -10)
+    narrow = dataclasses.replace(w, lo=lo, hi=hi, d_elements=tuple(
+        d for d in w.d_elements if lo <= d <= hi))
+    for report in (verify_coverage(EVEN_SET, narrow),
+                   verify_local_minimality(EVEN_SET, narrow)):
+        if size > 0:
+            assert report.ok
+        else:
+            assert report == VerificationReport(False, (
+                f"safe interval [0, {size - 1}] is empty",))
+
+
 def test_overlapping_pruning_is_proper_and_sound():
     w = build_witness(OVERLAP_SET, OVERLAP_CERT, -40, 40)
     full_class = [d for d in range(-43, 40) if d % 2 == 0]
@@ -238,10 +259,14 @@ def reference_minimality(s, w):
         f"witness element {d} lies outside the certificate's classes"
         for d in w.d_elements if not w.c.mask >> d % w.T & 1
     )
-    if outside:
-        return VerificationReport(False, outside)
     pad = w.margins.y0_margin + w.T
     inner_lo, inner_hi = w.lo + pad, w.hi - pad
+    if inner_lo > inner_hi:
+        return VerificationReport(
+            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
+        )
+    if outside:
+        return VerificationReport(False, outside)
     reached = Counter(d + y for d in set(w.d_elements) for y in s.y1)
     failures = []
     for d in w.d_elements:
