@@ -242,11 +242,16 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
 
 def cmd_verify_witness(args) -> CommandResult:
     s, w = load_witness_record(args.file)
-    reports = {
-        "certificate": witness_mod.verify_certificate(s, w),
-        "coverage": witness_mod.verify_coverage(s, w),
-        "minimality": witness_mod.verify_local_minimality(s, w),
-    }
+    try:
+        # the bitmask checks hold a byte per integer of the window
+        reports = {
+            "certificate": witness_mod.verify_certificate(s, w),
+            "coverage": witness_mod.verify_coverage(s, w),
+            "minimality": witness_mod.verify_local_minimality(s, w),
+        }
+    except (OverflowError, MemoryError) as exc:
+        raise WindowTooLarge(f"window [{w.lo}, {w.hi}] does not fit in "
+                             f"memory ({type(exc).__name__})") from exc
     result = {name: {"ok": rep.ok, "failures": list(rep.failures)}
               for name, rep in reports.items()}
     ok = all(rep.ok for rep in reports.values())

@@ -70,6 +70,10 @@ class WindowTooLarge(MinaddError):
     """A witness window too long to hold a byte per integer."""
 
 
+class ModulusTooLarge(MinaddError):
+    """A working modulus too large to hold a bit per residue."""
+
+
 class MarginTooSmall(MinaddError):
     pass
 

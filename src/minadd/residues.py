@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ModulusMismatch, NonPositivePeriod, ResidueOutOfRange
+from .errors import (
+    ModulusMismatch,
+    ModulusTooLarge,
+    NonPositivePeriod,
+    ResidueOutOfRange,
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,11 @@ class ResidueSubset:
         for r in members:
             if not 0 <= r < modulus:
                 raise ResidueOutOfRange(f"residue {r} not in [0, {modulus})")
-            mask |= 1 << r
+            try:
+                mask |= 1 << r
+            except (OverflowError, MemoryError) as exc:
+                raise ModulusTooLarge(f"residue {r} is too large to hold as a "
+                                      f"bit ({type(exc).__name__})") from exc
         return cls(modulus, mask)
 
     @classmethod

@@ -23,6 +23,7 @@ from .errors import (
     DuplicateElement,
     EmptySet,
     ExtraNotBelowThreshold,
+    ModulusTooLarge,
     NonPositivePeriod,
     ResidueOutOfRange,
     Y0NotNegative,
@@ -239,14 +240,19 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
 
     The periodic residues expand to {i*m + x : 0 <= i < k, x in x_m}; the
     finite exceptions reduce mod T (negative values wrap into [0, T)).
+    A T whose T-bit mask cannot be allocated raises ModulusTooLarge.
     """
     if not s.x_m:
         raise EmptySet("cannot lift a set with no periodic part")
     if k < 1:
         raise ValueError(f"lift factor must be positive, got {k}")
     T = k * s.m
-    # The m-bit pattern written out k times, in time linear in T.
-    x_mask = int(format(s.x_m.mask, f"0{s.m}b") * k, 2)
+    try:
+        # The m-bit pattern written out k times, in time linear in T.
+        x_mask = int(bin(s.x_m.mask)[2:].zfill(s.m) * k, 2)
+    except (OverflowError, MemoryError) as exc:
+        raise ModulusTooLarge(f"modulus {T} is too large to lift: its masks "
+                              f"do not fit in memory ({type(exc).__name__})") from exc
     return ConditionContext(
         T, ResidueSubset(T, x_mask), ResidueSubset.reduce(T, s.y1)
     )

@@ -21,29 +21,28 @@ of T integers from the top, a block's prune is a function of that state,
 and once a state repeats the prune repeats down to the lowest interior
 candidate.  The build walks blocks until a state repeats, at O(|Y1|)
 Python steps per candidate, and copies the repeating stretch down.  If
-no state repeats within the window, every block is walked, as a plain
-walk would.
+no state repeats within the window, every block is walked.  It then
+reads D' out one class of C at a time, |C|/T of the window.
 
-The verifiers check a window on bitmasks: an int whose byte n - a is 1
-iff n is in D, read with ``int.from_bytes``, shifted once per y in Y1
-and summed bit-sliced into "reached" and "reached twice" masks, which
-are then ANDed with the classes of C1, C2 or C tiled over the window.
-Their Python work is one step per element, to set its byte, plus a few
-C-level passes over the elements; the rest is word-level work over the
-stretch of integers checked.  They run only when that stretch is at
-most MASK_STRETCH times |D|*|Y1| + T, which keeps their work within a
-constant factor of the set-and-class walk they replace.  A longer
-stretch, as in a record with a forged ``hi`` or a few far-apart
-elements, is checked by that walk, whose cost does not grow with the
-window, so the verifiers' worst-case bounds are the walk's.  The
-minimality walk also names the failures when the bitmasks find one.
+The verifiers check a window on bitmasks.  A window reads its elements
+once: D sorted, and an int whose byte n - lo is 1 iff n is in D, for n
+in [lo, hi], one Python step per element.  Each check cuts its stretch
+out of that int, shifts it once per y in Y1, sums the shifts bit-sliced
+into "reached" and "reached twice" masks and ANDs them with the classes
+of C1, C2 or C tiled over the stretch.  They run only when the window
+holds the stretch and is at most MASK_STRETCH times |D|*|Y1| + T
+integers long, within a constant factor of the set-and-class walk they
+replace.  Other windows, as with a forged ``hi``, forged margins or a
+few far-apart elements, take that walk, whose cost does not grow with
+the window; it also names the failures when the bitmasks find one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import chain, compress
 from math import lcm
 from typing import Optional
 
@@ -66,6 +65,7 @@ class WitnessWindow:
     ``d_elements``, ascending, with the certificate and margins they were
     built from.  It carries no minimality evidence of its own; each
     interior element's private target follows from the elements and Y1.
+    The checks read D once per window, into ``_sorted`` and ``_present``.
     """
 
     lo: int
@@ -104,6 +104,15 @@ class WitnessWindow:
             tuple(d["d_elements"]),
         )
 
+    @cached_property
+    def _sorted(self) -> list[int]:
+        return sorted(self.d_elements)
+
+    @cached_property
+    def _present(self) -> int:
+        """Byte n - lo is 1 iff n is in D, for n in [lo, hi]."""
+        return _indicator(self._sorted, self.lo, self.hi)
+
 
 def _derive(
     s: CanonicalSet, cert: Certificate
@@ -133,22 +142,16 @@ def build_witness(
 
     The prune walks blocks of T integers from the top, and the state of a
     block is an int: which of the span = max(Y1) - min(Y1) integers above
-    it were removed.  Three facts make the walk periodic:
-
-    1. every source t - y of a target t lies in the pool, so the count a
-       target starts with depends only on t mod T;
-    2. an interior candidate's fate depends only on its class and on the
-       removals among the span integers above it;
-    3. so a block's removals and the next state are a function of the
-       state, and once a state repeats, the removals between its two
-       occurrences repeat down to the lowest interior candidate.
-
-    That stretch is copied down instead of walked.
+    it were removed.  By the three facts of the module docstring, once a
+    state repeats, the removals between its two occurrences repeat down
+    to the lowest interior candidate, so that stretch is copied down
+    instead of walked.
 
     Cost: O(|Y1|) Python steps per candidate in the blocks walked until a
     state repeats (at most 2**span + 1 blocks); the copied rest costs a
-    slice assignment and C-level iteration, linear in the output.  When
-    no state repeats, every block is walked.
+    slice assignment, linear in the window.  When no state repeats, every
+    block is walked.  D is then read out one class of C at a time, C-level
+    work over |C|/T of the window, with one sort when |C| > 1.
     """
     if cert.variant != SUFFICIENT:
         raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
@@ -171,8 +174,10 @@ def build_witness(
     kept = bytearray(bytes(c_mask >> (base + i) % T & 1 for i in range(T))
                      * (size // T + 1))[:size]
     _prune(kept, base, T, _block_rules(T, cert.c, c2, y1, top), span, top, bottom)
-    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg,
-                         tuple(compress(range(base, base + size), kept)))
+    rows = [compress(range(base + i, base + size, T), kept[i::T])
+            for i in ((r - base) % T for r in cert.c.members())]
+    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(
+        rows[0] if len(rows) == 1 else sorted(chain(*rows))))
 
 
 def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
@@ -252,31 +257,33 @@ def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     return VerificationReport(not failures, failures)
 
 
-#: The bitmask checks run when the stretch of integers they cover is at
-#: most this many times |D|*|Y1| + T, the count of sums and class steps
-#: the set-and-class walk takes.  Measured on a 2-CPU host (Python 3.11),
-#: a stretch integer costs the bitmasks about 10 ns of word-level work and
-#: a walk step about 60 ns of Python, so the two break even near 8 and at
-#: 16 the bitmasks cost at most about twice the walk.  The records of the
-#: benchmark's witness pool reach at most 10; a forged ``hi`` or a few
-#: far-apart elements go far over it and take the walk, whose cost does
-#: not grow with the window.
+#: The bitmask checks run when the window is at most this many times
+#: |D|*|Y1| + T integers long, the count of sums and class steps the walk
+#: takes.  Measured on a 2-CPU host (Python 3.11), an integer costs the
+#: bitmasks about 10 ns of word-level work and a walk step about 60 ns of
+#: Python, so the two break even near 8 and at 16 the bitmasks cost at
+#: most about twice the walk.  The benchmark's witness-pool windows reach
+#: at most 10; a forged ``hi`` or a sparse D goes far over.
 MASK_STRETCH = 16
 
 
-def _masks_fit(w: WitnessWindow, y1: tuple[int, ...], width: int,
-               spans: int) -> bool:
-    """Whether the bitmask checks run on a safe window of ``width``
-    integers, widened by ``spans`` times max(Y1) - min(Y1)."""
-    return bool(y1) and 0 < width and width + spans * (y1[-1] - y1[0]) <= (
+def _masks_fit(w: WitnessWindow, y1: tuple[int, ...], a: int, b: int) -> bool:
+    """Whether the bitmasks check [a, b]: the window holds it and is at
+    most MASK_STRETCH times |D|*|Y1| + T integers long."""
+    return bool(y1) and w.lo <= a and b <= w.hi and w.hi - w.lo < (
         MASK_STRETCH * (len(w.d_elements) * len(y1) + w.T))
 
 
-def _indicator(values: list[int], a: int, b: int) -> int:
-    """Byte n - a is 1 iff n is in ``values``, which lie in [a, b]: the one
-    Python step per element of the bitmask checks."""
+def _cut(w: WitnessWindow, a: int, b: int) -> int:
+    """Byte n - a is 1 iff n is in D, for n in [a, b] within [lo, hi]."""
+    return w._present >> 8 * (a - w.lo) & (1 << 8 * (b - a + 1)) - 1
+
+
+def _indicator(ds: list[int], a: int, b: int) -> int:
+    """Byte n - a is 1 iff n is in the sorted ``ds``, for n in [a, b]: the
+    one Python step per element of the bitmask checks."""
     present = bytearray(b - a + 1)
-    for v in values:
+    for v in ds[bisect_left(ds, a):bisect_right(ds, b)]:
         present[v - a] = 1
     return int.from_bytes(present, "little")
 
@@ -291,9 +298,8 @@ def _sources(indicator: int, y1: tuple[int, ...]) -> tuple[int, int]:
     """From the indicator of D over [a, b], the masks ``ones`` and ``twos``
     whose byte j is 1 iff at least one, and iff at least two, of the
     n - y (y in Y1) are in D, for n = a + max(Y1) + j: the |Y1| shifts of
-    the indicator, summed bit-sliced (``twos`` gains what ``ones``
-    already had).  Exact for n up to b + min(Y1), where every n - y lies
-    in [a, b]; the bytes above are undercounted."""
+    the indicator, summed bit-sliced.  Exact for n up to b + min(Y1),
+    where every n - y lies in [a, b]; the bytes above are undercounted."""
     ones = twos = 0
     for y in y1:
         x = indicator >> 8 * (y1[-1] - y)
@@ -311,22 +317,19 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
 
     The C1 side works per residue class: it tests the first integer of
     each class mod lcm(T, m) in the safe window against the least element
-    of each class mod m below the end of that first stretch, found by one
-    sort and a bisection.  The other classes are checked on bitmasks over
-    the safe window: the integers that some d + y reaches, ANDed out of
-    those classes tiled over the window, leave the uncovered ones, lowest
-    first.  That costs one Python step per element, to set its byte in an
-    indicator of D, plus word-level work over the window: |Y1| shifts,
-    the class tiling and a few ANDs and ORs.
+    of each class mod m below the end of that first stretch, found by a
+    bisection: min(W, lcm(T, m)) * min(m, |D|) bit tests, W the safe
+    window's length, at most T * m when m | T.  The other classes are
+    checked on bitmasks: the integers that some d + y reaches, ANDed out
+    of those classes tiled over the safe window, leave the uncovered
+    ones, lowest first.  That costs the window's one read of D, if the
+    other check has not made it, plus word-level work over at most
+    MASK_STRETCH times |D|*|Y1| + T integers.
 
-    When the window is longer than MASK_STRETCH times |D|*|Y1| + T, the
-    check walks instead: the set of the |D|*|Y1| sums, and per class mod
-    T the first integer not in it.  With W the safe window's length, the
-    walk takes O(|D|*|Y1| + min(W, T)) steps, and the C1 side
-    min(W, lcm(T, m)) * min(m, |D|) bit tests; on a record with m | T
-    that is at most T * m tests, whatever the window length.  The
-    bitmasks run only within a constant factor of the walk's work, so
-    those bounds hold for the check as a whole.
+    When the window does not fit (see ``_masks_fit``), the check walks
+    instead: the set of the |D|*|Y1| sums, and per class mod T the first
+    integer not in it, up to the first class whose first integer is not
+    reached: O(|D|*|Y1| + |C1|) steps, whatever the window length.
     """
     inner_lo, inner_hi = _safe_interval(w)
     if inner_lo > inner_hi:
@@ -334,7 +337,7 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
             False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
         )
     T, m, y1 = w.T, s.m, s.y1
-    ds = sorted(w.d_elements)
+    ds = w._sorted
     # Two integers of one class mod lcm(T, m) share the C1 test and the
     # classes of D that reach them, so only the first in the window counts.
     c1_end = min(inner_lo + lcm(T, m), inner_hi + 1)
@@ -344,30 +347,30 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     for d in reversed(ds[:bisect_left(ds, c1_end)]):
         least[d % m] = d
     width = inner_hi - inner_lo + 1
-    masks = _masks_fit(w, y1, width, 1)
-    if not masks:
-        reached = {d + y for d in w.d_elements for y in y1}
+    a, b = inner_lo - max(y1, default=0), inner_hi - min(y1, default=0)
     uncovered = []
-    for first in range(inner_lo, min(inner_lo + T, inner_hi + 1)):
-        if w.c1.mask >> first % T & 1:
-            for n in range(first, c1_end, T):
-                if not any(d <= n and s.x_m.mask >> (n - d) % m & 1
-                           for d in least.values()):
-                    uncovered.append(n)
-                    break
-        elif not masks:
-            n = first
-            while n in reached:
-                n += T
-            if n <= inner_hi:
+    for r in w.c1.members():
+        for n in range(inner_lo + (r - inner_lo) % T, c1_end, T):
+            if not any(d <= n and s.x_m.mask >> (n - d) % m & 1
+                       for d in least.values()):
                 uncovered.append(n)
-    if masks:
-        a, b = inner_lo - y1[-1], inner_hi - y1[0]
-        inside = ds[bisect_left(ds, a):bisect_right(ds, b)]
-        reached_mask = _sources(_indicator(inside, a, b), y1)[0]
+                break
+    if _masks_fit(w, y1, a, b):
+        reached_mask = _sources(_cut(w, a, b), y1)[0]
         missed = _pattern(~w.c1.mask, T, inner_lo, width) & ~reached_mask
         if missed:
             uncovered.append(inner_lo + ((missed & -missed).bit_length() - 1) // 8)
+    else:
+        reached = {d + y for d in w.d_elements for y in y1}
+        for first in range(inner_lo, min(inner_lo + T, inner_hi + 1)):
+            if not w.c1.mask >> first % T & 1:
+                n = first
+                while n in reached:
+                    n += T
+                if n <= inner_hi:
+                    uncovered.append(n)
+                    if n == first:  # later classes hold only larger ones
+                        break
 
     if uncovered:
         n = min(uncovered)
@@ -380,10 +383,10 @@ def _minimal_by_masks(s: CanonicalSet, w: WitnessWindow,
     """Whether ``verify_local_minimality`` finds no failure, decided on
     bitmasks.
 
-    The elements' classes are tested on an indicator of D over the safe
-    window widened by span = max(Y1) - min(Y1) on each side, and one by
-    one for the few elements beyond it.  Every source of a sum d + y of
-    an interior d lies in that stretch, so the reached-once and
+    The elements' classes are tested on the cut of D to the safe window
+    widened by span = max(Y1) - min(Y1) on each side, and one by one for
+    the few elements beyond it.  Every source of a sum d + y of an
+    interior d lies in that stretch, so the reached-once and
     reached-twice masks are exact for those sums; the private ones are
     reached once and lie in a C2 class.  Shifting them back by each y in
     Y1 marks the elements that own one, and every interior element must
@@ -391,10 +394,10 @@ def _minimal_by_masks(s: CanonicalSet, w: WitnessWindow,
     """
     y1, T = s.y1, w.T
     span = y1[-1] - y1[0]
-    ds = sorted(w.d_elements)
+    ds = w._sorted
     a, b = inner_lo - span, inner_hi + span
     i, j = bisect_left(ds, a), bisect_right(ds, b)
-    indicator = _indicator(ds[i:j], a, b)
+    indicator = _cut(w, a, b)
     if indicator & ~_pattern(w.c.mask, T, a, b - a + 1) or not all(
             w.c.mask >> d % T & 1 for d in ds[:i] + ds[j:]):
         return False
@@ -418,18 +421,16 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
     the finite exceptions enumerates every other candidate element.  The
     targets are not taken from the record but found from D and Y1.
 
-    The checks run first on bitmasks (see ``_minimal_by_masks``): one
-    Python step per element to set its byte in an indicator of D, and
-    word-level work over the safe window widened by max(Y1) - min(Y1) on
-    each side.  When they find a failure, or when that stretch is longer
-    than MASK_STRETCH times |D|*|Y1| + T, the walk below runs and names
-    every failure.  The walk collects the |D|*|Y1| sums d + y in sets of
+    The checks run first on bitmasks (see ``_minimal_by_masks``): the
+    window's one read of D, if coverage has not made it, and word-level
+    work over the safe window widened by max(Y1) - min(Y1) on each side.
+    When they find a failure, or the window does not fit, the walk below
+    names every failure.  It collects the |D|*|Y1| sums d + y in sets of
     those reached once and twice, keeps the private ones, and marks their
-    |Y1| possible owners: O(|D|*|Y1|) set operations plus one bit test per
-    sum on the T-bit mask of C2, whatever the window length hi - lo.  The
-    bitmasks run only within a constant factor of that work, so the bound
-    holds for the check as a whole.  An empty safe interval fails, as it
-    does for coverage, rather than passing with nothing checked.
+    |Y1| possible owners: O(|D|*|Y1|) set operations and bit tests,
+    whatever the window length; the bitmasks read at most MASK_STRETCH
+    times |D|*|Y1| + T integers.  An empty safe interval fails, as it does for
+    coverage, rather than passing with nothing checked.
     """
     inner_lo, inner_hi = _safe_interval(w)
     if inner_lo > inner_hi:
@@ -437,7 +438,8 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
             False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
         )
     y1 = s.y1
-    if (_masks_fit(w, y1, inner_hi - inner_lo + 1, 2)
+    span = y1[-1] - y1[0] if y1 else 0
+    if (_masks_fit(w, y1, inner_lo - span, inner_hi + span)
             and _minimal_by_masks(s, w, inner_lo, inner_hi)):
         return VerificationReport(True)
     T, c_mask, c2_mask = w.T, w.c.mask, w.c2.mask

@@ -4,12 +4,13 @@ import pytest
 
 import minadd
 from conftest import bounded_work
-from minadd import cli
+from minadd import cli, sets
 
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
 EVEN = "m = 2\nx = 0\ny1 = 1\n"
 QUASI = "m = 3\nx = 0\ny0 = -3\n"
 FINITE = "m = 2\nx =\ny1 = 1,4\n"
+FIVE = "m = 5\nx = 0,2\ny1 = 1\n"
 
 
 @pytest.fixture
@@ -368,6 +369,22 @@ class TestVerifyWitness:
         assert rec["result"]["coverage"]["failures"] == [
             "uncovered integer -37"]
 
+    def test_huge_period_and_window_are_checked_quickly(
+        self, witness_record, tmp_path, capsys
+    ):
+        # T = 10**20 + 1 and a window of 10**22 integers: too long for the
+        # bitmasks, and with more classes mod T in it than a walk over
+        # them could visit.  The walk stops at the first class whose first
+        # integer is not reached, so the sums, not T, bound its steps.
+        witness_record["result"]["witness"].update(T=10**20 + 1, hi=10**22)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        with bounded_work():
+            code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert rec["result"]["coverage"] == {"ok": False, "failures": [
+            f"uncovered integer {-40 + 1 + 10**20 + 1}"]}
+
     def test_huge_modulus_is_rejected_quickly(self, tmp_path, capsys):
         # Lifting to T = 2000000 and testing C = {0} cost time linear in T.
         record = {
@@ -563,6 +580,52 @@ class TestBadInputNeverExitsOne:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: window")
         assert "MemoryError" in err
+
+    @pytest.mark.parametrize("command", [[], ["--window=-100:100"]],
+                             ids=["decide", "witness"])
+    def test_modulus_beyond_an_index(self, setfile, capsys, command):
+        # m = 10**20 does not fit an index, so lifting it fails at once
+        # without allocating anything; it used to raise ValueError from
+        # the width of a format string.
+        path = setfile("m = 100000000000000000000\nx = 0\ny1 = 1\n")
+        argv = ["witness" if command else "decide", path] + command
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "error: modulus 100000000000000000000 is too large to lift")
+        assert "OverflowError" in err
+
+    def test_record_modulus_beyond_an_index(self, setfile, tmp_path, capsys):
+        # T = 5 * 10**19 is a multiple of m = 5, so the certificate check
+        # lifts by 10**19, which fits no index.
+        _, record = run_json(capsys, ["witness", setfile(FIVE),
+                                      "--window=-60:60"])
+        record["result"]["witness"]["T"] = 5 * 10**19
+        assert verify_record(tmp_path, record) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "error: modulus 50000000000000000000 is too large to lift")
+        assert "OverflowError" in err
+
+    def test_modulus_beyond_memory(self, setfile, tmp_path, capsys,
+                                   monkeypatch):
+        # A modulus that fits an index but not memory, such as m = 10**12;
+        # the lift is made to fail as it would, so that no test allocates.
+        path = setfile(FIVE)
+        _, record = run_json(capsys, ["witness", path, "--window=-60:60"])
+
+        def no_memory(value):
+            raise MemoryError
+
+        monkeypatch.setattr(sets, "bin", no_memory, raising=False)
+        for run in (lambda: cli.main(["decide", path]),
+                    lambda: cli.main(["witness", path, "--window=-60:60"]),
+                    lambda: verify_record(tmp_path, record)):
+            assert run() == cli.EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(
+                "error: modulus 5 is too large to lift")
+            assert "MemoryError" in err
 
     @pytest.mark.parametrize("argv, option", [
         (["construct", "--steps=--"], "--steps"),

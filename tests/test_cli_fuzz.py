@@ -3,7 +3,7 @@ keeps the exit-code contract.
 
 Exit 1 means "no minimal complement exists", so a traceback must never
 reach it; whatever the file holds, ``cli.main`` returns a code in 0..4 and
-raises nothing.
+raises nothing but argparse's exit on a usage error, whose code is 2.
 """
 
 import json
@@ -21,10 +21,16 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 small_int = st.integers(-40, 40)
-int_list = st.lists(small_int, max_size=5).map(lambda xs: ",".join(map(str, xs)))
+# Integers too large to index memory by; 6 * 10**19 is a multiple of the
+# record's m, so as T it passes the divisibility test and reaches the lift.
+# Nothing between about 10**8 and 2**63 is drawn, since such a value could
+# really allocate.
+huge_int = st.sampled_from([2**63, -2**63, 10**20, -10**20, 6 * 10**19])
+any_int = small_int | huge_int
+int_list = st.lists(any_int, max_size=5).map(lambda xs: ",".join(map(str, xs)))
 field_line = st.one_of(
     st.tuples(st.sampled_from(["period", "threshold", "m", "shift"]),
-              st.one_of(small_int.map(str), st.text(max_size=4))),
+              st.one_of(any_int.map(str), st.text(max_size=4))),
     st.tuples(st.sampled_from(["residues", "extras", "x", "y0", "y1"]),
               st.one_of(int_list, st.text(max_size=6))),
     st.tuples(st.just("orientation"),
@@ -34,7 +40,7 @@ field_line = st.one_of(
 set_text = st.lists(field_line, max_size=6).map("\n".join)
 
 json_value = st.recursive(
-    st.none() | st.booleans() | small_int | st.floats(allow_nan=False)
+    st.none() | st.booleans() | any_int | st.floats(allow_nan=False)
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -62,6 +68,17 @@ def valid_record() -> dict:
 RECORD = valid_record()
 FIELDS = [("canonical", k) for k in RECORD["result"]["canonical"]] + [
     ("witness", k) for k in RECORD["result"]["witness"]]
+INT_FIELDS = [(part, key) for part, key in FIELDS
+              if type(RECORD["result"][part][key]) is int]
+
+
+def exit_code(argv) -> int:
+    """What the process exits with: ``cli.main``'s code, or the one
+    argparse exits with on a usage error, such as ``--slack=--``."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +116,20 @@ def test_witness_record(workdir, edits, whole):
     assert cli.main(["verify-witness", str(path)]) in CODES
 
 
+@FUZZ
+@given(edits=st.lists(st.tuples(st.sampled_from(INT_FIELDS), any_int),
+                      min_size=1, max_size=3))
+def test_witness_record_integers(workdir, edits):
+    # m, shift, lo, hi, T and the margins; a T of 6 * 10**19 passes the
+    # divisibility test and leaves the lift a mask it cannot allocate
+    record = json.loads(json.dumps(RECORD))
+    for (part, key), value in edits:
+        record["result"][part][key] = value
+    path = workdir / "record.json"
+    path.write_text(json.dumps(record))
+    assert cli.main(["verify-witness", str(path)]) in CODES
+
+
 def test_unedited_record_verifies(workdir):
     path = workdir / "record.json"
     path.write_text(json.dumps(RECORD))
@@ -109,5 +140,5 @@ def test_unedited_record_verifies(workdir):
 @given(steps=st.integers(-1, 4), spec=slack_text)
 def test_construct_slack(steps, spec):
     # ``--slack=`` keeps a spec that starts with '-' an option value.
-    assert cli.main(["construct", "--steps", str(steps),
-                     f"--slack={spec}"]) in CODES
+    assert exit_code(["construct", "--steps", str(steps),
+                      f"--slack={spec}"]) in CODES

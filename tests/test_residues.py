@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from minadd.errors import ModulusMismatch, ResidueOutOfRange
+from minadd.errors import ModulusMismatch, ModulusTooLarge, ResidueOutOfRange
 from minadd.residues import ResidueSubset, mask_members, rotate
 
 
@@ -18,6 +18,13 @@ def test_out_of_range_rejected():
         ResidueSubset.of(5, [5])
     with pytest.raises(ResidueOutOfRange):
         ResidueSubset.of(3, [-1])
+
+
+def test_residue_beyond_an_index_rejected():
+    # bit 10**20 fits no index, so the mask fails before it allocates
+    with pytest.raises(ModulusTooLarge) as exc:
+        ResidueSubset.of(10**21, [0, 10**20])
+    assert isinstance(exc.value.__cause__, OverflowError)
 
 
 def test_reduce_wraps_negatives():

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from conftest import window_elements
 from minadd import cli
 from minadd.errors import (
     EmptySet,
+    ModulusTooLarge,
     Y0NotNegative,
     Y0ResidueOutsideX,
     Y1ResidueInsideX,
@@ -189,6 +191,23 @@ class TestLift:
             ctx = lift_period(s, k)
             for n in range(0, 4 * ctx.T):
                 assert ((n % s.m) in s.x_m) == ((n % ctx.T) in ctx.x_t)
+
+    @pytest.mark.parametrize("m, k", [(10**20, 1), (5, 10**19)],
+                             ids=["m", "T"])
+    def test_lift_beyond_an_index_allocates_nothing(self, m, k):
+        # T = 10**20 and 5 * 10**19 fit no index, so the lift fails before
+        # it allocates; a T that fits an index but not memory is tested in
+        # tests/test_cli.py by a MemoryError made to order.
+        s = validate_canonical(m, [0], (), [1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModulusTooLarge) as exc:
+                lift_period(s, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(exc.value.__cause__, OverflowError)
+        assert peak < 1 << 16
 
 
 class TestWindowElements:

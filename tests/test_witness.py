@@ -19,7 +19,7 @@ from minadd.criteria import (
 from minadd.errors import CertificateInvalid, WindowTooSmall
 from minadd.oracle import WindowSet, verify_complement_window
 from minadd.residues import ResidueSubset
-from minadd.sets import CanonicalSet, margins, validate_canonical
+from minadd.sets import CanonicalSet, Margins, margins, validate_canonical
 from minadd.witness import (
     VerificationReport,
     WitnessWindow,
@@ -366,6 +366,30 @@ def tampered_elements(rng, s, w):
         yield "moved", dataclasses.replace(w, d_elements=tuple(sorted(moved)))
 
 
+def stretches(s, w):
+    """The stretches the bitmask checks of coverage and of minimality
+    read: the safe interval less max(Y1) and min(Y1), and widened by
+    max(Y1) - min(Y1)."""
+    inner_lo, inner_hi = witness._safe_interval(w)
+    span = s.y1[-1] - s.y1[0]
+    return ((inner_lo - s.y1[-1], inner_hi - s.y1[0]),
+            (inner_lo - span, inner_hi + span))
+
+
+def forged_stretch(rng, w):
+    """Records with forged margins, the last also with a narrowed lo and
+    hi, that put the safe interval so near the window's ends, or past
+    them, that a check's stretch mostly reaches outside [lo, hi]."""
+    T, marg = w.T, w.margins
+    yield dataclasses.replace(w, margins=Margins(0, 0))
+    k = rng.randint(1, 2 * T)
+    yield dataclasses.replace(w, margins=Margins(-k, k))
+    yield dataclasses.replace(w, margins=Margins(marg.y_plus - k, marg.y_minus))
+    yield dataclasses.replace(
+        w, lo=w.lo + rng.randint(0, 3 * T), hi=w.hi - rng.randint(0, 3 * T),
+        margins=Margins(0, 0))
+
+
 def same_report(got, want):
     return (got.ok, got.failures, got.first_uncovered) == (
         want.ok, want.failures, want.first_uncovered)
@@ -427,6 +451,7 @@ def test_verifiers_match_references(monkeypatch, masks):
     compared = 0
     failed, edits = Counter(), Counter()
     pruned = 0
+    honest = []
 
     def compare(s, record):
         nonlocal compared
@@ -451,6 +476,7 @@ def test_verifiers_match_references(monkeypatch, masks):
         except WindowTooSmall:
             continue
         pruned += has_pruned_candidate(w)
+        honest.append((s, w))
         for record in (w, *tampered(rng, s, w)):
             compare(s, record)
     for s, cert in decide_pool_certificates():
@@ -461,6 +487,15 @@ def test_verifiers_match_references(monkeypatch, masks):
         compare(s, w)
         for kind, record in tampered_elements(rng, s, w):
             edits[kind, compare(s, record)] += 1
+    # forged margins, on their own rng so that the draws above stay put
+    forged_rng, outside = random.Random(7), 0
+    for s, w in honest:
+        for record in forged_stretch(forged_rng, w):
+            compare(s, record)
+            inner_lo, inner_hi = witness._safe_interval(record)
+            outside += inner_lo <= inner_hi and any(
+                a < record.lo or b > record.hi for a, b in stretches(s, record))
+    assert outside >= 400, outside
     assert min(failed.values()) >= 200, failed
     assert pruned >= 100, pruned
     # an added element never owns a private target; a moved one mostly does
@@ -571,7 +606,7 @@ def test_tiled_build_matches_reference_on_random_sets():
     """Random sets at t_max = 2m, so that lifted moduli occur, on windows
     from the shortest accepted one up to 400 blocks longer."""
     rng = random.Random(8)
-    compared = lifted = 0
+    compared = lifted = merged = 0
     while compared < 300 or lifted < 10:
         s = random_canonical(rng, 8)
         v = decide(s, SearchConfig(t_max=2 * s.m))
@@ -582,6 +617,9 @@ def test_tiled_build_matches_reference_on_random_sets():
         assert assert_same_build(s, v.certificate, lo, hi)
         compared += 1
         lifted += T > s.m
+        merged += len(v.certificate.c) >= 2
+    # 295 of the 583 builds have |C| >= 2 and so merge their classes
+    assert merged >= 250, merged
 
 
 def test_tiled_build_matches_reference_on_decide_pool(monkeypatch):
@@ -592,11 +630,15 @@ def test_tiled_build_matches_reference_on_decide_pool(monkeypatch):
     walked."""
     outcomes = count_prune_outcomes(monkeypatch)
     rng = random.Random(5)
-    built = 0
+    built = merged = 0
     for s, cert in decide_pool_certificates():
         lo, hi = random_window(rng, s, cert.T, 1)
-        built += assert_same_build(s, cert, lo, hi)
+        same = assert_same_build(s, cert, lo, hi)
+        built += same
+        merged += same and len(cert.c) >= 2
     assert built >= 1500
+    # 1 444 of the 1 936 builds merge their classes
+    assert merged >= 1200, merged
     assert min(outcomes[key] for key in OUTCOMES) >= 2, outcomes
 
 
@@ -618,9 +660,9 @@ def test_tiled_build_matches_reference_on_short_windows(monkeypatch):
     assert min(outcomes[key] for key in OUTCOMES) >= 100, outcomes
 
 
-def test_tiled_build_matches_reference_on_witness_pool():
-    """Every witness-pool form at the benchmark's window; the raw forms
-    share one canonical set, which is built once."""
+def witness_pool_certificates():
+    """(set, certificate) for every witness-pool form; the raw forms
+    share one canonical set, which is given once."""
     pool = json.loads((DATA / "witness_pool.json").read_text())
     seen = set()
     for groups in pool["by_m"].values():
@@ -632,11 +674,51 @@ def test_tiled_build_matches_reference_on_witness_pool():
                         continue
                     seen.add(key)
                     cert = form["certificate"]
-                    s = CanonicalSet.from_dict(form["canonical"])
                     T = cert["T"]
-                    assert assert_same_build(s, Certificate(
-                        T, ResidueSubset.of(T, cert["c"]), SUFFICIENT), -8000, 8000)
-    assert len(seen) >= 300
+                    yield CanonicalSet.from_dict(form["canonical"]), Certificate(
+                        T, ResidueSubset.of(T, cert["c"]), SUFFICIENT)
+
+
+def test_tiled_build_matches_reference_on_witness_pool():
+    """Every witness-pool form at the benchmark's window."""
+    built = merged = 0
+    for s, cert in witness_pool_certificates():
+        assert assert_same_build(s, cert, -8000, 8000)
+        built += 1
+        merged += len(cert.c) >= 2
+    assert built >= 300
+    # 180 of the 376 builds merge their classes
+    assert merged >= 150, merged
+
+
+def test_checks_read_each_window_once(monkeypatch):
+    """On every witness-pool window at the benchmark's window, coverage
+    and minimality build one indicator of D between them, and none when
+    the bitmasks are off; a window made from a checked one by
+    ``dataclasses.replace`` reads its own elements, so an element deleted
+    there is missed."""
+    reads = Counter()
+    indicator = witness._indicator
+
+    def counted(*args):
+        reads["now"] += 1
+        return indicator(*args)
+
+    monkeypatch.setattr(witness, "_indicator", counted)
+    windows = [(s, build_witness(s, cert, -8000, 8000))
+               for s, cert in witness_pool_certificates()]
+    for stretch in (witness.MASK_STRETCH, 0):
+        monkeypatch.setattr(witness, "MASK_STRETCH", stretch)
+        for s, built in windows:
+            w = dataclasses.replace(built)  # unread
+            reads.clear()
+            assert verify_coverage(s, w).ok and verify_local_minimality(s, w).ok
+            assert reads["now"] == (1 if stretch else 0), (s, stretch)
+            d = list(w.d_elements)
+            del d[len(d) // 2]
+            assert not verify_coverage(
+                s, dataclasses.replace(w, d_elements=tuple(d))).ok
+    assert len(windows) >= 300
 
 
 def test_wide_window_build_is_bounded():
