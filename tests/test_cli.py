@@ -385,6 +385,26 @@ class TestVerifyWitness:
         assert rec["result"]["coverage"] == {"ok": False, "failures": [
             f"uncovered integer {-40 + 1 + 10**20 + 1}"]}
 
+    def test_forged_period_buys_no_bitmasks(
+        self, witness_record, tmp_path, capsys
+    ):
+        # T = 10**6 + 1 and a window of 3T integers.  An allowance that
+        # grew with T let both checks read that window on bitmasks, at a
+        # cost linear in T; the record's 40 elements bound the walks.
+        T = 10**6 + 1
+        witness = witness_record["result"]["witness"]
+        witness.update(T=T, hi=3 * T)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        with bounded_work():
+            code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert rec["result"]["coverage"] == {"ok": False, "failures": [
+            f"uncovered integer {-40 + 1 + T}"]}
+        assert rec["result"]["minimality"] == {"ok": False, "failures": [
+            f"witness element {d} lies outside the certificate's classes"
+            for d in witness["d_elements"] if d % T]}
+
     def test_huge_modulus_is_rejected_quickly(self, tmp_path, capsys):
         # Lifting to T = 2000000 and testing C = {0} cost time linear in T.
         record = {

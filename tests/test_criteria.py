@@ -1,8 +1,18 @@
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from conftest import random_canonical, random_context, shifted_copy
+from conftest import (
+    bounded_work,
+    enumerate_contexts,
+    random_canonical,
+    random_context,
+    reference_search,
+    shifted_copy,
+)
 from minadd import criteria, oracle
 from minadd.criteria import (
     NECESSARY,
@@ -122,6 +132,59 @@ class TestFindCertificate:
                 assert (fast is None) == (slow is None)
                 if fast is not None:
                     assert fast.c == slow.c
+
+
+def test_search_matches_plain_dfs():
+    """The forward-checked search finds what the plain lexicographic DFS
+    finds, the same certificate or none, on the context grid and on
+    random contexts, under both variants."""
+    rng = random.Random(14)
+    contexts = [*enumerate_contexts(10),
+                *(random_context(rng, 1, 12) for _ in range(1000))]
+    outcomes = Counter()
+    for ctx in contexts:
+        for variant in (NECESSARY, SUFFICIENT):
+            cert = find_certificate(ctx, variant)
+            assert cert == reference_search(ctx, variant), (ctx, variant)
+            outcomes[cert is None] += 1
+    assert len(contexts) >= 4000
+    assert outcomes[False] >= 1500 and outcomes[True] >= 1500, outcomes
+
+
+DECIDE_POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "decide_pool.json"
+
+
+def pool_entries(kind):
+    """(set, entry) for the decide pool's stratum sets or deep instances."""
+    pool = json.loads(DECIDE_POOL.read_text())
+    entries = (pool["deep"] if kind == "deep" else
+               [e for stratum in pool["strata"] for e in stratum["entries"]])
+    for e in entries:
+        st = e["set"]
+        yield validate_canonical(st["m"], st["x"], st["y0"], st["y1"]), e
+
+
+@pytest.mark.parametrize("name", ["roadmap-m5", "roadmap-m10"])
+def test_deep_instances_scan_to_twenty_in_few_nodes(name):
+    # The plain DFS took 540 558 (roadmap-m5) and 525 175 nodes here.
+    s = next(s for s, e in pool_entries("deep") if e["name"] == name)
+    with bounded_work():
+        v = decide(s, SearchConfig(t_max=20))
+    assert v.outcome is Outcome.UNKNOWN and not v.stats.budget_exhausted
+    assert 0 < v.stats.subsets_examined <= 50, v.stats
+
+
+def test_stratum_sets_node_count():
+    """Node counts, not wall time, are the search's regression signal: the
+    plain DFS took 10.6 M nodes over these 1 409 sets."""
+    nodes = sets = 0
+    for s, e in pool_entries("strata"):
+        v = decide(s, SearchConfig(t_max=e["t_max"]))
+        assert v.outcome.value == e["expected"]["outcome"], e
+        nodes += v.stats.subsets_examined
+        sets += 1
+    assert sets == 1409
+    assert nodes <= 10_000, nodes
 
 
 class TestCheckSingleton:
