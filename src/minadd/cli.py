@@ -188,7 +188,8 @@ def cmd_witness(args) -> CommandResult:
             return fields, config, result, EXIT_VERIFY_FAILED
         return fields, config, result, EXIT_OF_OUTCOME[verdict.outcome]
     try:
-        # the build and the checks hold a byte per integer of the window
+        # the build's prune buffer holds a byte per integer of the window
+        # widened by the margins, and the checks' masks a bit per integer
         w = witness_mod.build_witness(s, verdict.certificate, lo, hi)
         cov = witness_mod.verify_coverage(s, w)
         mini = witness_mod.verify_local_minimality(s, w)
@@ -243,7 +244,8 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
 def cmd_verify_witness(args) -> CommandResult:
     s, w = load_witness_record(args.file)
     try:
-        # the bitmask checks hold a byte per integer of the window
+        # the bitmask checks build their bit per integer of the window
+        # from a digit string of a byte per integer (witness._indicator)
         reports = {
             "certificate": witness_mod.verify_certificate(s, w),
             "coverage": witness_mod.verify_coverage(s, w),

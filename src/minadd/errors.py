@@ -67,7 +67,9 @@ class WindowTooSmall(MinaddError):
 
 
 class WindowTooLarge(MinaddError):
-    """A witness window too long to hold a byte per integer."""
+    """A witness window too long to hold in memory: the build's prune
+    buffer and the checks' digit string hold a byte per integer of it,
+    their masks a bit per integer."""
 
 
 class ModulusTooLarge(MinaddError):

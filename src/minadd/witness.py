@@ -25,11 +25,13 @@ no state repeats within the window, every block is walked.  It then
 reads D' out one class of C at a time, |C|/T of the window.
 
 The verifiers check a window on bitmasks.  A window reads its elements
-once: D sorted, and an int whose byte n - lo is 1 iff n is in D, for n
-in [lo, hi], one Python step per element.  Each check cuts its stretch
-out of that int, shifts it once per y in Y1, sums the shifts bit-sliced
-into "reached" and "reached twice" masks and ANDs them with the classes
-of C1, C2 or C tiled over the stretch.  They run only when the window
+once: D sorted, and an int whose bit n - lo is 1 iff n is in D, for n
+in [lo, hi], one Python step per element.  A window from build_witness
+skips that step: the build converts its prune buffer, a byte per
+candidate, into the int at C speed.  Each check cuts its stretch out of
+that int, shifts it once per y in Y1, sums the shifts bit-sliced into
+"reached" and "reached twice" masks and ANDs them with the classes of
+C1, C2 or C tiled over the stretch.  They run only when the window
 holds the stretch and is at most MASK_STRETCH times |D|*|Y1| integers
 long, within a constant factor of the set-and-class walk they replace.
 Other windows, as with a forged ``hi`` or ``T``, forged margins or a few
@@ -48,7 +50,7 @@ from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate
 from .errors import CertificateInvalid, WindowTooSmall
-from .residues import ResidueSubset
+from .residues import ResidueSubset, rotate
 from .sets import CanonicalSet, Margins, lift_period, margins
 
 
@@ -65,7 +67,8 @@ class WitnessWindow:
     ``d_elements``, ascending, with the certificate and margins they were
     built from.  It carries no minimality evidence of its own; each
     interior element's private target follows from the elements and Y1.
-    The checks read D once per window, into ``_sorted`` and ``_present``.
+    The checks read D once per window, into ``_sorted`` and ``_present``;
+    build_witness fills ``_present`` itself.
     """
 
     lo: int
@@ -110,7 +113,7 @@ class WitnessWindow:
 
     @cached_property
     def _present(self) -> int:
-        """Byte n - lo is 1 iff n is in D, for n in [lo, hi]."""
+        """Bit n - lo is 1 iff n is in D, for n in [lo, hi]."""
         return _indicator(self._sorted, self.lo, self.hi)
 
 
@@ -176,8 +179,16 @@ def build_witness(
     _prune(kept, base, T, _block_rules(T, cert.c, c2, y1, top), span, top, bottom)
     rows = [compress(range(base + i, base + size, T), kept[i::T])
             for i in ((r - base) % T for r in cert.c.members())]
-    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(
+    w = WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(
         rows[0] if len(rows) == 1 else sorted(chain(*rows))))
+    # kept is D over the pool, which overlaps [lo, hi] as the window is
+    # longer than the margins; fill _present's cache, which replace drops
+    cut = kept[max(lo - base, 0):hi - base + 1][::-1]
+    w.__dict__["_present"] = int(cut.translate(_DIGITS), 2) << max(base - lo, 0)
+    return w
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
@@ -259,11 +270,12 @@ def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
 
 #: The bitmask checks run when the window is at most this many times
 #: |D|*|Y1| integers long, the count of sums the walk takes; not T, which
-#: a record can forge.  Measured on a 2-CPU host (Python 3.11), an integer
-#: costs the bitmasks about 10 ns of word-level work and a walk step about
-#: 60 ns of Python, so the two break even near 8 and at 16 the bitmasks
-#: cost at most about twice the walk.  The benchmark's witness-pool
-#: windows reach at most 10; a forged ``hi`` or a sparse D goes far over.
+#: a record can forge.  Measured in-process over the witness-pool windows
+#: on a 2-CPU host (Python 3.11), an integer costs the two checks' bitmasks
+#: about 2.5 ns of word-level work, an element of D about 60 ns to read,
+#: and a sum about 500 ns in the two walks, so at 16 the bitmasks cost at
+#: most about a fifth of the walk.  The benchmark's witness-pool windows
+#: reach at most 10; a forged ``hi`` or a sparse D goes far over.
 MASK_STRETCH = 16
 
 
@@ -275,34 +287,40 @@ def _masks_fit(w: WitnessWindow, y1: tuple[int, ...], a: int, b: int) -> bool:
 
 
 def _cut(w: WitnessWindow, a: int, b: int) -> int:
-    """Byte n - a is 1 iff n is in D, for n in [a, b] within [lo, hi]."""
-    return w._present >> 8 * (a - w.lo) & (1 << 8 * (b - a + 1)) - 1
+    """Bit n - a is 1 iff n is in D, for n in [a, b] within [lo, hi]."""
+    return w._present >> a - w.lo & (1 << b - a + 1) - 1
 
 
 def _indicator(ds: list[int], a: int, b: int) -> int:
-    """Byte n - a is 1 iff n is in the sorted ``ds``, for n in [a, b]: the
-    one Python step per element of the bitmask checks."""
-    present = bytearray(b - a + 1)
+    """Bit n - a is 1 iff n is in the sorted ``ds``, for n in [a, b]: the
+    one Python step per element of the bitmask checks, writing base-2
+    digits, most significant first."""
+    digits = bytearray(b"0" * (b - a + 1))
     for v in ds[bisect_left(ds, a):bisect_right(ds, b)]:
-        present[v - a] = 1
-    return int.from_bytes(present, "little")
+        digits[b - v] = 49  # ord("1")
+    return int(digits, 2)
 
 
 def _pattern(mask: int, T: int, lo: int, width: int) -> int:
-    """Byte n - lo is 1 iff bit n % T of ``mask`` is, for n in [lo, lo + width)."""
-    row = bytes(mask >> n % T & 1 for n in range(lo, lo + min(T, width)))
-    return int.from_bytes((row * (width // len(row) + 1))[:width], "little")
+    """Bit n - lo is 1 iff bit n % T of ``mask`` is, for n in [lo, lo + width):
+    the T-bit row from lo, doubled until it spans the width, in time
+    linear in T + width (a repunit product divides in time T * width)."""
+    x, n = rotate(mask & (1 << T) - 1, -lo, T), T
+    while n < width:
+        x |= x << n
+        n *= 2
+    return x & (1 << width) - 1
 
 
 def _sources(indicator: int, y1: tuple[int, ...]) -> tuple[int, int]:
     """From the indicator of D over [a, b], the masks ``ones`` and ``twos``
-    whose byte j is 1 iff at least one, and iff at least two, of the
+    whose bit j is 1 iff at least one, and iff at least two, of the
     n - y (y in Y1) are in D, for n = a + max(Y1) + j: the |Y1| shifts of
     the indicator, summed bit-sliced.  Exact for n up to b + min(Y1),
-    where every n - y lies in [a, b]; the bytes above are undercounted."""
+    where every n - y lies in [a, b]; the bits above are undercounted."""
     ones = twos = 0
     for y in y1:
-        x = indicator >> 8 * (y1[-1] - y)
+        x = indicator >> y1[-1] - y
         twos |= ones & x
         ones |= x
     return ones, twos
@@ -359,7 +377,7 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
         reached_mask = _sources(_cut(w, a, b), y1)[0]
         missed = _pattern(~w.c1.mask, T, inner_lo, width) & ~reached_mask
         if missed:
-            uncovered.append(inner_lo + ((missed & -missed).bit_length() - 1) // 8)
+            uncovered.append(inner_lo + (missed & -missed).bit_length() - 1)
     else:
         reached = {d + y for d in w.d_elements for y in y1}
         for first in range(inner_lo, min(inner_lo + T, inner_hi + 1)):
@@ -401,15 +419,15 @@ def _minimal_by_masks(s: CanonicalSet, w: WitnessWindow,
     if indicator & ~_pattern(w.c.mask, T, a, b - a + 1) or not all(
             w.c.mask >> d % T & 1 for d in ds[:i] + ds[j:]):
         return False
-    # byte k of ones, twos and private is about the sum a + max(Y1) + k
+    # bit k of ones, twos and private is about the sum a + max(Y1) + k
     ones, twos = _sources(indicator, y1)
     width = inner_hi - inner_lo + 1
     private = ones & ~twos & _pattern(w.c2.mask, T, a + y1[-1], width + span)
     owners = 0
     for y in y1:
-        owners |= private << 8 * (y1[-1] - y)
-    # byte k of the indicator and of owners is about the integer a + k
-    return not (indicator & ~owners) >> 8 * span & (1 << 8 * width) - 1
+        owners |= private << y1[-1] - y
+    # bit k of the indicator and of owners is about the integer a + k
+    return not (indicator & ~owners) >> span & (1 << width) - 1
 
 
 def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:

@@ -2,7 +2,8 @@
 window enumeration of canonical sets, the generic run helpers that the
 construct tests take as references, the plain certificate search the
 forward-checked one is diffed against, and a work bound for tests that
-must not depend on wall time."""
+must not depend on wall time.  Hypothesis runs derandomized unless a
+seed or a profile is given on the command line."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import tracemalloc
 from bisect import bisect_right
 from math import inf
 
+from hypothesis import settings
+
 from minadd.criteria import Certificate, NECESSARY, _cond_b
 from minadd.residues import ResidueSubset, rotate
 from minadd.sets import (
@@ -23,6 +26,17 @@ from minadd.sets import (
     canonicalize,
     lift_period,
 )
+
+# Each test draws the same examples on every run, so a rare draw cannot
+# fail a change that did not cause it.  ``--hypothesis-seed`` would be
+# ignored under this profile, and ``--hypothesis-profile`` picks its own.
+settings.register_profile("derandomize", derandomize=True)
+
+
+def pytest_configure(config):
+    if not (config.getoption("hypothesis_seed")
+            or config.getoption("hypothesis_profile")):
+        settings.load_profile("derandomize")
 
 
 def window_elements(s: CanonicalSet, lo: int, hi: int) -> list[int]:

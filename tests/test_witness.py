@@ -691,11 +691,61 @@ def test_tiled_build_matches_reference_on_witness_pool():
     assert merged >= 150, merged
 
 
+def test_built_window_hands_over_its_indicator():
+    """A window straight from build_witness carries, before any check
+    reads it, the indicator of its own elements over [lo, hi]: on every
+    witness-pool form, and on random sets whose candidate pool
+    [lo - y_plus, hi - y_minus] ends below hi (y_minus > 0) or starts
+    above lo (y_plus < 0)."""
+    def assert_handed(w):
+        assert vars(w)["_present"] == witness._indicator(
+            list(w.d_elements), w.lo, w.hi), w
+
+    built = 0
+    for s, cert in witness_pool_certificates():
+        assert_handed(build_witness(s, cert, -8000, 8000))
+        built += 1
+    assert built >= 300
+    rng = random.Random(11)
+    pool_misses = Counter()
+    while min(pool_misses["y_minus > 0"], pool_misses["y_plus < 0"]) < 100:
+        s = random_canonical(rng, 6)
+        v = decide(s, SearchConfig(t_max=2 * s.m))
+        if v.outcome is not Outcome.EXISTS or v.certificate is None:
+            continue
+        w = build_witness(s, v.certificate,
+                          *random_window(rng, s, v.certificate.T, 4))
+        assert_handed(w)
+        pool_misses["y_minus > 0"] += w.margins.y_minus > 0
+        pool_misses["y_plus < 0"] += w.margins.y_plus < 0
+
+
+def test_pattern_and_indicator_match_definitions():
+    """_pattern and _indicator bit by bit against their definitions: masks
+    with stray high bits and negative ones (coverage passes ~C1), T from 1
+    to 30, starts below 0, widths below T and far above it, and elements
+    on both sides of [a, b]."""
+    rng = random.Random(4)
+    for T in range(1, 31):
+        for _ in range(20):
+            mask = rng.getrandbits(T)
+            mask = rng.choice((mask, ~mask, mask | rng.getrandbits(40) << T))
+            lo = rng.randint(-50 * T, 50)
+            width = rng.choice((rng.randint(1, T), rng.randint(T, 40 * T)))
+            assert witness._pattern(mask, T, lo, width) == sum(
+                1 << j for j in range(width) if mask >> (lo + j) % T & 1)
+            a, b = lo, lo + width - 1
+            ds = sorted(rng.sample(range(a - 40, b + 41), rng.randint(0, 60)))
+            assert witness._indicator(ds, a, b) == sum(
+                1 << v - a for v in ds if a <= v <= b)
+
+
 def test_checks_read_each_window_once(monkeypatch):
     """On every witness-pool window at the benchmark's window, coverage
     and minimality build one indicator of D between them, and none when
-    the bitmasks are off; a window made from a checked one by
-    ``dataclasses.replace`` reads its own elements, so an element deleted
+    the bitmasks are off.  A window from build_witness builds none, since
+    the build hands over its own; one made by ``dataclasses.replace`` or
+    loaded from its record reads its own elements, so an element deleted
     there is missed."""
     reads = Counter()
     indicator = witness._indicator
@@ -707,17 +757,22 @@ def test_checks_read_each_window_once(monkeypatch):
     monkeypatch.setattr(witness, "_indicator", counted)
     windows = [(s, build_witness(s, cert, -8000, 8000))
                for s, cert in witness_pool_certificates()]
+    assert reads["now"] == 0
     for stretch in (witness.MASK_STRETCH, 0):
         monkeypatch.setattr(witness, "MASK_STRETCH", stretch)
         for s, built in windows:
-            w = dataclasses.replace(built)  # unread
-            reads.clear()
-            assert verify_coverage(s, w).ok and verify_local_minimality(s, w).ok
-            assert reads["now"] == (1 if stretch else 0), (s, stretch)
-            d = list(w.d_elements)
+            variants = [("replaced", dataclasses.replace(built), 1)]
+            if stretch:  # the walk reads no indicator, whatever the window
+                variants += [("built", built, 0),
+                             ("loaded", WitnessWindow.from_dict(built.to_dict()), 1)]
+            for kind, w, want in variants:
+                reads.clear()
+                assert verify_coverage(s, w).ok and verify_local_minimality(s, w).ok
+                assert reads["now"] == (want if stretch else 0), (s, stretch, kind)
+            d = list(built.d_elements)
             del d[len(d) // 2]
             assert not verify_coverage(
-                s, dataclasses.replace(w, d_elements=tuple(d))).ok
+                s, dataclasses.replace(built, d_elements=tuple(d))).ok
     assert len(windows) >= 300
 
 
