@@ -13,16 +13,18 @@ refutes existence) asks that c + y escape C + X_T.  The *sufficient* form
 The decision engine checks the necessary form once, at the base modulus,
 and then scans lifted moduli for a sufficient certificate.
 
-Up to EXHAUSTIVE_LIMIT the search at one modulus is complete: a
-lexicographic DFS over the subsets that contain 0, forward-checked
-against (b).  Both forms of (b) are antimonotone in C, so a candidate
-that fails next to the current members is dropped from the whole
-subtree, each node carries one private mask per member, and a full cover
-is valid as soon as it is reached.  A node costs O(|survivors| *
-|members|) mask operations, and the benchmark's 1 409 pool sets take
-4 511 nodes in all, where testing (b) only at full covers took 10.6 M.
-Above the limit a budgeted cover-driven heuristic can only prove
-existence.
+Both searches at one modulus are complete: each returns a valid C, or
+None when no valid C exists at that T, or raises BudgetExceeded.  Up to
+EXHAUSTIVE_LIMIT the search is a lexicographic DFS over the subsets that
+contain 0, forward-checked against (b).  Both forms of (b) are
+antimonotone in C, so a candidate that fails next to the current members
+is dropped from the whole subtree, each node carries one private mask per
+member, and a full cover is valid as soon as it is reached.  A node costs
+O(|survivors| * |members|) mask operations, and the benchmark's 1 409
+pool sets take 4 511 nodes in all, where testing (b) only at full covers
+took 10.6 M.  Above the limit a cover-driven DFS runs under a node
+budget.  The limit picks the search order, and so which certificate is
+returned, but never the outcome.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .sets import CanonicalSet, ConditionContext, lift_period
 NECESSARY = "necessary"
 SUFFICIENT = "sufficient"
 
-#: Moduli up to this are scanned completely; above it only the heuristic runs.
+#: Moduli up to this take the lexicographic search, above it the cover-driven
+#: one.  Both are complete, so this picks the certificate, not the outcome.
 EXHAUSTIVE_LIMIT = 24
-#: Node budget of one heuristic search.
+#: Node budget of one cover-driven search.
 HEURISTIC_BUDGET = 200_000
 
 
@@ -80,9 +83,11 @@ class SearchConfig:
 class SearchStats:
     """Counters of one ``decide`` or ``find_certificate`` call.
 
-    ``subsets_examined`` counts search nodes: each subset the complete
+    ``subsets_examined`` counts search nodes: each subset the lexicographic
     search reaches, which passes (b) by construction, and each node the
-    heuristic expands, over every modulus and variant searched.
+    cover-driven search expands, over every modulus and variant searched.
+    ``budget_exhausted`` is set when a cover-driven search ran out of its
+    budget; every other scan was complete.
     """
 
     subsets_examined: int = 0
@@ -292,7 +297,7 @@ def _search_exhaustive(
 
 
 # ---------------------------------------------------------------------------
-# Heuristic search (cover-driven DFS for large T)
+# Cover-driven search (budgeted DFS for large T)
 
 
 def _search_heuristic(
@@ -300,9 +305,13 @@ def _search_heuristic(
 ) -> Optional[Certificate]:
     """Branch on preimages of the least uncovered residue.
 
-    Sound for existence only: any hit is re-verified before being
-    returned; exhausting the budget raises BudgetExceeded.  The path can
-    be as deep as T, so the DFS keeps an explicit stack of child
+    Complete within its budget.  Every valid C containing 0 holds some
+    preimage r - u of the least residue r that the members leave
+    uncovered, so some branch stays inside C until it reaches a full
+    cover; that cover passes (b) because (b) is antimonotone.  So None
+    means no valid C exists at this T, and exhausting the budget raises
+    BudgetExceeded.  A hit is re-verified before it is returned.  The
+    path can be as deep as T, so the DFS keeps an explicit stack of child
     iterators, and a rotation is computed the first time it is needed.
     """
     T = ctx.T
@@ -349,7 +358,7 @@ def _search_heuristic(
         return None
     cert = Certificate(T, ResidueSubset(T, node[0]), variant)
     if not check_certificate(ctx, cert):
-        raise AssertionError("heuristic search produced an invalid candidate")
+        raise AssertionError("cover-driven search produced an invalid candidate")
     return cert
 
 
@@ -360,11 +369,13 @@ def find_certificate(
 ) -> Optional[Certificate]:
     """Search for a valid C at the context's modulus.
 
-    Up to EXHAUSTIVE_LIMIT the scan is complete, forward-checked against
-    (b) (see ``_search_exhaustive``): it returns the lexicographically
-    smallest valid C, and None means no valid C exists.  Above it the
-    heuristic runs under HEURISTIC_BUDGET nodes, and None (or
-    BudgetExceeded) only means "not found".
+    The scan is complete at every T: None means no valid C exists, and
+    BudgetExceeded means the search ran out of nodes.  Up to
+    EXHAUSTIVE_LIMIT it is forward-checked against (b) (see
+    ``_search_exhaustive``) and returns the lexicographically smallest
+    valid C.  Above it the cover-driven search (``_search_heuristic``)
+    runs under HEURISTIC_BUDGET nodes and returns the first valid C it
+    meets.
     """
     if variant not in (NECESSARY, SUFFICIENT):
         raise ValueError(f"unknown variant {variant!r}")
@@ -377,18 +388,18 @@ def find_certificate(
 def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     """Decide whether a minimal additive complement to the set exists.
 
-    The necessary condition is searched once, at T = m (when m <=
-    EXHAUSTIVE_LIMIT): a complete miss there is a sound NotExists.  No
-    lifted modulus can refute what T = m does not, because the preimage
-    of a necessary certificate at m passes (a) and the necessary (b) at
-    every k*m (the lift lemma).  Then T = m, 2m, ... up to t_max is
-    scanned for a sufficient certificate, which proves Exists; past
-    EXHAUSTIVE_LIMIT only heuristic proofs remain.  Up to the limit a
-    modulus costs the forward-checked scan's nodes, summed in
-    ``stats.subsets_examined``, at O(|survivors| * |members|) mask
-    operations each.  Unknown is a value, not an error.  A t_max below m
-    leaves no modulus to scan, so it is refused with ValidationError
-    rather than answered Unknown.
+    The necessary condition is searched once, at T = m: a finished miss
+    there is a sound NotExists.  No lifted modulus can refute what T = m
+    does not, because the preimage of a necessary certificate at m passes
+    (a) and the necessary (b) at every k*m (the lift lemma).  Then T = m,
+    2m, ... up to t_max is scanned for a sufficient certificate, which
+    proves Exists.  Both searches are complete, so Unknown means no
+    sufficient certificate exists at any scanned T, unless
+    ``stats.budget_exhausted`` is set: then some search, necessary or
+    sufficient, ran out of its budget.  Each modulus costs the search's
+    nodes, summed in ``stats.subsets_examined``.  Unknown is a value, not
+    an error.  A t_max below m leaves no modulus to scan, so it is refused
+    with ValidationError rather than answered Unknown.
     """
     cfg = cfg or SearchConfig()
     t_max = cfg.t_max if cfg.t_max is not None else 8 * s.m
@@ -415,9 +426,11 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     while k * s.m <= t_max:
         T = k * s.m
         ctx = lift_period(s, k)
-        if (k == 1 and T <= EXHAUSTIVE_LIMIT
-                and find_certificate(ctx, NECESSARY, stats) is None):
-            return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
+        try:
+            if k == 1 and find_certificate(ctx, NECESSARY, stats) is None:
+                return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
+        except BudgetExceeded:
+            stats.budget_exhausted = True
         try:
             suf = find_certificate(ctx, SUFFICIENT, stats)
         except BudgetExceeded:

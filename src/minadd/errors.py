@@ -51,7 +51,8 @@ class ModulusMismatch(MinaddError):
 
 
 class BudgetExceeded(MinaddError):
-    """Heuristic search ran out of its node budget (means "not found")."""
+    """A cover-driven certificate search ran out of its node budget: the
+    search did not finish, so it says nothing about whether C exists."""
 
 
 class CapExceeded(MinaddError):

@@ -128,13 +128,29 @@ class TestDecide:
         assert cli.main(["decide", "/nonexistent.set"]) == cli.EXIT_BAD_INPUT
 
     def test_large_period(self, setfile, capsys):
-        # The heuristic search adds one element per level, 1000 levels deep.
+        # Two cover-driven searches run at T = 2000, the necessary one and
+        # the sufficient one, each adding one element per level, 1000
+        # levels deep.
         path = setfile("m = 2000\nx = 0\ny1 = 1\n")
         with bounded_work():
             code, rec = run_json(capsys, ["decide", path])
         assert code == cli.EXIT_EXISTS
         cert = rec["result"]["verdict"]["certificate"]
         assert cert["c"] == list(range(0, 2000, 2))
+
+    def test_refutes_above_the_limit(self, setfile, capsys):
+        # m = 5, X = {1, 2, 3} restated with period 25, above the
+        # lexicographic search's limit: the base necessary search refutes.
+        path = setfile("m = 25\nx = 1,2,3,6,7,8,11,12,13,16,17,18,21,22,23\n"
+                       "y0 = -9\ny1 = -15\n")
+        code, rec = run_json(capsys, ["decide", path])
+        assert code == cli.EXIT_NOT_EXISTS
+        verdict = rec["result"]["verdict"]
+        assert verdict["reason"] == "necessary-condition-failed"
+        assert verdict["modulus"] == 25
+        code, rec = run_json(capsys, ["witness", path, "--window=-40:40"])
+        assert code == cli.EXIT_NOT_EXISTS
+        assert "witness" not in rec["result"]
 
     def test_deterministic_payload(self, setfile, capsys):
         path = setfile(EVEN)

@@ -21,6 +21,9 @@ from minadd.criteria import (
     Outcome,
     Reason,
     SearchConfig,
+    SearchStats,
+    _search_exhaustive,
+    _search_heuristic,
     check_certificate,
     cond_a,
     cond_b_necessary,
@@ -149,6 +152,72 @@ def test_search_matches_plain_dfs():
             outcomes[cert is None] += 1
     assert len(contexts) >= 4000
     assert outcomes[False] >= 1500 and outcomes[True] >= 1500, outcomes
+
+
+def test_cover_driven_search_is_complete():
+    """With no budget to run out of, the cover-driven search finds a valid
+    C exactly when the lexicographic one does, under both variants: the
+    contract that lets ``decide`` refute above EXHAUSTIVE_LIMIT."""
+    rng = random.Random(16)
+    contexts = [*enumerate_contexts(8),
+                *(random_context(rng, 9, 16) for _ in range(3000))]
+    found = 0
+    for ctx in contexts:
+        for variant in (NECESSARY, SUFFICIENT):
+            cert = _search_heuristic(ctx, variant, 10**9, SearchStats())
+            complete = _search_exhaustive(ctx, variant, SearchStats())
+            assert (cert is None) == (complete is None), (ctx, variant)
+            assert cert is None or check_certificate(ctx, cert), (ctx, variant)
+            found += cert is not None
+    assert len(contexts) >= 3700
+    assert 1000 <= found <= 2 * len(contexts) - 1000, found
+
+
+def restate(m, x, y0, y1, k):
+    """The same set described with period k*m: X repeated k times."""
+    return validate_canonical(k * m, [r + j * m for j in range(k) for r in x],
+                              y0, y1)
+
+
+# Pool not-exists sets restated at the least multiple of m in 25..40, so
+# that the base modulus lies above EXHAUSTIVE_LIMIT.
+RESTATED_NOT_EXISTS = [
+    restate(5, [1, 2, 3], [-9], [-15], 5),
+    restate(3, [0], [], [-7], 9),
+    restate(4, [0, 1], [-8], [-9], 7),
+    restate(10, [0, 2, 4, 6, 7, 8, 9], [], [15], 3),
+    restate(8, [0, 1, 2, 4, 7], [-20, -17], [-18], 4),
+]
+
+
+@pytest.mark.parametrize("s", RESTATED_NOT_EXISTS, ids=lambda s: f"m{s.m}")
+def test_refutes_above_the_limit(s):
+    assert s.m > criteria.EXHAUSTIVE_LIMIT
+    v = decide(s, SearchConfig(t_max=s.m))
+    assert v.outcome is Outcome.NOT_EXISTS and not v.stats.budget_exhausted
+    assert v.reason is Reason.NECESSARY_FAILED and v.modulus == s.m
+    assert _search_exhaustive(lift_period(s, 1), NECESSARY, SearchStats()) is None
+
+
+def test_decide_survives_necessary_budget(monkeypatch):
+    """A base necessary search that runs out refutes nothing: decide goes
+    on to the sufficient search at T = m and reports the exhausted budget."""
+    calls = []
+    search = criteria.find_certificate
+
+    def necessary_runs_out(ctx, variant, stats=None):
+        calls.append((ctx.T, variant))
+        if variant == NECESSARY:
+            raise BudgetExceeded("necessary search ran out")
+        return search(ctx, variant, stats)
+
+    monkeypatch.setattr(criteria, "find_certificate", necessary_runs_out)
+    s = restate(2, [0], [], [1], 13)
+    v = decide(s, SearchConfig(t_max=s.m))
+    assert calls == [(26, NECESSARY), (26, SUFFICIENT)]
+    assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_BASE
+    assert v.stats.budget_exhausted
+    assert check_certificate(lift_period(s, 1), v.certificate)
 
 
 DECIDE_POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "decide_pool.json"
