@@ -19,12 +19,16 @@ EXHAUSTIVE_LIMIT the search is a lexicographic DFS over the subsets that
 contain 0, forward-checked against (b).  Both forms of (b) are
 antimonotone in C, so a candidate that fails next to the current members
 is dropped from the whole subtree, each node carries one private mask per
-member, and a full cover is valid as soon as it is reached.  A node costs
-O(|survivors| * |members|) mask operations, and the benchmark's 1 409
-pool sets take 4 511 nodes in all, where testing (b) only at full covers
-took 10.6 M.  Above the limit a cover-driven DFS runs under a node
-budget.  The limit picks the search order, and so which certificate is
-returned, but never the outcome.
+member, and a full cover is valid as soon as it is reached.  The
+survivors of a node are one T-bit mask.  A node costs O(|Y1|) rotations
+to drop the candidates whose own mask dies, O(min(|U|, |survivors|)) per
+cover test, and O(|Y1|) per private mask that its join shrinks, where U
+is X_T | Y1; no table indexed by T is built, and the path holds O(depth)
+masks.  A joining k's own mask is Y1 + k in both forms, because X_T and
+Y1 are disjoint.  The benchmark's 1 409 pool sets take 4 511 nodes in
+all, where testing (b) only at full covers took 10.6 M.  Above the limit
+a cover-driven DFS runs under a node budget.  The limit picks the search
+order, and so which certificate is returned, but never the outcome.
 """
 
 from __future__ import annotations
@@ -246,54 +250,125 @@ def _search_exhaustive(
     stops at the first survivor from which the survivors' cover cannot
     complete the node's.
 
-    Cost: O(|survivors| * |members|) mask operations per node.  The scan
-    is complete, so None means no valid C exists at this T.
+    Every set below is a T-bit mask, and r + S (mod T) is read off the
+    doubled mask S | S << T as ``>> (T - r)``.  The survivors of a node
+    are its candidates minus two masks.  The candidates whose own mask
+    dies are the AND of or_f - y over y in Y1, where or_f is the OR of the
+    members' F + c.  The candidates that would empty a private mask p are
+    ``ruled(p)``, the AND of t - F over the bits t of p; a node keeps the
+    OR of ``ruled`` over its members, which only grows down a path,
+    because private masks only shrink.  A joining k shrinks only the
+    private masks that meet F + k: their owners are found among t - Y1
+    for the bits t of (OR of private masks) & (F + k), and an undo log
+    restores them on backtrack.  The cover test at survivor k is U plus
+    the survivors from k up, at min(|U|, |survivors|) rotations.  X_T and
+    Y1 are disjoint, so k's own mask is Y1 + k in both forms.
+
+    Cost per node: |Y1| rotations for the dying candidates,
+    min(|U|, |survivors|) for each cover test, and |Y1| rotations for
+    each private mask its join shrinks, with no table indexed by T.  The
+    path holds O(depth) masks of T bits: one frame per node, and an undo
+    log in which each member has at most |Y1| + 1 entries, since a shrink
+    takes at least one bit.  The scan is complete, so None means no valid
+    C exists at this T.
     """
     T = ctx.T
     full = (1 << T) - 1
     x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
-    u_mask = x_mask | y_mask
-    necessary = variant == NECESSARY
-    rot_u = [rotate(u_mask, r, T) for r in range(T)]
-    rot_y = [rotate(y_mask, r, T) for r in range(T)]
-    rot_f = [rotate(x_mask, r, T) for r in range(T)] if necessary else rot_u
-    # k's private mask once it joins is own[k] minus the members' F + c
-    own = [y & ~f for y, f in zip(rot_y, rot_f)] if necessary else rot_y
-
-    def children(node):
-        members, cover, or_f, private, candidates = node
-        survivors = [j for j in candidates if own[j] & ~or_f
-                     and all(p & ~rot_f[j] for p in private)]
-        # reach[i]: the cover that survivors i, i + 1, ... can still add
-        reach = [0] * (len(survivors) + 1)
-        for i in range(len(survivors) - 1, -1, -1):
-            reach[i] = reach[i + 1] | rot_u[survivors[i]]
-        for i, k in enumerate(survivors):
-            if cover | reach[i] != full:
-                return
-            yield (members + [k], cover | rot_u[k], or_f | rot_f[k],
-                   [p & ~rot_f[k] for p in private] + [own[k] & ~or_f],
-                   survivors[i + 1:])
-
-    # a node: (members, cover, OR of F + c, private masks, candidates);
     # 0 is in every C, so if it fails (b) alone no valid C exists
-    node = ([0], rot_u[0], rot_f[0], [own[0]], range(1, T)) if own[0] else None
-    examined = 0
-    stack = []
-    while node is not None:
-        examined += 1
-        if node[1] == full:
-            break
-        stack.append(children(node))
-        node = None
-        while stack and node is None:
-            node = next(stack[-1], None)
-            if node is None:
-                stack.pop()
-    stats.subsets_examined += examined
-    if node is None:
+    if not y_mask:
         return None
-    return Certificate(T, ResidueSubset.of(T, node[0]), variant)
+    u_mask = x_mask | y_mask
+    f_mask = x_mask if variant == NECESSARY else u_mask
+    ys = mask_members(y_mask)
+    u_shifts = [T - u for u in mask_members(u_mask)]
+    # -F: F's row reversed puts f at bit T - 1 - f; one more step is -f
+    neg_f = rotate(int(bin(f_mask)[2:].zfill(T)[::-1], 2), 1, T)
+    u2, y2, f2, nf2 = (m | m << T for m in (u_mask, y_mask, f_mask, neg_f))
+
+    def ruled(p):
+        # the j with p inside F + j
+        acc = full
+        while p:
+            low = p & -p
+            acc &= nf2 >> (T + 1 - low.bit_length())
+            p ^= low
+        return acc
+
+    members = [0]
+    private = {0: y_mask}  # member -> its private mask
+    log = []  # (member, private mask before the join; 0 if it joined)
+    cover, or_f, or_p, ruled_or = u_mask, f_mask, y_mask, ruled(y_mask)
+    candidates = full ^ 1
+    # one frame per node on the path: its survivors not yet branched on,
+    # cover, or_f, OR of private masks, OR of ruled, and undo-log length
+    stack = []
+    examined = 0
+    found = True
+    while found:
+        examined += 1
+        if cover == full:
+            break
+        o2 = or_f | or_f << T
+        dead = full
+        for y in ys:
+            dead &= o2 >> y
+        stack.append([candidates & ~dead & ~ruled_or,
+                      cover, or_f, or_p, ruled_or, len(log)])
+        found = False
+        while stack and not found:
+            frame = stack[-1]
+            rest, cover, or_f, or_p, ruled_or, mark = frame
+            del members[len(stack):]
+            while len(log) > mark:
+                c, p = log.pop()
+                if p:
+                    private[c] = p
+                else:
+                    del private[c]
+            reach = 0
+            if rest.bit_count() < len(u_shifts):
+                s = rest
+                while s:
+                    low = s & -s
+                    reach |= u2 >> (T + 1 - low.bit_length())
+                    s ^= low
+            else:
+                s2 = rest | rest << T
+                for shift in u_shifts:
+                    reach |= s2 >> shift
+            if (cover | reach) & full != full:
+                stack.pop()
+                continue
+            low = rest & -rest
+            k = low.bit_length() - 1
+            candidates = frame[0] = rest ^ low
+            f_k = f2 >> (T - k) & full
+            hit = or_p & f_k
+            while hit:
+                low = hit & -hit
+                t = low.bit_length() - 1
+                for y in ys:
+                    c = (t - y) % T
+                    p = private.get(c, 0)
+                    if p & low:
+                        log.append((c, p))
+                        p = private[c] = p & ~f_k
+                        ruled_or |= ruled(p)
+                hit ^= low
+            p = y2 >> (T - k) & ~or_f & full
+            private[k] = p
+            log.append((k, 0))
+            members.append(k)
+            cover |= u2 >> (T - k) & full
+            or_f |= f_k
+            or_p = or_p & ~f_k | p
+            ruled_or |= ruled(p)
+            found = True
+    stats.subsets_examined += examined
+    if not found:
+        return None
+    return Certificate(T, ResidueSubset.of(T, members), variant)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,50 @@ def test_refutes_above_the_limit(s):
     assert _search_exhaustive(lift_period(s, 1), NECESSARY, SearchStats()) is None
 
 
+def test_searches_agree_above_the_limit():
+    """Above EXHAUSTIVE_LIMIT, the lexicographic search and the cover-driven
+    one with no budget to run out of agree on whether a valid C exists,
+    under both variants, and every hit is a certificate."""
+    rng = random.Random(17)
+    contexts = [*(lift_period(s, 1) for s in RESTATED_NOT_EXISTS),
+                *(random_context(rng, 25, 40) for _ in range(300))]
+    outcomes = Counter()
+    for ctx in contexts:
+        for variant in (NECESSARY, SUFFICIENT):
+            cover_driven = _search_heuristic(ctx, variant, 10**9, SearchStats())
+            lexicographic = _search_exhaustive(ctx, variant, SearchStats())
+            assert (cover_driven is None) == (lexicographic is None), (ctx, variant)
+            for cert in (cover_driven, lexicographic):
+                assert cert is None or check_certificate(ctx, cert), (ctx, variant)
+            outcomes[lexicographic is None] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 500, outcomes
+
+
+EVENS = validate_canonical(2000, [0], [], [1])
+
+
+@pytest.mark.parametrize("variant", [NECESSARY, SUFFICIENT])
+def test_lexicographic_search_at_large_period(variant):
+    """At T = 2000 the path is 1 000 members deep; a node's work does not
+    grow with T or with the number of members."""
+    stats = SearchStats()
+    with bounded_work():
+        cert = _search_exhaustive(lift_period(EVENS, 1), variant, stats)
+    assert cert.c.members() == tuple(range(0, 2000, 2))
+    assert stats.subsets_examined == 1000
+
+
+def test_decide_at_large_period_without_the_limit(monkeypatch):
+    # Both searches at T = 2000 lexicographic, within the work bound of
+    # tests/test_cli.py::TestDecide::test_large_period.
+    monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 10**9)
+    with bounded_work():
+        v = decide(EVENS, SearchConfig(t_max=2000))
+    assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_BASE
+    assert v.certificate.c.members() == tuple(range(0, 2000, 2))
+    assert v.stats.subsets_examined == 2000 and not v.stats.budget_exhausted
+
+
 def test_decide_survives_necessary_budget(monkeypatch):
     """A base necessary search that runs out refutes nothing: decide goes
     on to the sufficient search at T = m and reports the exhausted budget."""
@@ -244,8 +288,9 @@ def test_deep_instances_scan_to_twenty_in_few_nodes(name):
 
 
 def test_stratum_sets_node_count():
-    """Node counts, not wall time, are the search's regression signal: the
-    plain DFS took 10.6 M nodes over these 1 409 sets."""
+    """Node counts, not wall time, are the search's regression signal, and
+    any change to the search tree changes this one: the plain DFS took
+    10.6 M nodes over these 1 409 sets."""
     nodes = sets = 0
     for s, e in pool_entries("strata"):
         v = decide(s, SearchConfig(t_max=e["t_max"]))
@@ -253,7 +298,7 @@ def test_stratum_sets_node_count():
         nodes += v.stats.subsets_examined
         sets += 1
     assert sets == 1409
-    assert nodes <= 10_000, nodes
+    assert nodes == 4_511, nodes
 
 
 class TestCheckSingleton:
