@@ -9,8 +9,12 @@ which punches single-integer holes so consecutive elements always differ
 by 1 or 2.  That interval starts inside or just past the prefix's top
 run, and every excluded point lies above the prefix, so a step appends
 its runs above the prefix, the first one extending the top run: the runs
-stay sorted and disjoint without a merge.  The free negative offset ("slack") in the choice of c_i
-is the injection point for breaking eventual periodicity.
+stay sorted and disjoint without a merge.  A step thus only adds to the
+prefix and to the c's, so the integers of (d_{i-1}, -1], all covered
+when d_{i-1} was found, stay covered, and each anchor walk starts at
+the previous anchor rather than at -1.  The free negative offset
+("slack") in the choice of c_i is the injection point for breaking
+eventual periodicity.
 
 ``verify`` re-checks an N-step prefix on the one window its answer rests
 on, [d_N, -c_{N-1} - 1]: the gaps, the coverage of that window, and the
@@ -22,7 +26,7 @@ probed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
@@ -90,15 +94,25 @@ def _translates_at(
     return hits
 
 
-def next_d(state: GeneratorState) -> int:
-    """Largest negative integer missed by W_prefix + {c_1, ..., c_i}.
+def next_d(state: GeneratorState, start: int) -> int:
+    """Largest integer <= start missed by W_prefix + {c_1, ..., c_i}.
 
-    Walks down from -1 without building the sumset: while n is covered,
-    every integer from the lowest start of a translate-run holding n up
-    to n is covered too, so the walk jumps to one below that start.
+    This is the next anchor, the largest negative integer the sumset
+    misses, whenever (start, -1] is covered; ``step`` passes the previous
+    anchor d_{i-1}, which qualifies because a step only adds to W and C:
+    it refills from the top run's start and appends above it, so what
+    was covered below zero stays covered.  Start -1 needs no such
+    premise.
+
+    Walks down from start without building the sumset: while n is
+    covered, every integer from the lowest start of a translate-run
+    holding n up to n is covered too, so the walk jumps to one below
+    that start.  Each probe costs one bisection per c.  From d_{i-1} the
+    walk takes two probes per step on every slack tried; from -1 it
+    takes about i.
     """
     starts = [a for a, _ in state.runs]
-    n = -1
+    n = start
     while hits := _translates_at(state.runs, starts, state.c_seq, n):
         n = min(a for a, _, _ in hits) - 1
     return n
@@ -127,7 +141,7 @@ def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
     between consecutive excluded points are appended in order, the first
     one extending the top run.
     """
-    d_i = next_d(state)
+    d_i = next_d(state, state.d_seq[-1])
     c_i = choose_c(state, d_i, slack)
     c_prev = state.c_seq[-1]
     assert d_i <= state.d_seq[-1] - 2, "anchor sequence must drop by >= 2"
@@ -190,8 +204,13 @@ class GeneratorReport:
         return self.gaps_ok and self.coverage_ok and not self.uniqueness_failures
 
     def to_dict(self) -> dict:
-        return {**asdict(self),
-                "uniqueness_failures": list(self.uniqueness_failures)}
+        return {
+            "window_hi": self.window_hi,
+            "gaps_ok": self.gaps_ok,
+            "coverage_ok": self.coverage_ok,
+            "first_uncovered": self.first_uncovered,
+            "uniqueness_failures": list(self.uniqueness_failures),
+        }
 
 
 def verify(state: GeneratorState) -> GeneratorReport:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import merge_runs, runs_contains
+from conftest import bounded_work, merge_runs, runs_contains
 from minadd import generator
 from minadd.cli import parse_slack_spec
 from minadd.errors import ExclusionCollision, PrefixTooShort
@@ -41,13 +41,13 @@ def test_runs_contains():
 
 def test_second_anchor():
     # W_1 + {-3} = {-2..9}; the largest missed negative is -3
-    assert next_d(initial_state()) == -3
+    assert next_d(initial_state(), -1) == -3
 
 
 def test_third_anchor():
     st = step(initial_state())
     # sumset covers {-13..24}
-    assert next_d(st) == -14
+    assert next_d(st, -1) == -14
 
 
 def test_choose_c_first_step():
@@ -103,7 +103,7 @@ def test_gap_property():
 def test_anchor_not_in_prior_sumset():
     st = initial_state()
     for _ in range(10):
-        d = next_d(st)
+        d = next_d(st, -1)
         assert not any(runs_contains(st.runs, d - c) for c in st.c_seq)
         st = step(st)
 
@@ -228,7 +228,9 @@ def test_next_d_matches_reference(spec):
     slack_fn = parse_slack_spec(spec)
     st = initial_state()
     for i in range(2, 31):
-        assert next_d(st) == reference_next_d(st), (spec, st.steps)
+        want = reference_next_d(st)
+        assert next_d(st, -1) == want, (spec, st.steps)
+        assert next_d(st, st.d_seq[-1]) == want, (spec, st.steps)
         st = step(st, slack_fn(i))
 
 
@@ -241,7 +243,7 @@ def test_next_d_matches_reference_on_mutated_states():
         for _ in range(40):
             st = mutate(rng, base)
             want = reference_next_d(st)
-            assert next_d(st) == want
+            assert next_d(st, -1) == want
             moved += want != d_base
     assert moved > 0  # some mutations must open a hole above the anchor
 
@@ -273,15 +275,16 @@ def test_runs_contains_matches_members_on_mutated_states():
 def test_generate_matches_reference(spec, monkeypatch):
     slack_fn = parse_slack_spec(spec)
     got = [generate(k, slack_fn) for k in range(1, 26)]
-    monkeypatch.setattr(generator, "next_d", reference_next_d)
+    monkeypatch.setattr(generator, "next_d",
+                        lambda state, start: reference_next_d(state))
     assert got == [generate(k, slack_fn) for k in range(1, 26)]
 
 
 def reference_step(state, slack=1):
-    """The step as a generic union: the excluded points are tested for
-    membership in the prefix, and the new pieces are merged with all of
-    the prefix runs."""
-    d_i = generator.next_d(state)
+    """The step as a generic union, its anchor walked down from -1: the
+    excluded points are tested for membership in the prefix, and the new
+    pieces are merged with all of the prefix runs."""
+    d_i = generator.next_d(state, -1)
     c_i = generator.choose_c(state, d_i, slack)
     lo, hi = -2 * state.c_seq[-1], -2 * c_i - 1
     excluded = sorted(-c_i + d_j for d_j in state.d_seq)
@@ -376,6 +379,14 @@ def test_one_point_windows_match_membership():
                 want = [(a + c, b + c, c) for c in st.c_seq
                         for a, b in st.runs if a <= n - c <= b]
                 assert _translates_at(st.runs, starts, st.c_seq, n) == want
+
+
+def test_generate_and_verify_work_is_bounded():
+    # Each anchor walk starts at the previous anchor, so each of 80 steps
+    # takes two probes; a walk from -1 at every step runs over the
+    # budget.
+    with bounded_work():
+        assert verify(generate(80)).ok
 
 
 def test_full_authoritative_window_is_fast():
