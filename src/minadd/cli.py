@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Callable, Optional
@@ -361,14 +362,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MinaddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    _emit({
-        "command": args.command,
-        "input": inputs,
-        "config": config,
-        "result": result,
-        "timing": {"wall_time": time.perf_counter() - started},
-        "version": __version__,
-    }, args.format)
+    try:
+        _emit({
+            "command": args.command,
+            "input": inputs,
+            "config": config,
+            "result": result,
+            "timing": {"wall_time": time.perf_counter() - started},
+            "version": __version__,
+        }, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early; the answer's exit code stands.
+        # Python flushes stdout again at exit, so point it at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

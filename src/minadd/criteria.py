@@ -13,22 +13,33 @@ refutes existence) asks that c + y escape C + X_T.  The *sufficient* form
 The decision engine checks the necessary form once, at the base modulus,
 and then scans lifted moduli for a sufficient certificate.
 
+Both forms are one count.  Sum the members' F-translates bit-sliced into
+``ones`` (residues reached at least once) and ``twos`` (at least twice),
+with F = X_T in the necessary form and F = X_T | Y1 in the sufficient
+form.  A residue is *blocked* if it is in ``ones`` (necessary) or in
+``twos`` (sufficient), and (b) holds iff every member's Y1 + c keeps an
+unblocked residue; those residues are the member's *private mask*.  The
+checker and both searches read (b) off this count.
+
 Both searches at one modulus are complete: each returns a valid C, or
 None when no valid C exists at that T, or raises BudgetExceeded.  Up to
 EXHAUSTIVE_LIMIT the search is a lexicographic DFS over the subsets that
 contain 0, forward-checked against (b).  Both forms of (b) are
 antimonotone in C, so a candidate that fails next to the current members
-is dropped from the whole subtree, each node carries one private mask per
-member, and a full cover is valid as soon as it is reached.  The
-survivors of a node are one T-bit mask.  A node costs O(|Y1|) rotations
-to drop the candidates whose own mask dies, O(min(|U|, |survivors|)) per
-cover test, and O(|Y1|) per private mask that its join shrinks, where U
-is X_T | Y1; no table indexed by T is built, and the path holds O(depth)
-masks.  A joining k's own mask is Y1 + k in both forms, because X_T and
-Y1 are disjoint.  The benchmark's 1 409 pool sets take 4 511 nodes in
-all, where testing (b) only at full covers took 10.6 M.  Above the limit
-a cover-driven DFS runs under a node budget.  The limit picks the search
-order, and so which certificate is returned, but never the outcome.
+is dropped from the whole subtree, and a full cover is valid as soon as
+it is reached.  A node keeps its members, cover, ``ones``, ``twos``,
+survivors and ruled-out candidates as T-bit masks, and derives a
+member's private mask only when a join shrinks it.  It costs O(|Y1|)
+rotations to drop the candidates whose own mask dies,
+O(min(|U|, |survivors|)) per cover test, and on a join O(|Y1|) to find
+the members whose masks shrink plus O(|Y1|) for each of them and for the
+joining element, where U is X_T | Y1; no table indexed by T is built, and
+the path holds O(depth) masks.  The benchmark's 1 409 pool sets take
+4 511 nodes in all, where testing (b) only at full covers took 10.6 M.
+Above the limit a cover-driven DFS runs under a node budget: a child
+costs two rotations and a full cover's (b) test one AND-NOT per
+member.  The limit picks the search order, and so which certificate is
+returned, but never the outcome.
 """
 
 from __future__ import annotations
@@ -163,58 +174,44 @@ def cond_a(ctx: ConditionContext, c: ResidueSubset) -> bool:
     return c.sumset(ctx.x_t.union(ctx.y1_res)).is_full()
 
 
-def _cond_b(members, rot_y, rot_f, necessary: bool) -> bool:
-    """Condition (b) for the subset C of Z_T listed by ``members``.
+def _cond_b(ctx: ConditionContext, c: ResidueSubset, necessary: bool) -> bool:
+    """Condition (b) for C, as one count of how often each residue is
+    reached.
 
-    ``rot_y[r]`` is Y1 + r and ``rot_f[r]`` is F + r as masks mod T, for
-    each member r, where F is X_T in the necessary form and X_T | Y1 in
-    the sufficient form.  Every c in C must have some c + y outside the
-    union of F + c' over all c' in C (necessary) or over all c' != c
-    (sufficient).  The masks are nonnegative, so ``rot_y[r] & ~f`` has no
-    bits outside Z_T.
+    The members' F-translates are summed bit-sliced: ``ones`` holds the
+    residues that at least one F + c reaches and ``twos`` those that at
+    least two reach, where F is X_T in the necessary form and X_T | Y1 in
+    the sufficient form.  A residue is *blocked* if it is in ``ones``
+    (necessary) or in ``twos`` (sufficient), and (b) holds iff every
+    member's Y1 + c keeps an unblocked residue.  The sufficient case is
+    exact because Y1 + c lies inside F + c: a residue of it that only one
+    translate reaches is reached by c alone, so it escapes the translates
+    of every other member.  Cost: 2|C| shifts of doubled masks, read
+    below bit T only.
     """
-    if necessary:
-        cover = 0
-        for r in members:
-            cover |= rot_f[r]
-        return all(rot_y[r] & ~cover for r in members)
-    # forbidden for member i = union of rot_f over all other members
-    suf = [0] * (len(members) + 1)
-    for i in range(len(members) - 1, -1, -1):
-        suf[i] = suf[i + 1] | rot_f[members[i]]
-    pre = 0
-    for i, r in enumerate(members):
-        if not rot_y[r] & ~(pre | suf[i + 1]):
-            return False
-        pre |= rot_f[r]
-    return True
-
-
-class _Rotations(dict):
-    """mask + r (mod T) for each residue r looked up, computed once."""
-
-    def __init__(self, mask: int, T: int) -> None:
-        super().__init__()
-        self.mask, self.T = mask, T
-
-    def __missing__(self, r: int) -> int:
-        rot = self[r] = rotate(self.mask, r, self.T)
-        return rot
+    _check_modulus(ctx, c)
+    T = ctx.T
+    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
+    f_mask = x_mask if necessary else x_mask | y_mask
+    f2, y2 = f_mask | f_mask << T, y_mask | y_mask << T
+    members = c.members()
+    ones = twos = 0
+    for r in members:
+        f = f2 >> (T - r)
+        twos |= ones & f
+        ones |= f
+    unblocked = ~(ones if necessary else twos) & ((1 << T) - 1)
+    return all(y2 >> (T - r) & unblocked for r in members)
 
 
 def cond_b_necessary(ctx: ConditionContext, c: ResidueSubset) -> bool:
     """Every c in C has some y with c + y outside C + X_T (mod T)."""
-    _check_modulus(ctx, c)
-    return _cond_b(c.members(), _Rotations(ctx.y1_res.mask, ctx.T),
-                   _Rotations(ctx.x_t.mask, ctx.T), True)
+    return _cond_b(ctx, c, True)
 
 
 def cond_b_sufficient(ctx: ConditionContext, c: ResidueSubset) -> bool:
     """Every c in C has some y with c + y outside (C \\ {c}) + (X_T | Y1)."""
-    _check_modulus(ctx, c)
-    u = ctx.x_t.mask | ctx.y1_res.mask
-    return _cond_b(c.members(), _Rotations(ctx.y1_res.mask, ctx.T),
-                   _Rotations(u, ctx.T), False)
+    return _cond_b(ctx, c, False)
 
 
 def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
@@ -235,42 +232,42 @@ def _search_exhaustive(
     """Find the lexicographically smallest valid C containing 0, or None.
 
     Children append elements above the largest member, so the DFS meets
-    subsets in lexicographic order of their sorted element lists.  Each
-    member keeps a *private mask*: Y1 + c minus the F-translates of the
-    members that can reach it, F + c itself included in the necessary
-    form.  A node passes (b) iff every private mask is nonempty, and (b)
-    is antimonotone: a candidate that fails next to the members fails
-    next to every superset of them.  So a node carries as *survivors* only
-    the candidates above its last member that can still join.  A child k
-    ANDs ~(F + k) into each private mask, appends its own, and keeps a
-    later survivor j while j's own mask stays nonempty and F + j covers
-    no member's mask.  A node whose cover is full is then valid by
+    subsets in lexicographic order of their sorted element lists.  A
+    member's *private mask* is Y1 + c minus the residues that (b) blocks
+    (see ``_cond_b``).  A node passes (b) iff every private mask is
+    nonempty, and (b) is antimonotone: a candidate that fails next to the
+    members fails next to every superset of them.  So a node carries as
+    *survivors* only the candidates above its last member that can still
+    join: j stays while j's own mask is nonempty and F + j empties no
+    member's mask.  A node whose cover is full is then valid by
     construction, and the first one reached is the smallest valid C,
     because a dropped candidate lies in no valid superset.  Branching
     stops at the first survivor from which the survivors' cover cannot
     complete the node's.
 
     Every set below is a T-bit mask, and r + S (mod T) is read off the
-    doubled mask S | S << T as ``>> (T - r)``.  The survivors of a node
-    are its candidates minus two masks.  The candidates whose own mask
-    dies are the AND of or_f - y over y in Y1, where or_f is the OR of the
-    members' F + c.  The candidates that would empty a private mask p are
-    ``ruled(p)``, the AND of t - F over the bits t of p; a node keeps the
-    OR of ``ruled`` over its members, which only grows down a path,
-    because private masks only shrink.  A joining k shrinks only the
-    private masks that meet F + k: their owners are found among t - Y1
-    for the bits t of (OR of private masks) & (F + k), and an undo log
-    restores them on backtrack.  The cover test at survivor k is U plus
-    the survivors from k up, at min(|U|, |survivors|) rotations.  X_T and
-    Y1 are disjoint, so k's own mask is Y1 + k in both forms.
+    doubled mask S | S << T as ``>> (T - r)``.  A node keeps the members'
+    F-translates summed bit-sliced into ``ones`` and ``twos``, and derives
+    a private mask only when a join needs it.  The survivors of a node are
+    its candidates minus two masks.  The candidates whose own mask dies
+    are the AND of ones - y over y in Y1: X_T and Y1 are disjoint, so a
+    joining k's own mask is Y1 + k minus ``ones`` in both forms.  The
+    candidates that would empty a private mask p are ``ruled(p)``, the AND
+    of t - F over the bits t of p; a node keeps the OR of ``ruled`` over
+    its members, which only grows down a path, because private masks only
+    shrink.  A joining k shrinks the masks of the members in B - Y1, where
+    B holds the residues that k newly blocks; those masks, and k's own,
+    are derived afresh.  The cover test at survivor k is U plus the
+    survivors from k up, at min(|U|, |survivors|) rotations.
 
     Cost per node: |Y1| rotations for the dying candidates,
-    min(|U|, |survivors|) for each cover test, and |Y1| rotations for
-    each private mask its join shrinks, with no table indexed by T.  The
-    path holds O(depth) masks of T bits: one frame per node, and an undo
-    log in which each member has at most |Y1| + 1 entries, since a shrink
-    takes at least one bit.  The scan is complete, so None means no valid
-    C exists at this T.
+    min(|U|, |survivors|) for each cover test, and on a join |Y1|
+    rotations to find the members whose masks shrink (none when B is
+    empty), then for each of them and for k one rotation to derive its
+    mask and at most |Y1| to rule candidates out, with no table indexed by
+    T.  The path holds one frame of six T-bit masks per node and nothing
+    else.  The scan is complete, so None means no valid C exists at this
+    T.
     """
     T = ctx.T
     full = (1 << T) - 1
@@ -278,8 +275,9 @@ def _search_exhaustive(
     # 0 is in every C, so if it fails (b) alone no valid C exists
     if not y_mask:
         return None
+    necessary = variant == NECESSARY
     u_mask = x_mask | y_mask
-    f_mask = x_mask if variant == NECESSARY else u_mask
+    f_mask = x_mask if necessary else u_mask
     ys = mask_members(y_mask)
     u_shifts = [T - u for u in mask_members(u_mask)]
     # -F: F's row reversed puts f at bit T - 1 - f; one more step is -f
@@ -295,13 +293,12 @@ def _search_exhaustive(
             p ^= low
         return acc
 
-    members = [0]
-    private = {0: y_mask}  # member -> its private mask
-    log = []  # (member, private mask before the join; 0 if it joined)
-    cover, or_f, or_p, ruled_or = u_mask, f_mask, y_mask, ruled(y_mask)
+    # the node {0}, whose private mask is all of Y1
+    c_mask, cover, ones, twos = 1, u_mask, f_mask, 0
+    ruled_or = ruled(y_mask)
     candidates = full ^ 1
     # one frame per node on the path: its survivors not yet branched on,
-    # cover, or_f, OR of private masks, OR of ruled, and undo-log length
+    # cover, ones, twos, OR of ruled, and members
     stack = []
     examined = 0
     found = True
@@ -309,23 +306,16 @@ def _search_exhaustive(
         examined += 1
         if cover == full:
             break
-        o2 = or_f | or_f << T
+        o2 = ones | ones << T
         dead = full
         for y in ys:
             dead &= o2 >> y
         stack.append([candidates & ~dead & ~ruled_or,
-                      cover, or_f, or_p, ruled_or, len(log)])
+                      cover, ones, twos, ruled_or, c_mask])
         found = False
         while stack and not found:
             frame = stack[-1]
-            rest, cover, or_f, or_p, ruled_or, mark = frame
-            del members[len(stack):]
-            while len(log) > mark:
-                c, p = log.pop()
-                if p:
-                    private[c] = p
-                else:
-                    del private[c]
+            rest, cover, ones, twos, ruled_or, c_mask = frame
             reach = 0
             if rest.bit_count() < len(u_shifts):
                 s = rest
@@ -344,31 +334,30 @@ def _search_exhaustive(
             k = low.bit_length() - 1
             candidates = frame[0] = rest ^ low
             f_k = f2 >> (T - k) & full
-            hit = or_p & f_k
-            while hit:
-                low = hit & -hit
-                t = low.bit_length() - 1
+            # the residues that k newly blocks, and k's own mask
+            newly = f_k & (~ones if necessary else ones & ~twos)
+            ruled_or |= ruled(y2 >> (T - k) & ~ones & full)
+            twos |= ones & f_k
+            ones |= f_k
+            if newly:
+                # the members whose masks lose a residue, in newly - Y1
+                n2 = newly | newly << T
+                shrunk = 0
                 for y in ys:
-                    c = (t - y) % T
-                    p = private.get(c, 0)
-                    if p & low:
-                        log.append((c, p))
-                        p = private[c] = p & ~f_k
-                        ruled_or |= ruled(p)
-                hit ^= low
-            p = y2 >> (T - k) & ~or_f & full
-            private[k] = p
-            log.append((k, 0))
-            members.append(k)
+                    shrunk |= n2 >> y
+                shrunk &= c_mask
+                unblocked = full & ~(ones if necessary else twos)
+                while shrunk:
+                    bit = shrunk & -shrunk
+                    ruled_or |= ruled(y2 >> (T + 1 - bit.bit_length()) & unblocked)
+                    shrunk ^= bit
+            c_mask |= low
             cover |= u2 >> (T - k) & full
-            or_f |= f_k
-            or_p = or_p & ~f_k | p
-            ruled_or |= ruled(p)
             found = True
     stats.subsets_examined += examined
     if not found:
         return None
-    return Certificate(T, ResidueSubset.of(T, members), variant)
+    return Certificate(T, ResidueSubset(T, c_mask), variant)
 
 
 # ---------------------------------------------------------------------------
@@ -387,40 +376,49 @@ def _search_heuristic(
     means no valid C exists at this T, and exhausting the budget raises
     BudgetExceeded.  A hit is re-verified before it is returned.  The
     path can be as deep as T, so the DFS keeps an explicit stack of child
-    iterators, and a rotation is computed the first time it is needed.
+    iterators.  A node carries its members, its cover and the members'
+    F-translates summed into ``ones`` and ``twos`` (see ``_cond_b``), so a
+    child costs two rotations of doubled masks and a full cover's (b)
+    test one AND-NOT per member.
     """
     T = ctx.T
     full = (1 << T) - 1
-    u_mask = ctx.x_t.mask | ctx.y1_res.mask
+    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
+    u_mask = x_mask | y_mask
     if not u_mask:
         return None
     offsets = mask_members(u_mask)
     necessary = variant == NECESSARY
-    rot_u = _Rotations(u_mask, T)
-    rot_y = _Rotations(ctx.y1_res.mask, T)
-    rot_f = _Rotations(ctx.x_t.mask, T) if necessary else rot_u
+    f_mask = x_mask if necessary else u_mask
+    u2, y2, f2 = (m | m << T for m in (u_mask, y_mask, f_mask))
 
-    def children(c_mask: int, cover: int):
+    def children(c_mask: int, cover: int, ones: int, twos: int):
         uncovered = ~cover & full
         r = (uncovered & -uncovered).bit_length() - 1
         # any c with r in c + U, i.e. c in r - U
         for offset in offsets:
             c = (r - offset) % T
             if not c_mask >> c & 1:
-                yield c_mask | 1 << c, cover | rot_u[c]
+                f = f2 >> (T - c) & full
+                yield (c_mask | 1 << c, cover | u2 >> (T - c) & full,
+                       ones | f, twos | ones & f)
+
+    def passes_b(c_mask: int, ones: int, twos: int) -> bool:
+        unblocked = full & ~(ones if necessary else twos)
+        return all(y2 >> (T - c) & unblocked for c in mask_members(c_mask))
 
     nodes = 0
-    node = (1, u_mask)
+    node = (1, u_mask, f_mask, 0)
     stack = []
     try:
         while node is not None:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"heuristic search exceeded {budget} nodes")
-            c_mask, cover = node
+            c_mask, cover, ones, twos = node
             if cover != full:
-                stack.append(children(c_mask, cover))
-            elif _cond_b(mask_members(c_mask), rot_y, rot_f, necessary):
+                stack.append(children(*node))
+            elif passes_b(c_mask, ones, twos):
                 break
             node = None
             while stack and node is None:
@@ -471,7 +469,12 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     proves Exists.  Both searches are complete, so Unknown means no
     sufficient certificate exists at any scanned T, unless
     ``stats.budget_exhausted`` is set: then some search, necessary or
-    sufficient, ran out of its budget.  Each modulus costs the search's
+    sufficient, ran out of its budget.  A base necessary search that runs
+    out skips the sufficient search at T = m.  Only the cover-driven
+    search has a budget, and its children depend on the cover alone, so
+    the sufficient search would walk the same nodes in the same order;
+    every C that passes the sufficient (b) passes the necessary one, so it
+    would meet no hit before the budget ran out either.  Each modulus costs the search's
     nodes, summed in ``stats.subsets_examined``.  Unknown is a value, not
     an error.  A t_max below m leaves no modulus to scan, so it is refused
     with ValidationError rather than answered Unknown.
@@ -504,9 +507,6 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
         try:
             if k == 1 and find_certificate(ctx, NECESSARY, stats) is None:
                 return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
-        except BudgetExceeded:
-            stats.budget_exhausted = True
-        try:
             suf = find_certificate(ctx, SUFFICIENT, stats)
         except BudgetExceeded:
             stats.budget_exhausted = True

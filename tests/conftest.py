@@ -17,7 +17,12 @@ from math import inf
 
 from hypothesis import settings
 
-from minadd.criteria import Certificate, NECESSARY, _cond_b
+from minadd.criteria import (
+    Certificate,
+    NECESSARY,
+    cond_b_necessary,
+    cond_b_sufficient,
+)
 from minadd.residues import ResidueSubset, rotate
 from minadd.sets import (
     CanonicalSet,
@@ -82,30 +87,26 @@ def reference_search(ctx: ConditionContext, variant: str):
     """
     T = ctx.T
     full = (1 << T) - 1
-    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
-    necessary = variant == NECESSARY
-    rot_u = [rotate(x_mask | y_mask, r, T) for r in range(T)]
-    rot_y = [rotate(y_mask, r, T) for r in range(T)]
-    rot_f = [rotate(x_mask, r, T) for r in range(T)] if necessary else rot_u
+    u_mask = ctx.x_t.mask | ctx.y1_res.mask
+    cond_b = cond_b_necessary if variant == NECESSARY else cond_b_sufficient
+    rot_u = [rotate(u_mask, r, T) for r in range(T)]
     tail_u = [0] * (T + 1)
     for k in range(T - 1, -1, -1):
         tail_u[k] = tail_u[k + 1] | rot_u[k]
 
-    def dfs(members, cover, nxt):
-        if cover == full and _cond_b(members, rot_y, rot_f, necessary):
-            return list(members)
+    def dfs(c_mask, cover, nxt):
+        if cover == full and cond_b(ctx, ResidueSubset(T, c_mask)):
+            return c_mask
         for k in range(nxt, T):
             if cover | tail_u[k] != full:
                 break
-            members.append(k)
-            hit = dfs(members, cover | rot_u[k], k + 1)
-            members.pop()
+            hit = dfs(c_mask | 1 << k, cover | rot_u[k], k + 1)
             if hit is not None:
                 return hit
         return None
 
-    hit = dfs([0], rot_u[0], 1)
-    return None if hit is None else Certificate(T, ResidueSubset.of(T, hit), variant)
+    hit = dfs(1, rot_u[0], 1)
+    return None if hit is None else Certificate(T, ResidueSubset(T, hit), variant)
 
 
 def random_context(rng: random.Random, t_lo: int = 1, t_hi: int = 12) -> ConditionContext:

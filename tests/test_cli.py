@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -701,3 +705,27 @@ class TestBadInputNeverExitsOne:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == cli.EXIT_BAD_INPUT
+
+
+SRC = Path(minadd.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["construct", "--steps", "30", "--format", "text"], 0),
+    (["decide", "W.set", "--format", "json"], 1),
+], ids=["construct", "decide"])
+def test_closed_stdout_keeps_exit_code(setfile, argv, code):
+    """A reader that closes stdout early, as ``| head -n 1`` does, leaves
+    the command's own exit code and no traceback.  The read end is closed
+    before the command writes, so the write fails on every run."""
+    argv = [setfile(PAPERLIKE) if a == "W.set" else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minadd.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -244,8 +245,10 @@ def test_decide_at_large_period_without_the_limit(monkeypatch):
 
 
 def test_decide_survives_necessary_budget(monkeypatch):
-    """A base necessary search that runs out refutes nothing: decide goes
-    on to the sufficient search at T = m and reports the exhausted budget."""
+    """A base necessary search that runs out refutes nothing, and skips the
+    sufficient search at T = m, which would walk the same tree under the
+    same budget and accept less: decide reports the exhausted budget and
+    goes on to the lifted moduli."""
     calls = []
     search = criteria.find_certificate
 
@@ -258,10 +261,15 @@ def test_decide_survives_necessary_budget(monkeypatch):
     monkeypatch.setattr(criteria, "find_certificate", necessary_runs_out)
     s = restate(2, [0], [], [1], 13)
     v = decide(s, SearchConfig(t_max=s.m))
-    assert calls == [(26, NECESSARY), (26, SUFFICIENT)]
-    assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_BASE
+    assert calls == [(26, NECESSARY)]
+    assert v.outcome is Outcome.UNKNOWN and v.reason is Reason.SEARCH_EXHAUSTED
     assert v.stats.budget_exhausted
-    assert check_certificate(lift_period(s, 1), v.certificate)
+    calls.clear()
+    v = decide(s, SearchConfig(t_max=2 * s.m))
+    assert calls == [(26, NECESSARY), (52, SUFFICIENT)]
+    assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_LIFT
+    assert v.modulus == 52 and v.stats.budget_exhausted
+    assert check_certificate(lift_period(s, 2), v.certificate)
 
 
 DECIDE_POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "decide_pool.json"
@@ -285,6 +293,21 @@ def test_deep_instances_scan_to_twenty_in_few_nodes(name):
         v = decide(s, SearchConfig(t_max=20))
     assert v.outcome is Outcome.UNKNOWN and not v.stats.budget_exhausted
     assert 0 < v.stats.subsets_examined <= 50, v.stats
+
+
+@pytest.mark.parametrize("name, nodes", [("roadmap-m5", 84_991),
+                                         ("roadmap-m10", 15_077)])
+def test_deep_instances_scan_to_thirty(name, nodes):
+    """T = 25..30 take the cover-driven search, whose tree is pinned by its
+    node count.  On roadmap-m10 its work is bounded too: the scan runs
+    about 686 000 Python lines, and a (b) test that rebuilds each member's
+    blocked set from prefix and suffix unions at every full cover runs
+    861 579."""
+    s = next(s for s, e in pool_entries("deep") if e["name"] == name)
+    with bounded_work(max_lines=775_000) if name == "roadmap-m10" else nullcontext():
+        v = decide(s, SearchConfig(t_max=30))
+    assert v.outcome is Outcome.UNKNOWN and not v.stats.budget_exhausted
+    assert v.stats.subsets_examined == nodes
 
 
 def test_stratum_sets_node_count():
