@@ -10,8 +10,9 @@ multiple of the period) together with a subset C of Z_T such that
 Condition (b) comes in two strengths.  The *necessary* form (failure
 refutes existence) asks that c + y escape C + X_T.  The *sufficient* form
 (success proves existence) asks that c + y escape (C \\ {c}) + (X_T | Y1).
-The decision engine checks the necessary form once, at the base modulus,
-and then scans lifted moduli for a sufficient certificate.
+The decision engine scans the base and lifted moduli for a sufficient
+certificate, and searches the necessary form only at the base modulus,
+when the sufficient search there finds nothing.
 
 Both forms are one count.  Sum the members' F-translates bit-sliced into
 ``ones`` (residues reached at least once) and ``twos`` (at least twice),
@@ -34,8 +35,9 @@ rotations to drop the candidates whose own mask dies,
 O(min(|U|, |survivors|)) per cover test, and on a join O(|Y1|) to find
 the members whose masks shrink plus O(|Y1|) for each of them and for the
 joining element, where U is X_T | Y1; no table indexed by T is built, and
-the path holds O(depth) masks.  The benchmark's 1 409 pool sets take
-4 511 nodes in all, where testing (b) only at full covers took 10.6 M.
+the path holds O(depth) masks.  ``decide`` takes 3 130 nodes in all
+on the benchmark's 1 409 pool sets, where testing (b) only at full
+covers took 10.6 M.
 Above the limit a cover-driven DFS runs under a node budget: a child
 costs two rotations and a full cover's (b) test one AND-NOT per
 member.  The limit picks the search order, and so which certificate is
@@ -461,23 +463,31 @@ def find_certificate(
 def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     """Decide whether a minimal additive complement to the set exists.
 
-    The necessary condition is searched once, at T = m: a finished miss
-    there is a sound NotExists.  No lifted modulus can refute what T = m
-    does not, because the preimage of a necessary certificate at m passes
-    (a) and the necessary (b) at every k*m (the lift lemma).  Then T = m,
-    2m, ... up to t_max is scanned for a sufficient certificate, which
-    proves Exists.  Both searches are complete, so Unknown means no
-    sufficient certificate exists at any scanned T, unless
-    ``stats.budget_exhausted`` is set: then some search, necessary or
-    sufficient, ran out of its budget.  A base necessary search that runs
-    out skips the sufficient search at T = m.  Only the cover-driven
+    T = m, 2m, ... up to t_max is scanned for a sufficient certificate,
+    which proves Exists.  When the search at T = m finds none, the
+    necessary search runs there, and its finished miss is a sound
+    NotExists.  It does not run after a hit: every C that passes the
+    sufficient (b) passes the necessary one, so it could only hit too,
+    which proves nothing.  No lifted modulus can refute what T = m does
+    not, because the preimage of a necessary certificate at m passes (a)
+    and the necessary (b) at every k*m (the lift lemma).  Both searches
+    are complete, so Unknown means no sufficient certificate exists at
+    any scanned T, unless ``stats.budget_exhausted`` is set: then some
+    search ran out of its budget.
+
+    A base sufficient search that runs out skips the necessary search at
+    T = m, which could only hit or run out too.  Only the cover-driven
     search has a budget, and its children depend on the cover alone, so
-    the sufficient search would walk the same nodes in the same order;
-    every C that passes the sufficient (b) passes the necessary one, so it
-    would meet no hit before the budget ran out either.  Each modulus costs the search's
-    nodes, summed in ``stats.subsets_examined``.  Unknown is a value, not
-    an error.  A t_max below m leaves no modulus to scan, so it is refused
-    with ValidationError rather than answered Unknown.
+    both variants walk the same tree in the same order and differ only
+    in which full covers stop it; the necessary search stops at the
+    sufficient one's hits and perhaps earlier.  A finished necessary miss
+    would mean a whole tree within the budget with no sufficient hit in
+    it, which the sufficient search would have finished.
+
+    Each modulus costs the searches' nodes, summed in
+    ``stats.subsets_examined``.  Unknown is a value, not an error.  A
+    t_max below m leaves no modulus to scan, so it is refused with
+    ValidationError rather than answered Unknown.
     """
     cfg = cfg or SearchConfig()
     t_max = cfg.t_max if cfg.t_max is not None else 8 * s.m
@@ -505,9 +515,10 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
         T = k * s.m
         ctx = lift_period(s, k)
         try:
-            if k == 1 and find_certificate(ctx, NECESSARY, stats) is None:
-                return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
             suf = find_certificate(ctx, SUFFICIENT, stats)
+            if (suf is None and k == 1
+                    and find_certificate(ctx, NECESSARY, stats) is None):
+                return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
         except BudgetExceeded:
             stats.budget_exhausted = True
             suf = None

@@ -200,23 +200,57 @@ def test_refutes_above_the_limit(s):
     assert _search_exhaustive(lift_period(s, 1), NECESSARY, SearchStats()) is None
 
 
+def cover_driven(ctx, variant, budget):
+    """The cover-driven search's certificate, None on a miss, or "ran out",
+    and the nodes it walked."""
+    stats = SearchStats()
+    try:
+        cert = _search_heuristic(ctx, variant, budget, stats)
+    except BudgetExceeded:
+        cert = "ran out"
+    return cert, stats.subsets_examined
+
+
 def test_searches_agree_above_the_limit():
     """Above EXHAUSTIVE_LIMIT, the lexicographic search and the cover-driven
-    one with no budget to run out of agree on whether a valid C exists,
-    under both variants, and every hit is a certificate."""
+    one agree on whether a valid C exists, under both variants, and every
+    hit is a certificate.  The pool's not-exists sets, restated above the
+    limit, give the misses: those whose cover-driven tree ends within 1 000
+    nodes are compared, the rest only paired.  The pairs are the premise
+    of decide's budget skip at T = m: on a miss both variants walk the same
+    tree, and under one budget a sufficient search that runs out never
+    pairs with a finished necessary miss."""
     rng = random.Random(17)
-    contexts = [*(lift_period(s, 1) for s in RESTATED_NOT_EXISTS),
-                *(random_context(rng, 25, 40) for _ in range(300))]
+    budget = 1000
+    pool = [lift_period(restate(s.m, s.x_m.members(), s.y0, s.y1, -(-25 // s.m)), 1)
+            for s, e in pool_entries("strata")
+            if e["expected"]["outcome"] == "not-exists"]
+    contexts = [*((lift_period(s, 1), 10**9) for s in RESTATED_NOT_EXISTS),
+                *((ctx, budget) for ctx in pool),
+                *((random_context(rng, 25, 40), 10**9) for _ in range(300))]
     outcomes = Counter()
-    for ctx in contexts:
+    pairs = Counter()
+    for ctx, limit in contexts:
+        runs = {}
         for variant in (NECESSARY, SUFFICIENT):
-            cover_driven = _search_heuristic(ctx, variant, 10**9, SearchStats())
+            runs[variant] = cert, nodes = cover_driven(ctx, variant, limit)
+            if cert == "ran out":
+                continue
             lexicographic = _search_exhaustive(ctx, variant, SearchStats())
-            assert (cover_driven is None) == (lexicographic is None), (ctx, variant)
-            for cert in (cover_driven, lexicographic):
-                assert cert is None or check_certificate(ctx, cert), (ctx, variant)
+            assert (cert is None) == (lexicographic is None), (ctx, variant)
+            for found in (cert, lexicographic):
+                assert found is None or check_certificate(ctx, found), (ctx, variant)
             outcomes[lexicographic is None] += 1
-    assert outcomes[True] >= 10 and outcomes[False] >= 500, outcomes
+        if runs[NECESSARY][0] is None:
+            assert runs[SUFFICIENT] == runs[NECESSARY], ctx
+        nec, suf = (("ran out" if nodes > budget else
+                     "miss" if cert is None else "hit")
+                    for cert, nodes in (runs[NECESSARY], runs[SUFFICIENT]))
+        assert (nec, suf) != ("miss", "ran out"), ctx
+        pairs[nec, suf] += 1
+    assert len(pool) == 278
+    assert outcomes[True] >= 250 and outcomes[False] >= 500, outcomes
+    assert pairs["ran out", "ran out"] >= 100 and pairs["hit", "ran out"] >= 10, pairs
 
 
 EVENS = validate_canonical(2000, [0], [], [1])
@@ -234,39 +268,40 @@ def test_lexicographic_search_at_large_period(variant):
 
 
 def test_decide_at_large_period_without_the_limit(monkeypatch):
-    # Both searches at T = 2000 lexicographic, within the work bound of
-    # tests/test_cli.py::TestDecide::test_large_period.
+    # The sufficient search at T = 2000 lexicographic, within the work
+    # bound of tests/test_cli.py::TestDecide::test_large_period; it hits, so
+    # the necessary search is not run.
     monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 10**9)
     with bounded_work():
         v = decide(EVENS, SearchConfig(t_max=2000))
     assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_BASE
     assert v.certificate.c.members() == tuple(range(0, 2000, 2))
-    assert v.stats.subsets_examined == 2000 and not v.stats.budget_exhausted
+    assert v.stats.subsets_examined == 1000 and not v.stats.budget_exhausted
 
 
-def test_decide_survives_necessary_budget(monkeypatch):
-    """A base necessary search that runs out refutes nothing, and skips the
-    sufficient search at T = m, which would walk the same tree under the
-    same budget and accept less: decide reports the exhausted budget and
-    goes on to the lifted moduli."""
+def test_decide_survives_sufficient_budget(monkeypatch):
+    """A base sufficient search that runs out proves nothing, and skips the
+    necessary search at T = m, which would walk the same tree under the
+    same budget and could only hit or run out: decide reports the
+    exhausted budget and goes on to the lifted moduli."""
     calls = []
     search = criteria.find_certificate
 
-    def necessary_runs_out(ctx, variant, stats=None):
+    def base_runs_out(ctx, variant, stats=None):
         calls.append((ctx.T, variant))
-        if variant == NECESSARY:
-            raise BudgetExceeded("necessary search ran out")
+        if ctx.T == 26:
+            raise BudgetExceeded("base search ran out")
         return search(ctx, variant, stats)
 
-    monkeypatch.setattr(criteria, "find_certificate", necessary_runs_out)
+    monkeypatch.setattr(criteria, "find_certificate", base_runs_out)
     s = restate(2, [0], [], [1], 13)
     v = decide(s, SearchConfig(t_max=s.m))
-    assert calls == [(26, NECESSARY)]
+    assert calls == [(26, SUFFICIENT)]
     assert v.outcome is Outcome.UNKNOWN and v.reason is Reason.SEARCH_EXHAUSTED
     assert v.stats.budget_exhausted
     calls.clear()
     v = decide(s, SearchConfig(t_max=2 * s.m))
-    assert calls == [(26, NECESSARY), (52, SUFFICIENT)]
+    assert calls == [(26, SUFFICIENT), (52, SUFFICIENT)]
     assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_LIFT
     assert v.modulus == 52 and v.stats.budget_exhausted
     assert check_certificate(lift_period(s, 2), v.certificate)
@@ -313,15 +348,21 @@ def test_deep_instances_scan_to_thirty(name, nodes):
 def test_stratum_sets_node_count():
     """Node counts, not wall time, are the search's regression signal, and
     any change to the search tree changes this one: the plain DFS took
-    10.6 M nodes over these 1 409 sets."""
+    10.6 M nodes over these 1 409 sets.  Each verdict keeps the pool's
+    outcome, modulus and certificate."""
     nodes = sets = 0
     for s, e in pool_entries("strata"):
         v = decide(s, SearchConfig(t_max=e["t_max"]))
-        assert v.outcome.value == e["expected"]["outcome"], e
+        expected = e["expected"]
+        assert v.outcome.value == expected["outcome"], e
+        assert v.modulus == expected["modulus"], e
+        cert = v.certificate and {"T": v.certificate.T,
+                                  "c": list(v.certificate.c.members())}
+        assert cert == expected["certificate"], e
         nodes += v.stats.subsets_examined
         sets += 1
     assert sets == 1409
-    assert nodes == 4_511, nodes
+    assert nodes == 3_130, nodes
 
 
 class TestCheckSingleton:
@@ -501,17 +542,27 @@ class TestProperties:
         monkeypatch.setattr(criteria, "_search_exhaustive", recording)
         rng = random.Random(9)
         lifted = 0
+        reasons = Counter()
         deep = [  # UNKNOWN at T = 15, EXISTS at T = 14
             validate_canonical(5, [2, 3], [-12], [-5, 1]),
             validate_canonical(7, [2, 3, 6], (), [1, 11, 14]),
         ]
         for s in deep + [random_canonical(rng, 5) for _ in range(60)]:
             calls.clear()
-            decide(s, SearchConfig(t_max=3 * s.m))
+            v = decide(s, SearchConfig(t_max=3 * s.m))
             necessary = [T for T, variant in calls if variant == NECESSARY]
             assert necessary in ([], [s.m])
+            # the sufficient search runs first; only its miss at T = m
+            # lets the necessary search run
+            if v.reason is Reason.CERTIFICATE_AT_BASE:
+                assert calls == [(s.m, SUFFICIENT)]
+            elif v.reason is Reason.NECESSARY_FAILED:
+                assert calls == [(s.m, SUFFICIENT), (s.m, NECESSARY)]
+            reasons[v.reason] += 1
             lifted += any(T > s.m for T, _ in calls)
         assert lifted >= 3  # the scans went past the base modulus
+        assert reasons[Reason.CERTIFICATE_AT_BASE] >= 20, reasons
+        assert reasons[Reason.NECESSARY_FAILED] >= 5, reasons
 
     def test_consistency_base_vs_lift(self):
         # A base-period certificate implies the lifted scan also succeeds there.
