@@ -22,26 +22,30 @@ form.  A residue is *blocked* if it is in ``ones`` (necessary) or in
 unblocked residue; those residues are the member's *private mask*.  The
 checker and both searches read (b) off this count.
 
-Both searches at one modulus are complete: each returns a valid C, or
-None when no valid C exists at that T, or raises BudgetExceeded.  Up to
-EXHAUSTIVE_LIMIT the search is a lexicographic DFS over the subsets that
-contain 0, forward-checked against (b).  Both forms of (b) are
-antimonotone in C, so a candidate that fails next to the current members
-is dropped from the whole subtree, and a full cover is valid as soon as
-it is reached.  A node keeps its members, cover, ``ones``, ``twos``,
-survivors and ruled-out candidates as T-bit masks, and derives a
-member's private mask only when a join shrinks it.  It costs O(|Y1|)
-rotations to drop the candidates whose own mask dies,
-O(min(|U|, |survivors|)) per cover test, and on a join O(|Y1|) to find
-the members whose masks shrink plus O(|Y1|) for each of them and for the
-joining element, where U is X_T | Y1; no table indexed by T is built, and
-the path holds O(depth) masks.  ``decide`` takes 3 130 nodes in all
-on the benchmark's 1 409 pool sets, where testing (b) only at full
-covers took 10.6 M.
-Above the limit a cover-driven DFS runs under a node budget: a child
-costs two rotations and a full cover's (b) test one AND-NOT per
-member.  The limit picks the search order, and so which certificate is
-returned, but never the outcome.
+The certificate search, ``find_certificate``, is complete at every T: it
+returns the lexicographically smallest valid C, or None when no valid C
+exists at that T, or raises BudgetExceeded after NODE_BUDGET nodes.  It
+is a lexicographic DFS over the subsets that contain 0, forward-checked
+against (b).  Both forms of (b) are antimonotone in C, so a candidate
+that fails next to the current members is dropped from the whole
+subtree, and a full cover is valid as soon as it is reached.  A node
+keeps its members, cover, ``ones``, ``twos``, survivors and ruled-out
+candidates as T-bit masks, and derives a member's private mask only when
+a join shrinks it.  It costs O(|Y1|) rotations to drop the candidates
+whose own mask dies, O(min(|U|, |survivors|)) per cover test, and on a
+join O(|Y1|) to find the members whose masks shrink plus O(|Y1|) for
+each of them and for the joining element, where U is X_T | Y1; no table
+indexed by T is built, and the path holds O(depth) masks.  ``decide``
+takes 3 130 nodes in all on the benchmark's 1 409 pool sets, where
+testing (b) only at full covers took 10.6 M.
+
+``decide`` runs it at the base modulus, in both forms, and at lifted
+moduli up to EXHAUSTIVE_LIMIT.  Lifted moduli above the limit take a
+cover-driven DFS in the sufficient form, under the same node budget.
+There F = U, so a node's cover is its ``ones``; a child costs one
+rotation and a full cover's (b) test one AND-NOT per member.  It is
+complete too, so the limit picks which certificate is returned, never
+the outcome.
 """
 
 from __future__ import annotations
@@ -58,11 +62,11 @@ from .sets import CanonicalSet, ConditionContext, lift_period
 NECESSARY = "necessary"
 SUFFICIENT = "sufficient"
 
-#: Moduli up to this take the lexicographic search, above it the cover-driven
-#: one.  Both are complete, so this picks the certificate, not the outcome.
+#: Lifted moduli above this take the cover-driven search.  Both searches are
+#: complete, so this picks the certificate, not the outcome.
 EXHAUSTIVE_LIMIT = 24
-#: Node budget of one cover-driven search.
-HEURISTIC_BUDGET = 200_000
+#: Node budget of one search at one modulus, in either search.
+NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,8 @@ class SearchStats:
     ``subsets_examined`` counts search nodes: each subset the lexicographic
     search reaches, which passes (b) by construction, and each node the
     cover-driven search expands, over every modulus and variant searched.
-    ``budget_exhausted`` is set when a cover-driven search ran out of its
-    budget; every other scan was complete.
+    ``budget_exhausted`` is set when a search ran out of its budget;
+    every other scan was complete.
     """
 
     subsets_examined: int = 0
@@ -229,7 +233,7 @@ def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
 
 
 def _search_exhaustive(
-    ctx: ConditionContext, variant: str, stats: SearchStats
+    ctx: ConditionContext, variant: str, budget: int, stats: SearchStats
 ) -> Optional[Certificate]:
     """Find the lexicographically smallest valid C containing 0, or None.
 
@@ -269,7 +273,8 @@ def _search_exhaustive(
     mask and at most |Y1| to rule candidates out, with no table indexed by
     T.  The path holds one frame of six T-bit masks per node and nothing
     else.  The scan is complete, so None means no valid C exists at this
-    T.
+    T; reaching more than ``budget`` nodes raises BudgetExceeded, after
+    the nodes are added to ``stats``.
     """
     T = ctx.T
     full = (1 << T) - 1
@@ -306,6 +311,9 @@ def _search_exhaustive(
     found = True
     while found:
         examined += 1
+        if examined > budget:
+            stats.subsets_examined += examined
+            raise BudgetExceeded(f"search exceeded {budget} nodes")
         if cover == full:
             break
         o2 = ones | ones << T
@@ -363,13 +371,14 @@ def _search_exhaustive(
 
 
 # ---------------------------------------------------------------------------
-# Cover-driven search (budgeted DFS for large T)
+# Cover-driven search (sufficient form, lifted moduli above EXHAUSTIVE_LIMIT)
 
 
 def _search_heuristic(
-    ctx: ConditionContext, variant: str, budget: int, stats: SearchStats
+    ctx: ConditionContext, budget: int, stats: SearchStats
 ) -> Optional[Certificate]:
-    """Branch on preimages of the least uncovered residue.
+    """Branch on preimages of the least uncovered residue, in the
+    sufficient form.
 
     Complete within its budget.  Every valid C containing 0 holds some
     preimage r - u of the least residue r that the members leave
@@ -378,49 +387,47 @@ def _search_heuristic(
     means no valid C exists at this T, and exhausting the budget raises
     BudgetExceeded.  A hit is re-verified before it is returned.  The
     path can be as deep as T, so the DFS keeps an explicit stack of child
-    iterators.  A node carries its members, its cover and the members'
-    F-translates summed into ``ones`` and ``twos`` (see ``_cond_b``), so a
-    child costs two rotations of doubled masks and a full cover's (b)
-    test one AND-NOT per member.
+    iterators.  A node carries its members and their U-translates summed
+    into ``ones`` and ``twos`` (see ``_cond_b``, with F = U).  Its cover
+    C + U is ``ones``, so a child costs one rotation of a doubled mask and
+    a full cover's (b) test one AND-NOT per member.
     """
     T = ctx.T
     full = (1 << T) - 1
-    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
-    u_mask = x_mask | y_mask
-    if not u_mask:
+    y_mask = ctx.y1_res.mask
+    # 0 is in every C, so if it fails (b) alone no valid C exists
+    if not y_mask:
         return None
+    u_mask = ctx.x_t.mask | y_mask
     offsets = mask_members(u_mask)
-    necessary = variant == NECESSARY
-    f_mask = x_mask if necessary else u_mask
-    u2, y2, f2 = (m | m << T for m in (u_mask, y_mask, f_mask))
+    u2, y2 = (m | m << T for m in (u_mask, y_mask))
 
-    def children(c_mask: int, cover: int, ones: int, twos: int):
-        uncovered = ~cover & full
+    def children(c_mask: int, ones: int, twos: int):
+        uncovered = ~ones & full
         r = (uncovered & -uncovered).bit_length() - 1
         # any c with r in c + U, i.e. c in r - U
         for offset in offsets:
             c = (r - offset) % T
             if not c_mask >> c & 1:
-                f = f2 >> (T - c) & full
-                yield (c_mask | 1 << c, cover | u2 >> (T - c) & full,
-                       ones | f, twos | ones & f)
+                f = u2 >> (T - c) & full
+                yield c_mask | 1 << c, ones | f, twos | ones & f
 
-    def passes_b(c_mask: int, ones: int, twos: int) -> bool:
-        unblocked = full & ~(ones if necessary else twos)
+    def passes_b(c_mask: int, twos: int) -> bool:
+        unblocked = full & ~twos
         return all(y2 >> (T - c) & unblocked for c in mask_members(c_mask))
 
     nodes = 0
-    node = (1, u_mask, f_mask, 0)
+    node = (1, u_mask, 0)
     stack = []
     try:
         while node is not None:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"heuristic search exceeded {budget} nodes")
-            c_mask, cover, ones, twos = node
-            if cover != full:
+                raise BudgetExceeded(f"search exceeded {budget} nodes")
+            c_mask, ones, twos = node
+            if ones != full:
                 stack.append(children(*node))
-            elif passes_b(c_mask, ones, twos):
+            elif passes_b(c_mask, twos):
                 break
             node = None
             while stack and node is None:
@@ -431,7 +438,7 @@ def _search_heuristic(
         stats.subsets_examined += nodes
     if node is None:
         return None
-    cert = Certificate(T, ResidueSubset(T, node[0]), variant)
+    cert = Certificate(T, ResidueSubset(T, node[0]), SUFFICIENT)
     if not check_certificate(ctx, cert):
         raise AssertionError("cover-driven search produced an invalid candidate")
     return cert
@@ -442,22 +449,16 @@ def find_certificate(
     variant: str = SUFFICIENT,
     stats: Optional[SearchStats] = None,
 ) -> Optional[Certificate]:
-    """Search for a valid C at the context's modulus.
+    """The lexicographically smallest valid C at the context's modulus.
 
-    The scan is complete at every T: None means no valid C exists, and
-    BudgetExceeded means the search ran out of nodes.  Up to
-    EXHAUSTIVE_LIMIT it is forward-checked against (b) (see
-    ``_search_exhaustive``) and returns the lexicographically smallest
-    valid C.  Above it the cover-driven search (``_search_heuristic``)
-    runs under HEURISTIC_BUDGET nodes and returns the first valid C it
-    meets.
+    The search (``_search_exhaustive``) is complete at every T: it returns
+    that C, or None when no valid C exists, or raises BudgetExceeded when
+    it reaches more than NODE_BUDGET nodes.
     """
     if variant not in (NECESSARY, SUFFICIENT):
         raise ValueError(f"unknown variant {variant!r}")
     stats = stats if stats is not None else SearchStats()
-    if ctx.T <= EXHAUSTIVE_LIMIT:
-        return _search_exhaustive(ctx, variant, stats)
-    return _search_heuristic(ctx, variant, HEURISTIC_BUDGET, stats)
+    return _search_exhaustive(ctx, variant, NODE_BUDGET, stats)
 
 
 def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
@@ -475,14 +476,25 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     any scanned T, unless ``stats.budget_exhausted`` is set: then some
     search ran out of its budget.
 
+    The base modulus and lifted moduli up to EXHAUSTIVE_LIMIT take
+    ``find_certificate``; lifted moduli above it take the cover-driven
+    search (``_search_heuristic``), which has only the sufficient form.
+    Both run under NODE_BUDGET nodes per modulus.
+
     A base sufficient search that runs out skips the necessary search at
-    T = m, which could only hit or run out too.  Only the cover-driven
-    search has a budget, and its children depend on the cover alone, so
-    both variants walk the same tree in the same order and differ only
-    in which full covers stop it; the necessary search stops at the
-    sufficient one's hits and perhaps earlier.  A finished necessary miss
-    would mean a whole tree within the budget with no sufficient hit in
-    it, which the sufficient search would have finished.
+    T = m, which could only hit or run out too.  Suppose the necessary
+    search finishes with a miss.  Then every node of the sufficient tree
+    is a node of the necessary tree.  Both trees have the same root, and
+    a node's survivors are the candidates above its last member that can
+    join it and keep (b); the sufficient (b) implies the necessary one,
+    so the sufficient survivors are a subset of the necessary ones, and
+    so is the reach of the survivors from any k up.  Where the sufficient
+    search branches on k, the necessary one, which walks its whole tree,
+    branches on k too.  A sufficient node with a full cover would be a
+    necessary node with a full cover, which is a hit, so there is none,
+    and the sufficient tree has no more nodes than the necessary one.  A
+    sufficient run-out therefore means the necessary search could not
+    have finished with a miss within the same budget.
 
     Each modulus costs the searches' nodes, summed in
     ``stats.subsets_examined``.  Unknown is a value, not an error.  A
@@ -515,7 +527,10 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
         T = k * s.m
         ctx = lift_period(s, k)
         try:
-            suf = find_certificate(ctx, SUFFICIENT, stats)
+            if k > 1 and T > EXHAUSTIVE_LIMIT:
+                suf = _search_heuristic(ctx, NODE_BUDGET, stats)
+            else:
+                suf = find_certificate(ctx, SUFFICIENT, stats)
             if (suf is None and k == 1
                     and find_certificate(ctx, NECESSARY, stats) is None):
                 return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)

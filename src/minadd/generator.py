@@ -26,7 +26,7 @@ probed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
@@ -36,12 +36,24 @@ Runs = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class GeneratorState:
-    """Prefix of the construction after len(d_seq) steps."""
+    """Prefix of the construction after len(d_seq) steps.
+
+    ``starts`` lists the run starts, which ``next_d`` and ``verify``
+    bisect.  ``step`` carries it from state to state; left unset, it is
+    read off ``runs``.  It is derived, so it takes no part in equality or
+    in the record.
+    """
 
     d_seq: tuple[int, ...]
     c_seq: tuple[int, ...]
     runs: Runs
     slack_seq: tuple[int, ...] = ()
+    starts: Optional[tuple[int, ...]] = field(
+        default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.starts is None:
+            object.__setattr__(self, "starts", tuple(a for a, _ in self.runs))
 
     @property
     def steps(self) -> int:
@@ -71,11 +83,11 @@ class GeneratorState:
 
 def initial_state() -> GeneratorState:
     """Fixed base case: d_1 = -1, c_1 = -3, W_1 = {1, ..., 12}."""
-    return GeneratorState((-1,), (-3,), ((1, 12),))
+    return GeneratorState((-1,), (-3,), ((1, 12),), (), (1,))
 
 
 def _translates_at(
-    runs: Runs, starts: list[int], c_seq: Sequence[int], n: int
+    runs: Runs, starts: Sequence[int], c_seq: Sequence[int], n: int
 ) -> list[tuple[int, int, int]]:
     """The runs of prefix + c, over c in c_seq, that contain n, each as
     (start, end, c), in the order of c_seq.
@@ -111,9 +123,8 @@ def next_d(state: GeneratorState, start: int) -> int:
     walk takes two probes per step on every slack tried; from -1 it
     takes about i.
     """
-    starts = [a for a, _ in state.runs]
     n = start
-    while hits := _translates_at(state.runs, starts, state.c_seq, n):
+    while hits := _translates_at(state.runs, state.starts, state.c_seq, n):
         n = min(a for a, _, _ in hits) - 1
     return n
 
@@ -160,20 +171,23 @@ def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
             f"excluded points {excluded} not all in ({lo}, {-c_i - 1}]"
         )
 
-    runs = list(state.runs[:-1])
+    runs, starts = list(state.runs[:-1]), list(state.starts[:-1])
     cur = top_lo
     for p in excluded:
         if cur <= p - 1:
             runs.append((cur, p - 1))
+            starts.append(cur)
         cur = p + 1
     if cur <= hi:
         runs.append((cur, hi))
+        starts.append(cur)
 
     return GeneratorState(
         state.d_seq + (d_i,),
         state.c_seq + (c_i,),
         tuple(runs),
         state.slack_seq + (slack,),
+        tuple(starts),
     )
 
 
@@ -235,7 +249,7 @@ def verify(state: GeneratorState) -> GeneratorReport:
     """
     if state.steps < 2:
         raise PrefixTooShort("need at least two steps before verification")
-    runs, c_seq = state.runs, state.c_seq
+    runs, starts, c_seq = state.runs, state.starts, state.c_seq
     window_hi = -c_seq[-2] - 1
 
     gaps_ok = all(
@@ -243,7 +257,6 @@ def verify(state: GeneratorState) -> GeneratorReport:
     )
 
     # n is the least integer of the window not yet known to be covered.
-    starts = [a for a, _ in runs]
     n = state.d_seq[-1]
     while n <= window_hi and (hits := _translates_at(runs, starts, c_seq, n)):
         n = max(b for _, b, _ in hits) + 1

@@ -17,6 +17,7 @@ from conftest import (
 from minadd import criteria, oracle
 from minadd.criteria import (
     NECESSARY,
+    NODE_BUDGET,
     SUFFICIENT,
     Certificate,
     Outcome,
@@ -103,25 +104,38 @@ class TestFindCertificate:
         cert = find_certificate(ctx, SUFFICIENT)
         assert cert.c.members() == (0,)
 
-    def test_heuristic_mode_finds_and_reverifies(self, monkeypatch):
-        # force the heuristic by dropping the exhaustive limit below T
-        monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 1)
+    def test_heuristic_mode_finds_and_reverifies(self):
         ctx = ctx_of(4, [0, 2], [1, 3])
-        cert = find_certificate(ctx, SUFFICIENT)
-        assert cert is not None
+        cert = _search_heuristic(ctx, 10**9, SearchStats())
+        assert cert is not None and cert.variant == SUFFICIENT
         assert cond_a(ctx, cert.c) and cond_b_sufficient(ctx, cert.c)
 
-    def test_heuristic_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 1)
-        monkeypatch.setattr(criteria, "HEURISTIC_BUDGET", 1)
+    def test_heuristic_budget_exhausted(self):
         ctx = ctx_of(8, [0], [1])
+        stats = SearchStats()
         with pytest.raises(BudgetExceeded):
-            find_certificate(ctx, SUFFICIENT)
+            _search_heuristic(ctx, 1, stats)
+        assert stats.subsets_examined == 2
+
+    def test_lexicographic_budget_exhausted(self, monkeypatch):
+        # the nodes reached are counted before the search gives up
+        monkeypatch.setattr(criteria, "NODE_BUDGET", 999)
+        stats = SearchStats()
+        with pytest.raises(BudgetExceeded):
+            find_certificate(lift_period(EVENS, 1), SUFFICIENT, stats)
+        assert stats.subsets_examined == 1000
 
     def test_decide_survives_heuristic_budget(self, monkeypatch):
+        # The lexicographic search refutes the README example at T = m
+        # within 5 nodes; the set below has no certificate at T = 5, so
+        # the lifted search at T = 10 runs, cover-driven, and runs out.
         monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 1)
-        monkeypatch.setattr(criteria, "HEURISTIC_BUDGET", 5)
+        monkeypatch.setattr(criteria, "NODE_BUDGET", 5)
         s = validate_canonical(5, [2, 3], [-3], [-1, 4])
+        v = decide(s, SearchConfig(t_max=10))
+        assert v.outcome is Outcome.NOT_EXISTS
+        assert not v.stats.budget_exhausted
+        s = validate_canonical(5, [0, 1], [], [-2, 9])
         v = decide(s, SearchConfig(t_max=10))
         assert v.outcome is Outcome.UNKNOWN
         assert v.stats.budget_exhausted
@@ -156,22 +170,22 @@ def test_search_matches_plain_dfs():
 
 
 def test_cover_driven_search_is_complete():
-    """With no budget to run out of, the cover-driven search finds a valid
-    C exactly when the lexicographic one does, under both variants: the
-    contract that lets ``decide`` refute above EXHAUSTIVE_LIMIT."""
+    """With no budget to run out of, the cover-driven search finds a
+    sufficient certificate exactly when the lexicographic one does: the
+    contract that lets ``decide`` call it the scan's answer above
+    EXHAUSTIVE_LIMIT."""
     rng = random.Random(16)
     contexts = [*enumerate_contexts(8),
                 *(random_context(rng, 9, 16) for _ in range(3000))]
     found = 0
     for ctx in contexts:
-        for variant in (NECESSARY, SUFFICIENT):
-            cert = _search_heuristic(ctx, variant, 10**9, SearchStats())
-            complete = _search_exhaustive(ctx, variant, SearchStats())
-            assert (cert is None) == (complete is None), (ctx, variant)
-            assert cert is None or check_certificate(ctx, cert), (ctx, variant)
-            found += cert is not None
+        cert = _search_heuristic(ctx, 10**9, SearchStats())
+        complete = _search_exhaustive(ctx, SUFFICIENT, 10**9, SearchStats())
+        assert (cert is None) == (complete is None), ctx
+        assert cert is None or check_certificate(ctx, cert), ctx
+        found += cert is not None
     assert len(contexts) >= 3700
-    assert 1000 <= found <= 2 * len(contexts) - 1000, found
+    assert 500 <= found <= len(contexts) - 500, found
 
 
 def restate(m, x, y0, y1, k):
@@ -181,7 +195,8 @@ def restate(m, x, y0, y1, k):
 
 
 # Pool not-exists sets restated at the least multiple of m in 25..40, so
-# that the base modulus lies above EXHAUSTIVE_LIMIT.
+# that the base modulus lies above EXHAUSTIVE_LIMIT: the base search is
+# lexicographic at every m.
 RESTATED_NOT_EXISTS = [
     restate(5, [1, 2, 3], [-9], [-15], 5),
     restate(3, [0], [], [-7], 9),
@@ -197,60 +212,113 @@ def test_refutes_above_the_limit(s):
     v = decide(s, SearchConfig(t_max=s.m))
     assert v.outcome is Outcome.NOT_EXISTS and not v.stats.budget_exhausted
     assert v.reason is Reason.NECESSARY_FAILED and v.modulus == s.m
-    assert _search_exhaustive(lift_period(s, 1), NECESSARY, SearchStats()) is None
+    assert _search_exhaustive(lift_period(s, 1), NECESSARY, NODE_BUDGET,
+                              SearchStats()) is None
 
 
-def cover_driven(ctx, variant, budget):
-    """The cover-driven search's certificate, None on a miss, or "ran out",
-    and the nodes it walked."""
-    stats = SearchStats()
-    try:
-        cert = _search_heuristic(ctx, variant, budget, stats)
-    except BudgetExceeded:
-        cert = "ran out"
-    return cert, stats.subsets_examined
+def restated_pool():
+    """The pool's stratum not-exists sets, restated at the least multiple
+    of m in 25..40."""
+    return [restate(s.m, s.x_m.members(), s.y0, s.y1, -(-25 // s.m))
+            for s, e in pool_entries("strata")
+            if e["expected"]["outcome"] == "not-exists"]
+
+
+def test_restated_pool_refuted_at_base():
+    """Every pool not-exists set, restated above EXHAUSTIVE_LIMIT, is refuted
+    at T = m with no budget spent: the lexicographic search forward-checks
+    (b), so a refutation takes a few nodes at any m."""
+    sets = restated_pool()
+    nodes = 0
+    for s in sets:
+        v = decide(s, SearchConfig(t_max=s.m))
+        assert v.outcome is Outcome.NOT_EXISTS, s
+        assert v.reason is Reason.NECESSARY_FAILED and v.modulus == s.m, s
+        assert not v.stats.budget_exhausted, s
+        nodes += v.stats.subsets_examined
+    assert len(sets) == 278
+    assert nodes == 1_194, nodes
+
+
+def census_set(rng):
+    """A set with m in 25..48, a random X and a sparse nonempty Y1 in
+    [-40, 60)."""
+    while True:
+        m = rng.randint(25, 48)
+        x = [r for r in range(m) if rng.random() < 0.5] or [0]
+        y1 = [y for y in range(-40, 60) if y % m not in x and rng.random() < 0.05]
+        if y1:
+            return validate_canonical(m, x, [], y1)
+
+
+def test_base_census_above_the_limit():
+    """On sets whose period is above EXHAUSTIVE_LIMIT, the search at T = m
+    never runs out, and every certificate it finds re-verifies."""
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(400):
+        s = census_set(rng)
+        v = decide(s, SearchConfig(t_max=s.m))
+        assert not v.stats.budget_exhausted, s
+        if v.certificate is not None:
+            assert check_certificate(lift_period(s, 1), v.certificate), s
+        outcomes[v.outcome] += 1
+    assert outcomes[Outcome.EXISTS] >= 200, outcomes
+    assert outcomes[Outcome.NOT_EXISTS] >= 80, outcomes
+
+
+def sparse_context(rng, t_lo, t_hi):
+    """A context whose Y1 holds each residue outside X_T with chance 1/10."""
+    T = rng.randint(t_lo, t_hi)
+    x_mask = rng.getrandbits(T)
+    y_mask = sum(1 << r for r in range(T)
+                 if not x_mask >> r & 1 and rng.random() < 0.1)
+    return ConditionContext(T, ResidueSubset(T, x_mask), ResidueSubset(T, y_mask))
+
+
+def test_sufficient_tree_within_necessary_miss():
+    """The premise of decide's budget skip at T = m: when the necessary
+    search misses, the sufficient search misses too, in no more nodes, so
+    under one budget a sufficient run-out never pairs with a finished
+    necessary miss."""
+    rng = random.Random(18)
+    contexts = [*(lift_period(s, 1) for s in restated_pool()),
+                *(sparse_context(rng, 2, 40) for _ in range(3000))]
+    misses = 0
+    for ctx in contexts:
+        nec, suf = SearchStats(), SearchStats()
+        if _search_exhaustive(ctx, NECESSARY, 10**9, nec) is not None:
+            continue
+        assert _search_exhaustive(ctx, SUFFICIENT, 10**9, suf) is None, ctx
+        assert suf.subsets_examined <= nec.subsets_examined, ctx
+        misses += 1
+    assert misses >= 2000, misses
 
 
 def test_searches_agree_above_the_limit():
     """Above EXHAUSTIVE_LIMIT, the lexicographic search and the cover-driven
-    one agree on whether a valid C exists, under both variants, and every
-    hit is a certificate.  The pool's not-exists sets, restated above the
-    limit, give the misses: those whose cover-driven tree ends within 1 000
-    nodes are compared, the rest only paired.  The pairs are the premise
-    of decide's budget skip at T = m: on a miss both variants walk the same
-    tree, and under one budget a sufficient search that runs out never
-    pairs with a finished necessary miss."""
+    one agree on whether a sufficient certificate exists, and every hit is
+    a certificate.  The pool's not-exists sets, restated above the limit,
+    give the misses: those whose cover-driven tree ends within 1 000 nodes
+    are compared."""
     rng = random.Random(17)
-    budget = 1000
-    pool = [lift_period(restate(s.m, s.x_m.members(), s.y0, s.y1, -(-25 // s.m)), 1)
-            for s, e in pool_entries("strata")
-            if e["expected"]["outcome"] == "not-exists"]
+    pool = [lift_period(s, 1) for s in restated_pool()]
     contexts = [*((lift_period(s, 1), 10**9) for s in RESTATED_NOT_EXISTS),
-                *((ctx, budget) for ctx in pool),
+                *((ctx, 1000) for ctx in pool),
                 *((random_context(rng, 25, 40), 10**9) for _ in range(300))]
     outcomes = Counter()
-    pairs = Counter()
     for ctx, limit in contexts:
-        runs = {}
-        for variant in (NECESSARY, SUFFICIENT):
-            runs[variant] = cert, nodes = cover_driven(ctx, variant, limit)
-            if cert == "ran out":
-                continue
-            lexicographic = _search_exhaustive(ctx, variant, SearchStats())
-            assert (cert is None) == (lexicographic is None), (ctx, variant)
-            for found in (cert, lexicographic):
-                assert found is None or check_certificate(ctx, found), (ctx, variant)
-            outcomes[lexicographic is None] += 1
-        if runs[NECESSARY][0] is None:
-            assert runs[SUFFICIENT] == runs[NECESSARY], ctx
-        nec, suf = (("ran out" if nodes > budget else
-                     "miss" if cert is None else "hit")
-                    for cert, nodes in (runs[NECESSARY], runs[SUFFICIENT]))
-        assert (nec, suf) != ("miss", "ran out"), ctx
-        pairs[nec, suf] += 1
+        try:
+            cert = _search_heuristic(ctx, limit, SearchStats())
+        except BudgetExceeded:
+            continue
+        lexicographic = _search_exhaustive(ctx, SUFFICIENT, 10**9, SearchStats())
+        assert (cert is None) == (lexicographic is None), ctx
+        for found in (cert, lexicographic):
+            assert found is None or check_certificate(ctx, found), ctx
+        outcomes[lexicographic is None] += 1
     assert len(pool) == 278
-    assert outcomes[True] >= 250 and outcomes[False] >= 500, outcomes
-    assert pairs["ran out", "ran out"] >= 100 and pairs["hit", "ran out"] >= 10, pairs
+    assert outcomes[True] >= 100 and outcomes[False] >= 250, outcomes
 
 
 EVENS = validate_canonical(2000, [0], [], [1])
@@ -262,16 +330,15 @@ def test_lexicographic_search_at_large_period(variant):
     grow with T or with the number of members."""
     stats = SearchStats()
     with bounded_work():
-        cert = _search_exhaustive(lift_period(EVENS, 1), variant, stats)
+        cert = _search_exhaustive(lift_period(EVENS, 1), variant, NODE_BUDGET, stats)
     assert cert.c.members() == tuple(range(0, 2000, 2))
     assert stats.subsets_examined == 1000
 
 
-def test_decide_at_large_period_without_the_limit(monkeypatch):
-    # The sufficient search at T = 2000 lexicographic, within the work
-    # bound of tests/test_cli.py::TestDecide::test_large_period; it hits, so
-    # the necessary search is not run.
-    monkeypatch.setattr(criteria, "EXHAUSTIVE_LIMIT", 10**9)
+def test_decide_at_large_period_without_the_limit():
+    # The base modulus T = 2000 takes the lexicographic search, within the
+    # work bound of tests/test_cli.py::TestDecide::test_large_period; it
+    # hits, so the necessary search is not run.
     with bounded_work():
         v = decide(EVENS, SearchConfig(t_max=2000))
     assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_BASE
@@ -281,11 +348,13 @@ def test_decide_at_large_period_without_the_limit(monkeypatch):
 
 def test_decide_survives_sufficient_budget(monkeypatch):
     """A base sufficient search that runs out proves nothing, and skips the
-    necessary search at T = m, which would walk the same tree under the
-    same budget and could only hit or run out: decide reports the
-    exhausted budget and goes on to the lifted moduli."""
+    necessary search at T = m, which could only hit or run out under the
+    same budget (see test_sufficient_tree_within_necessary_miss): decide
+    reports the exhausted budget and goes on to the lifted moduli, which
+    above EXHAUSTIVE_LIMIT take the cover-driven search."""
     calls = []
     search = criteria.find_certificate
+    heuristic = criteria._search_heuristic
 
     def base_runs_out(ctx, variant, stats=None):
         calls.append((ctx.T, variant))
@@ -293,7 +362,12 @@ def test_decide_survives_sufficient_budget(monkeypatch):
             raise BudgetExceeded("base search ran out")
         return search(ctx, variant, stats)
 
+    def recording(ctx, budget, stats):
+        calls.append((ctx.T, "cover-driven"))
+        return heuristic(ctx, budget, stats)
+
     monkeypatch.setattr(criteria, "find_certificate", base_runs_out)
+    monkeypatch.setattr(criteria, "_search_heuristic", recording)
     s = restate(2, [0], [], [1], 13)
     v = decide(s, SearchConfig(t_max=s.m))
     assert calls == [(26, SUFFICIENT)]
@@ -301,7 +375,7 @@ def test_decide_survives_sufficient_budget(monkeypatch):
     assert v.stats.budget_exhausted
     calls.clear()
     v = decide(s, SearchConfig(t_max=2 * s.m))
-    assert calls == [(26, SUFFICIENT), (52, SUFFICIENT)]
+    assert calls == [(26, SUFFICIENT), (52, "cover-driven")]
     assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_LIFT
     assert v.modulus == 52 and v.stats.budget_exhausted
     assert check_certificate(lift_period(s, 2), v.certificate)
@@ -535,9 +609,9 @@ class TestProperties:
         calls = []
         search = criteria._search_exhaustive
 
-        def recording(ctx, variant, stats):
+        def recording(ctx, variant, budget, stats):
             calls.append((ctx.T, variant))
-            return search(ctx, variant, stats)
+            return search(ctx, variant, budget, stats)
 
         monkeypatch.setattr(criteria, "_search_exhaustive", recording)
         rng = random.Random(9)

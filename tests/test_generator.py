@@ -389,6 +389,16 @@ def test_generate_and_verify_work_is_bounded():
         assert verify(generate(80)).ok
 
 
+def test_generate_carries_the_run_starts():
+    # step extends the starts with its new runs rather than rebuilding them
+    # from the prefix's runs, so generate(100) runs about 65 000 lines,
+    # where a rebuild at every step ran 221 505.
+    with bounded_work(max_lines=80_000):
+        st = generate(100)
+    assert st.starts == tuple(a for a, _ in st.runs)
+    assert GeneratorState.from_dict(st.to_dict()).starts == st.starts
+
+
 def test_full_authoritative_window_is_fast():
     st = generate(40)
     t0 = time.perf_counter()

@@ -166,7 +166,7 @@ def test_witness_agrees_with_window_complement_check():
 
 def test_random_exists_instances_verify():
     rng = random.Random(9)
-    checked = 0
+    checked = uncovered = 0
     for _ in range(120):
         s = random_canonical(rng, 4)
         v = decide(s, SearchConfig(t_max=6))
@@ -176,8 +176,23 @@ def test_random_exists_instances_verify():
         w = build_witness(s, v.certificate, -20 * T - 10, 20 * T + 10)
         assert verify_coverage(s, w).ok
         assert verify_local_minimality(s, w).ok
+        # the fast coverage check matches the enumeration from the
+        # definition, on the window and with one interior element removed
+        inner_lo, inner_hi = witness._safe_interval(w)
+        interior = [d for d in w.d_elements if inner_lo <= d <= inner_hi]
+        victim = interior[len(interior) // 2]
+        holed = dataclasses.replace(
+            w, d_elements=tuple(d for d in w.d_elements if d != victim))
+        for win in (w, holed):
+            fast = verify_coverage(s, win)
+            ds = win.d_elements
+            d = WindowSet(min(win.lo, ds[0]), max(win.hi, ds[-1]), ds)
+            slow = verify_complement_window(d, s, inner_lo, inner_hi)
+            assert (fast.ok, fast.first_uncovered) == (slow.ok, slow.first_uncovered), s
+            uncovered += not slow.ok
         checked += 1
     assert checked >= 10
+    assert uncovered == checked, uncovered
 
 
 def test_serialization_round_trip():
