@@ -68,9 +68,7 @@ class WindowTooSmall(MinaddError):
 
 
 class WindowTooLarge(MinaddError):
-    """A witness window too long to hold in memory: the build's prune
-    buffer and the checks' digit string hold a byte per integer of it,
-    their masks a bit per integer."""
+    """A witness window whose listing is too long to hold in memory."""
 
 
 class ModulusTooLarge(MinaddError):

@@ -130,3 +130,37 @@ def verify_complement_window(
         if not any(s.contains(n - e) for e in d.members):
             return CoverageReport(False, n)
     return CoverageReport(True)
+
+
+def private_target_owners(
+    d: WindowSet, s: CanonicalSet, t_lo: int, t_hi: int, period: int
+) -> set[int]:
+    """The members e of d that own a private target in [t_lo, t_hi]: an
+    integer n there with n - e in W and n - f not in W for every other
+    member f of d.
+
+    For d the cut of a set D whose period m divides, this is exact for D
+    when d reaches 2 * ``period`` + max(Y0 | Y1 | {0}) + 1 below t_lo and
+    -min(Y0 | Y1 | {0}) above t_hi.  A member of D above d.hi then reaches
+    no target.  A member below d.lo that reaches n has translates in the
+    two lowest periods of d, whose differences from n exceed every element
+    of Y0 and Y1 and lie in its class mod m, so both reach n and n is
+    private to none.
+    """
+    ys = s.y0 + s.y1 + (0,)
+    if d.lo > t_lo - 2 * period - max(ys) - 1 or d.hi < t_hi - min(ys):
+        raise MarginTooSmall(
+            f"window [{d.lo}, {d.hi}] is too short for the targets "
+            f"[{t_lo}, {t_hi}] at period {period}"
+        )
+    owners = set()
+    for n in range(t_lo, t_hi + 1):
+        reachers = []
+        for e in d.members:
+            if s.contains(n - e):
+                reachers.append(e)
+                if len(reachers) > 1:
+                    break
+        if len(reachers) == 1:
+            owners.add(reachers[0])
+    return owners

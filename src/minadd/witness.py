@@ -1,84 +1,96 @@
-"""Explicit windowed minimal-complement construction.
+"""Witnesses: a periodic minimal complement of W on all of Z, listed on a
+window.
 
-Given a sufficient-variant certificate (T, C), the residues split into
-C1 = (C + X_T) mod T, covered through the periodic part, and its
-complement C2, which only the finite exceptions can reach.  The witness
-materializes the window part of a minimal complement D': all integers in
-the C classes, greedily pruned in descending order until the remaining
-elements form an irredundant cover of the C2-residue targets via the
-exceptional offsets.  So each interior survivor owns a *private target*,
-an integer of a C2 class that no other survivor reaches, which is the
-local evidence of minimality.  The window lists D' alone: a verifier
-finds each private target from D' and Y1 in the |D'|*|Y1| work it takes
-to count the sums.
+Lemma.  Let (T, C) pass condition (a) and the sufficient (b) at T, with
+m | T and T > span(Y1) = max(Y1) - min(Y1).  Then D = C + T*Z is a
+minimal complement of W.
 
-The build does not walk every candidate.  Three facts make the prune
-periodic: (1) every source of a target lies in the candidate pool, so a
-target's initial count depends only on its class mod T; (2) an interior
-candidate's fate depends only on its class and on which of the span =
-max(Y1) - min(Y1) integers above it were pruned; (3) so, walking blocks
-of T integers from the top, a block's prune is a function of that state,
-and once a state repeats the prune repeats down to the lowest interior
-candidate.  The build walks blocks until a state repeats, at O(|Y1|)
-Python steps per candidate, and copies the repeating stretch down.  If
-no state repeats within the window, every block is walked.  It then
-reads D' out one class of C at a time, |C|/T of the window.
+Proof.  A sum in m*N + X or in Y0 has its class mod m in X, so mod T it
+lies in X_T; a sum in Y1 lies in Y1 mod T.  Coverage: take n in Z.  By
+(a), n = c + u (mod T) for some c in C and u in X_T | Y1.  If u is in
+Y1, then n - u is in D, and n = (n - u) + u.  If u is in X_T, take the
+elements d = c (mod T) of D, which run to -infinity, and one with
+d <= n: then n - d >= 0, and (n - d) mod m = u mod m is in X since m | T,
+so n - d is in m*N + X.  Minimality: take d in D, in the class c.  (b)
+gives y in Y1 with c + y outside (C \\ {c}) + (X_T | Y1) mod T.  Suppose
+d + y = d' + w with d' in D, d' != d and w in W.  If d' lies in another
+class c' of C, then c + y = c' + w mod T with w mod T in X_T | Y1,
+against (b).  If d' lies in the class c, then w - y = d - d' is a nonzero
+multiple of T.  A w in m*N + X or Y0 would give y mod m in X, as m | T,
+but Y1 lies outside X; and a w in Y1 has |w - y| <= span(Y1) < T.  So
+d + y is private to d, D \\ {d} misses it, and D is minimal.
 
-The verifiers check a window on bitmasks.  A window reads its elements
-once: D sorted, and an int whose bit n - lo is 1 iff n is in D, for n
-in [lo, hi], one Python step per element.  A window from build_witness
-skips that step: the build converts its prune buffer, a byte per
-candidate, into the int at C speed.  Each check cuts its stretch out of
-that int, shifts it once per y in Y1, sums the shifts bit-sliced into
-"reached" and "reached twice" masks and ANDs them with the classes of
-C1, C2 or C tiled over the stretch.  They run only when the window
-holds the stretch and is at most MASK_STRETCH times |D|*|Y1| integers
-long, within a constant factor of the set-and-class walk they replace.
-Other windows, as with a forged ``hi`` or ``T``, forged margins or a few
-far-apart elements, take that walk, whose cost does not grow with the
-window; it also names the failures when the bitmasks find one.
+``build_witness`` turns a sufficient certificate (T, C) into one that
+meets the lemma, (P', C') with m | P' and P' > span(Y1).  When
+T > span(Y1) it is (T, C).  Otherwise it prunes the integers of the C
+classes greedily from the top down: a candidate goes when every target it
+reaches, an integer d + y (y in Y1) of a class of C2 = Z_T \\ (C + X_T),
+keeps another source, a candidate in the target's class minus Y1.  A kept
+candidate thus owns a target that no other survivor reaches, and no
+target loses its last source.  A candidate's fate depends only on its
+class mod T and on which of the span(Y1) integers above it were pruned,
+so by blocks of T integers the prune is a function of that state.  The
+walk starts with nothing pruned and stops at the first repeated state:
+the blocks between the two occurrences, P integers with T | P, repeat
+from there on down, and their survivors, counted from the cycle's
+bottom, are D mod P.  (P', C') is that set tiled to P', the least
+multiple of P above span(Y1).  It passes (a), since every class of C
+keeps a survivor in each cycle: the private target c + y of c has all
+its sources in the class c.  It passes the sufficient (b) at P', since a
+survivor's private target sees only sources within span(Y1) of it, where
+the periodic set agrees with the cycle, and P' > span(Y1) turns a second
+source mod P' into a second source in Z.  The checks below re-test both.
+
+The walk takes O(|Y1|) Python steps per candidate, in at most as many
+blocks as the window [lo, hi] spans; a window that ends before a state
+repeats raises WindowTooSmall.  The record lists the lift C' + P'*Z cut
+to [lo, hi] as ``d_elements``, in time linear in the listing.
+
+The checks read the record's (T, C) = (P', C') and listing:
+``verify_certificate`` that m | T and the margins are the set's,
+``verify_coverage`` condition (a) at T and that the listing is the cut,
+``verify_local_minimality`` the sufficient (b) at T and T > span(Y1).
+Passing all three proves, by the lemma, that the lift of (T, C) is a
+minimal complement of W on all of Z, and that ``d_elements`` is its cut.
+They cost the lift of the set to T and O(|C| * T / 64) word operations
+for (a) and (b), plus O(|D| + |C|) Python steps for the listing,
+whatever the window's length.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress
-from math import lcm
 from typing import Optional
 
-from .criteria import SUFFICIENT, Certificate, check_certificate
+from .criteria import SUFFICIENT, Certificate, check_certificate, cond_a, cond_b_sufficient
 from .errors import CertificateInvalid, WindowTooSmall
-from .residues import ResidueSubset, rotate
-from .sets import CanonicalSet, Margins, lift_period, margins
+from .residues import ResidueSubset
+from .sets import CanonicalSet, ConditionContext, Margins, lift_period, margins
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
     failures: tuple[str, ...] = ()
-    first_uncovered: Optional[int] = None
+    first_difference: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class WitnessWindow:
-    """The window part of a minimal complement: its elements in
-    ``d_elements``, ascending, with the certificate and margins they were
-    built from.  It carries no minimality evidence of its own; each
-    interior element's private target follows from the elements and Y1.
-    The checks read D once per window, into ``_sorted`` and ``_present``;
-    build_witness fills ``_present`` itself.
-    """
+    """A periodic certificate (T, C) whose lift C + T*Z is a minimal
+    complement of W, with the margins of the set, and the lift's elements
+    in [lo, hi] in ``d_elements``, ascending."""
 
     lo: int
     hi: int
-    T: int
     c: ResidueSubset
-    c1: ResidueSubset
-    c2: ResidueSubset
     margins: Margins
     d_elements: tuple[int, ...]
+
+    @property
+    def T(self) -> int:
+        return self.c.modulus
 
     def to_dict(self) -> dict:
         return {
@@ -86,8 +98,6 @@ class WitnessWindow:
             "hi": self.hi,
             "T": self.T,
             "c": list(self.c.members()),
-            "c1": list(self.c1.members()),
-            "c2": list(self.c2.members()),
             "y_plus": self.margins.y_plus,
             "y_minus": self.margins.y_minus,
             "d_elements": list(self.d_elements),
@@ -95,106 +105,56 @@ class WitnessWindow:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WitnessWindow":
-        T = d["T"]
         return cls(
             d["lo"],
             d["hi"],
-            T,
-            ResidueSubset.of(T, d["c"]),
-            ResidueSubset.of(T, d["c1"]),
-            ResidueSubset.of(T, d["c2"]),
+            ResidueSubset.of(d["T"], d["c"]),
             Margins(d["y_plus"], d["y_minus"]),
             tuple(d["d_elements"]),
         )
 
-    @cached_property
-    def _sorted(self) -> list[int]:
-        return sorted(self.d_elements)
 
-    @cached_property
-    def _present(self) -> int:
-        """Bit n - lo is 1 iff n is in D, for n in [lo, hi]."""
-        return _indicator(self._sorted, self.lo, self.hi)
-
-
-def _derive(
-    s: CanonicalSet, cert: Certificate
-) -> tuple[ResidueSubset, ResidueSubset, Margins]:
-    """C1, C2 and the margins of a certificate re-verified at its lift."""
-    if cert.T % s.m:
-        raise CertificateInvalid(f"certificate modulus {cert.T} is not a multiple of {s.m}")
-    ctx = lift_period(s, cert.T // s.m)
-    if not check_certificate(ctx, cert):
-        raise CertificateInvalid("certificate failed re-verification")
-    c1 = cert.c.sumset(ctx.x_t)
-    return c1, c1.complement(), margins(s)
+def _lift(s: CanonicalSet, T: int) -> ConditionContext:
+    if T % s.m:
+        raise CertificateInvalid(f"certificate modulus {T} is not a multiple of {s.m}")
+    return lift_period(s, T // s.m)
 
 
 def build_witness(
     s: CanonicalSet, cert: Certificate, lo: int, hi: int
 ) -> WitnessWindow:
-    """Construct the window part of a minimal complement.
+    """A periodic minimal complement from a sufficient certificate, listed
+    on [lo, hi]; see the module docstring.  Deterministic in all inputs.
 
-    The candidates are the integers of the C classes in the pool
-    [lo - y_plus, hi - y_minus], the targets the integers of the C2
-    classes in [lo, hi].  The candidates are pruned in descending order:
-    an interior one (d + y_minus >= lo and d + y_plus <= hi) goes when
-    every target it reaches keeps another unpruned candidate, and the
-    others stay.  So every interior survivor keeps a target that no other
-    survivor reaches.  Deterministic in all inputs.
-
-    The prune walks blocks of T integers from the top, and the state of a
-    block is an int: which of the span = max(Y1) - min(Y1) integers above
-    it were removed.  By the three facts of the module docstring, once a
-    state repeats, the removals between its two occurrences repeat down
-    to the lowest interior candidate, so that stretch is copied down
-    instead of walked.
-
-    Cost: O(|Y1|) Python steps per candidate in the blocks walked until a
-    state repeats (at most 2**span + 1 blocks); the copied rest costs a
-    slice assignment, linear in the window.  When no state repeats, every
-    block is walked.  D is then read out one class of C at a time, C-level
-    work over |C|/T of the window, with one sort when |C| > 1.
+    The certificate is re-verified first.  A window shorter than
+    4 * (y0_margin + T) raises WindowTooSmall, as does one whose
+    (hi - lo + 1) // T blocks end before the prune's state repeats.
     """
     if cert.variant != SUFFICIENT:
         raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
-    c1, c2, marg = _derive(s, cert)
-    T = cert.T
+    ctx = _lift(s, cert.T)
+    if not check_certificate(ctx, cert):
+        raise CertificateInvalid("certificate failed re-verification")
+    marg, T = margins(s), cert.T
     if hi - lo < 4 * (marg.y0_margin + T):
         raise WindowTooSmall(
             f"window [{lo}, {hi}] shorter than {4 * (marg.y0_margin + T)}"
         )
-    if not c2:
-        raise CertificateInvalid("no uncovered residue classes; condition (b) cannot hold")
-
-    # Y1 is nonempty: condition (b) gives each member of C a target.
-    y1, c_mask = s.y1, cert.c.mask
-    span = y1[-1] - y1[0]
-    base = lo - marg.y_plus  # the lowest candidate
-    top, bottom = hi - marg.y_plus, lo - marg.y_minus  # interior ends
-    size = hi - marg.y_minus - base + 1
-    # kept[n - base] is 1 iff n is a candidate the prune has not removed
-    kept = bytearray(bytes(c_mask >> (base + i) % T & 1 for i in range(T))
-                     * (size // T + 1))[:size]
-    _prune(kept, base, T, _block_rules(T, cert.c, c2, y1, top), span, top, bottom)
-    rows = [compress(range(base + i, base + size, T), kept[i::T])
-            for i in ((r - base) % T for r in cert.c.members())]
-    w = WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(
-        rows[0] if len(rows) == 1 else sorted(chain(*rows))))
-    # kept is D over the pool, which overlaps [lo, hi] as the window is
-    # longer than the margins; fill _present's cache, which replace drops
-    cut = kept[max(lo - base, 0):hi - base + 1][::-1]
-    w.__dict__["_present"] = int(cut.translate(_DIGITS), 2) << max(base - lo, 0)
-    return w
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+    # (b) holds, so Y1 is nonempty
+    span = s.y1[-1] - s.y1[0]
+    P, mask = T, cert.c.mask
+    if T <= span:
+        c2 = cert.c.sumset(ctx.x_t).complement()
+        P, mask = _steady_state(T, cert.c, c2, s.y1, (hi - lo + 1) // T)
+    k = span // P + 1
+    c = ResidueSubset(k * P, int(bin(mask)[2:].zfill(P) * k, 2))
+    return WitnessWindow(lo, hi, c, marg, _lift_cut(c, lo, hi))
 
 
 def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
-                 y1: tuple[int, ...], top: int) -> list:
-    """(p, rules) for each candidate of a block whose top is congruent to
-    ``top``, top first; p is the candidate's offset from the block bottom.
+                 y1: tuple[int, ...]) -> list:
+    """(p, rules) for each candidate p of a block of the residues 0..T-1,
+    top first.
 
     A candidate d has one rule per target d + y it reaches: the mask of
     bits j - 1 for its sources d + j above it (1 <= j <= span), and how
@@ -203,277 +163,141 @@ def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
     sources = [sum(c.mask >> (t - y) % T & 1 for y in y1) for t in range(T)]
     block = []
     for p in range(T - 1, -1, -1):
-        r = (top + 1 + p) % T
-        if c.mask >> r & 1:
+        if c.mask >> p & 1:
             block.append((p, [
                 (sum(1 << y - z - 1 for z in y1[:k]
-                     if c.mask >> (r + y - z) % T & 1),
-                 sources[(r + y) % T] - 2)
-                for k, y in enumerate(y1) if c2.mask >> (r + y) % T & 1
+                     if c.mask >> (p + y - z) % T & 1),
+                 sources[(p + y) % T] - 2)
+                for k, y in enumerate(y1) if c2.mask >> (p + y) % T & 1
             ]))
     return block
 
 
-def _prune(kept: bytearray, base: int, T: int, block: list, span: int,
-           top: int, bottom: int) -> None:
-    """Clear in ``kept`` the interior candidates, [bottom, top], that the
-    descending prune removes.
+def _steady_state(T: int, c: ResidueSubset, c2: ResidueSubset,
+                  y1: tuple[int, ...], blocks: int) -> tuple[int, int]:
+    """(P, mask): the period of the prune's steady state, and bit i of
+    ``mask`` set iff the integer i above the bottom of a cycle survives.
 
-    Once a block state repeats, the removals between its two occurrences
-    are copied down to ``bottom`` instead of walked.
+    The prune walks blocks of T integers from the top, the state of a
+    block being which of the span integers above it were removed; it
+    stops at the first repeated state, or raises WindowTooSmall after
+    ``blocks`` blocks.
     """
-    seen: dict[int, int] = {}  # state -> the top of the block it was seen at
-    state, d0 = 0, top
-    while d0 >= bottom:
-        if state in seen:
-            period, n = seen[state] - d0, d0 + 1 - bottom
-            cycle = kept[d0 + 1 - base:d0 + 1 + period - base]
-            kept[bottom - base:d0 + 1 - base] = (cycle * (n // period + 1))[-n:]
-            return
-        seen[state] = d0
-        low, x = d0 - T + 1, state << T  # bit n - low of x: n removed
+    block = _block_rules(T, c, c2, y1)
+    low_span = (1 << y1[-1] - y1[0]) - 1
+    seen: dict[int, int] = {}  # state -> the index of the block it was seen at
+    rows = []  # per block, bit p set iff its integer p survives
+    state = 0
+    while state not in seen:
+        if len(rows) == blocks:
+            raise WindowTooSmall(
+                f"the prune's state does not repeat within {blocks} blocks of {T}")
+        seen[state] = len(rows)
+        x = state << T  # bit i: the integer i above the block's bottom was removed
         for p, rules in block:
-            if low + p < bottom:
-                break
             if all((x >> p + 1 & above).bit_count() <= slack
                    for above, slack in rules):
                 x |= 1 << p
-                kept[low + p - base] = 0
-        state = x & (1 << span) - 1
-        d0 -= T
+        rows.append(c.mask & ~x)
+        state = x & low_span
+    cycle = rows[seen[state]:]
+    mask = 0
+    for row in cycle:  # top block first, so it ends at the top
+        mask = mask << T | row
+    return len(cycle) * T, mask
 
 
-def _safe_interval(w: WitnessWindow) -> tuple[int, int]:
-    pad = w.margins.y0_margin + w.T
-    return w.lo + pad, w.hi - pad
+def _offsets(c: ResidueSubset, lo: int) -> list[int]:
+    """n - lo for the elements n of C + T*Z in [lo, lo + T), ascending."""
+    return sorted((r - lo) % c.modulus for r in c.members())
+
+
+def _cut_size(c: ResidueSubset, offsets: list[int], lo: int, hi: int) -> int:
+    """How many elements C + T*Z has in [lo, hi]."""
+    if hi < lo:
+        return 0
+    full, rest = divmod(hi - lo, c.modulus)
+    return len(offsets) * full + bisect_right(offsets, rest)
+
+
+def _lift_cut(c: ResidueSubset, lo: int, hi: int) -> tuple[int, ...]:
+    """The elements of C + T*Z in [lo, hi], ascending: the k-th of them,
+    for k = q * |C| + i, is lo + q * T + offsets[i]."""
+    offsets = _offsets(c, lo)
+    out = [0] * _cut_size(c, offsets, lo, hi)
+    for i, o in enumerate(offsets):
+        out[i::len(offsets)] = range(lo + o, hi + 1, c.modulus)
+    return tuple(out)
+
+
+def _first_difference(w: WitnessWindow, offsets: list[int]) -> int:
+    """The least integer at which ``d_elements``, read in order, and the
+    lift's cut to [lo, hi] part: the first listed integer that is not the
+    cut's next one, or the cut's next one if it is smaller or the listing
+    has ended.  Called only when the two differ."""
+    T, lo = w.T, w.lo
+
+    def next_from(n: int) -> int:  # the least element of the lift >= n
+        q, r = divmod(n - lo, T)
+        i = bisect_left(offsets, r)
+        return lo + q * T + (offsets[i] if i < len(offsets) else T + offsets[0])
+
+    want = next_from(lo)
+    for d in w.d_elements:
+        if want > w.hi:
+            return d
+        if d != want:
+            return min(d, want)
+        want = next_from(d + 1)
+    return want
 
 
 def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
-    """Re-derive what the window takes on trust from the set alone.
-
-    T must be a multiple of m, (T, C) must pass condition (a) and the
-    sufficient (b) at the lifted context, and C1, C2 and the margins must
-    equal their values recomputed from C and the set.
-    """
-    try:
-        derived = _derive(s, Certificate(w.T, w.c, SUFFICIENT))
-    except CertificateInvalid as exc:
-        return VerificationReport(False, (str(exc),))
-    failures = tuple(
-        f"{name} differs from its value recomputed from the set and C"
-        for name, claimed, actual in zip(
-            ("c1", "c2", "margins"), (w.c1, w.c2, w.margins), derived)
-        if claimed != actual
-    )
-    return VerificationReport(not failures, failures)
-
-
-#: The bitmask checks run when the window is at most this many times
-#: |D|*|Y1| integers long, the count of sums the walk takes; not T, which
-#: a record can forge.  Measured in-process over the witness-pool windows
-#: on a 2-CPU host (Python 3.11), an integer costs the two checks' bitmasks
-#: about 2.5 ns of word-level work, an element of D about 60 ns to read,
-#: and a sum about 500 ns in the two walks, so at 16 the bitmasks cost at
-#: most about a fifth of the walk.  The benchmark's witness-pool windows
-#: reach at most 10; a forged ``hi`` or a sparse D goes far over.
-MASK_STRETCH = 16
-
-
-def _masks_fit(w: WitnessWindow, y1: tuple[int, ...], a: int, b: int) -> bool:
-    """Whether the bitmasks check [a, b]: the window holds it and is at
-    most MASK_STRETCH times |D|*|Y1| integers long."""
-    return bool(y1) and w.lo <= a and b <= w.hi and w.hi - w.lo < (
-        MASK_STRETCH * len(w.d_elements) * len(y1))
-
-
-def _cut(w: WitnessWindow, a: int, b: int) -> int:
-    """Bit n - a is 1 iff n is in D, for n in [a, b] within [lo, hi]."""
-    return w._present >> a - w.lo & (1 << b - a + 1) - 1
-
-
-def _indicator(ds: list[int], a: int, b: int) -> int:
-    """Bit n - a is 1 iff n is in the sorted ``ds``, for n in [a, b]: the
-    one Python step per element of the bitmask checks, writing base-2
-    digits, most significant first."""
-    digits = bytearray(b"0" * (b - a + 1))
-    for v in ds[bisect_left(ds, a):bisect_right(ds, b)]:
-        digits[b - v] = 49  # ord("1")
-    return int(digits, 2)
-
-
-def _pattern(mask: int, T: int, lo: int, width: int) -> int:
-    """Bit n - lo is 1 iff bit n % T of ``mask`` is, for n in [lo, lo + width):
-    the T-bit row from lo, doubled until it spans the width, in time
-    linear in T + width (a repunit product divides in time T * width)."""
-    x, n = rotate(mask & (1 << T) - 1, -lo, T), T
-    while n < width:
-        x |= x << n
-        n *= 2
-    return x & (1 << width) - 1
-
-
-def _sources(indicator: int, y1: tuple[int, ...]) -> tuple[int, int]:
-    """From the indicator of D over [a, b], the masks ``ones`` and ``twos``
-    whose bit j is 1 iff at least one, and iff at least two, of the
-    n - y (y in Y1) are in D, for n = a + max(Y1) + j: the |Y1| shifts of
-    the indicator, summed bit-sliced.  Exact for n up to b + min(Y1),
-    where every n - y lies in [a, b]; the bits above are undercounted."""
-    ones = twos = 0
-    for y in y1:
-        x = indicator >> y1[-1] - y
-        twos |= ones & x
-        ones |= x
-    return ones, twos
+    """T is a multiple of m, and the margins are the set's."""
+    failures = []
+    if w.T % s.m:
+        failures.append(f"certificate modulus {w.T} is not a multiple of {s.m}")
+    if w.margins != margins(s):
+        failures.append("margins differ from their values recomputed from the set")
+    return VerificationReport(not failures, tuple(failures))
 
 
 def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
-    """Confirm every integer in the safe inner window is reached.
+    """Condition (a) at T, so the lift covers Z, and ``d_elements`` is
+    exactly the lift's cut to [lo, hi].
 
-    C1-residue integers must be reached through the periodic part,
-    C2-residue integers through the exceptional offsets; the first
-    uncovered integer is reported.
-
-    The C1 side works per residue class: it tests the first integer of
-    each class mod lcm(T, m) in the safe window against the least element
-    of each class mod m below the end of that first stretch, found by a
-    bisection: min(W, lcm(T, m)) * min(m, |D|) bit tests, W the safe
-    window's length, at most T * m when m | T.  The other classes are
-    checked on bitmasks: the integers that some d + y reaches, ANDed out
-    of those classes tiled over the safe window, leave the uncovered
-    ones, lowest first.  That costs the window's one read of D, if the
-    other check has not made it, plus word-level work over at most
-    MASK_STRETCH times |D|*|Y1| integers.
-
-    When the window does not fit (see ``_masks_fit``), the check walks
-    instead: the set of the |D|*|Y1| sums, and per class mod T the first
-    integer not in it, up to the first class whose first integer is not
-    reached: O(|D|*|Y1| + |C1|) steps, whatever the window length.
+    The listing is compared with the cut only when the cut, counted from
+    |C| offsets, has as many elements; otherwise the walk that reports the
+    first difference stops within |D| + 1 steps.  So a forged ``hi``
+    costs nothing.
     """
-    inner_lo, inner_hi = _safe_interval(w)
-    if inner_lo > inner_hi:
-        return VerificationReport(
-            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
-        )
-    T, m, y1 = w.T, s.m, s.y1
-    ds = w._sorted
-    # Two integers of one class mod lcm(T, m) share the C1 test and the
-    # classes of D that reach them, so only the first in the window counts.
-    c1_end = min(inner_lo + lcm(T, m), inner_hi + 1)
-    # n is reached through m*N + X iff some d <= n has (n - d) % m in X;
-    # the least element of d's class mod m then works too.
-    least: dict[int, int] = {}
-    for d in reversed(ds[:bisect_left(ds, c1_end)]):
-        least[d % m] = d
-    width = inner_hi - inner_lo + 1
-    a, b = inner_lo - max(y1, default=0), inner_hi - min(y1, default=0)
-    uncovered = []
-    for r in w.c1.members():
-        for n in range(inner_lo + (r - inner_lo) % T, c1_end, T):
-            if not any(d <= n and s.x_m.mask >> (n - d) % m & 1
-                       for d in least.values()):
-                uncovered.append(n)
-                break
-    if _masks_fit(w, y1, a, b):
-        reached_mask = _sources(_cut(w, a, b), y1)[0]
-        missed = _pattern(~w.c1.mask, T, inner_lo, width) & ~reached_mask
-        if missed:
-            uncovered.append(inner_lo + (missed & -missed).bit_length() - 1)
-    else:
-        reached = {d + y for d in w.d_elements for y in y1}
-        for first in range(inner_lo, min(inner_lo + T, inner_hi + 1)):
-            if not w.c1.mask >> first % T & 1:
-                n = first
-                while n in reached:
-                    n += T
-                if n <= inner_hi:
-                    uncovered.append(n)
-                    if n == first:  # later classes hold only larger ones
-                        break
-
-    if uncovered:
-        n = min(uncovered)
-        return VerificationReport(False, (f"uncovered integer {n}",), n)
-    return VerificationReport(True)
-
-
-def _minimal_by_masks(s: CanonicalSet, w: WitnessWindow,
-                      inner_lo: int, inner_hi: int) -> bool:
-    """Whether ``verify_local_minimality`` finds no failure, decided on
-    bitmasks.
-
-    The elements' classes are tested on the cut of D to the safe window
-    widened by span = max(Y1) - min(Y1) on each side, and one by one for
-    the few elements beyond it.  Every source of a sum d + y of an
-    interior d lies in that stretch, so the reached-once and
-    reached-twice masks are exact for those sums; the private ones are
-    reached once and lie in a C2 class.  Shifting them back by each y in
-    Y1 marks the elements that own one, and every interior element must
-    be marked.
-    """
-    y1, T = s.y1, w.T
-    span = y1[-1] - y1[0]
-    ds = w._sorted
-    a, b = inner_lo - span, inner_hi + span
-    i, j = bisect_left(ds, a), bisect_right(ds, b)
-    indicator = _cut(w, a, b)
-    if indicator & ~_pattern(w.c.mask, T, a, b - a + 1) or not all(
-            w.c.mask >> d % T & 1 for d in ds[:i] + ds[j:]):
-        return False
-    # bit k of ones, twos and private is about the sum a + max(Y1) + k
-    ones, twos = _sources(indicator, y1)
-    width = inner_hi - inner_lo + 1
-    private = ones & ~twos & _pattern(w.c2.mask, T, a + y1[-1], width + span)
-    owners = 0
-    for y in y1:
-        owners |= private << y1[-1] - y
-    # bit k of the indicator and of owners is about the integer a + k
-    return not (indicator & ~owners) >> span & (1 << width) - 1
+    try:
+        ctx = _lift(s, w.T)
+    except CertificateInvalid as exc:
+        return VerificationReport(False, (str(exc),))
+    if not cond_a(ctx, w.c):
+        return VerificationReport(False, (f"condition (a) fails at T = {w.T}",))
+    offsets = _offsets(w.c, w.lo)
+    ds = w.d_elements
+    if _cut_size(w.c, offsets, w.lo, w.hi) == len(ds) and ds == _lift_cut(
+            w.c, w.lo, w.hi):
+        return VerificationReport(True)
+    n = _first_difference(w, offsets)
+    return VerificationReport(
+        False, (f"d_elements and the lift of (T, C) differ at {n}",), n)
 
 
 def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
-    """Check each interior element owns a private target: some d + y (y in
-    Y1) in a C2 class that no other element of D reaches.
-
-    Complete on the window because a private target has a C2 residue, so
-    no periodic-part sum from the C classes can reach it, and subtracting
-    the finite exceptions enumerates every other candidate element.  The
-    targets are not taken from the record but found from D and Y1.
-
-    The checks run first on bitmasks (see ``_minimal_by_masks``): the
-    window's one read of D, if coverage has not made it, and word-level
-    work over the safe window widened by max(Y1) - min(Y1) on each side.
-    When they find a failure, or the window does not fit, the walk below
-    names every failure.  It collects the |D|*|Y1| sums d + y in sets of
-    those reached once and twice, keeps the private ones, and marks their
-    |Y1| possible owners: O(|D|*|Y1|) set operations and bit tests,
-    whatever the window length; the bitmasks read at most MASK_STRETCH
-    times |D|*|Y1| integers.  An empty safe interval fails, as it does for
-    coverage, rather than passing with nothing checked.
-    """
-    inner_lo, inner_hi = _safe_interval(w)
-    if inner_lo > inner_hi:
-        return VerificationReport(
-            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
-        )
-    y1 = s.y1
-    span = y1[-1] - y1[0] if y1 else 0
-    if (_masks_fit(w, y1, inner_lo - span, inner_hi + span)
-            and _minimal_by_masks(s, w, inner_lo, inner_hi)):
-        return VerificationReport(True)
-    T, c_mask, c2_mask = w.T, w.c.mask, w.c2.mask
-    if any(not c_mask >> r & 1 for r in {d % T for d in w.d_elements}):
-        return VerificationReport(False, tuple(
-            f"witness element {d} lies outside the certificate's classes"
-            for d in w.d_elements if not c_mask >> d % T & 1
-        ))
-    # the sums d + y reached at least once, and at least twice, as in _sources
-    d_set, ones, twos = set(w.d_elements), set(), set()
-    for y in y1:
-        sums = {d + y for d in d_set}
-        twos |= ones & sums
-        ones |= sums
-    # d owns a private target iff d + y is one for some y in Y1
-    owners = {n - y for n in ones - twos if c2_mask >> n % T & 1 for y in y1}
-    failures = tuple(f"element {d} has no private target" for d in w.d_elements
-                     if inner_lo <= d <= inner_hi and d not in owners)
-    return VerificationReport(not failures, failures)
+    """The sufficient (b) at T, and T > span(Y1): by the lemma of the
+    module docstring, every element of the lift owns a private target.
+    An empty C, which (b) passes with nothing to check, fails."""
+    try:
+        ctx = _lift(s, w.T)
+    except CertificateInvalid as exc:
+        return VerificationReport(False, (str(exc),))
+    failures = [] if w.c else ["the certificate has no classes"]
+    if s.y1 and w.T <= s.y1[-1] - s.y1[0]:
+        failures.append(f"T = {w.T} is not above span(Y1) = {s.y1[-1] - s.y1[0]}")
+    if not cond_b_sufficient(ctx, w.c):
+        failures.append(f"condition (b) fails at T = {w.T}")
+    return VerificationReport(not failures, tuple(failures))

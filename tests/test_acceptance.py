@@ -193,11 +193,12 @@ def test_criterion_7_witness_soundness():
         ok = ok and verify_coverage(s, w).ok
         ok = ok and verify_local_minimality(s, w).ok
         verified += 1
-    # the classic instance: the witness is exactly the even integers
+    # the classic instance: the witness is exactly the even integers,
+    # listed on the window [-40, 40]
     s = validate_canonical(2, [0], (), [1])
     v = decide(s)
     w = build_witness(s, v.certificate, -40, 40)
-    ok = ok and w.d_elements == tuple(range(-40, 40, 2))
+    ok = ok and w.d_elements == tuple(range(-40, 41, 2))
     ok = ok and verified >= 5
     report(f"7 witness soundness ({verified} instances)",
            ok, 60.0, time.perf_counter() - t0)

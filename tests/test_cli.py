@@ -15,6 +15,9 @@ EVEN = "m = 2\nx = 0\ny1 = 1\n"
 QUASI = "m = 3\nx = 0\ny0 = -3\n"
 FINITE = "m = 2\nx =\ny1 = 1,4\n"
 FIVE = "m = 5\nx = 0,2\ny1 = 1\n"
+# (T, C) = (4, {0, 1}) has T up to span(Y1) = 4; the witness is the
+# prune's cycle, (8, {0, 1, 4})
+CYCLE = "m = 4\nx = 0\ny1 = 1,3,5\n"
 
 
 @pytest.fixture
@@ -174,9 +177,10 @@ class TestWitness:
         assert code == 0
         assert rec["result"]["coverage"]["ok"]
         assert rec["result"]["minimality"]["ok"]
-        # the elements are listed once, with no map of targets beside them
+        # the certificate and the elements of its lift in the window, with
+        # no classes or targets derived from them
         assert set(rec["result"]["witness"]) == {
-            "lo", "hi", "T", "c", "c1", "c2", "y_plus", "y_minus", "d_elements"}
+            "lo", "hi", "T", "c", "y_plus", "y_minus", "d_elements"}
         record_path = tmp_path / "witness.json"
         record_path.write_text(json.dumps(rec))
         assert cli.main(["verify-witness", str(record_path)]) == 0
@@ -290,20 +294,6 @@ class TestVerifyWitness:
         assert {k: v["ok"] for k, v in rec["result"].items()} == {
             "certificate": True, "coverage": True, "minimality": True}
 
-    def test_empty_safe_interval_fails(self, tmp_path, capsys):
-        record = {
-            "canonical": {"m": 2, "x": [0], "y0": [], "y1": [1], "shift": 0},
-            "witness": {"lo": 0, "hi": 1, "T": 2, "c": [0], "c1": [0],
-                        "c2": [1], "y_plus": 1, "y_minus": 1,
-                        "d_elements": []},
-        }
-        assert verify_record(tmp_path, record) == cli.EXIT_VERIFY_FAILED
-
-    @pytest.mark.parametrize("field, value", [("c1", [0, 1]), ("c2", [])])
-    def test_forged_c1_c2_fail(self, witness_record, tmp_path, capsys, field, value):
-        witness_record["result"]["witness"][field] = value
-        assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
-
     def test_forged_margins_fail(self, witness_record, tmp_path, capsys):
         witness_record["result"]["witness"]["y_plus"] = 15
         assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
@@ -311,9 +301,8 @@ class TestVerifyWitness:
     def test_modulus_not_multiple_of_period(self, tmp_path, capsys):
         record = {
             "canonical": {"m": 2, "x": [0], "y0": [], "y1": [1]},
-            "witness": {"lo": -40, "hi": 40, "T": 3, "c": [0], "c1": [0],
-                        "c2": [1, 2], "y_plus": 1, "y_minus": 1,
-                        "d_elements": []},
+            "witness": {"lo": -40, "hi": 40, "T": 3, "c": [0], "y_plus": 1,
+                        "y_minus": 1, "d_elements": []},
         }
         assert verify_record(tmp_path, record) == cli.EXIT_VERIFY_FAILED
 
@@ -332,70 +321,53 @@ class TestVerifyWitness:
         with bounded_work():
             code, rec = run_json(capsys, ["verify-witness", str(path)])
         assert code == cli.EXIT_VERIFY_FAILED
-        assert rec["result"]["coverage"]["failures"][0].startswith(
-            "uncovered integer ")
-
-    def test_huge_covered_window_is_checked_quickly(
-        self, witness_record, tmp_path, capsys
-    ):
-        # c1 forged to every class and an odd element added: each integer
-        # of [lo, 10**12] is then reached, so no early exit ends the check.
-        witness = witness_record["result"]["witness"]
-        witness.update(hi=10**12, c1=[0, 1], c2=[])
-        witness["d_elements"].insert(0, witness["d_elements"][0] - 1)
-        path = tmp_path / "record.json"
-        path.write_text(json.dumps(witness_record))
-        with bounded_work():
-            code, rec = run_json(capsys, ["verify-witness", str(path)])
-        assert code == cli.EXIT_VERIFY_FAILED
-        assert rec["result"]["coverage"] == {"ok": True, "failures": []}
+        # the lift has 5 * 10**11 elements there; the listing ends at 40
+        assert rec["result"]["coverage"] == {"ok": False, "failures": [
+            "d_elements and the lift of (T, C) differ at 42"]}
 
     @pytest.mark.parametrize("hi", [10**7, 10**12])
     def test_far_apart_elements_are_checked_quickly(
         self, witness_record, tmp_path, capsys, hi
     ):
-        # Three elements spread over a window of hi integers: bitmasks over
-        # it would not fit the record's size, so the walks check it.  Each
-        # element owns d + 1, so the window is minimal but not covered.
+        # Three elements spread over a window of hi integers: the listing
+        # is compared with the lift in steps of the listing, not of the
+        # window.  The certificate (2, {0}) stands, so only the listing,
+        # which lacks -40, fails.
         witness = witness_record["result"]["witness"]
         witness.update(hi=hi, d_elements=[-10, 0, hi // 10])
-        assert witness["c2"] == [1]
         path = tmp_path / "record.json"
         path.write_text(json.dumps(witness_record))
         with bounded_work():
             code, rec = run_json(capsys, ["verify-witness", str(path)])
         assert code == cli.EXIT_VERIFY_FAILED
         assert rec["result"]["coverage"] == {
-            "ok": False, "failures": ["uncovered integer -37"]}
+            "ok": False, "failures": ["d_elements and the lift of (T, C) differ at -40"]}
         assert rec["result"]["minimality"] == {"ok": True, "failures": []}
 
     def test_huge_period_with_small_modulus_is_rejected_quickly(
         self, tmp_path, capsys
     ):
-        # m does not divide T, so the C1 classes repeat mod lcm(T, m) =
-        # 10**9; the window, not that period, bounds the work.
+        # m does not divide T, so no check lifts the set: neither m nor
+        # T bounds the work.
         record = {
             "canonical": {"m": 10**9, "x": [0], "y0": [], "y1": [1]},
-            "witness": {"lo": -40, "hi": 40, "T": 2, "c": [0], "c1": [0],
-                        "c2": [1], "y_plus": 1, "y_minus": 1,
-                        "d_elements": [-10, 0, 10]},
+            "witness": {"lo": -40, "hi": 40, "T": 2, "c": [0], "y_plus": 1,
+                        "y_minus": 1, "d_elements": [-10, 0, 10]},
         }
         path = tmp_path / "record.json"
         path.write_text(json.dumps(record))
         with bounded_work():
             code, rec = run_json(capsys, ["verify-witness", str(path)])
         assert code == cli.EXIT_VERIFY_FAILED
-        assert not rec["result"]["certificate"]["ok"]
-        assert rec["result"]["coverage"]["failures"] == [
-            "uncovered integer -37"]
+        assert {name: rep["failures"] for name, rep in rec["result"].items()} == {
+            name: ["certificate modulus 2 is not a multiple of 1000000000"]
+            for name in ("certificate", "coverage", "minimality")}
 
     def test_huge_period_and_window_are_checked_quickly(
         self, witness_record, tmp_path, capsys
     ):
-        # T = 10**20 + 1 and a window of 10**22 integers: too long for the
-        # bitmasks, and with more classes mod T in it than a walk over
-        # them could visit.  The walk stops at the first class whose first
-        # integer is not reached, so the sums, not T, bound its steps.
+        # T = 10**20 + 1 and a window of 10**22 integers: m = 2 does not
+        # divide T, so the checks stop before the lift and the listing.
         witness_record["result"]["witness"].update(T=10**20 + 1, hi=10**22)
         path = tmp_path / "record.json"
         path.write_text(json.dumps(witness_record))
@@ -403,15 +375,16 @@ class TestVerifyWitness:
             code, rec = run_json(capsys, ["verify-witness", str(path)])
         assert code == cli.EXIT_VERIFY_FAILED
         assert rec["result"]["coverage"] == {"ok": False, "failures": [
-            f"uncovered integer {-40 + 1 + 10**20 + 1}"]}
+            f"certificate modulus {10**20 + 1} is not a multiple of 2"]}
 
     def test_forged_period_buys_no_bitmasks(
         self, witness_record, tmp_path, capsys
     ):
-        # T = 10**6 + 1 and a window of 3T integers.  An allowance that
-        # grew with T let both checks read that window on bitmasks, at a
-        # cost linear in T; the record's 40 elements bound the walks.
-        T = 10**6 + 1
+        # T = 10**6 + 2 and a window of 3T integers.  A period buys work
+        # only through the lift, C-level and linear in T, and through the
+        # |C| offsets of the listing check: no Python step per residue or
+        # per integer of the window.
+        T = 10**6 + 2
         witness = witness_record["result"]["witness"]
         witness.update(T=T, hi=3 * T)
         path = tmp_path / "record.json"
@@ -420,18 +393,15 @@ class TestVerifyWitness:
             code, rec = run_json(capsys, ["verify-witness", str(path)])
         assert code == cli.EXIT_VERIFY_FAILED
         assert rec["result"]["coverage"] == {"ok": False, "failures": [
-            f"uncovered integer {-40 + 1 + T}"]}
-        assert rec["result"]["minimality"] == {"ok": False, "failures": [
-            f"witness element {d} lies outside the certificate's classes"
-            for d in witness["d_elements"] if d % T]}
+            f"condition (a) fails at T = {T}"]}
+        assert rec["result"]["minimality"] == {"ok": True, "failures": []}
 
     def test_huge_modulus_is_rejected_quickly(self, tmp_path, capsys):
         # Lifting to T = 2000000 and testing C = {0} cost time linear in T.
         record = {
             "canonical": {"m": 2, "x": [0], "y0": [], "y1": [1]},
-            "witness": {"lo": -40, "hi": 40, "T": 2000000, "c": [0], "c1": [0],
-                        "c2": [1], "y_plus": 1, "y_minus": 1,
-                        "d_elements": []},
+            "witness": {"lo": -40, "hi": 40, "T": 2000000, "c": [0],
+                        "y_plus": 1, "y_minus": 1, "d_elements": []},
         }
         path = tmp_path / "record.json"
         path.write_text(json.dumps(record))
@@ -439,18 +409,93 @@ class TestVerifyWitness:
             code, rec = run_json(capsys, ["verify-witness", str(path)])
         assert code == cli.EXIT_VERIFY_FAILED
         assert rec["result"] == {
-            "certificate": {"ok": False, "failures": [
-                "certificate failed re-verification"]},
+            "certificate": {"ok": True, "failures": []},
             "coverage": {"ok": False, "failures": [
-                "safe interval [1999961, -1999961] is empty"]},
-            "minimality": {"ok": False, "failures": [
-                "safe interval [1999961, -1999961] is empty"]},
+                "condition (a) fails at T = 2000000"]},
+            "minimality": {"ok": True, "failures": []},
         }
 
     def test_invalid_certificate_fails(self, witness_record, tmp_path, capsys):
         # {0, 1} covers through X alone, so neither element owns a sum
         witness_record["result"]["witness"]["c"] = [0, 1]
         assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+    def test_old_record_exits_four(self, witness_record, tmp_path, capsys):
+        # A record from before witnesses were periodic certificates: the
+        # classes C1 and C2 beside C, and the pruned candidates of the
+        # window widened by the margins, here the evens of [-41, 39].
+        witness = witness_record["result"]["witness"]
+        witness.update(c1=[0], c2=[1], d_elements=list(range(-40, 39, 2)))
+        assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED
+
+
+def lift_listing(T, c, lo, hi):
+    return [n for n in range(lo, hi + 1) if n % T in c]
+
+
+def relisted(witness, T, c):
+    """``witness`` with the certificate (T, c), listed as its lift."""
+    witness.update(T=T, c=c, d_elements=lift_listing(T, c, witness["lo"],
+                                                     witness["hi"]))
+
+
+def drop_entry(w):
+    del w["d_elements"][len(w["d_elements"]) // 2]
+
+
+def add_entry(w):
+    w["d_elements"].insert(0, w["d_elements"][0] - 1)
+
+
+def move_entry(w):
+    w["d_elements"][len(w["d_elements"]) // 2] += 1
+
+
+class TestTamperedRecords:
+    """Each edit of an honest record exits 4, and the checks that fail
+    name what is wrong.  The record's certificate is the prune's cycle
+    (8, {0, 1, 4}) for (T, C) = (4, {0, 1}), on the window [-60, 60]."""
+
+    @pytest.fixture
+    def record(self, setfile, capsys):
+        _, rec = run_json(capsys, ["witness", setfile(CYCLE), "--window=-60:60"])
+        witness = rec["result"]["witness"]
+        assert (witness["T"], witness["c"]) == (8, [0, 1, 4])
+        return rec
+
+    def failures(self, tmp_path, capsys, record):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        code, rec = run_json(capsys, ["verify-witness", str(path)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        return {name: rep["failures"] for name, rep in rec["result"].items()
+                if not rep["ok"]}
+
+    @pytest.mark.parametrize("edit, n", [
+        (drop_entry, 1), (add_entry, -61), (move_entry, 1)],
+        ids=["drop", "add", "move"])
+    def test_listing_entry(self, record, tmp_path, capsys, edit, n):
+        edit(record["result"]["witness"])
+        assert self.failures(tmp_path, capsys, record) == {"coverage": [
+            f"d_elements and the lift of (T, C) differ at {n}"]}
+
+    def test_dropped_class(self, record, tmp_path, capsys):
+        relisted(record["result"]["witness"], 8, [0, 1])
+        assert self.failures(tmp_path, capsys, record) == {
+            "coverage": ["condition (a) fails at T = 8"]}
+
+    def test_period_not_above_span(self, record, tmp_path, capsys):
+        # the decided certificate passes (a) and (b) at T = 4, but its lift
+        # is not minimal: span(Y1) = 4 lets two Y1 sums of one class meet
+        relisted(record["result"]["witness"], 4, [0, 1])
+        assert self.failures(tmp_path, capsys, record) == {
+            "minimality": ["T = 4 is not above span(Y1) = 4"]}
+
+    def test_period_not_a_multiple_of_m(self, record, tmp_path, capsys):
+        relisted(record["result"]["witness"], 9, [0, 1, 4])
+        message = ["certificate modulus 9 is not a multiple of 4"]
+        assert self.failures(tmp_path, capsys, record) == {
+            "certificate": message, "coverage": message, "minimality": message}
 
 
 def records(setfile, capsys):

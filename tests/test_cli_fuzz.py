@@ -136,6 +136,64 @@ def test_unedited_record_verifies(workdir):
     assert cli.main(["verify-witness", str(path)]) == cli.EXIT_EXISTS
 
 
+def relist(w: dict, T: int, c: list) -> None:
+    """Give the record the certificate (T, c), listed as its lift."""
+    w.update(T=T, c=sorted(c), d_elements=[
+        n for n in range(w["lo"], w["hi"] + 1) if n % T in c])
+
+
+def tamper_listing(w: dict, kind: str, i: int) -> None:
+    ds = w["d_elements"]
+    k = i % len(ds)
+    missing = sorted(set(range(w["lo"], w["hi"] + 1)) - set(ds))
+    if kind == "drop":
+        del ds[k]
+    elif kind == "add":
+        ds.append(missing[i % len(missing)])
+        ds.sort()
+    else:  # move an entry to the nearest integer not listed above it
+        ds[k] = min(n for n in missing + [w["hi"] + 1] if n > ds[k])
+        ds.sort()
+
+
+def tamper_certificate(w: dict, kind: str, i: int, residues: set) -> None:
+    m = RECORD["result"]["canonical"]["m"]
+    y1 = RECORD["result"]["canonical"]["y1"]
+    if kind == "drop a class":
+        c = list(w["c"])
+        del c[i % len(c)]
+        relist(w, w["T"], c)
+    elif kind == "period not above span(Y1)":
+        T = m * (1 + i % ((max(y1) - min(y1)) // m))
+        relist(w, T, {r % T for r in residues} or {0})
+    else:  # a period that m does not divide
+        T = i * m + 1 + i % (m - 1)
+        relist(w, T, {r % T for r in residues} or {0})
+
+
+@FUZZ
+@given(kind=st.sampled_from(["drop", "add", "move", "hi", "drop a class",
+                             "period not above span(Y1)",
+                             "period not a multiple of m"]),
+       i=st.integers(0, 10**6),
+       residues=st.sets(st.integers(0, 40), max_size=6))
+def test_tampered_record_exits_four(workdir, kind, i, residues):
+    """An entry of ``d_elements`` dropped, added or moved, a forged ``hi``,
+    a class of the certificate dropped, or a period that is not above
+    span(Y1) or that m does not divide, each listed as its lift."""
+    record = json.loads(json.dumps(RECORD))
+    w = record["result"]["witness"]
+    if kind == "hi":
+        w["hi"] = 10**12 + i
+    elif kind in ("drop", "add", "move"):
+        tamper_listing(w, kind, i)
+    else:
+        tamper_certificate(w, kind, i, residues)
+    path = workdir / "record.json"
+    path.write_text(json.dumps(record))
+    assert cli.main(["verify-witness", str(path)]) == cli.EXIT_VERIFY_FAILED
+
+
 @FUZZ
 @given(steps=st.integers(-1, 4), spec=slack_text)
 def test_construct_slack(steps, spec):

@@ -14,19 +14,39 @@ from minadd.criteria import (
     Certificate,
     Outcome,
     SearchConfig,
+    cond_a,
     decide,
 )
 from minadd.errors import CertificateInvalid, WindowTooSmall
-from minadd.oracle import WindowSet, verify_complement_window
+from minadd.oracle import WindowSet, private_target_owners, verify_complement_window
 from minadd.residues import ResidueSubset
-from minadd.sets import CanonicalSet, Margins, margins, validate_canonical
+from minadd.sets import CanonicalSet, lift_period, margins, validate_canonical
 from minadd.witness import (
-    VerificationReport,
     WitnessWindow,
     build_witness,
+    verify_certificate,
     verify_coverage,
     verify_local_minimality,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+CHECKS = (verify_certificate, verify_coverage, verify_local_minimality)
+
+
+def lift_cut(c, lo, hi):
+    """The elements of C + T*Z in [lo, hi], by definition."""
+    return [n for n in range(lo, hi + 1) if n % c.modulus in c]
+
+
+def checks_accept(s, w) -> bool:
+    return all(check(s, w).ok for check in CHECKS)
+
+
+def with_classes(w, c):
+    """``w`` with its certificate's classes replaced by ``c``, and listed
+    as the lift of ``c``."""
+    return dataclasses.replace(w, c=c, d_elements=tuple(lift_cut(c, w.lo, w.hi)))
+
 
 EVEN_SET = validate_canonical(2, [0], (), [1])
 EVEN_CERT = Certificate(2, ResidueSubset.of(2, [0]), SUFFICIENT)
@@ -34,14 +54,14 @@ EVEN_CERT = Certificate(2, ResidueSubset.of(2, [0]), SUFFICIENT)
 
 def test_even_witness_is_all_evens():
     w = build_witness(EVEN_SET, EVEN_CERT, -20, 20)
-    # every odd target has exactly one preimage, so nothing is prunable
-    assert w.d_elements == tuple(range(-20, 20, 2))  # evens in [-21, 19]
+    # T = 2 is above span(Y1) = 0, so the certificate is its own witness
+    assert (w.T, w.c.members()) == (2, (0,))
+    assert w.d_elements == tuple(range(-20, 21, 2))
 
 
 def test_even_witness_verifies():
     w = build_witness(EVEN_SET, EVEN_CERT, -30, 30)
-    assert verify_coverage(EVEN_SET, w).ok
-    assert verify_local_minimality(EVEN_SET, w).ok
+    assert checks_accept(EVEN_SET, w)
 
 
 def test_deleted_element_breaks_coverage():
@@ -53,7 +73,8 @@ def test_deleted_element_breaks_coverage():
     )
     report = verify_coverage(EVEN_SET, pruned)
     assert not report.ok
-    assert report.first_uncovered == victim + 1
+    assert report.first_difference == victim
+    assert report.failures == ("d_elements and the lift of (T, C) differ at 0",)
 
 
 # With exceptions {1, 3} every odd target has two even preimages, so the
@@ -65,46 +86,49 @@ OVERLAP_CERT = Certificate(2, ResidueSubset.of(2, [0]), SUFFICIENT)
 def test_redundant_element_fails_minimality():
     w = build_witness(OVERLAP_SET, OVERLAP_CERT, -40, 40)
     assert verify_local_minimality(OVERLAP_SET, w).ok
-    # re-add a pruned interior element: it covers nothing privately
-    pruned_out = sorted(
-        set(range(-40, 41, 2)) - set(w.d_elements), key=abs
-    )
-    extra = next(d for d in pruned_out if -20 <= d <= 20)
-    bloated = dataclasses.replace(
-        w,
-        d_elements=tuple(sorted(w.d_elements + (extra,))),
-    )
+    # re-add a pruned class: its elements cover nothing privately
+    pruned = next(r for r in range(0, w.T, 2) if r not in w.c)
+    bloated = with_classes(w, ResidueSubset(w.T, w.c.mask | 1 << pruned))
+    assert verify_coverage(OVERLAP_SET, bloated).ok
     report = verify_local_minimality(OVERLAP_SET, bloated)
-    assert not report.ok
+    assert report.failures == (f"condition (b) fails at T = {w.T}",)
 
 
-@pytest.mark.parametrize("size", [1, 0, -10],
+@pytest.mark.parametrize("width", [1, 0, -10],
                          ids=["one-integer", "empty", "hi-below-lo"])
-def test_empty_safe_interval_fails_both_checks(size):
-    # Narrow an honest window so that its safe interval [lo + pad, hi - pad]
-    # is [0, size - 1]: one integer, none, and at -10 the window's own hi
-    # lies below its lo.
-    w = build_witness(EVEN_SET, EVEN_CERT, -30, 30)
-    pad = w.margins.y0_margin + w.T
-    lo, hi = -pad, pad + size - 1
-    assert (hi < lo) == (size == -10)
-    narrow = dataclasses.replace(w, lo=lo, hi=hi, d_elements=tuple(
-        d for d in w.d_elements if lo <= d <= hi))
-    for report in (verify_coverage(EVEN_SET, narrow),
-                   verify_local_minimality(EVEN_SET, narrow)):
-        if size > 0:
-            assert report.ok
-        else:
-            assert report == VerificationReport(False, (
-                f"safe interval [0, {size - 1}] is empty",))
+def test_checks_do_not_depend_on_the_window(width):
+    """The checks test (T, C), whatever the window, so a window that lists
+    one integer or none passes nothing unchecked: it passes with the
+    honest certificate and fails with one of its classes dropped."""
+    s = validate_canonical(5, [0], (), [-13, 1, 12, 16])
+    w = build_witness(s, Certificate(5, ResidueSubset.of(5, [0, 2]), SUFFICIENT),
+                      -300, 300)
+    assert len(w.c) >= 2
+    lo = w.c.members()[0]
+    hi = lo + width - 1
+    narrow = dataclasses.replace(w, lo=lo, hi=hi,
+                                 d_elements=tuple(lift_cut(w.c, lo, hi)))
+    assert len(narrow.d_elements) == (width == 1)
+    assert checks_accept(s, narrow)
+    dropped = with_classes(narrow, ResidueSubset(w.T, w.c.mask & w.c.mask - 1))
+    assert verify_coverage(s, dropped).failures == (
+        f"condition (a) fails at T = {w.T}",)
+
+
+def test_empty_certificate_fails_every_condition():
+    w = with_classes(build_witness(EVEN_SET, EVEN_CERT, -20, 20),
+                     ResidueSubset(2, 0))
+    assert w.d_elements == ()
+    assert verify_coverage(EVEN_SET, w).failures == ("condition (a) fails at T = 2",)
+    assert verify_local_minimality(EVEN_SET, w).failures == (
+        "the certificate has no classes",)
 
 
 def test_overlapping_pruning_is_proper_and_sound():
     w = build_witness(OVERLAP_SET, OVERLAP_CERT, -40, 40)
-    full_class = [d for d in range(-43, 40) if d % 2 == 0]
+    full_class = range(-40, 41, 2)
     assert len(w.d_elements) < len(full_class)
-    assert verify_coverage(OVERLAP_SET, w).ok
-    assert verify_local_minimality(OVERLAP_SET, w).ok
+    assert checks_accept(OVERLAP_SET, w)
 
 
 def test_no_overlap_keeps_whole_class():
@@ -113,9 +137,8 @@ def test_no_overlap_keeps_whole_class():
     s = validate_canonical(3, [0], (), [1, 2])
     cert = Certificate(3, ResidueSubset.of(3, [0]), SUFFICIENT)
     w = build_witness(s, cert, -30, 30)
-    assert w.d_elements == tuple(range(-30, 28, 3))
-    assert verify_coverage(s, w).ok
-    assert verify_local_minimality(s, w).ok
+    assert w.d_elements == tuple(range(-30, 31, 3))
+    assert checks_accept(s, w)
 
 
 def test_necessary_certificate_rejected():
@@ -125,12 +148,10 @@ def test_necessary_certificate_rejected():
 
 
 def test_invalid_certificate_rejected():
-    bad = Certificate(2, ResidueSubset.of(2, [1]), SUFFICIENT)
-    # C={1}: cond_a holds but it is fine either way; force re-verification
+    # C = {0, 1} covers through X alone, so neither element owns a sum
     s = validate_canonical(2, [0], (), [3])
     with pytest.raises(CertificateInvalid):
         build_witness(s, Certificate(4, ResidueSubset.of(4, [0, 1]), SUFFICIENT), -40, 40)
-    del bad
 
 
 def test_window_too_small():
@@ -165,8 +186,12 @@ def test_witness_agrees_with_window_complement_check():
 
 
 def test_random_exists_instances_verify():
+    """The checks accept every witness, and the enumeration from the
+    definition covers its window; with one interior element removed, the
+    check names that element and the enumeration finds an integer that
+    the rest no longer covers."""
     rng = random.Random(9)
-    checked = uncovered = 0
+    checked = 0
     for _ in range(120):
         s = random_canonical(rng, 4)
         v = decide(s, SearchConfig(t_max=6))
@@ -174,25 +199,20 @@ def test_random_exists_instances_verify():
             continue
         T = v.certificate.T
         w = build_witness(s, v.certificate, -20 * T - 10, 20 * T + 10)
-        assert verify_coverage(s, w).ok
-        assert verify_local_minimality(s, w).ok
-        # the fast coverage check matches the enumeration from the
-        # definition, on the window and with one interior element removed
-        inner_lo, inner_hi = witness._safe_interval(w)
+        assert checks_accept(s, w)
+        pad = w.margins.y0_margin + w.T + s.m
+        inner_lo, inner_hi = w.lo + pad, w.hi - pad
         interior = [d for d in w.d_elements if inner_lo <= d <= inner_hi]
         victim = interior[len(interior) // 2]
         holed = dataclasses.replace(
             w, d_elements=tuple(d for d in w.d_elements if d != victim))
-        for win in (w, holed):
-            fast = verify_coverage(s, win)
-            ds = win.d_elements
-            d = WindowSet(min(win.lo, ds[0]), max(win.hi, ds[-1]), ds)
+        assert verify_coverage(s, holed).first_difference == victim
+        for win, covered in ((w, True), (holed, False)):
+            d = WindowSet(win.lo, win.hi, win.d_elements)
             slow = verify_complement_window(d, s, inner_lo, inner_hi)
-            assert (fast.ok, fast.first_uncovered) == (slow.ok, slow.first_uncovered), s
-            uncovered += not slow.ok
+            assert slow.ok == covered, s
         checked += 1
     assert checked >= 10
-    assert uncovered == checked, uncovered
 
 
 def test_serialization_round_trip():
@@ -202,127 +222,47 @@ def test_serialization_round_trip():
     assert verify_coverage(EVEN_SET, again).ok
 
 
-# -- reference: the integer-by-integer walks the class arithmetic and the
-# -- periodic tiling replaced, and local minimality as defined --
-
-
-def reference_class_integers(classes, lo, hi):
-    T = classes.modulus
-    return [n for n in range(lo, hi + 1) if classes.mask >> n % T & 1]
-
-
-def reference_build_witness(s, cert, lo, hi):
-    """The greedy prune walked candidate by candidate over a count array."""
-    if cert.variant != SUFFICIENT:
-        raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
-    c1, c2, marg = witness._derive(s, cert)
-    T = cert.T
-    if hi - lo < 4 * (marg.y0_margin + T):
-        raise WindowTooSmall(
-            f"window [{lo}, {hi}] shorter than {4 * (marg.y0_margin + T)}"
-        )
-    if not c2:
-        raise CertificateInvalid("no uncovered residue classes; condition (b) cannot hold")
-
-    targets = reference_class_integers(c2, lo, hi)
-    pool = reference_class_integers(cert.c, lo - marg.y_plus, hi - marg.y_minus)
-
-    target_set = set(targets)
-    covers = {}  # d -> targets it reaches
-    count = {t: 0 for t in targets}
-    for d in pool:
-        reached = [d + y for y in s.y1 if d + y in target_set]
-        covers[d] = reached
-        for t in reached:
-            count[t] += 1
-
-    kept = set(pool)
-    for d in sorted(pool, reverse=True):
-        # Only prune elements whose whole footprint sits inside the window.
-        if d + marg.y_minus < lo or d + marg.y_plus > hi:
-            continue
-        if all(count[t] >= 2 for t in covers[d]):
-            kept.discard(d)
-            for t in covers[d]:
-                count[t] -= 1
-
-    return WitnessWindow(lo, hi, T, cert.c, c1, c2, marg, tuple(sorted(kept)))
-
-
 def reference_coverage(s, w):
-    pad = w.margins.y0_margin + w.T
-    inner_lo, inner_hi = w.lo + pad, w.hi - pad
-    if inner_lo > inner_hi:
-        return VerificationReport(
-            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
-        )
-    d_set = set(w.d_elements)
-    for n in range(inner_lo, inner_hi + 1):
-        if (n % w.T) in w.c1:
-            ok = any(d <= n and ((n - d) % s.m) in s.x_m for d in w.d_elements)
-        else:
-            ok = any(n - y in d_set for y in s.y1)
-        if not ok:
-            return VerificationReport(False, (f"uncovered integer {n}",), n)
-    return VerificationReport(True)
+    """(ok, first difference) of ``verify_coverage`` from the definitions:
+    the lift's cut walked integer by integer over [lo, hi], and the first
+    position at which the listing and the cut part."""
+    if w.T % s.m or not cond_a(lift_period(s, w.T // s.m), w.c):
+        return False, None
+    listed, cut = list(w.d_elements), lift_cut(w.c, w.lo, w.hi)
+    for k in range(max(len(listed), len(cut))):
+        a = listed[k] if k < len(listed) else None
+        b = cut[k] if k < len(cut) else None
+        if a != b:
+            return False, b if a is None else a if b is None else min(a, b)
+    return True, None
 
 
-def reference_minimality(s, w):
-    """The definition: every interior element of D has some d + y (y in
-    Y1) in a C2 class that no other element of D reaches."""
-    outside = tuple(
-        f"witness element {d} lies outside the certificate's classes"
-        for d in w.d_elements if not w.c.mask >> d % w.T & 1
-    )
-    pad = w.margins.y0_margin + w.T
-    inner_lo, inner_hi = w.lo + pad, w.hi - pad
-    if inner_lo > inner_hi:
-        return VerificationReport(
-            False, (f"safe interval [{inner_lo}, {inner_hi}] is empty",)
-        )
-    if outside:
-        return VerificationReport(False, outside)
-    reached = Counter(d + y for d in set(w.d_elements) for y in s.y1)
-    failures = []
-    for d in w.d_elements:
-        if not inner_lo <= d <= inner_hi:
-            continue
-        private = [d + y for y in s.y1
-                   if reached[d + y] == 1 and (d + y) % w.T in w.c2]
-        if not private:
-            failures.append(f"element {d} has no private target")
-    return VerificationReport(not failures, tuple(failures))
-
-
-def _random_classes(rng, T):
-    return ResidueSubset(T, rng.getrandbits(T))
-
-
-def tampered(rng, s, w):
-    """Mutations of an honest window, each a record verify-witness may get."""
+def tampered_listings(rng, s, w):
+    """Records ``verify_coverage`` may get: entries of the listing
+    dropped, added, duplicated or shuffled, the window moved, and a period
+    that m does not divide or a random class set at another multiple of m."""
     T, d = w.T, list(w.d_elements)
     yield dataclasses.replace(w, d_elements=tuple(
         x for x in d if rng.random() > 0.05))
     yield dataclasses.replace(w, d_elements=tuple(sorted(
-        d + rng.sample(range(w.lo, w.hi + 1), 3))))
+        d + rng.sample(range(w.lo - 3 * T, w.hi + 3 * T), 3))))
     yield dataclasses.replace(w, d_elements=tuple(rng.sample(d, len(d))))
-    yield dataclasses.replace(w, d_elements=tuple(
-        d + rng.sample(d, min(len(d), 3))))
-    yield dataclasses.replace(
-        w, c1=_random_classes(rng, T), c2=_random_classes(rng, T))
+    yield dataclasses.replace(w, d_elements=tuple(sorted(
+        d + rng.sample(d, min(len(d), 3)))))
     yield dataclasses.replace(w, lo=w.lo + rng.randint(-3 * T, 3 * T),
                               hi=w.hi + rng.randint(-3 * T, 3 * T))
+    T2 = s.m * rng.randint(1, 4)
+    c2 = ResidueSubset(T2, rng.getrandbits(T2) | 1)
+    yield with_classes(w, c2)
     if s.m > 1:  # a forged modulus that is not a multiple of m
         T2 = rng.choice([t for t in range(1, 3 * T) if t % s.m])
-        yield dataclasses.replace(
-            w, T=T2, c=_random_classes(rng, T2), c1=_random_classes(rng, T2),
-            c2=_random_classes(rng, T2))
+        yield with_classes(w, ResidueSubset(T2, rng.getrandbits(T2) | 1))
 
 
 def test_class_arithmetic_matches_integer_walk():
-    """Same witnesses and coverage reports as the integer walks, on honest
-    and tampered windows; a forged T with m not dividing it is what needs
-    the C1 walk over classes mod lcm(T, m) rather than mod T."""
+    """The listing check's arithmetic, over the |C| offsets of one period,
+    gives the verdict and the first difference that walks over every
+    integer of the window give, on honest and tampered records."""
     rng = random.Random(2024)
     compared = failed = 0
     while compared < 1500:
@@ -337,97 +277,62 @@ def test_class_arithmetic_matches_integer_walk():
             w = build_witness(s, v.certificate, lo, hi)
         except WindowTooSmall:
             continue
-        assert w.to_dict() == reference_build_witness(
-            s, v.certificate, lo, hi).to_dict()
-        for record in (w, *tampered(rng, s, w)):
-            got, want = verify_coverage(s, record), reference_coverage(s, record)
-            assert (got.ok, got.failures, got.first_uncovered) == (
-                want.ok, want.failures, want.first_uncovered), record
+        assert w.d_elements == tuple(lift_cut(w.c, lo, hi))
+        for record in (w, *tampered_listings(rng, s, w)):
+            got = verify_coverage(s, record)
+            want = reference_coverage(s, record)
+            assert (got.ok, got.first_difference) == want, record
             compared += 1
-            failed += not want.ok
-    assert failed >= 200
+            failed += not want[0]
+    assert failed >= 700, failed
 
 
-# -- the verifiers, on bitmasks and on the walk, against the references --
+# -- the checks against the oracle, over several periods --
+
+_ORACLE: dict = {}
 
 
-def tampered_elements(rng, s, w):
-    """(kind, record) for edits of one interior element of an honest
-    window: "deleted"; "added", a pruned candidate, which reaches only
-    targets that others reach too and so has no private target; and
-    "moved" to a candidate that reaches the element's private target,
-    which it then owns, so the window stays minimal unless the move takes
-    another element's private target."""
-    pad = w.margins.y0_margin + w.T
-    inner_lo, inner_hi = w.lo + pad, w.hi - pad
-    d_set = set(w.d_elements)
-    interior = [d for d in w.d_elements if inner_lo <= d <= inner_hi]
-    if not interior:
-        return
-    victim = rng.choice(interior)
-    rest = d_set - {victim}
-    yield "deleted", dataclasses.replace(w, d_elements=tuple(sorted(rest)))
-    pruned = [n for n in range(inner_lo, inner_hi + 1)
-              if n % w.T in w.c and n not in d_set]
-    if pruned:
-        added = d_set | {rng.choice(pruned)}
-        yield "added", dataclasses.replace(w, d_elements=tuple(sorted(added)))
-    reached = Counter(d + y for d in d_set for y in s.y1)
-    moves = sorted({victim + y - z for y in s.y1 for z in s.y1
-                    if reached[victim + y] == 1 and (victim + y - z) % w.T in w.c}
-                   - d_set)
-    if moves:
-        moved = rest | {rng.choice(moves)}
-        yield "moved", dataclasses.replace(w, d_elements=tuple(sorted(moved)))
+def oracle_accepts(s, c, drop=(), add=()) -> bool:
+    """Whether the lift of C, less ``drop`` and with ``add``, is a minimal
+    complement of W by the oracle's definitions, on a window of three
+    periods P = C's modulus and margins: every integer of [-g, P + g] is
+    covered and every element of [0, P) owns a private target, where g is
+    the set's y0_margin plus m.  The edits must lie in [0, P)."""
+    key = (s, c, tuple(drop), tuple(add))
+    if key not in _ORACLE:
+        P, g = c.modulus, margins(s).y0_margin + s.m
+        lo, hi = -2 * P - 2 * g - 1, P + 2 * g
+        d = WindowSet(lo, hi, tuple(
+            set(lift_cut(c, lo, hi)).difference(drop).union(add)))
+        owners = private_target_owners(d, s, -g, P + g, P)
+        _ORACLE[key] = verify_complement_window(d, s, -g, P + g).ok and all(
+            e in owners for e in d.members if 0 <= e < P)
+    return _ORACLE[key]
 
 
-def stretches(s, w):
-    """The stretches the bitmask checks of coverage and of minimality
-    read: the safe interval less max(Y1) and min(Y1), and widened by
-    max(Y1) - min(Y1)."""
-    inner_lo, inner_hi = witness._safe_interval(w)
-    span = s.y1[-1] - s.y1[0]
-    return ((inner_lo - s.y1[-1], inner_hi - s.y1[0]),
-            (inner_lo - span, inner_hi + span))
+def witness_pool_certificates(forms=("canonical", "raw-below", "raw-above")):
+    """(set, certificate) for every witness-pool form; the raw forms
+    share one canonical set, which is given once."""
+    pool = json.loads((DATA / "witness_pool.json").read_text())
+    seen = set()
+    for groups in pool["by_m"].values():
+        for group in groups:
+            for inst in group:
+                for name in forms:
+                    form = inst["forms"][name]
+                    key = json.dumps([form["canonical"], form["certificate"]])
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    cert = form["certificate"]
+                    T = cert["T"]
+                    yield CanonicalSet.from_dict(form["canonical"]), Certificate(
+                        T, ResidueSubset.of(T, cert["c"]), SUFFICIENT)
 
 
-def forged_stretch(rng, w):
-    """Records with forged margins, the last also with a narrowed lo and
-    hi, that put the safe interval so near the window's ends, or past
-    them, that a check's stretch mostly reaches outside [lo, hi]."""
-    T, marg = w.T, w.margins
-    yield dataclasses.replace(w, margins=Margins(0, 0))
-    k = rng.randint(1, 2 * T)
-    yield dataclasses.replace(w, margins=Margins(-k, k))
-    yield dataclasses.replace(w, margins=Margins(marg.y_plus - k, marg.y_minus))
-    yield dataclasses.replace(
-        w, lo=w.lo + rng.randint(0, 3 * T), hi=w.hi - rng.randint(0, 3 * T),
-        margins=Margins(0, 0))
-
-
-def same_report(got, want):
-    return (got.ok, got.failures, got.first_uncovered) == (
-        want.ok, want.failures, want.first_uncovered)
-
-
-def count_mask_fits(monkeypatch):
-    """Tally whether each verifier call found its stretch fit for the
-    bitmask checks."""
-    fits = Counter()
-    fit = witness._masks_fit
-
-    def counted(*args):
-        fit_now = fit(*args)
-        fits[fit_now] += 1
-        return fit_now
-
-    monkeypatch.setattr(witness, "_masks_fit", counted)
-    return fits
-
-
-def decide_pool_certificates():
+def decide_pool_certificates(lifts=(1, 2)):
     """(set, certificate) for every certificate of the decide pool, at its
-    modulus and lifted to twice it."""
+    modulus and lifted to the given multiples of it."""
     pool = json.loads((DATA / "decide_pool.json").read_text())
     for stratum in pool["strata"]:
         for entry in stratum["entries"]:
@@ -436,142 +341,92 @@ def decide_pool_certificates():
                 continue
             st = entry["set"]
             s = validate_canonical(st["m"], st["x"], st["y0"], st["y1"])
-            for k in (1, 2):
+            for k in lifts:
                 T = k * cert["T"]
                 c = [r + i * cert["T"] for r in cert["c"] for i in range(k)]
                 yield s, Certificate(T, ResidueSubset.of(T, c), SUFFICIENT)
 
 
-def has_pruned_candidate(w) -> bool:
-    """Some integer of a C class in the safe interval is not in D."""
-    inner_lo, inner_hi = witness._safe_interval(w)
-    kept = set(w.d_elements)
-    return any(n % w.T in w.c and n not in kept
-               for n in range(inner_lo, inner_hi + 1))
+def tampered(rng, s, w):
+    """(checks' record, oracle's edits) for one class of the certificate
+    dropped or added, and one element of the listing near 0 dropped or
+    added; both sides must reject each."""
+    c, P = w.c, w.T
+    dropped = ResidueSubset(P, c.mask ^ 1 << rng.choice(c.members()))
+    yield with_classes(w, dropped), (dropped, (), ())
+    near = [d for d in w.d_elements if 0 <= d < P]
+    victim = near[0]
+    yield dataclasses.replace(w, d_elements=tuple(
+        d for d in w.d_elements if d != victim)), (c, (victim,), ())
+    missing = [r for r in range(P) if r not in c]
+    if missing:
+        r = rng.choice(missing)
+        added = ResidueSubset(P, c.mask | 1 << r)
+        yield with_classes(w, added), (added, (), ())
+        yield dataclasses.replace(w, d_elements=tuple(sorted(
+            w.d_elements + (r,)))), (c, (), (r,))
 
 
-@pytest.mark.parametrize("masks", [True, False], ids=["bitmasks", "walk"])
-def test_verifiers_match_references(monkeypatch, masks):
-    """Same coverage and minimality reports as the definitions, on honest
-    windows, on ``tampered`` ones and on ones with one interior element
-    deleted, added or moved; once as shipped, and once with the bitmask
-    checks forced off, so that the retained walk runs.  The random sets
-    repeat classes in Y1, so that most of their windows have pruned
-    candidates; the decide pool's certificates, whose wide spans of Y1
-    make it prune, give the added and moved elements."""
-    if not masks:
-        monkeypatch.setattr(witness, "MASK_STRETCH", 0)
-    fits = count_mask_fits(monkeypatch)
+def eighty_blocks(s, T):
+    """A window of 80 blocks of T around 0, more than any prune here
+    walks, widened to the shortest window build_witness accepts."""
+    g = 4 * margins(s).y0_margin
+    return -40 * T - g, 40 * T + g
+
+
+def assert_checks_match_oracle(rng, s, w) -> int:
+    """The checks and the oracle both accept ``w``, and both reject each
+    of its ``tampered`` copies; returns how many copies were compared."""
+    assert checks_accept(s, w) and oracle_accepts(s, w.c), (s, w)
+    copies = 0
+    for record, (c, drop, add) in tampered(rng, s, w):
+        assert not checks_accept(s, record), (s, record)
+        assert not oracle_accepts(s, c, drop, add), (s, c, drop, add)
+        copies += 1
+    return copies
+
+
+def test_checks_match_oracle():
+    """Every canonical witness-pool form, and 300 random sets with repeated
+    Y1 classes at t_max = 2m, most of whose certificates have T up to
+    span(Y1) and so take the prune's cycle; each honest and tampered."""
     rng = random.Random(99)
-    compared = 0
-    failed, edits = Counter(), Counter()
-    pruned = 0
-    honest = []
-
-    def compare(s, record):
-        nonlocal compared
-        cov, mini = reference_coverage(s, record), reference_minimality(s, record)
-        assert same_report(verify_coverage(s, record), cov), record
-        assert same_report(verify_local_minimality(s, record), mini), record
-        compared += 1
-        failed["coverage"] += not cov.ok
-        failed["minimality"] += not mini.ok
-        return mini.ok
-
-    while compared < 1200:
+    forms = copies = cycled = 0
+    for s, cert in witness_pool_certificates(("canonical",)):
+        w = build_witness(s, cert, *eighty_blocks(s, cert.T))
+        copies += assert_checks_match_oracle(rng, s, w)
+        forms += 1
+    assert forms == 189
+    sets = 0
+    while sets < 300:
         s = random_canonical(rng, 6, repeat_classes=True)
         v = decide(s, SearchConfig(t_max=2 * s.m))
         if v.outcome is not Outcome.EXISTS or v.certificate is None:
             continue
-        T = v.certificate.T
-        lo = -rng.randint(5, 10) * (T + 3) - rng.randrange(T)
-        hi = rng.randint(5, 10) * (T + 3) + rng.randrange(T)
-        try:
-            w = build_witness(s, v.certificate, lo, hi)
-        except WindowTooSmall:
-            continue
-        pruned += has_pruned_candidate(w)
-        honest.append((s, w))
-        for record in (w, *tampered(rng, s, w)):
-            compare(s, record)
-    for s, cert in decide_pool_certificates():
-        try:
-            w = build_witness(s, cert, *random_window(rng, s, cert.T, 10))
-        except (CertificateInvalid, WindowTooSmall):
-            continue
-        compare(s, w)
-        for kind, record in tampered_elements(rng, s, w):
-            edits[kind, compare(s, record)] += 1
-    # forged margins, on their own rng so that the draws above stay put
-    forged_rng, outside = random.Random(7), 0
-    for s, w in honest:
-        for record in forged_stretch(forged_rng, w):
-            compare(s, record)
-            inner_lo, inner_hi = witness._safe_interval(record)
-            outside += inner_lo <= inner_hi and any(
-                a < record.lo or b > record.hi for a, b in stretches(s, record))
-    assert outside >= 400, outside
-    assert min(failed.values()) >= 200, failed
-    assert pruned >= 100, pruned
-    # an added element never owns a private target; a moved one mostly does
-    assert edits["added", True] == 0 and edits["added", False] >= 50, edits
-    assert edits["moved", True] >= 200, edits
-    if masks:
-        assert fits[True] >= 1500, fits
-    else:
-        assert fits[True] == 0, fits
+        w = build_witness(s, v.certificate, *eighty_blocks(s, v.certificate.T))
+        copies += assert_checks_match_oracle(rng, s, w)
+        cycled += v.certificate.T <= s.y1[-1] - s.y1[0]
+        sets += 1
+    assert cycled >= 150, cycled
+    assert copies >= 4 * (forms + sets) - 50, copies
 
 
-def test_witness_pool_records_take_bitmask_path(monkeypatch):
-    """Every canonical witness-pool form at the benchmark's window takes
-    the bitmask checks, which accept the honest window without the walk,
-    and gets the walk's reports, honest and with one element deleted."""
-    fits = count_mask_fits(monkeypatch)
-    stretch = witness.MASK_STRETCH
-    pool = json.loads((DATA / "witness_pool.json").read_text())
-    records = 0
-    for groups in pool["by_m"].values():
-        for group in groups:
-            for inst in group:
-                form = inst["forms"]["canonical"]
-                cert = form["certificate"]
-                s = CanonicalSet.from_dict(form["canonical"])
-                T = cert["T"]
-                w = build_witness(s, Certificate(
-                    T, ResidueSubset.of(T, cert["c"]), SUFFICIENT), -8000, 8000)
-                assert witness._minimal_by_masks(s, w, *witness._safe_interval(w))
-                d = list(w.d_elements)
-                del d[len(d) // 2]
-                for record in (w, dataclasses.replace(w, d_elements=tuple(d))):
-                    got = (verify_coverage(s, record),
-                           verify_local_minimality(s, record))
-                    monkeypatch.setattr(witness, "MASK_STRETCH", 0)
-                    want = (verify_coverage(s, record),
-                            verify_local_minimality(s, record))
-                    monkeypatch.setattr(witness, "MASK_STRETCH", stretch)
-                    assert all(map(same_report, got, want)), record
-                    records += 1
-    assert records >= 378
-    # the walk's calls, with MASK_STRETCH at 0, are the False ones
-    assert fits == {True: 2 * records, False: 2 * records}, fits
+# -- the build: its certificate is the window's, and the oracle's --
 
 
-# -- the periodic tiling against the walk over every candidate --
-
-DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
-
-
-def assert_same_build(s, cert, lo, hi):
-    """build_witness and the reference give the same window, or both
-    refuse."""
+def assert_build_matches_oracle(s, cert, lo, hi) -> bool:
+    """build_witness on [lo, hi] gives the certificate that it gives on the
+    benchmark's window, listed by definition, which the checks and the
+    oracle accept; or it raises WindowTooSmall.  Returns whether it
+    built."""
+    wide = build_witness(s, cert, -8000, 8000)
     try:
-        want = reference_build_witness(s, cert, lo, hi)
-    except (CertificateInvalid, WindowTooSmall) as exc:
-        with pytest.raises(type(exc)):
-            build_witness(s, cert, lo, hi)
+        w = build_witness(s, cert, lo, hi)
+    except WindowTooSmall:
         return False
-    got = build_witness(s, cert, lo, hi)
-    assert got.to_dict() == want.to_dict(), (s, cert, lo, hi)
+    assert (w.T, w.c) == (wide.T, wide.c), (s, cert, lo, hi)
+    assert w.d_elements == tuple(lift_cut(w.c, lo, hi))
+    assert checks_accept(s, w) and oracle_accepts(s, w.c), (s, cert)
     return True
 
 
@@ -581,40 +436,6 @@ def random_window(rng, s, T, widths):
     width = 4 * (margins(s).y0_margin + T) + rng.randrange(widths * T + 1)
     lo = -rng.randrange(width + 1)
     return lo, lo + width
-
-
-OUTCOMES = ("no repeat", "copied fewer", "copied more")
-
-
-class CountedBlock(list):
-    """A block's candidate list that counts the blocks the prune walks:
-    one iteration each."""
-
-    walked = 0
-
-    def __iter__(self):
-        self.walked += 1
-        return super().__iter__()
-
-
-def count_prune_outcomes(monkeypatch):
-    """Tally, per build, how the prune ended: no block state repeated, so
-    every block was walked; or a state repeated and fewer, or more, blocks
-    were copied than walked.  Copying more than were walked tiles the
-    cycle more than once."""
-    outcomes = Counter()
-    prune = witness._prune
-
-    def counted(kept, base, T, block, span, top, bottom):
-        block = CountedBlock(block)
-        prune(kept, base, T, block, span, top, bottom)
-        blocks = max(0, (top - bottom) // T + 1)
-        copied = blocks - block.walked
-        outcomes["no repeat" if not copied else
-                 "copied fewer" if copied < block.walked else "copied more"] += 1
-
-    monkeypatch.setattr(witness, "_prune", counted)
-    return outcomes
 
 
 def test_tiled_build_matches_reference_on_random_sets():
@@ -629,76 +450,56 @@ def test_tiled_build_matches_reference_on_random_sets():
             continue
         T = v.certificate.T
         lo, hi = random_window(rng, s, T, rng.choice((0, 1, 4, 40, 400)))
-        assert assert_same_build(s, v.certificate, lo, hi)
+        assert assert_build_matches_oracle(s, v.certificate, lo, hi)
         compared += 1
         lifted += T > s.m
         merged += len(v.certificate.c) >= 2
-    # 295 of the 583 builds have |C| >= 2 and so merge their classes
     assert merged >= 250, merged
 
 
-def test_tiled_build_matches_reference_on_decide_pool(monkeypatch):
+def test_tiled_build_matches_reference_on_decide_pool():
     """Every certificate of the decide pool, at its modulus and lifted to
-    twice it, on windows at most one block longer than the shortest
-    accepted: wide spans of Y1 there give long cycles, so some windows end
-    before a state repeats and some repeat after most of the window was
-    walked."""
-    outcomes = count_prune_outcomes(monkeypatch)
+    twice it where that stays a certificate, on windows at most one block
+    longer than the shortest accepted, which holds every cycle there."""
     rng = random.Random(5)
-    built = merged = 0
+    outcomes = Counter()
     for s, cert in decide_pool_certificates():
         lo, hi = random_window(rng, s, cert.T, 1)
-        same = assert_same_build(s, cert, lo, hi)
-        built += same
-        merged += same and len(cert.c) >= 2
-    assert built >= 1500
-    # 1 444 of the 1 936 builds merge their classes
-    assert merged >= 1200, merged
-    assert min(outcomes[key] for key in OUTCOMES) >= 2, outcomes
+        try:
+            outcomes[assert_build_matches_oracle(s, cert, lo, hi)] += 1
+        except CertificateInvalid:
+            outcomes["invalid lift"] += 1
+    assert outcomes == {True: 1936, "invalid lift": 196}, outcomes
 
 
-# From the decide pool: span 29 and a cycle of several blocks, so that on
-# short windows no state repeats, or one repeats after most blocks were walked.
-LONG_CYCLE_SET = validate_canonical(5, [0], (), [-13, 1, 12, 16])
-LONG_CYCLE_CERT = Certificate(5, ResidueSubset.of(5, [0, 2]), SUFFICIENT)
+# From a census of random sets: the prune's state first repeats after 30
+# blocks, where the shortest window accepted spans 16.
+LONG_CYCLE_SET = validate_canonical(5, [0], (), [-2, 1, 11, 13])
+LONG_CYCLE_CERT = Certificate(5, ResidueSubset.of(5, [0, 1]), SUFFICIENT)
 
 
-def test_tiled_build_matches_reference_on_short_windows(monkeypatch):
+def test_tiled_build_matches_reference_on_short_windows():
     """Every window from the shortest accepted one up to 40 blocks longer,
-    at five offsets each: each length of the partial bottom block, and
-    each way the prune can end, occurs."""
-    outcomes = count_prune_outcomes(monkeypatch)
+    at five offsets each: the build raises WindowTooSmall exactly when the
+    window spans fewer blocks than the prune walks before its state
+    repeats, and otherwise gives one certificate."""
     shortest = 4 * (margins(LONG_CYCLE_SET).y0_margin + LONG_CYCLE_CERT.T)
+    needed = prune_blocks(LONG_CYCLE_SET, LONG_CYCLE_CERT)
+    built = Counter()
     for width in range(shortest, shortest + 200):
         for lo in range(-width // 2 - 5, -width // 2):
-            assert assert_same_build(LONG_CYCLE_SET, LONG_CYCLE_CERT, lo, lo + width)
-    assert min(outcomes[key] for key in OUTCOMES) >= 100, outcomes
-
-
-def witness_pool_certificates():
-    """(set, certificate) for every witness-pool form; the raw forms
-    share one canonical set, which is given once."""
-    pool = json.loads((DATA / "witness_pool.json").read_text())
-    seen = set()
-    for groups in pool["by_m"].values():
-        for group in groups:
-            for inst in group:
-                for form in inst["forms"].values():
-                    key = json.dumps([form["canonical"], form["certificate"]])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    cert = form["certificate"]
-                    T = cert["T"]
-                    yield CanonicalSet.from_dict(form["canonical"]), Certificate(
-                        T, ResidueSubset.of(T, cert["c"]), SUFFICIENT)
+            ok = assert_build_matches_oracle(
+                LONG_CYCLE_SET, LONG_CYCLE_CERT, lo, lo + width)
+            assert ok == ((width + 1) // LONG_CYCLE_CERT.T >= needed), width
+            built[ok] += 1
+    assert min(built[True], built[False]) >= 100, built
 
 
 def test_tiled_build_matches_reference_on_witness_pool():
     """Every witness-pool form at the benchmark's window."""
     built = merged = 0
     for s, cert in witness_pool_certificates():
-        assert assert_same_build(s, cert, -8000, 8000)
+        assert assert_build_matches_oracle(s, cert, -8000, 8000)
         built += 1
         merged += len(cert.c) >= 2
     assert built >= 300
@@ -706,96 +507,77 @@ def test_tiled_build_matches_reference_on_witness_pool():
     assert merged >= 150, merged
 
 
-def test_built_window_hands_over_its_indicator():
-    """A window straight from build_witness carries, before any check
-    reads it, the indicator of its own elements over [lo, hi]: on every
-    witness-pool form, and on random sets whose candidate pool
-    [lo - y_plus, hi - y_minus] ends below hi (y_minus > 0) or starts
-    above lo (y_plus < 0)."""
-    def assert_handed(w):
-        assert vars(w)["_present"] == witness._indicator(
-            list(w.d_elements), w.lo, w.hi), w
+class CountedBlock(list):
+    """A block's candidate list that counts the blocks the prune walks:
+    one iteration each."""
 
-    built = 0
-    for s, cert in witness_pool_certificates():
-        assert_handed(build_witness(s, cert, -8000, 8000))
-        built += 1
-    assert built >= 300
-    rng = random.Random(11)
-    pool_misses = Counter()
-    while min(pool_misses["y_minus > 0"], pool_misses["y_plus < 0"]) < 100:
-        s = random_canonical(rng, 6)
-        v = decide(s, SearchConfig(t_max=2 * s.m))
-        if v.outcome is not Outcome.EXISTS or v.certificate is None:
-            continue
-        w = build_witness(s, v.certificate,
-                          *random_window(rng, s, v.certificate.T, 4))
-        assert_handed(w)
-        pool_misses["y_minus > 0"] += w.margins.y_minus > 0
-        pool_misses["y_plus < 0"] += w.margins.y_plus < 0
+    walked = 0
+
+    def __iter__(self):
+        self.walked += 1
+        return super().__iter__()
 
 
-def test_pattern_and_indicator_match_definitions():
-    """_pattern and _indicator bit by bit against their definitions: masks
-    with stray high bits and negative ones (coverage passes ~C1), T from 1
-    to 30, starts below 0, widths below T and far above it, and elements
-    on both sides of [a, b]."""
-    rng = random.Random(4)
-    for T in range(1, 31):
-        for _ in range(20):
-            mask = rng.getrandbits(T)
-            mask = rng.choice((mask, ~mask, mask | rng.getrandbits(40) << T))
-            lo = rng.randint(-50 * T, 50)
-            width = rng.choice((rng.randint(1, T), rng.randint(T, 40 * T)))
-            assert witness._pattern(mask, T, lo, width) == sum(
-                1 << j for j in range(width) if mask >> (lo + j) % T & 1)
-            a, b = lo, lo + width - 1
-            ds = sorted(rng.sample(range(a - 40, b + 41), rng.randint(0, 60)))
-            assert witness._indicator(ds, a, b) == sum(
-                1 << v - a for v in ds if a <= v <= b)
-
-
-def test_checks_read_each_window_once(monkeypatch):
-    """On every witness-pool window at the benchmark's window, coverage
-    and minimality build one indicator of D between them, and none when
-    the bitmasks are off.  A window from build_witness builds none, since
-    the build hands over its own; one made by ``dataclasses.replace`` or
-    loaded from its record reads its own elements, so an element deleted
-    there is missed."""
-    reads = Counter()
-    indicator = witness._indicator
+def prune_blocks(s, cert) -> int:
+    """How many blocks the prune walks before its state repeats, 0 when
+    the certificate's T is above span(Y1) and no prune runs."""
+    rules = []
+    block_rules = witness._block_rules
 
     def counted(*args):
-        reads["now"] += 1
-        return indicator(*args)
+        rules.append(CountedBlock(block_rules(*args)))
+        return rules[-1]
 
-    monkeypatch.setattr(witness, "_indicator", counted)
-    windows = [(s, build_witness(s, cert, -8000, 8000))
-               for s, cert in witness_pool_certificates()]
-    assert reads["now"] == 0
-    for stretch in (witness.MASK_STRETCH, 0):
-        monkeypatch.setattr(witness, "MASK_STRETCH", stretch)
-        for s, built in windows:
-            variants = [("replaced", dataclasses.replace(built), 1)]
-            if stretch:  # the walk reads no indicator, whatever the window
-                variants += [("built", built, 0),
-                             ("loaded", WitnessWindow.from_dict(built.to_dict()), 1)]
-            for kind, w, want in variants:
-                reads.clear()
-                assert verify_coverage(s, w).ok and verify_local_minimality(s, w).ok
-                assert reads["now"] == (want if stretch else 0), (s, stretch, kind)
-            d = list(built.d_elements)
-            del d[len(d) // 2]
-            assert not verify_coverage(
-                s, dataclasses.replace(built, d_elements=tuple(d))).ok
-    assert len(windows) >= 300
+    witness._block_rules = counted
+    try:
+        build_witness(s, cert, -8000, 8000)
+    finally:
+        witness._block_rules = block_rules
+    return rules[0].walked if rules else 0
+
+
+def test_prune_block_counts_are_pinned():
+    """The most blocks the prune walks before its state repeats: 19 over
+    the witness pool, 28 over the decide pool and 12 over its lifts to
+    twice the modulus that stay certificates, and 65 over a census of 1 500
+    random sets with repeated Y1 classes; the benchmark's window of 16 001
+    integers holds them all."""
+    most = Counter()
+    for s, cert in witness_pool_certificates():
+        most["witness pool"] = max(most["witness pool"], prune_blocks(s, cert))
+    for k in (1, 2):
+        for s, cert in decide_pool_certificates((k,)):
+            try:
+                blocks = prune_blocks(s, cert)
+            except CertificateInvalid:
+                continue
+            most[f"decide pool x{k}"] = max(most[f"decide pool x{k}"], blocks)
+    rng = random.Random(3)
+    for _ in range(1500):
+        s = random_canonical(rng, 8, repeat_classes=True)
+        v = decide(s, SearchConfig(t_max=2 * s.m))
+        if v.outcome is Outcome.EXISTS and v.certificate is not None:
+            most["census"] = max(most["census"], prune_blocks(s, v.certificate))
+    assert most == {"witness pool": 19, "decide pool x1": 28,
+                    "decide pool x2": 12, "census": 65}, most
+
+
+def test_window_too_short_for_the_cycle():
+    """A window that the minimum length admits but whose blocks end before
+    the prune's state repeats raises WindowTooSmall, and one block more
+    builds."""
+    needed = prune_blocks(LONG_CYCLE_SET, LONG_CYCLE_CERT)
+    T = LONG_CYCLE_CERT.T
+    assert needed * T > 4 * (margins(LONG_CYCLE_SET).y0_margin + T)
+    with pytest.raises(WindowTooSmall, match="does not repeat"):
+        build_witness(LONG_CYCLE_SET, LONG_CYCLE_CERT, 0, (needed - 1) * T - 1)
+    build_witness(LONG_CYCLE_SET, LONG_CYCLE_CERT, 0, needed * T - 1)
 
 
 def test_wide_window_build_is_bounded():
     """A window of 200 001 integers costs a few hundred traced lines: the
-    walk stops at the first repeated state and the rest is tiled.  The
-    walk over every candidate runs about 2.25 M lines here and peaks at
-    44 MB."""
+    walk stops at the first repeated state, and the listing is written a
+    class at a time."""
     with bounded_work(max_lines=5_000):
         w = build_witness(OVERLAP_SET, OVERLAP_CERT, -100_000, 100_000)
     assert len(w.d_elements) == 50_001
