@@ -35,9 +35,11 @@ a join shrinks it.  It costs O(|Y1|) rotations to drop the candidates
 whose own mask dies, O(min(|U|, |survivors|)) per cover test, and on a
 join O(|Y1|) to find the members whose masks shrink plus O(|Y1|) for
 each of them and for the joining element, where U is X_T | Y1; no table
-indexed by T is built, and the path holds O(depth) masks.  ``decide``
-takes 3 130 nodes in all on the benchmark's 1 409 pool sets, where
-testing (b) only at full covers took 10.6 M.
+indexed by T is built, and the path holds O(depth) masks.  Before its
+first node a call builds only a few masks and Y1's residues, in O(|Y1|)
+Python steps; it builds nothing on first use, as the cover test reads U
+off its mask.  ``decide`` takes 3 130 nodes in all on the benchmark's
+1 409 pool sets, where testing (b) only at full covers took 10.6 M.
 
 ``decide`` runs it at the base modulus, in both forms, and at lifted
 moduli up to EXHAUSTIVE_LIMIT.  Lifted moduli above the limit take a
@@ -56,7 +58,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import BudgetExceeded, ModulusMismatch, ValidationError
-from .residues import ResidueSubset, mask_members, rotate
+from .residues import ResidueSubset, mask_members
 from .sets import CanonicalSet, ConditionContext, lift_period
 
 NECESSARY = "necessary"
@@ -264,8 +266,15 @@ def _search_exhaustive(
     shrink.  A joining k shrinks the masks of the members in B - Y1, where
     B holds the residues that k newly blocks; those masks, and k's own,
     are derived afresh.  The cover test at survivor k is U plus the
-    survivors from k up, at min(|U|, |survivors|) rotations.
+    survivors from k up, at min(|U|, |survivors|) rotations: the
+    translates of U by the survivors, or of the survivors by U, each read
+    off its mask.
 
+    Before its first node a call builds the full mask, Y1's residues in
+    |Y1| Python steps, the doubled masks of U, Y1 and F, and F's row
+    reversed and doubled, from a string of T characters; nothing else, and
+    nothing on first use.  The two searches at T = m each build their own:
+    the part they share costs less to build than to keep on the context.
     Cost per node: |Y1| rotations for the dying candidates,
     min(|U|, |survivors|) for each cover test, and on a join |Y1|
     rotations to find the members whose masks shrink (none when B is
@@ -284,19 +293,21 @@ def _search_exhaustive(
         return None
     necessary = variant == NECESSARY
     u_mask = x_mask | y_mask
+    u_count = u_mask.bit_count()
     f_mask = x_mask if necessary else u_mask
     ys = mask_members(y_mask)
-    u_shifts = [T - u for u in mask_members(u_mask)]
-    # -F: F's row reversed puts f at bit T - 1 - f; one more step is -f
-    neg_f = rotate(int(bin(f_mask)[2:].zfill(T)[::-1], 2), 1, T)
-    u2, y2, f2, nf2 = (m | m << T for m in (u_mask, y_mask, f_mask, neg_f))
+    u2, y2, f2 = u_mask | u_mask << T, y_mask | y_mask << T, f_mask | f_mask << T
+    # F's row reversed puts f at bit T - 1 - f, so t - F (mod T) is the
+    # doubled row >> (T - 1 - t), below bit T
+    rf = int(bin(f_mask)[2:].zfill(T)[::-1], 2)
+    rf2 = rf | rf << T
 
     def ruled(p):
         # the j with p inside F + j
         acc = full
         while p:
             low = p & -p
-            acc &= nf2 >> (T + 1 - low.bit_length())
+            acc &= rf2 >> (T - low.bit_length())
             p ^= low
         return acc
 
@@ -326,17 +337,15 @@ def _search_exhaustive(
         while stack and not found:
             frame = stack[-1]
             rest, cover, ones, twos, ruled_or, c_mask = frame
+            # rest + U, as the translates of U by rest or of rest by U,
+            # whichever set is smaller
+            s, s2 = (rest, u2) if rest.bit_count() < u_count else (
+                u_mask, rest | rest << T)
             reach = 0
-            if rest.bit_count() < len(u_shifts):
-                s = rest
-                while s:
-                    low = s & -s
-                    reach |= u2 >> (T + 1 - low.bit_length())
-                    s ^= low
-            else:
-                s2 = rest | rest << T
-                for shift in u_shifts:
-                    reach |= s2 >> shift
+            while s:
+                low = s & -s
+                reach |= s2 >> (T + 1 - low.bit_length())
+                s ^= low
             if (cover | reach) & full != full:
                 stack.pop()
                 continue

@@ -240,7 +240,8 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
 
     The periodic residues expand to {i*m + x : 0 <= i < k, x in x_m}; the
     finite exceptions reduce mod T (negative values wrap into [0, T)).
-    A T whose T-bit mask cannot be allocated raises ModulusTooLarge.
+    A T whose T-bit mask cannot be allocated raises ModulusTooLarge, before
+    any T-bit mask is built: at k = 1 too, where x_m is the lift.
     """
     if not s.x_m:
         raise EmptySet("cannot lift a set with no periodic part")
@@ -248,11 +249,12 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
         raise ValueError(f"lift factor must be positive, got {k}")
     T = k * s.m
     try:
-        # The m-bit pattern written out k times, in time linear in T.
-        x_mask = int(bin(s.x_m.mask)[2:].zfill(s.m) * k, 2)
+        # The m-bit pattern written out k times, in time linear in T.  At
+        # k = 1 the row alone has T characters, so it is the guard, and
+        # x_m's own mask is the lift.
+        row = bin(s.x_m.mask)[2:].zfill(s.m)
+        x_t = s.x_m if k == 1 else ResidueSubset(T, int(row * k, 2))
     except (OverflowError, MemoryError) as exc:
         raise ModulusTooLarge(f"modulus {T} is too large to lift: its masks "
                               f"do not fit in memory ({type(exc).__name__})") from exc
-    return ConditionContext(
-        T, ResidueSubset(T, x_mask), ResidueSubset.reduce(T, s.y1)
-    )
+    return ConditionContext(T, x_t, ResidueSubset.reduce(T, s.y1))

@@ -43,8 +43,11 @@ source mod P' into a second source in Z.  The checks below re-test both.
 
 The walk takes O(|Y1|) Python steps per candidate, in at most as many
 blocks as the window [lo, hi] spans; a window that ends before a state
-repeats raises WindowTooSmall.  The record lists the lift C' + P'*Z cut
-to [lo, hi] as ``d_elements``, in time linear in the listing.
+repeats raises WindowTooSmall.  No other bound is put on the window:
+when T > span(Y1) nothing is walked, and every window builds, an empty
+one (hi < lo) with an empty listing.  The record lists the lift
+C' + P'*Z cut to [lo, hi] as ``d_elements``, in time linear in the
+listing.
 
 The checks read the record's (T, C) = (P', C') and listing:
 ``verify_certificate`` that m | T and the margins are the set's,
@@ -53,14 +56,16 @@ The checks read the record's (T, C) = (P', C') and listing:
 Passing all three proves, by the lemma, that the lift of (T, C) is a
 minimal complement of W on all of Z, and that ``d_elements`` is its cut.
 They cost the lift of the set to T and O(|C| * T / 64) word operations
-for (a) and (b), plus O(|D| + |C|) Python steps for the listing,
-whatever the window's length.
+for (a) and (b), plus O(|C|) Python steps and O(|D| + |C|) steps at C
+speed for the listing, whatever the window's length.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate, cond_a, cond_b_sufficient
@@ -126,29 +131,28 @@ def build_witness(
     """A periodic minimal complement from a sufficient certificate, listed
     on [lo, hi]; see the module docstring.  Deterministic in all inputs.
 
-    The certificate is re-verified first.  A window shorter than
-    4 * (y0_margin + T) raises WindowTooSmall, as does one whose
-    (hi - lo + 1) // T blocks end before the prune's state repeats.
+    The certificate is re-verified first.  Only a T up to span(Y1) walks
+    the prune, in at most the window's (hi - lo + 1) // T blocks, and a
+    window whose blocks end before the prune's state repeats raises
+    WindowTooSmall.  So with T > span(Y1) every window builds, an empty
+    one (hi < lo) with an empty listing; with T up to span(Y1) an empty
+    window, which has no blocks, raises WindowTooSmall.
     """
     if cert.variant != SUFFICIENT:
         raise CertificateInvalid("witness construction needs a sufficient-variant certificate")
     ctx = _lift(s, cert.T)
     if not check_certificate(ctx, cert):
         raise CertificateInvalid("certificate failed re-verification")
-    marg, T = margins(s), cert.T
-    if hi - lo < 4 * (marg.y0_margin + T):
-        raise WindowTooSmall(
-            f"window [{lo}, {hi}] shorter than {4 * (marg.y0_margin + T)}"
-        )
+    T = cert.T
     # (b) holds, so Y1 is nonempty
     span = s.y1[-1] - s.y1[0]
     P, mask = T, cert.c.mask
     if T <= span:
         c2 = cert.c.sumset(ctx.x_t).complement()
-        P, mask = _steady_state(T, cert.c, c2, s.y1, (hi - lo + 1) // T)
+        P, mask = _steady_state(T, cert.c, c2, s.y1, max(0, (hi - lo + 1) // T))
     k = span // P + 1
     c = ResidueSubset(k * P, int(bin(mask)[2:].zfill(P) * k, 2))
-    return WitnessWindow(lo, hi, c, marg, _lift_cut(c, lo, hi))
+    return WitnessWindow(lo, hi, c, margins(s), _lift_cut(c, lo, hi))
 
 
 def _block_rules(T: int, c: ResidueSubset, c2: ResidueSubset,
@@ -207,49 +211,35 @@ def _steady_state(T: int, c: ResidueSubset, c2: ResidueSubset,
     return len(cycle) * T, mask
 
 
-def _offsets(c: ResidueSubset, lo: int) -> list[int]:
-    """n - lo for the elements n of C + T*Z in [lo, lo + T), ascending."""
-    return sorted((r - lo) % c.modulus for r in c.members())
-
-
-def _cut_size(c: ResidueSubset, offsets: list[int], lo: int, hi: int) -> int:
-    """How many elements C + T*Z has in [lo, hi]."""
-    if hi < lo:
-        return 0
-    full, rest = divmod(hi - lo, c.modulus)
-    return len(offsets) * full + bisect_right(offsets, rest)
-
-
 def _lift_cut(c: ResidueSubset, lo: int, hi: int) -> tuple[int, ...]:
-    """The elements of C + T*Z in [lo, hi], ascending: the k-th of them,
-    for k = q * |C| + i, is lo + q * T + offsets[i]."""
-    offsets = _offsets(c, lo)
-    out = [0] * _cut_size(c, offsets, lo, hi)
+    """The elements of C + T*Z in [lo, hi], ascending: with ``offsets``
+    the n - lo of its elements n in [lo, lo + T), ascending, the k-th of
+    them, for k = q * |C| + i, is lo + q * T + offsets[i]."""
+    T = c.modulus
+    offsets = sorted((r - lo) % T for r in c.members())
+    size = 0
+    if hi >= lo:
+        periods, rest = divmod(hi - lo, T)
+        size = len(offsets) * periods + bisect_right(offsets, rest)
+    out = [0] * size
     for i, o in enumerate(offsets):
-        out[i::len(offsets)] = range(lo + o, hi + 1, c.modulus)
+        out[i::len(offsets)] = range(lo + o, hi + 1, T)
     return tuple(out)
 
 
-def _first_difference(w: WitnessWindow, offsets: list[int]) -> int:
-    """The least integer at which ``d_elements``, read in order, and the
-    lift's cut to [lo, hi] part: the first listed integer that is not the
-    cut's next one, or the cut's next one if it is smaller or the listing
-    has ended.  Called only when the two differ."""
-    T, lo = w.T, w.lo
-
-    def next_from(n: int) -> int:  # the least element of the lift >= n
-        q, r = divmod(n - lo, T)
-        i = bisect_left(offsets, r)
-        return lo + q * T + (offsets[i] if i < len(offsets) else T + offsets[0])
-
-    want = next_from(lo)
-    for d in w.d_elements:
-        if want > w.hi:
-            return d
-        if d != want:
-            return min(d, want)
-        want = next_from(d + 1)
-    return want
+def _first_difference(ds: tuple[int, ...], cut: tuple[int, ...]) -> int:
+    """The least integer at which the listing ``ds``, read in order, and
+    ``cut``, a prefix of the lift's cut to [lo, hi] that is either the
+    whole cut or longer than ``ds``, part: the first listed integer that
+    is not the cut's next one, or the cut's next one if it is smaller or
+    the listing has ended.  The pairs are compared at C speed.  Called
+    only when the two differ."""
+    i = next(compress(count(), map(ne, ds, cut)), min(len(ds), len(cut)))
+    if i == len(ds):
+        return cut[i]
+    if i == len(cut):
+        return ds[i]
+    return min(ds[i], cut[i])
 
 
 def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
@@ -266,10 +256,9 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     """Condition (a) at T, so the lift covers Z, and ``d_elements`` is
     exactly the lift's cut to [lo, hi].
 
-    The listing is compared with the cut only when the cut, counted from
-    |C| offsets, has as many elements; otherwise the walk that reports the
-    first difference stops within |D| + 1 steps.  So a forged ``hi``
-    costs nothing.
+    The cut is built only over the first |D| // |C| + 1 periods from lo,
+    more than |D| elements and at most |D| + |C|, and compared with the
+    listing at C speed, so a forged ``hi`` costs nothing.
     """
     try:
         ctx = _lift(s, w.T)
@@ -277,12 +266,13 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
         return VerificationReport(False, (str(exc),))
     if not cond_a(ctx, w.c):
         return VerificationReport(False, (f"condition (a) fails at T = {w.T}",))
-    offsets = _offsets(w.c, w.lo)
     ds = w.d_elements
-    if _cut_size(w.c, offsets, w.lo, w.hi) == len(ds) and ds == _lift_cut(
-            w.c, w.lo, w.hi):
+    # (a) holds, so C is nonempty
+    periods = len(ds) // len(w.c) + 1
+    cut = _lift_cut(w.c, w.lo, min(w.hi, w.lo + periods * w.T - 1))
+    if ds == cut:
         return VerificationReport(True)
-    n = _first_difference(w, offsets)
+    n = _first_difference(ds, cut)
     return VerificationReport(
         False, (f"d_elements and the lift of (T, C) differ at {n}",), n)
 

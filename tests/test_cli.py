@@ -9,6 +9,7 @@ import pytest
 import minadd
 from conftest import bounded_work
 from minadd import cli, sets
+from minadd.errors import ModulusTooLarge
 
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
 EVEN = "m = 2\nx = 0\ny1 = 1\n"
@@ -710,6 +711,38 @@ class TestBadInputNeverExitsOne:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith(
                 "error: modulus 5 is too large to lift")
+            assert "MemoryError" in err
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lift_beyond_memory_by_any_factor(self, setfile, capsys,
+                                              monkeypatch, k):
+        # The lift by k is made to fail as a T = k * m beyond memory would,
+        # so that no test allocates.  At k = 1 the lift reuses x_m's mask,
+        # and its guard must still refuse T before the search builds a
+        # T-bit mask.  The set has no certificate at T = 7, one at 14.
+        text = "m = 7\nx = 2,3,6\ny1 = 1,11,14\n"
+        s = sets.validate_canonical(7, [2, 3, 6], (), [1, 11, 14])
+        lifts = []
+
+        def no_memory_at_k(value):
+            lifts.append(value)
+            if len(lifts) == k:
+                raise MemoryError
+            return bin(value)
+
+        monkeypatch.setattr(sets, "bin", no_memory_at_k, raising=False)
+        for j in range(1, k):
+            sets.lift_period(s, j)
+        with pytest.raises(ModulusTooLarge) as exc:
+            sets.lift_period(s, k)
+        assert isinstance(exc.value.__cause__, MemoryError)
+        path = setfile(text)
+        for argv in (["decide", path], ["witness", path, "--window=-60:60"]):
+            lifts.clear()
+            assert cli.main(argv) == cli.EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(
+                f"error: modulus {7 * k} is too large to lift")
             assert "MemoryError" in err
 
     @pytest.mark.parametrize("argv, option", [

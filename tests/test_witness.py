@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bounded_work, random_canonical
-from minadd import witness
+from minadd import cli, witness
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
@@ -154,9 +154,19 @@ def test_invalid_certificate_rejected():
         build_witness(s, Certificate(4, ResidueSubset.of(4, [0, 1]), SUFFICIENT), -40, 40)
 
 
-def test_window_too_small():
-    with pytest.raises(WindowTooSmall):
-        build_witness(EVEN_SET, EVEN_CERT, 0, 5)
+def test_window_too_small(tmp_path, capsys):
+    """No window is too small when T > span(Y1), as nothing is walked:
+    [0, 5] builds, and verify-witness accepts the record of
+    ``minadd witness --window=0:5``."""
+    w = build_witness(EVEN_SET, EVEN_CERT, 0, 5)
+    assert w.d_elements == (0, 2, 4) and checks_accept(EVEN_SET, w)
+    set_path = tmp_path / "even.set"
+    set_path.write_text("m = 2\nx = 0\ny1 = 1\n")
+    assert cli.main(["witness", str(set_path), "--window=0:5",
+                     "--format", "json"]) == cli.EXIT_EXISTS
+    record = tmp_path / "record.json"
+    record.write_text(capsys.readouterr().out)
+    assert cli.main(["verify-witness", str(record)]) == cli.EXIT_EXISTS
 
 
 def test_determinism():
