@@ -18,6 +18,7 @@ from .criteria import (
     decide,
     find_certificate,
 )
+from .generator import GeneratorState, generate, step
 from .residues import ResidueSubset
 from .sets import (
     CanonicalSet,
@@ -35,6 +36,7 @@ __all__ = [
     "Certificate",
     "CanonicalSet",
     "ConditionContext",
+    "GeneratorState",
     "Margins",
     "Outcome",
     "RawSet",
@@ -50,8 +52,10 @@ __all__ = [
     "cond_b_sufficient",
     "decide",
     "find_certificate",
+    "generate",
     "lift_period",
     "margins",
+    "step",
     "validate_canonical",
     "verify_coverage",
     "verify_local_minimality",

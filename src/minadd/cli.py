@@ -292,9 +292,11 @@ def cmd_construct(args) -> CommandResult:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls, so every ``main`` call can share it."""
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its command parsers by name, built once per
+    process: ``parse_args`` keeps no state between calls, so every ``main``
+    call can share them."""
     parser = argparse.ArgumentParser(
         prog="minadd",
         description="Decide and witness minimal additive complements of "
@@ -337,18 +339,43 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_construct)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``minadd``."""
+    return _parsers()[0]
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass over ``argv``.
+
+    The top-level parser scans every argument and then hands all but the
+    first to the command's parser, which scans them again.  So an ``argv``
+    that starts with a command goes to that command's parser alone, and
+    what it leaves over is reported by the top-level parser, as the
+    subparser action would.  Any other ``argv`` names no command and can
+    only print help or a usage error; the top-level parser takes it.
+    """
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # Python 3.11's argparse hands ``--opt=--`` an empty list, past the
     # option's type and choices; every option here takes one value.
     for dest, value in vars(args).items():
         if isinstance(value, list):
-            parser.error(f"argument --{dest.replace('_', '-')}: "
-                         "expected one argument")
+            build_parser().error(f"argument --{dest.replace('_', '-')}: "
+                                 "expected one argument")
     started = time.perf_counter()
     try:
         inputs, config, result, code = args.func(args)

@@ -39,9 +39,9 @@ class GeneratorState:
     """Prefix of the construction after len(d_seq) steps.
 
     ``starts`` lists the run starts, which ``next_d`` and ``verify``
-    bisect.  ``step`` carries it from state to state; left unset, it is
-    read off ``runs``.  It is derived, so it takes no part in equality or
-    in the record.
+    bisect.  The construction appends to it as it appends runs; left
+    unset, it is read off ``runs``.  It is derived, so it takes no part
+    in equality or in the record.
     """
 
     d_seq: tuple[int, ...]
@@ -86,14 +86,43 @@ def initial_state() -> GeneratorState:
     return GeneratorState((-1,), (-3,), ((1, 12),), (), (1,))
 
 
+class _Prefix:
+    """A prefix under construction: the fields of a ``GeneratorState`` as
+    lists, which ``_extend`` appends to in place.  It reads like a state to
+    ``next_d`` and ``choose_c``."""
+
+    __slots__ = ("d_seq", "c_seq", "runs", "slack_seq", "starts")
+
+    def __init__(self, state: GeneratorState):
+        self.d_seq = list(state.d_seq)
+        self.c_seq = list(state.c_seq)
+        self.runs = list(state.runs)
+        self.slack_seq = list(state.slack_seq)
+        self.starts = list(state.starts)
+
+    @property
+    def w_max(self) -> int:
+        return self.runs[-1][1]
+
+    def freeze(self) -> GeneratorState:
+        return GeneratorState(
+            tuple(self.d_seq),
+            tuple(self.c_seq),
+            tuple(self.runs),
+            tuple(self.slack_seq),
+            tuple(self.starts),
+        )
+
+
 def _translates_at(
-    runs: Runs, starts: Sequence[int], c_seq: Sequence[int], n: int
+    runs: Sequence[tuple[int, int]], starts: Sequence[int],
+    c_seq: Sequence[int], n: int,
 ) -> list[tuple[int, int, int]]:
     """The runs of prefix + c, over c in c_seq, that contain n, each as
     (start, end, c), in the order of c_seq.
 
     ``starts`` lists the run starts.  Exact when the runs are sorted and
-    disjoint, as ``step`` leaves them: then the only run that can hold
+    disjoint, as a step leaves them: then the only run that can hold
     n - c is the last one starting at or below it, and one
     ``bisect_right`` per c finds it.
     """
@@ -106,15 +135,15 @@ def _translates_at(
     return hits
 
 
-def next_d(state: GeneratorState, start: int) -> int:
+def next_d(state: GeneratorState | _Prefix, start: int) -> int:
     """Largest integer <= start missed by W_prefix + {c_1, ..., c_i}.
 
     This is the next anchor, the largest negative integer the sumset
-    misses, whenever (start, -1] is covered; ``step`` passes the previous
-    anchor d_{i-1}, which qualifies because a step only adds to W and C:
-    it refills from the top run's start and appends above it, so what
-    was covered below zero stays covered.  Start -1 needs no such
-    premise.
+    misses, whenever (start, -1] is covered; each step passes the
+    previous anchor d_{i-1}, which qualifies because a step only adds to
+    W and C: it refills from the top run's start and appends above it,
+    so what was covered below zero stays covered.  Start -1 needs no
+    such premise.
 
     Walks down from start without building the sumset: while n is
     covered, every integer from the lowest start of a translate-run
@@ -129,7 +158,7 @@ def next_d(state: GeneratorState, start: int) -> int:
     return n
 
 
-def choose_c(state: GeneratorState, d_i: int, slack: int) -> int:
+def choose_c(state: GeneratorState | _Prefix, d_i: int, slack: int) -> int:
     """Next complement element.
 
     The first term keeps c_i strictly below d_i + 2*c_{i-1} (slack >= 1);
@@ -144,23 +173,25 @@ def choose_c(state: GeneratorState, d_i: int, slack: int) -> int:
     return min(d_i + 2 * c_prev - slack, d_prev - state.w_max - 1)
 
 
-def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
-    """One induction step: extend d, c, and the prefix runs.
+def _extend(prefix: _Prefix, slack: int) -> None:
+    """One induction step on ``prefix``, in place: extend d, c, and the
+    prefix runs.
 
     The new interval [lo, hi] starts inside or just past the prefix's top
     run, and every excluded point lies above the prefix, so the pieces
     between consecutive excluded points are appended in order, the first
     one extending the top run.
     """
-    d_i = next_d(state, state.d_seq[-1])
-    c_i = choose_c(state, d_i, slack)
-    c_prev = state.c_seq[-1]
-    assert d_i <= state.d_seq[-1] - 2, "anchor sequence must drop by >= 2"
+    d_i = next_d(prefix, prefix.d_seq[-1])
+    c_i = choose_c(prefix, d_i, slack)
+    c_prev = prefix.c_seq[-1]
+    assert d_i <= prefix.d_seq[-1] - 2, "anchor sequence must drop by >= 2"
 
     lo, hi = -2 * c_prev, -2 * c_i - 1
-    top_lo, w_max = state.runs[-1][0], state.w_max
+    runs, starts = prefix.runs, prefix.starts
+    top_lo, w_max = runs[-1]
     assert top_lo <= lo <= w_max + 1, "the new interval must meet the top run"
-    excluded = sorted(-c_i + d_j for d_j in state.d_seq)
+    excluded = sorted(-c_i + d_j for d_j in prefix.d_seq)
     assert len(set(excluded)) == len(excluded)
     if excluded[0] <= w_max:
         raise ExclusionCollision(
@@ -171,7 +202,8 @@ def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
             f"excluded points {excluded} not all in ({lo}, {-c_i - 1}]"
         )
 
-    runs, starts = list(state.runs[:-1]), list(state.starts[:-1])
+    runs.pop()
+    starts.pop()
     cur = top_lo
     for p in excluded:
         if cur <= p - 1:
@@ -181,26 +213,32 @@ def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
     if cur <= hi:
         runs.append((cur, hi))
         starts.append(cur)
+    prefix.d_seq.append(d_i)
+    prefix.c_seq.append(c_i)
+    prefix.slack_seq.append(slack)
 
-    return GeneratorState(
-        state.d_seq + (d_i,),
-        state.c_seq + (c_i,),
-        tuple(runs),
-        state.slack_seq + (slack,),
-        tuple(starts),
-    )
+
+def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
+    """One induction step: ``state`` extended by ``_extend``, on a copy."""
+    prefix = _Prefix(state)
+    _extend(prefix, slack)
+    return prefix.freeze()
 
 
 def generate(
     k: int, slack_fn: Callable[[int], int] = lambda i: 1
 ) -> GeneratorState:
-    """Run k induction steps; slack_fn(i) supplies the offset at step i."""
+    """Run k induction steps; slack_fn(i) supplies the offset at step i.
+
+    The steps extend one prefix in place, and one state is frozen at the
+    end: building a state per step would copy the whole prefix, about
+    i²/2 runs at step i, at every step."""
     if k < 1:
         raise InvalidConstructParameter(f"step count must be >= 1, got {k}")
-    state = initial_state()
+    prefix = _Prefix(initial_state())
     for i in range(2, k + 1):
-        state = step(state, slack_fn(i))
-    return state
+        _extend(prefix, slack_fn(i))
+    return prefix.freeze()
 
 
 @dataclass(frozen=True)

@@ -785,6 +785,81 @@ class TestBadInputNeverExitsOne:
             assert exc.value.code == cli.EXIT_BAD_INPUT
 
 
+# Each argv with what the full two-pass parse gives it: a namespace
+# ("ok"), or the exit code argparse stops with.
+ARGV_CORPUS = [
+    ([], 2),
+    (["-h"], 0),
+    (["--help", "construct"], 0),
+    (["--"], 2),
+    (["--", "construct", "--steps", "3"], 2),
+    (["--format", "json"], 2),
+    (["decode", "W.set"], 2),
+    (["canonicalize", "W.set"], "ok"),
+    (["canonicalize", "W.set", "--format", "json"], "ok"),
+    (["canonicalize"], 2),
+    (["canonicalize", "-h"], 0),
+    (["canonicalize", "W.set", "V.set"], 2),
+    (["canonicalize", "W.set", "--format", "xml"], 2),
+    (["decide", "W.set", "--t-max", "12", "--format=json"], "ok"),
+    (["decide", "--t-max=-3", "W.set"], "ok"),
+    (["decide", "W.set", "--t", "12"], "ok"),
+    (["decide", "W.set", "--t-max", "x"], 2),
+    (["decide", "W.set", "--bogus"], 2),
+    (["decide", "W.set", "--bogus", "1", "extra"], 2),
+    (["decide", "W.set", "--t-max=--"], "ok"),
+    (["decide", "--help"], 0),
+    (["witness", "W.set", "--window=-40:40"], "ok"),
+    (["witness", "W.set", "--window", "-8:8", "--t-max", "8"], 2),
+    (["witness", "W.set", "--window", "0:8", "--t-max", "8"], "ok"),
+    (["witness", "W.set"], 2),
+    (["witness", "--window=-40:40"], 2),
+    (["witness", "W.set", "--window=--"], "ok"),
+    (["witness", "-h", "W.set"], 0),
+    (["verify-witness", "R.json"], "ok"),
+    (["verify-witness", "R.json", "--format", "json"], "ok"),
+    (["verify-witness"], 2),
+    (["verify-witness", "-h"], 0),
+    (["construct", "--steps", "5"], "ok"),
+    (["construct", "--steps", "5", "--slack", "cycle:1,2,3",
+      "--format", "json"], "ok"),
+    (["construct", "--steps=--"], "ok"),
+    (["construct", "--steps", "3", "--slack=--"], "ok"),
+    (["construct"], 2),
+    (["construct", "--steps", "x"], 2),
+    (["construct", "--steps", "3", "--window-hi", "-100000"], 2),
+    (["construct", "--steps", "3", "extra"], 2),
+    (["construct", "--", "--steps", "3"], 2),
+    (["construct", "--steps", "3", "-h"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, want", ARGV_CORPUS,
+                         ids=[" ".join(a) or "empty" for a, _ in ARGV_CORPUS])
+def test_one_pass_parse_matches_parser(capsys, argv, want):
+    """``cli.parse_args`` gives the namespace that the top-level parser's
+    two passes give, or stops with the same exit code and output."""
+    def outcome(parse):
+        try:
+            return "ok", parse(list(argv))
+        except SystemExit as exc:
+            out = capsys.readouterr()
+            return exc.code, out.out, out.err
+
+    full = outcome(cli.build_parser().parse_args)
+    assert full[0] == want
+    assert outcome(cli.parse_args) == full
+
+
+def test_leftovers_are_reported_by_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit):
+        cli.parse_args(["construct", "--steps", "3", "extra", "--bogus"])
+    err = capsys.readouterr().err
+    assert err.startswith("usage: minadd [-h]")
+    assert err.endswith("minadd: error: unrecognized arguments: "
+                        "extra --bogus\n")
+
+
 SRC = Path(minadd.__file__).resolve().parents[1]
 
 

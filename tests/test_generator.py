@@ -399,6 +399,25 @@ def test_generate_carries_the_run_starts():
     assert GeneratorState.from_dict(st.to_dict()).starts == st.starts
 
 
+def test_generate_freezes_one_state(monkeypatch):
+    # generate extends one prefix in place.  A state per step copied the
+    # whole prefix, about i²/2 runs at step i, at every step: cubic work in
+    # C-level tuple copies, which bounded_work's line count does not see.
+    built = []
+    post_init = GeneratorState.__post_init__
+
+    def counting(self):
+        built.append(self.steps)
+        post_init(self)
+
+    monkeypatch.setattr(GeneratorState, "__post_init__", counting)
+    st = generate(100, parse_slack_spec("cycle:1,2,3"))
+    assert built == [1, 100]  # initial_state and the one frozen at the end
+    built.clear()
+    assert step(st, 2) == reference_step(st, 2)
+    assert built == [101, 101]  # one per step, the reference's included
+
+
 def test_full_authoritative_window_is_fast():
     st = generate(40)
     t0 = time.perf_counter()
