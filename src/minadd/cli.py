@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from typing import Callable, Optional
@@ -368,8 +369,27 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _join_window(argv: list[str]) -> list[str]:
+    """``argv`` with ``--window LO:HI`` written as ``--window=LO:HI``.
+
+    argparse takes a value that starts with ``-`` and is not a plain
+    negative number for an option, so ``--window -40:40`` would leave
+    ``--window`` without its value.  Only a token of the form LO:HI is
+    joined, so an option that follows ``--window`` is still reported as
+    its missing value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--window" and re.fullmatch(
+                r"-?\d+:-?\d+", token):
+            joined[-1] = f"--window={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    args = parse_args(_join_window(sys.argv[1:] if argv is None else argv))
     # Python 3.11's argparse hands ``--opt=--`` an empty list, past the
     # option's type and choices; every option here takes one value.
     for dest, value in vars(args).items():
@@ -381,6 +401,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         inputs, config, result, code = args.func(args)
     except MinaddError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError:
+        # An input too large for this machine is bad input, as a modulus
+        # too large to lift is; exit 1 would read "does not exist".
+        print(f"error: {args.command} ran out of memory (MemoryError)",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
         _emit({

@@ -22,16 +22,21 @@ form.  A residue is *blocked* if it is in ``ones`` (necessary) or in
 unblocked residue; those residues are the member's *private mask*.  The
 checker and both searches read (b) off this count.
 
-The certificate search, ``find_certificate``, is complete at every T: it
-returns the lexicographically smallest valid C, or None when no valid C
-exists at that T, or raises BudgetExceeded after NODE_BUDGET nodes.  It
-is a lexicographic DFS over the subsets that contain 0, forward-checked
-against (b).  Both forms of (b) are antimonotone in C, so a candidate
-that fails next to the current members is dropped from the whole
-subtree, and a full cover is valid as soon as it is reached.  A node
-keeps its members, cover, ``ones``, ``twos``, survivors and ruled-out
-candidates as T-bit masks, and derives a member's private mask only when
-a join shrinks it.  It costs O(|Y1|) rotations to drop the candidates
+The certificate search is one walk, ``_search_exhaustive``, complete at
+every T.  It yields every valid C that contains 0, lazily, in
+lexicographic order of the sorted element lists, so its first item is
+the smallest valid C.  It adds each node to ``stats`` as it reaches it
+and raises BudgetExceeded once it reaches more than its budget, which
+can end it mid-enumeration.  ``find_certificate`` takes its first item
+under NODE_BUDGET nodes: the lexicographically smallest valid C, or None
+when no valid C exists at that T.  The walk is a lexicographic DFS over
+the subsets that contain 0, forward-checked against (b).  Both forms of
+(b) are antimonotone in C, so a candidate that fails next to the current
+members is dropped from the whole subtree, and a full cover is valid as
+soon as it is reached, as is every node below it.  A node keeps its
+members, cover, ``ones``, ``twos``, survivors and ruled-out candidates
+as T-bit masks, and derives a member's private mask only when a join
+shrinks it.  It costs O(|Y1|) rotations to drop the candidates
 whose own mask dies, O(min(|U|, |survivors|)) per cover test, and on a
 join O(|Y1|) to find the members whose masks shrink plus O(|Y1|) for
 each of them and for the joining element, where U is X_T | Y1; no table
@@ -55,7 +60,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from itertools import count
+from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, ModulusMismatch, ValidationError
 from .residues import ResidueSubset, mask_members
@@ -107,8 +113,9 @@ class SearchStats:
     """Counters of one ``decide`` or ``find_certificate`` call.
 
     ``subsets_examined`` counts search nodes: each subset the lexicographic
-    search reaches, which passes (b) by construction, and each node the
-    cover-driven search expands, over every modulus and variant searched.
+    walk reaches, which passes (b) by construction and is counted as it is
+    reached, and each node the cover-driven search expands, over every
+    modulus and variant searched.
     ``budget_exhausted`` is set when a search ran out of its budget;
     every other scan was complete.
     """
@@ -236,8 +243,8 @@ def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
 
 def _search_exhaustive(
     ctx: ConditionContext, variant: str, budget: int, stats: SearchStats
-) -> Optional[Certificate]:
-    """Find the lexicographically smallest valid C containing 0, or None.
+) -> Iterator[Certificate]:
+    """Yield every valid C containing 0, in lexicographic order, lazily.
 
     Children append elements above the largest member, so the DFS meets
     subsets in lexicographic order of their sorted element lists.  A
@@ -248,10 +255,12 @@ def _search_exhaustive(
     *survivors* only the candidates above its last member that can still
     join: j stays while j's own mask is nonempty and F + j empties no
     member's mask.  A node whose cover is full is then valid by
-    construction, and the first one reached is the smallest valid C,
-    because a dropped candidate lies in no valid superset.  Branching
-    stops at the first survivor from which the survivors' cover cannot
-    complete the node's.
+    construction, and so is every node below it: the walk yields it and
+    goes on into its survivors.  It yields every valid C containing 0,
+    because a dropped candidate lies in no valid superset, and the first
+    one is the smallest.  Branching stops at the first survivor from which
+    the survivors' cover cannot complete the node's, and a frame whose
+    survivors are used up is popped.
 
     Every set below is a T-bit mask, and r + S (mod T) is read off the
     doubled mask S | S << T as ``>> (T - r)``.  A node keeps the members'
@@ -281,16 +290,18 @@ def _search_exhaustive(
     empty), then for each of them and for k one rotation to derive its
     mask and at most |Y1| to rule candidates out, with no table indexed by
     T.  The path holds one frame of six T-bit masks per node and nothing
-    else.  The scan is complete, so None means no valid C exists at this
-    T; reaching more than ``budget`` nodes raises BudgetExceeded, after
-    the nodes are added to ``stats``.
+    else.  The walk is complete, so when it yields nothing no valid C
+    exists at this T.  Each node is added to ``stats`` as it is reached,
+    so a caller that stops after an item has the nodes up to it counted,
+    and node ``budget`` + 1 raises BudgetExceeded, which can end the walk
+    after some items.
     """
     T = ctx.T
     full = (1 << T) - 1
     x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
     # 0 is in every C, so if it fails (b) alone no valid C exists
     if not y_mask:
-        return None
+        return
     necessary = variant == NECESSARY
     u_mask = x_mask | y_mask
     u_count = u_mask.bit_count()
@@ -318,23 +329,20 @@ def _search_exhaustive(
     # one frame per node on the path: its survivors not yet branched on,
     # cover, ones, twos, OR of ruled, and members
     stack = []
-    examined = 0
-    found = True
-    while found:
-        examined += 1
+    for examined in count(1):
+        stats.subsets_examined += 1
         if examined > budget:
-            stats.subsets_examined += examined
             raise BudgetExceeded(f"search exceeded {budget} nodes")
         if cover == full:
-            break
+            # valid, and so is every node below it
+            yield Certificate(T, ResidueSubset(T, c_mask), variant)
         o2 = ones | ones << T
         dead = full
         for y in ys:
             dead &= o2 >> y
         stack.append([candidates & ~dead & ~ruled_or,
                       cover, ones, twos, ruled_or, c_mask])
-        found = False
-        while stack and not found:
+        while stack:
             frame = stack[-1]
             rest, cover, ones, twos, ruled_or, c_mask = frame
             # rest + U, as the translates of U by rest or of rest by U,
@@ -346,7 +354,7 @@ def _search_exhaustive(
                 low = s & -s
                 reach |= s2 >> (T + 1 - low.bit_length())
                 s ^= low
-            if (cover | reach) & full != full:
+            if not rest or (cover | reach) & full != full:
                 stack.pop()
                 continue
             low = rest & -rest
@@ -372,11 +380,9 @@ def _search_exhaustive(
                     shrunk ^= bit
             c_mask |= low
             cover |= u2 >> (T - k) & full
-            found = True
-    stats.subsets_examined += examined
-    if not found:
-        return None
-    return Certificate(T, ResidueSubset(T, c_mask), variant)
+            break
+        if not stack:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +466,16 @@ def find_certificate(
 ) -> Optional[Certificate]:
     """The lexicographically smallest valid C at the context's modulus.
 
-    The search (``_search_exhaustive``) is complete at every T: it returns
-    that C, or None when no valid C exists, or raises BudgetExceeded when
-    it reaches more than NODE_BUDGET nodes.
+    The first item of the walk (``_search_exhaustive``), which yields
+    every valid C containing 0 in lexicographic order and is complete at
+    every T: that C, or None when no valid C exists.  The walk stops at
+    its first item, whose nodes are in ``stats``; it raises BudgetExceeded
+    when it reaches more than NODE_BUDGET nodes first.
     """
     if variant not in (NECESSARY, SUFFICIENT):
         raise ValueError(f"unknown variant {variant!r}")
     stats = stats if stats is not None else SearchStats()
-    return _search_exhaustive(ctx, variant, NODE_BUDGET, stats)
+    return next(_search_exhaustive(ctx, variant, NODE_BUDGET, stats), None)
 
 
 def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:

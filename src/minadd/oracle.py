@@ -9,7 +9,7 @@ are the independent oracles the fast paths are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .criteria import SUFFICIENT, Certificate
 from .errors import CapExceeded, MarginTooSmall
@@ -84,15 +84,13 @@ def _cond_b_sufficient(T: int, X: set, Y: set, C: list[int]) -> bool:
     return True
 
 
-def naive_find_certificate(
+def naive_certificates(
     ctx: ConditionContext, variant: str = SUFFICIENT
-) -> Optional[Certificate]:
-    """Reference search: try every subset of Z_T by definition.
+) -> Iterator[Certificate]:
+    """Reference enumeration: every valid subset of Z_T, by definition.
 
-    Enumerates all subsets in lexicographic order and returns the first
-    valid one.  Because validity is translation invariant, when any valid
-    subset exists the first hit contains 0 (subsets starting at 0 come
-    first); this is asserted rather than assumed.
+    Tries all subsets in lexicographic order of their sorted element lists
+    and yields each one that passes (a) and the variant's (b), lazily.
     """
     T = ctx.T
     if T > NAIVE_T_CAP:
@@ -102,12 +100,26 @@ def naive_find_certificate(
     cond_b = _cond_b_sufficient if variant == SUFFICIENT else _cond_b_necessary
     for C in _subsets_lex(T):
         if _cond_a(T, X, Y, C) and cond_b(T, X, Y, C):
-            if 0 not in C:
-                raise AssertionError(
-                    f"translation invariance violated: first valid subset {C}"
-                )
-            return Certificate(T, ResidueSubset.of(T, C), variant)
-    return None
+            yield Certificate(T, ResidueSubset.of(T, C), variant)
+
+
+def naive_find_certificate(
+    ctx: ConditionContext, variant: str = SUFFICIENT
+) -> Optional[Certificate]:
+    """Reference search: the first valid subset of Z_T, or None.
+
+    The first item of ``naive_certificates``.  Because validity is
+    translation invariant, when any valid subset exists the first one
+    contains 0 (subsets starting at 0 come first); this is asserted rather
+    than assumed.
+    """
+    first = next(naive_certificates(ctx, variant), None)
+    if first is not None and 0 not in first.c:
+        raise AssertionError(
+            f"translation invariance violated: first valid subset "
+            f"{list(first.c.members())}"
+        )
+    return first
 
 
 def window_sumset(a: WindowSet, b: WindowSet, lo: int, hi: int) -> WindowSet:

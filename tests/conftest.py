@@ -1,9 +1,10 @@
 """Shared builders for randomized and exhaustive instance sweeps, a
 window enumeration of canonical sets, the generic run helpers that the
 construct tests take as references, the plain certificate search the
-forward-checked one is diffed against, and a work bound for tests that
-must not depend on wall time.  Hypothesis runs derandomized unless a
-seed or a profile is given on the command line."""
+forward-checked one is diffed against, the forward-checked walk's first
+item, and a work bound for tests that must not depend on wall time.
+Hypothesis runs derandomized unless a seed or a profile is given on the
+command line."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from hypothesis import settings
 from minadd.criteria import (
     Certificate,
     NECESSARY,
+    _search_exhaustive,
     cond_b_necessary,
     cond_b_sufficient,
 )
@@ -107,6 +109,12 @@ def reference_search(ctx: ConditionContext, variant: str):
 
     hit = dfs(1, rot_u[0], 1)
     return None if hit is None else Certificate(T, ResidueSubset(T, hit), variant)
+
+
+def walk_first(ctx: ConditionContext, variant: str, budget: int, stats):
+    """The lexicographic walk's first item, the smallest valid C
+    containing 0, or None when the walk yields nothing."""
+    return next(_search_exhaustive(ctx, variant, budget, stats), None)
 
 
 def random_context(rng: random.Random, t_lo: int = 1, t_hi: int = 12) -> ConditionContext:

@@ -8,7 +8,7 @@ import pytest
 
 import minadd
 from conftest import bounded_work
-from minadd import cli, sets
+from minadd import cli, criteria, sets
 from minadd.errors import ModulusTooLarge
 
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
@@ -198,6 +198,26 @@ class TestWitness:
     def test_no_certificate(self, setfile, capsys):
         code = cli.main(["witness", setfile(QUASI), "--window=-40:40"])
         assert code == cli.EXIT_NOT_EXISTS
+
+    @pytest.mark.parametrize("window", ["-40:40", "-40:-2", "0:40"])
+    def test_window_as_a_separate_token(self, setfile, capsys, window):
+        # ``--window LO:HI`` runs as ``--window=LO:HI`` does, a negative
+        # LO included, with the same record apart from its wall times.
+        path = setfile(EVEN)
+        runs = [run_json(capsys, ["witness", path, *spelling])
+                for spelling in (["--window", window], [f"--window={window}"])]
+        for _, rec in runs:
+            del rec["timing"], rec["result"]["verdict"]["stats"]["wall_time"]
+        assert runs[0] == runs[1] and runs[0][0] == cli.EXIT_EXISTS
+
+    def test_window_followed_by_an_option(self, setfile, capsys):
+        # only a LO:HI token is taken as the value, so an option after
+        # ``--window`` is still reported as its missing value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["witness", setfile(EVEN), "--window", "--t-max", "4"])
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.endswith(
+            "error: argument --window: expected one argument\n")
 
 
 class TestConstruct:
@@ -712,6 +732,23 @@ class TestBadInputNeverExitsOne:
             assert err.count("\n") == 1 and err.startswith(
                 "error: modulus 5 is too large to lift")
             assert "MemoryError" in err
+
+    @pytest.mark.parametrize("command", [[], ["--window=-40:40"]],
+                             ids=["decide", "witness"])
+    def test_search_beyond_memory(self, setfile, capsys, monkeypatch,
+                                  command):
+        # The search's set-up builds strings of T characters and masks of
+        # 2T bits after the lift's guard; a MemoryError there is made to
+        # order, so that no test allocates, and must not exit 1.
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(criteria, "_search_exhaustive", no_memory)
+        argv = ["witness" if command else "decide", setfile(EVEN)] + command
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: ") and "MemoryError" in out.err
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_lift_beyond_memory_by_any_factor(self, setfile, capsys,

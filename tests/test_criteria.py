@@ -13,6 +13,7 @@ from conftest import (
     random_context,
     reference_search,
     shifted_copy,
+    walk_first,
 )
 from minadd import criteria, oracle
 from minadd.criteria import (
@@ -169,6 +170,37 @@ def test_search_matches_plain_dfs():
     assert outcomes[False] >= 1500 and outcomes[True] >= 1500, outcomes
 
 
+def test_walk_enumerates_every_valid_subset_in_order():
+    """The lexicographic walk yields every valid C containing 0, in
+    lexicographic order, as the naive enumeration finds them by
+    definition, for every T up to 12 and in both forms.  A budget below
+    the walk's node count ends it mid-enumeration: what it yielded is a
+    prefix, and node budget + 1 is counted when it stops."""
+    rng = random.Random(19)
+    contexts = [*enumerate_contexts(6),
+                *(random_context(rng, T, T) for T in range(1, 13) for _ in range(8))]
+    valid = several = cut = 0
+    for ctx in contexts:
+        for variant in (NECESSARY, SUFFICIENT):
+            stats = SearchStats()
+            walk = list(_search_exhaustive(ctx, variant, 10**9, stats))
+            naive = [c for c in oracle.naive_certificates(ctx, variant) if 0 in c.c]
+            assert walk == naive, (ctx, variant)
+            valid += len(walk)
+            several += len(walk) > 1
+            if len(walk) > 1 and stats.subsets_examined > 1:
+                budget = stats.subsets_examined - 1
+                stats, prefix = SearchStats(), []
+                with pytest.raises(BudgetExceeded):
+                    for cert in _search_exhaustive(ctx, variant, budget, stats):
+                        prefix.append(cert)
+                assert prefix == walk[:len(prefix)], (ctx, variant)
+                assert stats.subsets_examined == budget + 1
+                cut += len(prefix) > 0
+    assert {ctx.T for ctx in contexts} == set(range(1, 13))
+    assert valid >= 2000 and several >= 300 and cut >= 300, (valid, several, cut)
+
+
 def test_cover_driven_search_is_complete():
     """With no budget to run out of, the cover-driven search finds a
     sufficient certificate exactly when the lexicographic one does: the
@@ -180,7 +212,7 @@ def test_cover_driven_search_is_complete():
     found = 0
     for ctx in contexts:
         cert = _search_heuristic(ctx, 10**9, SearchStats())
-        complete = _search_exhaustive(ctx, SUFFICIENT, 10**9, SearchStats())
+        complete = walk_first(ctx, SUFFICIENT, 10**9, SearchStats())
         assert (cert is None) == (complete is None), ctx
         assert cert is None or check_certificate(ctx, cert), ctx
         found += cert is not None
@@ -212,8 +244,8 @@ def test_refutes_above_the_limit(s):
     v = decide(s, SearchConfig(t_max=s.m))
     assert v.outcome is Outcome.NOT_EXISTS and not v.stats.budget_exhausted
     assert v.reason is Reason.NECESSARY_FAILED and v.modulus == s.m
-    assert _search_exhaustive(lift_period(s, 1), NECESSARY, NODE_BUDGET,
-                              SearchStats()) is None
+    assert walk_first(lift_period(s, 1), NECESSARY, NODE_BUDGET,
+                      SearchStats()) is None
 
 
 def restated_pool():
@@ -287,9 +319,9 @@ def test_sufficient_tree_within_necessary_miss():
     misses = 0
     for ctx in contexts:
         nec, suf = SearchStats(), SearchStats()
-        if _search_exhaustive(ctx, NECESSARY, 10**9, nec) is not None:
+        if walk_first(ctx, NECESSARY, 10**9, nec) is not None:
             continue
-        assert _search_exhaustive(ctx, SUFFICIENT, 10**9, suf) is None, ctx
+        assert walk_first(ctx, SUFFICIENT, 10**9, suf) is None, ctx
         assert suf.subsets_examined <= nec.subsets_examined, ctx
         misses += 1
     assert misses >= 2000, misses
@@ -312,7 +344,7 @@ def test_searches_agree_above_the_limit():
             cert = _search_heuristic(ctx, limit, SearchStats())
         except BudgetExceeded:
             continue
-        lexicographic = _search_exhaustive(ctx, SUFFICIENT, 10**9, SearchStats())
+        lexicographic = walk_first(ctx, SUFFICIENT, 10**9, SearchStats())
         assert (cert is None) == (lexicographic is None), ctx
         for found in (cert, lexicographic):
             assert found is None or check_certificate(ctx, found), ctx
@@ -330,7 +362,7 @@ def test_lexicographic_search_at_large_period(variant):
     grow with T or with the number of members."""
     stats = SearchStats()
     with bounded_work():
-        cert = _search_exhaustive(lift_period(EVENS, 1), variant, NODE_BUDGET, stats)
+        cert = walk_first(lift_period(EVENS, 1), variant, NODE_BUDGET, stats)
     assert cert.c.members() == tuple(range(0, 2000, 2))
     assert stats.subsets_examined == 1000
 
