@@ -6,11 +6,14 @@ Exit codes: 0 success / complement exists, 1 complement does not exist,
 4 verification failure.
 
 Set-description files are flat text, one ``key = value`` per line,
-``#`` starts a comment.  A raw description uses the keys period, residues,
-threshold, extras, orientation (below/above); a canonical description uses
-m, x, y0, y1, shift.  Integer lists are comma-separated, ascending.  The
-fields of an ``orientation = above`` file describe -W, so the set that is
-canonicalized and decided is -W, and its records say ``reflected: true``.
+``#`` starts a comment.  A file is in one of two forms, each with its own
+keys (``RAW_FORM``, ``CANONICAL_FORM``): raw uses period, residues and
+threshold, and optionally extras and orientation (below/above); canonical
+uses m and x, and optionally y0, y1 and shift.  A file with keys of both
+forms is bad input (exit 2).  Integer lists are comma-separated, ascending.
+The fields of an ``orientation = above`` file describe -W, so the set that
+is canonicalized, decided and witnessed is -W, and the records of
+canonicalize, decide and witness say ``reflected: true``.
 """
 
 from __future__ import annotations
@@ -45,18 +48,33 @@ BELOW = "below"
 ABOVE = "above"
 
 
-def _parse_int_list(value: str, field: str, line_no: int) -> list[int]:
-    value = value.strip()
-    if not value:
-        return []
-    try:
-        return [int(tok) for tok in value.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"line {line_no}: field {field!r}: {exc}") from exc
+def _ints(value: str) -> list[int]:
+    """A comma-separated list of integers; an empty value is the empty list."""
+    return [int(tok) for tok in value.split(",")] if value else []
+
+
+def _orientation(value: str) -> str:
+    if value not in (BELOW, ABOVE):
+        raise ValueError("must be below or above")
+    return value
+
+
+#: The keys of each set-file form: the reader of a key's value, and the
+#: value an absent key takes (``None`` where the form requires the key).
+RAW_FORM = {"period": (int, None), "residues": (_ints, None),
+            "threshold": (int, None), "extras": (_ints, ()),
+            "orientation": (_orientation, BELOW)}
+CANONICAL_FORM = {"m": (int, None), "x": (_ints, None), "y0": (_ints, ()),
+                  "y1": (_ints, ()), "shift": (int, 0)}
 
 
 def parse_set_file(text: str) -> dict:
-    """Parse a flat set-description file into a field dict."""
+    """Parse a flat set-description file into a field dict.
+
+    Every key is read as its form's table says, and a file whose keys do
+    not all belong to one form is refused: dropping the other form's keys
+    would answer for a set the file does not describe."""
+    keys = RAW_FORM | CANONICAL_FORM
     fields: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -67,47 +85,22 @@ def parse_set_file(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in fields:
             raise ParseError(f"line {line_no}: duplicate field {key!r}")
-        if key in ("period", "threshold", "m", "shift"):
-            try:
-                fields[key] = int(value)
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: field {key!r}: {exc}") from exc
-        elif key in ("residues", "extras", "x", "y0", "y1"):
-            fields[key] = _parse_int_list(value, key, line_no)
-        elif key == "orientation":
-            if value not in (BELOW, ABOVE):
-                raise ParseError(
-                    f"line {line_no}: orientation must be below or above"
-                )
-            fields[key] = value
-        else:
+        if key not in keys:
             raise ParseError(f"line {line_no}: unknown field {key!r}")
+        try:
+            fields[key] = keys[key][0](value)
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: field {key!r}: {exc}") from exc
     if not fields:
         raise ParseError("empty set description")
-    if "period" in fields and "m" in fields:
-        raise ParseError("mixed raw and canonical fields in one file")
+    if not (fields.keys() <= RAW_FORM.keys()
+            or fields.keys() <= CANONICAL_FORM.keys()):
+        raise ParseError(
+            "mixed raw and canonical fields in one file: raw "
+            + ", ".join(key for key in fields if key in RAW_FORM)
+            + "; canonical "
+            + ", ".join(key for key in fields if key in CANONICAL_FORM))
     return fields
-
-
-def load_raw(fields: dict) -> RawSet:
-    for key in ("period", "residues", "threshold"):
-        if key not in fields:
-            raise ParseError(f"raw description missing field {key!r}")
-    return RawSet(
-        fields["period"],
-        ResidueSubset.of(fields["period"], fields["residues"]),
-        fields["threshold"],
-        tuple(fields.get("extras", [])),
-    )
-
-
-def load_canonical(fields: dict) -> CanonicalSet:
-    if "m" not in fields or "x" not in fields:
-        raise ParseError("canonical description missing field 'm' or 'x'")
-    return validate_canonical(
-        fields["m"], fields["x"], fields.get("y0", ()), fields.get("y1", ()),
-        fields.get("shift", 0),
-    )
 
 
 def _read_text(path: str) -> str:
@@ -120,12 +113,23 @@ def _read_text(path: str) -> str:
 
 
 def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
-    """Read a set file; returns (canonical set, input echo, was_reflected)."""
+    """Read a set file; returns (canonical set, input echo, was_reflected).
+
+    The file's keys pick its form, whose absent keys take the table's
+    values; the input echo holds only the keys the file gives."""
     fields = parse_set_file(_read_text(path))
-    if "m" in fields:
-        return load_canonical(fields), fields, False
-    reflected = fields.get("orientation") == ABOVE
-    return canonicalize(load_raw(fields)), fields, reflected
+    canonical = fields.keys() <= CANONICAL_FORM.keys()
+    form = CANONICAL_FORM if canonical else RAW_FORM
+    v = {key: fields.get(key, default) for key, (_, default) in form.items()}
+    missing = [key for key in form if v[key] is None]
+    if missing:
+        raise ParseError(f"{'canonical' if canonical else 'raw'} description "
+                         f"missing {', '.join(map(repr, missing))}")
+    if canonical:
+        return validate_canonical(**v), fields, False
+    raw = RawSet(v["period"], ResidueSubset.of(v["period"], v["residues"]),
+                 v["threshold"], tuple(v["extras"]))
+    return canonicalize(raw), fields, v["orientation"] == ABOVE
 
 
 def _emit(record: dict, fmt: str) -> None:
@@ -178,11 +182,15 @@ def _parse_window(spec: str) -> tuple[int, int]:
 
 
 def cmd_witness(args) -> CommandResult:
-    s, fields, _ = load_set(args.file)
+    s, fields, reflected = load_set(args.file)
     lo, hi = _parse_window(args.window)
     config = {"t_max": args.t_max, "window": args.window}
     verdict = criteria.decide(s, criteria.SearchConfig(t_max=args.t_max))
-    result = {"canonical": s.to_dict(), "verdict": verdict.to_dict()}
+    result = {
+        "canonical": s.to_dict(),
+        "reflected": reflected,
+        "verdict": verdict.to_dict(),
+    }
     if verdict.certificate is None:
         if verdict.outcome is criteria.Outcome.EXISTS:
             print("no certificate on this branch; witness unavailable",
@@ -374,15 +382,16 @@ def _join_window(argv: list[str]) -> list[str]:
 
     argparse takes a value that starts with ``-`` and is not a plain
     negative number for an option, so ``--window -40:40`` would leave
-    ``--window`` without its value.  Only a token of the form LO:HI is
-    joined, so an option that follows ``--window`` is still reported as
-    its missing value.
+    ``--window`` without its value.  Every spelling argparse takes for
+    ``--window``, its unique prefixes ``--w`` to ``--windo`` too, is
+    joined, and only with a token of the form LO:HI, so an option that
+    follows is still reported as the missing value.
     """
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] == "--window" and re.fullmatch(
-                r"-?\d+:-?\d+", token):
-            joined[-1] = f"--window={token}"
+        if (joined and len(joined[-1]) > 2 and "--window".startswith(joined[-1])
+                and re.fullmatch(r"-?\d+:-?\d+", token)):
+            joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
     return joined

@@ -16,6 +16,9 @@ EVEN = "m = 2\nx = 0\ny1 = 1\n"
 QUASI = "m = 3\nx = 0\ny0 = -3\n"
 FINITE = "m = 2\nx =\ny1 = 1,4\n"
 FIVE = "m = 5\nx = 0,2\ny1 = 1\n"
+# W bounded above, given as -W = {1} | {even n >= 2}
+ABOVE_EVEN = ("period = 2\nresidues = 0\nthreshold = 2\nextras = 1\n"
+              "orientation = above\n")
 # (T, C) = (4, {0, 1}) has T up to span(Y1) = 4; the witness is the
 # prune's cycle, (8, {0, 1, 4})
 CYCLE = "m = 4\nx = 0\ny1 = 1,3,5\n"
@@ -55,9 +58,42 @@ class TestParse:
         with pytest.raises(cli.ParseError):
             cli.parse_set_file("modulus = 2\n")
 
-    def test_mixed_forms_rejected(self):
+    def test_mixed_forms_rejected(self, setfile, capsys):
+        # One key of the other form is refused, never dropped: the raw file
+        # alone is quasiperiodic (exit 1), and with ``y1 = 1`` it would
+        # describe EVEN (exit 0).
         with pytest.raises(cli.ParseError):
             cli.parse_set_file("m = 2\nperiod = 2\n")
+        raw = "period = 2\nresidues = 0\nthreshold = 0\n"
+        value = {"period": "2", "residues": "0", "threshold": "0",
+                 "extras": "-1", "orientation": "below",
+                 "m": "2", "x": "0", "y0": "-1", "y1": "1", "shift": "0"}
+        for text, strays, want in (
+                (raw, cli.CANONICAL_FORM, "raw period, residues, threshold; "
+                                          "canonical {}"),
+                (EVEN, cli.RAW_FORM, "raw {}; canonical m, x, y1")):
+            for key in strays:
+                path = setfile(f"{text}{key} = {value[key]}\n")
+                for argv in (["canonicalize", path], ["decide", path],
+                             ["witness", path, "--window=-8:8"]):
+                    assert cli.main(argv) == cli.EXIT_BAD_INPUT, (key, argv)
+                    assert capsys.readouterr().err == (
+                        "error: mixed raw and canonical fields in one file: "
+                        + want.format(key) + "\n")
+
+    def test_witness_pool_texts_load_as_recorded(self, tmp_path):
+        # every committed benchmark input is a file of one form
+        pool = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                           / "data" / "witness_pool.json").read_text())
+        path = tmp_path / "pool.set"
+        forms = [form for groups in pool["by_m"].values() for group in groups
+                 for inst in group for form in inst["forms"].values()]
+        for form in forms:
+            path.write_text(form["text"])
+            s, _, reflected = cli.load_set(str(path))
+            assert (s.to_dict(), reflected) == (
+                form["canonical"], form["reflected"]), form["text"]
+        assert len(forms) == 567
 
 
 class TestCanonicalize:
@@ -199,16 +235,36 @@ class TestWitness:
         code = cli.main(["witness", setfile(QUASI), "--window=-40:40"])
         assert code == cli.EXIT_NOT_EXISTS
 
+    @pytest.mark.parametrize("text, code, reflected", [
+        (ABOVE_EVEN, cli.EXIT_EXISTS, True),
+        (EVEN, cli.EXIT_EXISTS, False),
+        (QUASI, cli.EXIT_NOT_EXISTS, False),
+        (FINITE, cli.EXIT_VERIFY_FAILED, False),
+    ])
+    def test_record_says_reflected(self, setfile, capsys, text, code,
+                                   reflected):
+        # an above-bounded file's witness is a complement of -W, on every
+        # branch as in ``decide``'s record
+        got, rec = run_json(capsys, ["witness", setfile(text), "--window=-40:40"])
+        assert (got, rec["result"]["reflected"]) == (code, reflected)
+        if text == ABOVE_EVEN:
+            assert rec["result"]["canonical"] == {
+                "m": 2, "x": [0], "y0": [], "y1": [-1], "shift": 2}
+            assert rec["result"]["coverage"]["ok"]
+
     @pytest.mark.parametrize("window", ["-40:40", "-40:-2", "0:40"])
     def test_window_as_a_separate_token(self, setfile, capsys, window):
         # ``--window LO:HI`` runs as ``--window=LO:HI`` does, a negative
-        # LO included, with the same record apart from its wall times.
+        # LO included, with the same record apart from its wall times; so
+        # do the prefixes of ``--window`` that argparse takes for it.
         path = setfile(EVEN)
         runs = [run_json(capsys, ["witness", path, *spelling])
-                for spelling in (["--window", window], [f"--window={window}"])]
+                for spelling in ([f"--window={window}"], ["--window", window],
+                                 ["--w", window], ["--wind", window])]
         for _, rec in runs:
             del rec["timing"], rec["result"]["verdict"]["stats"]["wall_time"]
-        assert runs[0] == runs[1] and runs[0][0] == cli.EXIT_EXISTS
+        assert all(run == runs[0] for run in runs)
+        assert runs[0][0] == cli.EXIT_EXISTS
 
     def test_window_followed_by_an_option(self, setfile, capsys):
         # only a LO:HI token is taken as the value, so an option after
