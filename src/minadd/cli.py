@@ -10,7 +10,8 @@ Set-description files are flat text, one ``key = value`` per line,
 keys (``RAW_FORM``, ``CANONICAL_FORM``): raw uses period, residues and
 threshold, and optionally extras and orientation (below/above); canonical
 uses m and x, and optionally y0, y1 and shift.  A file with keys of both
-forms is bad input (exit 2).  Integer lists are comma-separated, ascending.
+forms is bad input (exit 2).  Integer lists are comma-separated and
+strictly ascending; a list with a repeat or a descent is bad input.
 The fields of an ``orientation = above`` file describe -W, so the set that
 is canonicalized, decided and witnessed is -W, and the records of
 canonicalize, decide and witness say ``reflected: true``.
@@ -49,8 +50,12 @@ ABOVE = "above"
 
 
 def _ints(value: str) -> list[int]:
-    """A comma-separated list of integers; an empty value is the empty list."""
-    return [int(tok) for tok in value.split(",")] if value else []
+    """A comma-separated, strictly ascending list of integers; an empty
+    value is the empty list."""
+    ints = [int(tok) for tok in value.split(",")] if value else []
+    if any(a >= b for a, b in zip(ints, ints[1:])):
+        raise ValueError("list is not strictly ascending")
+    return ints
 
 
 def _orientation(value: str) -> str:
@@ -162,7 +167,9 @@ def cmd_canonicalize(args) -> CommandResult:
     return fields, {}, result, EXIT_EXISTS
 
 
-def cmd_decide(args) -> CommandResult:
+def _decided(args) -> tuple[CanonicalSet, dict, dict, criteria.Verdict]:
+    """The set of ``args.file`` decided under ``--t-max``: the set, the
+    input echo, the result record so far, and the verdict."""
     s, fields, reflected = load_set(args.file)
     verdict = criteria.decide(s, criteria.SearchConfig(t_max=args.t_max))
     result = {
@@ -170,6 +177,11 @@ def cmd_decide(args) -> CommandResult:
         "reflected": reflected,
         "verdict": verdict.to_dict(),
     }
+    return s, fields, result, verdict
+
+
+def cmd_decide(args) -> CommandResult:
+    _, fields, result, verdict = _decided(args)
     return fields, {"t_max": args.t_max}, result, EXIT_OF_OUTCOME[verdict.outcome]
 
 
@@ -182,15 +194,9 @@ def _parse_window(spec: str) -> tuple[int, int]:
 
 
 def cmd_witness(args) -> CommandResult:
-    s, fields, reflected = load_set(args.file)
     lo, hi = _parse_window(args.window)
+    s, fields, result, verdict = _decided(args)
     config = {"t_max": args.t_max, "window": args.window}
-    verdict = criteria.decide(s, criteria.SearchConfig(t_max=args.t_max))
-    result = {
-        "canonical": s.to_dict(),
-        "reflected": reflected,
-        "verdict": verdict.to_dict(),
-    }
     if verdict.certificate is None:
         if verdict.outcome is criteria.Outcome.EXISTS:
             print("no certificate on this branch; witness unavailable",

@@ -177,13 +177,6 @@ class Verdict:
 # Condition predicates
 
 
-def _check_modulus(ctx: ConditionContext, c: ResidueSubset) -> None:
-    if c.modulus != ctx.T:
-        raise ModulusMismatch(
-            f"candidate modulus {c.modulus} does not match context T={ctx.T}"
-        )
-
-
 def cond_a(ctx: ConditionContext, c: ResidueSubset) -> bool:
     """Covering condition: C + (X_T | Y1) hits every residue mod T."""
     return c.sumset(ctx.x_t.union(ctx.y1_res)).is_full()
@@ -204,8 +197,10 @@ def _cond_b(ctx: ConditionContext, c: ResidueSubset, necessary: bool) -> bool:
     of every other member.  Cost: 2|C| shifts of doubled masks, read
     below bit T only.
     """
-    _check_modulus(ctx, c)
     T = ctx.T
+    if c.modulus != T:
+        raise ModulusMismatch(
+            f"candidate modulus {c.modulus} does not match context T={T}")
     x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
     f_mask = x_mask if necessary else x_mask | y_mask
     f2, y2 = f_mask | f_mask << T, y_mask | y_mask << T

@@ -56,10 +56,6 @@ class ResidueSubset:
             mask |= 1 << (v % modulus)
         return cls(modulus, mask)
 
-    @classmethod
-    def full(cls, modulus: int) -> "ResidueSubset":
-        return cls(modulus, (1 << modulus) - 1)
-
     def members(self) -> tuple[int, ...]:
         # bin() reversed puts bit r at index r; find() skips the zeros at C
         # speed, so the cost is one Python step per member.
@@ -110,6 +106,23 @@ def rotate(mask: int, k: int, modulus: int) -> int:
     k %= modulus
     full = (1 << modulus) - 1
     return ((mask << k) | (mask >> (modulus - k))) & full if k else mask
+
+
+def tile(mask: int, width: int, k: int) -> int:
+    """A width-bit mask written out k times: bit i*width + r is bit r of
+    ``mask``, for 0 <= i < k.
+
+    The k*width-bit mask is allocated first, so a k*width too large for
+    memory raises OverflowError or MemoryError before any copy is made.
+    The copies then double by shifts: O(log k) steps, in time linear in
+    k*width.
+    """
+    total = k * width
+    full = (1 << total) - 1
+    while width < total:
+        mask |= mask << width
+        width *= 2
+    return mask & full
 
 
 def mask_members(mask: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ form.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     Y0ResidueOutsideX,
     Y1ResidueInsideX,
 )
-from .residues import ResidueSubset
+from .residues import ResidueSubset, tile
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,10 @@ class Margins:
 
     y_plus: int
     y_minus: int
-    y0_margin: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "y0_margin",
-            max(self.y_plus, -self.y_minus, self.y_plus - self.y_minus),
-        )
+    @property
+    def y0_margin(self) -> int:
+        return max(self.y_plus, -self.y_minus, self.y_plus - self.y_minus)
 
 
 def margins(s: CanonicalSet) -> Margins:
@@ -240,8 +236,8 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
 
     The periodic residues expand to {i*m + x : 0 <= i < k, x in x_m}; the
     finite exceptions reduce mod T (negative values wrap into [0, T)).
-    A T whose T-bit mask cannot be allocated raises ModulusTooLarge, before
-    any T-bit mask is built: at k = 1 too, where x_m is the lift.
+    A T whose T-bit mask cannot be allocated raises ModulusTooLarge: at
+    k = 1 too, where the tiling is only the guard and x_m is the lift.
     """
     if not s.x_m:
         raise EmptySet("cannot lift a set with no periodic part")
@@ -249,12 +245,9 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
         raise ValueError(f"lift factor must be positive, got {k}")
     T = k * s.m
     try:
-        # The m-bit pattern written out k times, in time linear in T.  At
-        # k = 1 the row alone has T characters, so it is the guard, and
-        # x_m's own mask is the lift.
-        row = bin(s.x_m.mask)[2:].zfill(s.m)
-        x_t = s.x_m if k == 1 else ResidueSubset(T, int(row * k, 2))
+        x_mask = tile(s.x_m.mask, s.m, k)
     except (OverflowError, MemoryError) as exc:
         raise ModulusTooLarge(f"modulus {T} is too large to lift: its masks "
                               f"do not fit in memory ({type(exc).__name__})") from exc
+    x_t = s.x_m if k == 1 else ResidueSubset(T, x_mask)
     return ConditionContext(T, x_t, ResidueSubset.reduce(T, s.y1))

@@ -70,7 +70,7 @@ from typing import Optional
 
 from .criteria import SUFFICIENT, Certificate, check_certificate, cond_a, cond_b_sufficient
 from .errors import CertificateInvalid, WindowTooSmall
-from .residues import ResidueSubset
+from .residues import ResidueSubset, tile
 from .sets import CanonicalSet, ConditionContext, Margins, lift_period, margins
 
 
@@ -151,7 +151,7 @@ def build_witness(
         c2 = cert.c.sumset(ctx.x_t).complement()
         P, mask = _steady_state(T, cert.c, c2, s.y1, max(0, (hi - lo + 1) // T))
     k = span // P + 1
-    c = ResidueSubset(k * P, int(bin(mask)[2:].zfill(P) * k, 2))
+    c = ResidueSubset(k * P, tile(mask, P, k))
     return WitnessWindow(lo, hi, c, margins(s), _lift_cut(c, lo, hi))
 
 

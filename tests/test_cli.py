@@ -10,6 +10,7 @@ import minadd
 from conftest import bounded_work
 from minadd import cli, criteria, sets
 from minadd.errors import ModulusTooLarge
+from minadd.residues import tile
 
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
 EVEN = "m = 2\nx = 0\ny1 = 1\n"
@@ -80,6 +81,31 @@ class TestParse:
                     assert capsys.readouterr().err == (
                         "error: mixed raw and canonical fields in one file: "
                         + want.format(key) + "\n")
+
+    @pytest.mark.parametrize("text, key, value", [
+        ("m = 5\ny1 = 1\n", "x", "0,2"),
+        ("period = 5\nthreshold = 0\n", "residues", "0,2"),
+        ("period = 5\nresidues = 0\nthreshold = 10\n", "extras", "1,4"),
+        ("m = 5\nx = 0\ny1 = 1\n", "y0", "-10,-5"),
+        ("m = 5\nx = 0\n", "y1", "1,4"),
+    ], ids=["x", "residues", "extras", "y0", "y1"])
+    @pytest.mark.parametrize("order", ["repeat", "descent"])
+    def test_list_not_strictly_ascending(self, setfile, capsys, text, key,
+                                         value, order):
+        # The ascending list loads; a repeat or a descent is refused for
+        # every list, never merged or sorted.
+        assert cli.main(["canonicalize", setfile(f"{text}{key} = {value}\n")]) == (
+            cli.EXIT_EXISTS)
+        capsys.readouterr()
+        a, b = value.split(",")
+        bad = f"{a},{a}" if order == "repeat" else f"{b},{a}"
+        line = text.count("\n") + 1
+        for argv in (["canonicalize"], ["decide"], ["witness", "--window=-8:8"]):
+            path = setfile(f"{text}{key} = {bad}\n")
+            assert cli.main([argv[0], path] + argv[1:]) == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().err == (
+                f"error: line {line}: field {key!r}: list is not strictly "
+                "ascending\n")
 
     def test_witness_pool_texts_load_as_recorded(self, tmp_path):
         # every committed benchmark input is a file of one form
@@ -274,6 +300,19 @@ class TestWitness:
         assert exc.value.code == cli.EXIT_BAD_INPUT
         assert capsys.readouterr().err.endswith(
             "error: argument --window: expected one argument\n")
+
+    def test_bad_window_costs_no_search(self, setfile, tmp_path, capsys,
+                                        monkeypatch):
+        # the window is parsed first: a bad one is reported before the
+        # file is read or decided, also when the file is bad too
+        def no_search(*args):
+            raise AssertionError("decided a set for a bad window")
+
+        monkeypatch.setattr(criteria, "decide", no_search)
+        for path in (setfile(EVEN), str(tmp_path / "missing.set")):
+            assert cli.main(["witness", path, "--window=4"]) == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().err == (
+                "error: bad window '4', expected LO:HI\n")
 
 
 class TestConstruct:
@@ -759,7 +798,8 @@ class TestBadInputNeverExitsOne:
 
     def test_record_modulus_beyond_an_index(self, setfile, tmp_path, capsys):
         # T = 5 * 10**19 is a multiple of m = 5, so the certificate check
-        # lifts by 10**19, which fits no index.
+        # lifts by 10**19.  No integer has that many bits, so building the
+        # T-bit mask fails at once, with OverflowError or MemoryError.
         _, record = run_json(capsys, ["witness", setfile(FIVE),
                                       "--window=-60:60"])
         record["result"]["witness"]["T"] = 5 * 10**19
@@ -767,7 +807,7 @@ class TestBadInputNeverExitsOne:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(
             "error: modulus 50000000000000000000 is too large to lift")
-        assert "OverflowError" in err
+        assert "OverflowError" in err or "MemoryError" in err
 
     def test_modulus_beyond_memory(self, setfile, tmp_path, capsys,
                                    monkeypatch):
@@ -776,10 +816,10 @@ class TestBadInputNeverExitsOne:
         path = setfile(FIVE)
         _, record = run_json(capsys, ["witness", path, "--window=-60:60"])
 
-        def no_memory(value):
+        def no_memory(mask, width, k):
             raise MemoryError
 
-        monkeypatch.setattr(sets, "bin", no_memory, raising=False)
+        monkeypatch.setattr(sets, "tile", no_memory)
         for run in (lambda: cli.main(["decide", path]),
                     lambda: cli.main(["witness", path, "--window=-60:60"]),
                     lambda: verify_record(tmp_path, record)):
@@ -817,13 +857,13 @@ class TestBadInputNeverExitsOne:
         s = sets.validate_canonical(7, [2, 3, 6], (), [1, 11, 14])
         lifts = []
 
-        def no_memory_at_k(value):
-            lifts.append(value)
+        def no_memory_at_k(mask, width, factor):
+            lifts.append(factor)
             if len(lifts) == k:
                 raise MemoryError
-            return bin(value)
+            return tile(mask, width, factor)
 
-        monkeypatch.setattr(sets, "bin", no_memory_at_k, raising=False)
+        monkeypatch.setattr(sets, "tile", no_memory_at_k)
         for j in range(1, k):
             sets.lift_period(s, j)
         with pytest.raises(ModulusTooLarge) as exc:

@@ -256,10 +256,13 @@ def assert_runs_contains_matches_members(runs):
     assert [runs_contains(runs, n) for n in span] == [n in members for n in span]
 
 
-@pytest.mark.parametrize("spec", SLACK_SPECS[:3])
+@pytest.mark.parametrize("spec", ["cycle:1,2,3"])
 def test_runs_contains_matches_members(spec):
+    # Only the test reference is checked here; the package's lookup is
+    # test_one_point_windows_match_membership's.  One spec and nine
+    # steps, about 30 000 integers, keep the reference honest.
     slack_fn = parse_slack_spec(spec)
-    for k in range(1, 13):
+    for k in range(1, 10):
         assert_runs_contains_matches_members(generate(k, slack_fn).runs)
 
 

@@ -18,6 +18,12 @@ only tests call belongs with the tests.  ``oracle.py`` is exempt: it is
 the naive reference that the tests diff the fast paths against, so
 nothing in the package calls it.
 
+A public method of a public class of ``src/minadd`` must be read as an
+attribute somewhere in the package outside its own definition; one that
+only tests call belongs with the tests.  Only attribute reads count, so a
+local variable that shares the method's name does not keep it.
+``oracle.py`` is exempt, as above.
+
 A module-level constant of ``src/minadd`` (a name bound by a plain
 assignment at the top of a module, dunders aside) must be read somewhere
 in the package outside its own assignment, as a name or as a module
@@ -102,6 +108,36 @@ def test_every_public_name_is_used():
     files = sorted((ROOT / "src" / "minadd").glob("*.py"))
     assert len(files) >= 8
     assert unreferenced_public(files) == []
+
+
+def unread_methods(files: list[Path]) -> list[str]:
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in files}
+    reads = [(ref.attr, id(ref)) for tree in trees.values()
+             for ref in ast.walk(tree)
+             if isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load)]
+    unread = []
+    for path, tree in trees.items():
+        if path.name == "oracle.py":
+            continue
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")):
+                continue
+            for node in cls.body:
+                if not (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    continue
+                own = set(map(id, ast.walk(node)))
+                if not any(name == node.name and ref not in own
+                           for name, ref in reads):
+                    unread.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                                  f"{cls.name}.{node.name}")
+    return unread
+
+
+def test_every_public_method_is_read():
+    files = sorted((ROOT / "src" / "minadd").glob("*.py"))
+    assert len(files) >= 8
+    assert unread_methods(files) == []
 
 
 def module_constants(path: Path) -> list[tuple[str, int, set]]:

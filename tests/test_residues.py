@@ -35,7 +35,7 @@ def test_reduce_wraps_negatives():
 def test_complement_and_full():
     s = ResidueSubset.of(4, [0, 2])
     assert s.complement().members() == (1, 3)
-    assert ResidueSubset.full(4).is_full()
+    assert ResidueSubset(4, (1 << 4) - 1).is_full()
     assert s.union(s.complement()).is_full()
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bounded_work, random_canonical
-from minadd import cli, witness
+from minadd import cli, sets, witness
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
@@ -152,6 +152,33 @@ def test_invalid_certificate_rejected():
     s = validate_canonical(2, [0], (), [3])
     with pytest.raises(CertificateInvalid):
         build_witness(s, Certificate(4, ResidueSubset.of(4, [0, 1]), SUFFICIENT), -40, 40)
+
+
+def test_lift_and_witness_build_no_string(monkeypatch):
+    """The lift and the witness tile their masks by shifts: with ``bin``
+    made to raise in both modules, which would write a mask out as a
+    string, they return what they return unpatched.  The prune's cycle of
+    (2, {0}) on Y1 = {-5, 3, 5} is tiled three times, from 4 to 12."""
+    lifted = validate_canonical(6, [1, 4], (), [3])
+    pruned = validate_canonical(2, [0], (), [-5, 3, 5])
+    direct = validate_canonical(5, [0, 2], (), [1])
+    builds = [(pruned, EVEN_CERT),
+              (direct, Certificate(5, ResidueSubset.of(5, [0, 2]), SUFFICIENT))]
+
+    def run():
+        return ([lift_period(lifted, k).x_t for k in (1, 3)],
+                [build_witness(s, cert, -40, 40) for s, cert in builds])
+
+    want = run()
+    assert want[0][1].mask == 0b010010_010010_010010
+    assert [(w.T, w.c.members()) for w in want[1]] == [(12, (2, 6, 10)), (5, (0, 2))]
+
+    def no_strings(value):
+        raise AssertionError(f"{value:#x} was written out as a string")
+
+    for module in (sets, witness):
+        monkeypatch.setattr(module, "bin", no_strings, raising=False)
+    assert run() == want
 
 
 def test_window_too_small(tmp_path, capsys):
