@@ -42,9 +42,11 @@ join O(|Y1|) to find the members whose masks shrink plus O(|Y1|) for
 each of them and for the joining element, where U is X_T | Y1; no table
 indexed by T is built, and the path holds O(depth) masks.  Before its
 first node a call builds only a few masks and Y1's residues, in O(|Y1|)
-Python steps; it builds nothing on first use, as the cover test reads U
-off its mask.  ``decide`` takes 3 130 nodes in all on the benchmark's
-1 409 pool sets, where testing (b) only at full covers took 10.6 M.
+Python steps, and reverses F's row through T/8 bytes, so it holds
+nothing larger than a mask and a T that the masks fit is searched; it
+builds nothing on first use, as the cover test reads U off its mask.
+``decide`` takes 3 130 nodes in all on the benchmark's 1 409 pool sets,
+where testing (b) only at full covers took 10.6 M.
 
 ``decide`` runs it at the base modulus, in both forms, and at lifted
 moduli up to EXHAUSTIVE_LIMIT.  Lifted moduli above the limit take a
@@ -58,13 +60,13 @@ the outcome.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from enum import Enum
 from itertools import count
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, ModulusMismatch, ValidationError
-from .residues import ResidueSubset, mask_members
+from .residues import ResidueSubset, mask_members, reverse
 from .sets import CanonicalSet, ConditionContext, lift_period
 
 NECESSARY = "necessary"
@@ -77,18 +79,25 @@ EXHAUSTIVE_LIMIT = 24
 NODE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Certificate:
     """A (T, C) pair passing condition (a) and one variant of (b).
 
     Normalized so that 0 is in C; among all valid normalized subsets the
     search returns the one whose sorted element list is lexicographically
-    smallest.
+    smallest.  Its constructor stores its arguments directly (see
+    ``ResidueSubset``).
     """
 
     T: int
     c: ResidueSubset
     variant: str
+
+    def __init__(self, T: int, c: ResidueSubset, variant: str) -> None:
+        d = self.__dict__
+        d["T"] = T
+        d["c"] = c
+        d["variant"] = variant
 
     def to_dict(self) -> dict:
         return {"T": self.T, "c": list(self.c.members()), "variant": self.variant}
@@ -148,13 +157,24 @@ class Reason(Enum):
     SEARCH_EXHAUSTED = "search-exhausted"
 
 
-@dataclass(frozen=True)
+# ``decide`` reads the members through these names: a read through the
+# Enum class costs about 0.2 us on Python 3.11, a module global 20 ns.
+_EXISTS, _NOT_EXISTS, _UNKNOWN = Outcome.EXISTS, Outcome.NOT_EXISTS, Outcome.UNKNOWN
+_EMPTY_SET, _FINITE_SET, _QUASIPERIODIC = (
+    Reason.EMPTY_SET, Reason.FINITE_SET, Reason.QUASIPERIODIC)
+_NECESSARY_FAILED, _SEARCH_EXHAUSTED = Reason.NECESSARY_FAILED, Reason.SEARCH_EXHAUSTED
+_AT_BASE, _AT_LIFT = Reason.CERTIFICATE_AT_BASE, Reason.CERTIFICATE_AT_LIFT
+
+
+@dataclass(frozen=True, init=False)
 class Verdict:
     """Decision output: does a minimal additive complement exist?
 
     ``modulus`` carries the working modulus at which the deciding event
     fired (the base modulus m for NECESSARY_FAILED, the certificate's T
-    for the certificate reasons, t_max for SEARCH_EXHAUSTED).
+    for the certificate reasons, t_max for SEARCH_EXHAUSTED).  Its
+    constructor stores its arguments directly (see ``ResidueSubset``);
+    ``stats`` left out is a fresh SearchStats.
     """
 
     outcome: Outcome
@@ -162,6 +182,17 @@ class Verdict:
     modulus: Optional[int] = None
     certificate: Optional[Certificate] = None
     stats: SearchStats = field(default_factory=SearchStats)
+
+    def __init__(self, outcome: Outcome, reason: Reason,
+                 modulus: Optional[int] = None,
+                 certificate: Optional[Certificate] = None,
+                 stats: SearchStats = MISSING) -> None:
+        d = self.__dict__
+        d["outcome"] = outcome
+        d["reason"] = reason
+        d["modulus"] = modulus
+        d["certificate"] = certificate
+        d["stats"] = SearchStats() if stats is MISSING else stats
 
     def to_dict(self) -> dict:
         return {
@@ -276,9 +307,10 @@ def _search_exhaustive(
 
     Before its first node a call builds the full mask, Y1's residues in
     |Y1| Python steps, the doubled masks of U, Y1 and F, and F's row
-    reversed and doubled, from a string of T characters; nothing else, and
-    nothing on first use.  The two searches at T = m each build their own:
-    the part they share costs less to build than to keep on the context.
+    reversed (``residues.reverse``, through T/8 bytes) and doubled;
+    nothing else, and nothing on first use.  The two searches at T = m
+    each build their own: the part they share costs less to build than to
+    keep on the context.
     Cost per node: |Y1| rotations for the dying candidates,
     min(|U|, |survivors|) for each cover test, and on a join |Y1|
     rotations to find the members whose masks shrink (none when B is
@@ -305,7 +337,7 @@ def _search_exhaustive(
     u2, y2, f2 = u_mask | u_mask << T, y_mask | y_mask << T, f_mask | f_mask << T
     # F's row reversed puts f at bit T - 1 - f, so t - F (mod T) is the
     # doubled row >> (T - 1 - t), below bit T
-    rf = int(bin(f_mask)[2:].zfill(T)[::-1], 2)
+    rf = reverse(f_mask, T)
     rf2 = rf | rf << T
 
     def ruled(p):
@@ -514,45 +546,41 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     ValidationError rather than answered Unknown.
     """
     cfg = cfg or SearchConfig()
-    t_max = cfg.t_max if cfg.t_max is not None else 8 * s.m
-    if t_max < s.m:
+    m = s.m
+    t_max = cfg.t_max if cfg.t_max is not None else 8 * m
+    if t_max < m:
         raise ValidationError(
-            f"t_max {t_max} is below the period {s.m}: no modulus to scan")
+            f"t_max {t_max} is below the period {m}: no modulus to scan")
     stats = SearchStats()
     t0 = time.perf_counter()
-
-    def done(outcome, reason, modulus=None, certificate=None):
-        stats.wall_time = time.perf_counter() - t0
-        return Verdict(outcome, reason, modulus, certificate, stats)
-
-    if s.is_empty:
-        return done(Outcome.NOT_EXISTS, Reason.EMPTY_SET)
+    modulus = certificate = None
     if s.is_finite:
         # Finite nonempty sets always admit a minimal complement; no
         # certificate is produced on this branch.
-        return done(Outcome.EXISTS, Reason.FINITE_SET)
-    if not s.y1:
-        return done(Outcome.NOT_EXISTS, Reason.QUASIPERIODIC)
-
-    k = 1
-    while k * s.m <= t_max:
-        T = k * s.m
-        ctx = lift_period(s, k)
-        try:
-            if k > 1 and T > EXHAUSTIVE_LIMIT:
-                suf = _search_heuristic(ctx, NODE_BUDGET, stats)
-            else:
-                suf = find_certificate(ctx, SUFFICIENT, stats)
-            if (suf is None and k == 1
-                    and find_certificate(ctx, NECESSARY, stats) is None):
-                return done(Outcome.NOT_EXISTS, Reason.NECESSARY_FAILED, T)
-        except BudgetExceeded:
-            stats.budget_exhausted = True
-            suf = None
-        if suf is not None:
-            reason = (
-                Reason.CERTIFICATE_AT_BASE if k == 1 else Reason.CERTIFICATE_AT_LIFT
-            )
-            return done(Outcome.EXISTS, reason, T, suf)
-        k += 1
-    return done(Outcome.UNKNOWN, Reason.SEARCH_EXHAUSTED, t_max)
+        outcome, reason = (
+            (_NOT_EXISTS, _EMPTY_SET) if s.is_empty else (_EXISTS, _FINITE_SET))
+    elif not s.y1:
+        outcome, reason = _NOT_EXISTS, _QUASIPERIODIC
+    else:
+        outcome, reason, modulus = _UNKNOWN, _SEARCH_EXHAUSTED, t_max
+        for k in range(1, t_max // m + 1):
+            T = k * m
+            ctx = lift_period(s, k)
+            try:
+                if k > 1 and T > EXHAUSTIVE_LIMIT:
+                    suf = _search_heuristic(ctx, NODE_BUDGET, stats)
+                else:
+                    suf = find_certificate(ctx, SUFFICIENT, stats)
+                if (suf is None and k == 1
+                        and find_certificate(ctx, NECESSARY, stats) is None):
+                    outcome, reason, modulus = _NOT_EXISTS, _NECESSARY_FAILED, T
+                    break
+            except BudgetExceeded:
+                stats.budget_exhausted = True
+                suf = None
+            if suf is not None:
+                outcome, modulus, certificate = _EXISTS, T, suf
+                reason = _AT_BASE if k == 1 else _AT_LIFT
+                break
+    stats.wall_time = time.perf_counter() - t0
+    return Verdict(outcome, reason, modulus, certificate, stats)

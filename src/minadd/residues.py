@@ -19,20 +19,32 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResidueSubset:
-    """A subset of {0, ..., modulus-1}, bit r of ``mask`` set iff r is in."""
+    """A subset of {0, ..., modulus-1}, bit r of ``mask`` set iff r is in.
+
+    Equality, hash, repr and immutability are the frozen dataclass's, but
+    the constructor is written out: it validates its arguments and stores
+    them in the instance dict.  The generated one sets each field through
+    ``object.__setattr__`` and then reads them back to validate, which
+    costs about twice as much, and a small ``decide`` call builds several
+    of these.  ``Certificate``, ``Verdict`` and ``ConditionContext`` are
+    built the same way.
+    """
 
     modulus: int
     mask: int = 0
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise NonPositivePeriod(f"modulus must be positive, got {self.modulus}")
-        if self.mask < 0 or self.mask >> self.modulus:
+    def __init__(self, modulus: int, mask: int = 0) -> None:
+        if modulus < 1:
+            raise NonPositivePeriod(f"modulus must be positive, got {modulus}")
+        if mask < 0 or mask >> modulus:
             raise ResidueOutOfRange(
-                f"mask {self.mask:#x} has bits outside modulus {self.modulus}"
+                f"mask {mask:#x} has bits outside modulus {modulus}"
             )
+        d = self.__dict__
+        d["modulus"] = modulus
+        d["mask"] = mask
 
     @classmethod
     def of(cls, modulus: int, members: Iterable[int]) -> "ResidueSubset":
@@ -123,6 +135,23 @@ def tile(mask: int, width: int, k: int) -> int:
         mask |= mask << width
         width *= 2
     return mask & full
+
+
+#: Each byte value with its 8 bits in reverse order, for ``bytes.translate``.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def reverse(mask: int, width: int) -> int:
+    """A width-bit mask reversed: bit r moves to bit width - 1 - r.
+
+    The mask's little-endian bytes, each reversed by table and read back
+    big-endian, are the mask reversed to the next multiple of 8 bits, and
+    the shift drops that padding.  Time and memory are linear in width,
+    at C speed, in about width/8 bytes, as much as the mask itself.
+    """
+    n = (width + 7) // 8
+    return int.from_bytes(mask.to_bytes(n, "little").translate(_REVERSED_BYTES),
+                          "big") >> (8 * n - width)
 
 
 def mask_members(mask: int) -> tuple[int, ...]:

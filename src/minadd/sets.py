@@ -118,11 +118,11 @@ class CanonicalSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.x_m and not self.y0 and not self.y1
+        return not (self.x_m.mask or self.y0 or self.y1)
 
     @property
     def is_finite(self) -> bool:
-        return not self.x_m
+        return not self.x_m.mask
 
     def contains(self, n: int) -> bool:
         """Membership in the canonical (shifted) coordinates."""
@@ -163,12 +163,12 @@ def canonicalize(raw: RawSet) -> CanonicalSet:
     The shift is the smallest multiple of the period that is >= threshold,
     which keeps the periodic residue pattern unchanged.  Every element below
     the shift becomes a finite exception, routed by its residue class.
-    Membership is preserved: n in raw  <=>  n - shift in result.
+    Membership is preserved: n in raw  <=>  n - shift in result.  A set
+    with no residues is finite, with shift 0; with no extras either it is
+    the empty set, in the same form as a canonical file with x empty.
     """
     m = raw.period
     if not raw.residues:
-        if not raw.extras:
-            raise EmptySet("set has neither a periodic pattern nor extras")
         # Finite set: no periodic part, everything is a y1-style exception.
         return CanonicalSet(m, ResidueSubset(m, 0), (), raw.extras, 0)
     shift = -(-raw.threshold // m) * m  # smallest multiple of m >= threshold
@@ -209,26 +209,32 @@ def margins(s: CanonicalSet) -> Margins:
     return Margins(max(ys), min(ys))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionContext:
     """Arena for the covering/witness conditions at a working modulus T.
 
     T is a multiple of the source period, x_t the lifted periodic residues,
     y1_res the finite exceptions reduced mod T.  The two are disjoint by
-    construction.
+    construction.  Built on every modulus ``decide`` scans, so its
+    constructor validates and stores its arguments directly (see
+    ``ResidueSubset``).
     """
 
     T: int
     x_t: ResidueSubset
     y1_res: ResidueSubset
 
-    def __post_init__(self) -> None:
-        if self.x_t.modulus != self.T or self.y1_res.modulus != self.T:
+    def __init__(self, T: int, x_t: ResidueSubset, y1_res: ResidueSubset) -> None:
+        if x_t.modulus != T or y1_res.modulus != T:
             raise ResidueOutOfRange("context masks must use modulus T")
-        if self.x_t.mask & self.y1_res.mask:
+        if x_t.mask & y1_res.mask:
             raise Y1ResidueInsideX(
                 "lifted periodic residues and exception residues overlap"
             )
+        d = self.__dict__
+        d["T"] = T
+        d["x_t"] = x_t
+        d["y1_res"] = y1_res
 
 
 def lift_period(s: CanonicalSet, k: int) -> ConditionContext:

@@ -139,8 +139,12 @@ class TestCanonicalize:
             "m": 10000000, "x": [0], "y0": [], "y1": [], "shift": 10000000}
 
     def test_empty_set_exit_code(self, setfile, capsys):
+        # the raw empty set has a canonical form: m = period, shift 0
         path = setfile("period = 2\nresidues =\nthreshold = 0\n")
-        assert cli.main(["canonicalize", path]) == cli.EXIT_BAD_INPUT
+        code, rec = run_json(capsys, ["canonicalize", path])
+        assert code == cli.EXIT_EXISTS
+        assert rec["result"]["canonical"] == {
+            "m": 2, "x": [], "y0": [], "y1": [], "shift": 0}
 
     def test_zero_period(self, setfile, capsys):
         path = setfile("period = 0\nresidues =\nthreshold = 0\nextras = -1\n")
@@ -189,6 +193,18 @@ class TestDecide:
         assert code == cli.EXIT_UNKNOWN
         assert rec["result"]["verdict"]["reason"] == "search-exhausted"
         assert rec["result"]["verdict"]["stats"]["subsets_examined"] > 0
+
+    @pytest.mark.parametrize("text", [
+        "period = 3\nresidues =\nthreshold = 0\n",
+        "m = 3\nx =\n",
+    ], ids=["raw", "canonical"])
+    def test_empty_set_in_either_form(self, setfile, capsys, text):
+        code, rec = run_json(capsys, ["decide", setfile(text)])
+        assert code == cli.EXIT_NOT_EXISTS
+        assert rec["result"]["canonical"] == {
+            "m": 3, "x": [], "y0": [], "y1": [], "shift": 0}
+        verdict = rec["result"]["verdict"]
+        assert (verdict["outcome"], verdict["reason"]) == ("not-exists", "empty-set")
 
     def test_record_config(self, setfile, capsys):
         _, rec = run_json(capsys, ["decide", setfile(EVEN), "--t-max", "4"])
@@ -833,9 +849,9 @@ class TestBadInputNeverExitsOne:
                              ids=["decide", "witness"])
     def test_search_beyond_memory(self, setfile, capsys, monkeypatch,
                                   command):
-        # The search's set-up builds strings of T characters and masks of
-        # 2T bits after the lift's guard; a MemoryError there is made to
-        # order, so that no test allocates, and must not exit 1.
+        # The search's set-up builds masks of 2T bits and T/8 bytes of
+        # reversed row after the lift's guard; a MemoryError there is made
+        # to order, so that no test allocates, and must not exit 1.
         def no_memory(*args):
             raise MemoryError
 

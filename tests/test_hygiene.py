@@ -28,9 +28,18 @@ A module-level constant of ``src/minadd`` (a name bound by a plain
 assignment at the top of a module, dunders aside) must be read somewhere
 in the package outside its own assignment, as a name or as a module
 attribute; one that only a test reads is a knob the program never turns.
+
+A dataclass of ``src/minadd`` with a hand-written ``__init__`` must take
+exactly its fields, in order, with the same defaults, so that a field
+added later cannot be left out of its constructor.  A field with a
+default factory takes ``dataclasses.MISSING``, for which the constructor
+calls the factory.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -175,3 +184,57 @@ def test_every_constant_is_read():
     assert len(files) >= 8
     assert sum(len(module_constants(p)) for p in files) >= 10
     assert unread_constants(files) == []
+
+
+def constructor_mismatches(cls: type) -> list[str]:
+    """How a hand-written ``__init__``'s signature departs from the
+    dataclass's fields: names, order, kinds and defaults."""
+    want = []
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            default = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            default = dataclasses.MISSING
+        else:
+            default = inspect.Parameter.empty
+        want.append((f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default))
+    got = [(p.name, p.kind, p.default)
+           for p in inspect.signature(cls).parameters.values()]
+    return [] if got == want else [f"{cls.__qualname__}: {got} != {want}"]
+
+
+def written_constructors() -> list[type]:
+    """The dataclasses of ``src/minadd`` whose ``__init__`` is written in
+    their module's source, not generated by ``dataclass``."""
+    out = []
+    for path in sorted((ROOT / "src" / "minadd").glob("*.py")):
+        module = importlib.import_module(f"minadd.{path.stem}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+                continue
+            # a generated __init__ is compiled from a string, and a class
+            # imported from another module has that module's file
+            init = vars(cls).get("__init__")
+            if init is not None and init.__code__.co_filename == module.__file__:
+                out.append(cls)
+    return out
+
+
+def test_written_constructors_take_every_field():
+    classes = written_constructors()
+    assert {c.__name__ for c in classes} >= {
+        "ResidueSubset", "ConditionContext", "Certificate", "Verdict"}
+    assert [m for c in classes for m in constructor_mismatches(c)] == []
+
+
+def test_constructor_guard_sees_a_missing_field():
+    @dataclasses.dataclass(frozen=True, init=False)
+    class Pair:
+        a: int
+        b: int = 0
+        c: list = dataclasses.field(default_factory=list)
+
+        def __init__(self, a, c=dataclasses.MISSING):
+            pass
+
+    assert constructor_mismatches(Pair) != []

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from minadd.errors import ModulusMismatch, ModulusTooLarge, ResidueOutOfRange
-from minadd.residues import ResidueSubset, mask_members, rotate
+from minadd.residues import ResidueSubset, mask_members, reverse, rotate
 
 
 def test_of_and_members():
@@ -79,3 +79,14 @@ def test_members_matches_mask_members():
         for mask in (0, (1 << modulus) - 1, 1 << (modulus - 1),
                      *(rng.getrandbits(modulus) for _ in range(50))):
             assert ResidueSubset(modulus, mask).members() == mask_members(mask)
+
+
+def test_reverse_matches_string_reversal():
+    # the reference writes the width-bit row as a string of width
+    # characters and reads it back reversed
+    rng = random.Random(7)
+    for width in range(1, 131):
+        for mask in (0, (1 << width) - 1, 1 << (width - 1),
+                     *(rng.getrandbits(width) for _ in range(20))):
+            want = int(bin(mask)[2:].zfill(width)[::-1], 2)
+            assert reverse(mask, width) == want

@@ -79,8 +79,12 @@ class TestCanonicalize:
         assert sorted(s.y0 + s.y1) == [-4, 1]
 
     def test_empty_set_rejected(self):
-        with pytest.raises(EmptySet):
-            canonicalize(RawSet(2, ResidueSubset(2, 0), 0))
+        # The empty set is not refused: it canonicalizes to the empty
+        # canonical set, the form of a canonical file with x empty, which
+        # decide answers NotExists.
+        s = canonicalize(RawSet(2, ResidueSubset(2, 0), 0))
+        assert s == validate_canonical(2, [])
+        assert s.is_empty and s.shift == 0
 
     def test_threshold_between_multiples_routes_to_y0(self):
         raw = RawSet(5, ResidueSubset.of(5, [2, 3]), 11, ())
