@@ -6,18 +6,8 @@ certificates and windowed complement witnesses, and generate the
 non-eventually-periodic example set that still has one.
 """
 
-from .criteria import (
-    Certificate,
-    Outcome,
-    Reason,
-    SearchConfig,
-    Verdict,
-    cond_a,
-    cond_b_necessary,
-    cond_b_sufficient,
-    decide,
-    find_certificate,
-)
+from .check import Certificate, cond_a, cond_b_necessary, cond_b_sufficient
+from .criteria import Outcome, Reason, SearchConfig, Verdict, decide, find_certificate
 from .generator import GeneratorState, generate, step
 from .residues import ResidueSubset
 from .sets import (

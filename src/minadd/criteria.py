@@ -1,26 +1,12 @@
-"""Covering/witness conditions and the certificate search.
+"""The certificate search and the decision engine.
 
-A certificate for a set in canonical form is a working modulus T (a
-multiple of the period) together with a subset C of Z_T such that
-
-  (a) C + (X_T | Y1) covers every residue mod T, and
-  (b) every c in C owns an exceptional sum c + y that no other element
-      can reproduce.
-
-Condition (b) comes in two strengths.  The *necessary* form (failure
-refutes existence) asks that c + y escape C + X_T.  The *sufficient* form
-(success proves existence) asks that c + y escape (C \\ {c}) + (X_T | Y1).
-The decision engine scans the base and lifted moduli for a sufficient
+What a certificate (T, C) is, conditions (a) and (b) in their necessary
+and sufficient forms, and the checker that re-verifies a certificate live
+in ``check``; this module searches for a certificate and decides.  The
+decision engine scans the base and lifted moduli for a sufficient
 certificate, and searches the necessary form only at the base modulus,
-when the sufficient search there finds nothing.
-
-Both forms are one count.  Sum the members' F-translates bit-sliced into
-``ones`` (residues reached at least once) and ``twos`` (at least twice),
-with F = X_T in the necessary form and F = X_T | Y1 in the sufficient
-form.  A residue is *blocked* if it is in ``ones`` (necessary) or in
-``twos`` (sufficient), and (b) holds iff every member's Y1 + c keeps an
-unblocked residue; those residues are the member's *private mask*.  The
-checker and both searches read (b) off this count.
+when the sufficient search there finds nothing.  Both searches read (b)
+off the count of ``check._cond_b``.
 
 The certificate search is one walk, ``_search_exhaustive``, complete at
 every T.  It yields every valid C that contains 0, lazily, in
@@ -65,46 +51,16 @@ from enum import Enum
 from itertools import count
 from typing import Iterator, Optional
 
-from .errors import BudgetExceeded, ModulusMismatch, ValidationError
+from .check import NECESSARY, SUFFICIENT, Certificate, check_certificate
+from .errors import BudgetExceeded, ValidationError
 from .residues import ResidueSubset, mask_members, reverse
 from .sets import CanonicalSet, ConditionContext, lift_period
-
-NECESSARY = "necessary"
-SUFFICIENT = "sufficient"
 
 #: Lifted moduli above this take the cover-driven search.  Both searches are
 #: complete, so this picks the certificate, not the outcome.
 EXHAUSTIVE_LIMIT = 24
 #: Node budget of one search at one modulus, in either search.
 NODE_BUDGET = 200_000
-
-
-@dataclass(frozen=True, init=False)
-class Certificate:
-    """A (T, C) pair passing condition (a) and one variant of (b).
-
-    Normalized so that 0 is in C; among all valid normalized subsets the
-    search returns the one whose sorted element list is lexicographically
-    smallest.  Its constructor stores its arguments directly (see
-    ``ResidueSubset``).
-    """
-
-    T: int
-    c: ResidueSubset
-    variant: str
-
-    def __init__(self, T: int, c: ResidueSubset, variant: str) -> None:
-        d = self.__dict__
-        d["T"] = T
-        d["c"] = c
-        d["variant"] = variant
-
-    def to_dict(self) -> dict:
-        return {"T": self.T, "c": list(self.c.members()), "variant": self.variant}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        return cls(d["T"], ResidueSubset.of(d["T"], d["c"]), d["variant"])
 
 
 @dataclass
@@ -174,14 +130,16 @@ class Verdict:
     fired (the base modulus m for NECESSARY_FAILED, the certificate's T
     for the certificate reasons, t_max for SEARCH_EXHAUSTED).  Its
     constructor stores its arguments directly (see ``ResidueSubset``);
-    ``stats`` left out is a fresh SearchStats.
+    ``stats`` left out is a fresh SearchStats.  Equality and hash follow
+    the answer and ignore ``stats``, whose wall time differs between
+    calls.
     """
 
     outcome: Outcome
     reason: Reason
     modulus: Optional[int] = None
     certificate: Optional[Certificate] = None
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats = field(default_factory=SearchStats, compare=False)
 
     def __init__(self, outcome: Outcome, reason: Reason,
                  modulus: Optional[int] = None,
@@ -205,65 +163,6 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Condition predicates
-
-
-def cond_a(ctx: ConditionContext, c: ResidueSubset) -> bool:
-    """Covering condition: C + (X_T | Y1) hits every residue mod T."""
-    return c.sumset(ctx.x_t.union(ctx.y1_res)).is_full()
-
-
-def _cond_b(ctx: ConditionContext, c: ResidueSubset, necessary: bool) -> bool:
-    """Condition (b) for C, as one count of how often each residue is
-    reached.
-
-    The members' F-translates are summed bit-sliced: ``ones`` holds the
-    residues that at least one F + c reaches and ``twos`` those that at
-    least two reach, where F is X_T in the necessary form and X_T | Y1 in
-    the sufficient form.  A residue is *blocked* if it is in ``ones``
-    (necessary) or in ``twos`` (sufficient), and (b) holds iff every
-    member's Y1 + c keeps an unblocked residue.  The sufficient case is
-    exact because Y1 + c lies inside F + c: a residue of it that only one
-    translate reaches is reached by c alone, so it escapes the translates
-    of every other member.  Cost: 2|C| shifts of doubled masks, read
-    below bit T only.
-    """
-    T = ctx.T
-    if c.modulus != T:
-        raise ModulusMismatch(
-            f"candidate modulus {c.modulus} does not match context T={T}")
-    x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
-    f_mask = x_mask if necessary else x_mask | y_mask
-    f2, y2 = f_mask | f_mask << T, y_mask | y_mask << T
-    members = c.members()
-    ones = twos = 0
-    for r in members:
-        f = f2 >> (T - r)
-        twos |= ones & f
-        ones |= f
-    unblocked = ~(ones if necessary else twos) & ((1 << T) - 1)
-    return all(y2 >> (T - r) & unblocked for r in members)
-
-
-def cond_b_necessary(ctx: ConditionContext, c: ResidueSubset) -> bool:
-    """Every c in C has some y with c + y outside C + X_T (mod T)."""
-    return _cond_b(ctx, c, True)
-
-
-def cond_b_sufficient(ctx: ConditionContext, c: ResidueSubset) -> bool:
-    """Every c in C has some y with c + y outside (C \\ {c}) + (X_T | Y1)."""
-    return _cond_b(ctx, c, False)
-
-
-def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
-    """Re-verify a certificate from scratch against its context."""
-    if cert.T != ctx.T:
-        return False
-    b = cond_b_sufficient if cert.variant == SUFFICIENT else cond_b_necessary
-    return cond_a(ctx, cert.c) and b(ctx, cert.c)
-
-
-# ---------------------------------------------------------------------------
 # Exhaustive search (forward-checked lexicographic DFS over subsets with 0)
 
 
@@ -275,7 +174,7 @@ def _search_exhaustive(
     Children append elements above the largest member, so the DFS meets
     subsets in lexicographic order of their sorted element lists.  A
     member's *private mask* is Y1 + c minus the residues that (b) blocks
-    (see ``_cond_b``).  A node passes (b) iff every private mask is
+    (see ``check._cond_b``).  A node passes (b) iff every private mask is
     nonempty, and (b) is antimonotone: a candidate that fails next to the
     members fails next to every superset of them.  So a node carries as
     *survivors* only the candidates above its last member that can still
@@ -430,7 +329,7 @@ def _search_heuristic(
     BudgetExceeded.  A hit is re-verified before it is returned.  The
     path can be as deep as T, so the DFS keeps an explicit stack of child
     iterators.  A node carries its members and their U-translates summed
-    into ``ones`` and ``twos`` (see ``_cond_b``, with F = U).  Its cover
+    into ``ones`` and ``twos`` (see ``check._cond_b``, with F = U).  Its cover
     C + U is ``ones``, so a child costs one rotation of a doubled mask and
     a full cover's (b) test one AND-NOT per member.
     """

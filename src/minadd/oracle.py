@@ -3,7 +3,9 @@
 Everything here is written straight from the defining quantifiers, with
 plain Python sets and explicit loops: no bitmasks, no reformulations, no
 sharing with the optimized search.  The duplication is deliberate; these
-are the independent oracles the fast paths are tested against.
+are the independent oracles the fast paths are tested against.  Only the
+``Certificate`` type and the variant names come from ``check``; nothing
+is imported from ``criteria``, the search.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .criteria import SUFFICIENT, Certificate
+from .check import SUFFICIENT, Certificate
 from .errors import CapExceeded, MarginTooSmall
 from .residues import ResidueSubset
 from .sets import CanonicalSet, ConditionContext, margins

@@ -49,7 +49,8 @@ one (hi < lo) with an empty listing.  The record lists the lift
 C' + P'*Z cut to [lo, hi] as ``d_elements``, in time linear in the
 listing.
 
-The checks read the record's (T, C) = (P', C') and listing:
+The checks read the record's (T, C) = (P', C') and listing, with the
+conditions of ``check``; nothing here imports ``criteria``, the search:
 ``verify_certificate`` that m | T and the margins are the set's,
 ``verify_coverage`` condition (a) at T and that the listing is the cut,
 ``verify_local_minimality`` the sufficient (b) at T and T > span(Y1).
@@ -68,7 +69,7 @@ from itertools import compress, count
 from operator import ne
 from typing import Optional
 
-from .criteria import SUFFICIENT, Certificate, check_certificate, cond_a, cond_b_sufficient
+from .check import SUFFICIENT, Certificate, check_certificate, cond_a, cond_b_sufficient
 from .errors import CertificateInvalid, WindowTooSmall
 from .residues import ResidueSubset, tile
 from .sets import CanonicalSet, ConditionContext, Margins, lift_period, margins

@@ -18,12 +18,11 @@ from math import inf
 
 from hypothesis import settings
 
+from minadd.check import cond_b_necessary, cond_b_sufficient
 from minadd.criteria import (
     Certificate,
     NECESSARY,
     _search_exhaustive,
-    cond_b_necessary,
-    cond_b_sufficient,
 )
 from minadd.residues import ResidueSubset, rotate
 from minadd.sets import (

@@ -16,6 +16,7 @@ from conftest import (
     runs_contains,
     shifted_copy,
 )
+from minadd.check import cond_b_necessary, cond_b_sufficient
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
@@ -24,8 +25,6 @@ from minadd.criteria import (
     Reason,
     SearchConfig,
     check_certificate,
-    cond_b_necessary,
-    cond_b_sufficient,
     decide,
     find_certificate,
 )

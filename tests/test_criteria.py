@@ -16,6 +16,7 @@ from conftest import (
     walk_first,
 )
 from minadd import criteria, oracle
+from minadd.check import cond_a, cond_b_necessary, cond_b_sufficient
 from minadd.criteria import (
     NECESSARY,
     NODE_BUDGET,
@@ -28,9 +29,6 @@ from minadd.criteria import (
     _search_exhaustive,
     _search_heuristic,
     check_certificate,
-    cond_a,
-    cond_b_necessary,
-    cond_b_sufficient,
     decide,
     find_certificate,
 )

@@ -34,12 +34,19 @@ exactly its fields, in order, with the same defaults, so that a field
 added later cannot be left out of its constructor.  A field with a
 default factory takes ``dataclasses.MISSING``, for which the constructor
 calls the factory.
+
+The checks stay apart from the search.  ``check.py`` imports only the
+standard library and the package's ``residues``, ``sets`` and
+``errors``; ``witness.py`` and ``oracle.py`` import nothing from
+``criteria``, ``cli`` or ``generator``; and no module but ``check.py``
+defines ``Certificate``, ``cond_a``, ``_cond_b`` or ``check_certificate``.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -238,3 +245,78 @@ def test_constructor_guard_sees_a_missing_field():
             pass
 
     assert constructor_mismatches(Pair) != []
+
+
+CHECK_IMPORTS = {".residues", ".sets", ".errors"}
+SEARCH_SIDE = {".criteria", ".cli", ".generator"}
+CHECK_NAMES = {"Certificate", "cond_a", "_cond_b", "check_certificate"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The modules a file imports: a module of the package as ``.name``,
+    whether imported relatively or through ``minadd``, the package itself
+    as ``.``, and any other module by its top-level name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative, so within the package
+                base = f"minadd.{base}".rstrip(".")
+            # ``from minadd import x`` imports the package's module x
+            names = [f"{base}.{alias.name}" if base == "minadd" else base
+                     for alias in node.names]
+        else:
+            continue
+        for name in names:
+            top, _, rest = name.partition(".")
+            out.add("." + rest.partition(".")[0] if top == "minadd" else top)
+    return out
+
+
+def boundary_violations(sources: dict[str, str]) -> list[str]:
+    """Where the modules, given as file name -> source, cross the line
+    between the checks and the search."""
+    out = []
+    for name, text in sources.items():
+        tree = ast.parse(text, name)
+        mods = imported_modules(tree)
+        if name == "check.py":
+            bad = {m for m in mods if m not in CHECK_IMPORTS
+                   and (m.startswith(".") or m not in sys.stdlib_module_names)}
+        elif name in ("witness.py", "oracle.py"):
+            bad = mods & SEARCH_SIDE
+        else:
+            bad = set()
+        out += [f"{name}: imports {m}" for m in sorted(bad)]
+        if name != "check.py":
+            defined = {node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                        for t in node.targets if isinstance(t, ast.Name)}
+            out += [f"{name}: defines {d}" for d in sorted(defined & CHECK_NAMES)]
+    return out
+
+
+def test_checks_import_none_of_the_search():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "minadd").glob("*.py"))}
+    assert ".check" in imported_modules(ast.parse(sources["witness.py"]))
+    assert ".check" in imported_modules(ast.parse(sources["oracle.py"]))
+    assert boundary_violations(sources) == []
+
+
+def test_boundary_guard_sees_a_forbidden_import():
+    assert boundary_violations({
+        "check.py": "import os\nfrom .criteria import decide\nimport numpy\n",
+        "witness.py": "from . import cli, sets\n",
+        "oracle.py": "import minadd.generator\nfrom minadd import residues\n",
+        "sets.py": "def cond_a(ctx, c):\n    return True\n",
+    }) == [
+        "check.py: imports .criteria",
+        "check.py: imports numpy",
+        "witness.py: imports .cli",
+        "oracle.py: imports .generator",
+        "sets.py: defines cond_a",
+    ]

@@ -71,13 +71,12 @@ def test_equality_hash_and_repr(name):
     assert repr(obj) == text
     other = dataclasses.replace(obj, **{field: value})
     assert other != obj and getattr(other, field) == value
+    assert hash(obj) == hash(twin)
+    assert len({obj, twin, other}) == 2
     if name == "Verdict":
-        # SearchStats is mutable, so a Verdict is unhashable, as before
-        with pytest.raises(TypeError):
-            hash(obj)
-    else:
-        assert hash(obj) == hash(twin)
-        assert len({obj, twin, other}) == 2
+        # equality and hash follow the answer, not the search's counters
+        again = dataclasses.replace(obj, stats=SearchStats(7, 0.25, True))
+        assert again == obj and hash(again) == hash(obj)
 
 
 def test_fields_in_order(name):

@@ -8,13 +8,13 @@ import pytest
 
 from conftest import bounded_work, random_canonical
 from minadd import cli, sets, witness
+from minadd.check import cond_a
 from minadd.criteria import (
     NECESSARY,
     SUFFICIENT,
     Certificate,
     Outcome,
     SearchConfig,
-    cond_a,
     decide,
 )
 from minadd.errors import CertificateInvalid, WindowTooSmall
