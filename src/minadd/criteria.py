@@ -81,19 +81,15 @@ class SearchStats:
     walk reaches, which passes (b) by construction and is counted as it is
     reached, and each node the cover-driven search expands, over every
     modulus and variant searched.
-    ``budget_exhausted`` is set when a search ran out of its budget;
-    every other scan was complete.
     """
 
     subsets_examined: int = 0
     wall_time: float = 0.0
-    budget_exhausted: bool = False
 
     def to_dict(self) -> dict:
         return {
             "subsets_examined": self.subsets_examined,
             "wall_time": self.wall_time,
-            "budget_exhausted": self.budget_exhausted,
         }
 
 
@@ -111,6 +107,7 @@ class Reason(Enum):
     CERTIFICATE_AT_BASE = "certificate-at-base-period"
     CERTIFICATE_AT_LIFT = "certificate-at-lifted-period"
     SEARCH_EXHAUSTED = "search-exhausted"
+    BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 # ``decide`` reads the members through these names: a read through the
@@ -128,7 +125,7 @@ class Verdict:
 
     ``modulus`` carries the working modulus at which the deciding event
     fired (the base modulus m for NECESSARY_FAILED, the certificate's T
-    for the certificate reasons, t_max for SEARCH_EXHAUSTED).  Its
+    for the certificate reasons, t_max for the two Unknown reasons).  Its
     constructor stores its arguments directly (see ``ResidueSubset``);
     ``stats`` left out is a fresh SearchStats.  Equality and hash follow
     the answer and ignore ``stats``, whose wall time differs between
@@ -415,9 +412,9 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     which proves nothing.  No lifted modulus can refute what T = m does
     not, because the preimage of a necessary certificate at m passes (a)
     and the necessary (b) at every k*m (the lift lemma).  Both searches
-    are complete, so Unknown means no sufficient certificate exists at
-    any scanned T, unless ``stats.budget_exhausted`` is set: then some
-    search ran out of its budget.
+    are complete, so Unknown with SEARCH_EXHAUSTED means that no
+    sufficient certificate exists at any scanned T; BUDGET_EXHAUSTED means
+    that some search ran out of its budget and proved nothing.
 
     The base modulus and lifted moduli up to EXHAUSTIVE_LIMIT take
     ``find_certificate``; lifted moduli above it take the cover-driven
@@ -475,7 +472,7 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
                     outcome, reason, modulus = _NOT_EXISTS, _NECESSARY_FAILED, T
                     break
             except BudgetExceeded:
-                stats.budget_exhausted = True
+                reason = Reason.BUDGET_EXHAUSTED
                 suf = None
             if suf is not None:
                 outcome, modulus, certificate = _EXISTS, T, suf

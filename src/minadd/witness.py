@@ -67,7 +67,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
-from typing import Optional
 
 from .check import SUFFICIENT, Certificate, check_certificate, cond_a, cond_b_sufficient
 from .errors import CertificateInvalid, WindowTooSmall
@@ -79,7 +78,6 @@ from .sets import CanonicalSet, ConditionContext, Margins, lift_period, margins
 class VerificationReport:
     ok: bool
     failures: tuple[str, ...] = ()
-    first_difference: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,7 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
         return VerificationReport(True)
     n = _first_difference(ds, cut)
     return VerificationReport(
-        False, (f"d_elements and the lift of (T, C) differ at {n}",), n)
+        False, (f"d_elements and the lift of (T, C) differ at {n}",))
 
 
 def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:

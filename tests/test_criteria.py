@@ -133,11 +133,11 @@ class TestFindCertificate:
         s = validate_canonical(5, [2, 3], [-3], [-1, 4])
         v = decide(s, SearchConfig(t_max=10))
         assert v.outcome is Outcome.NOT_EXISTS
-        assert not v.stats.budget_exhausted
+        assert v.reason is Reason.NECESSARY_FAILED
         s = validate_canonical(5, [0, 1], [], [-2, 9])
         v = decide(s, SearchConfig(t_max=10))
         assert v.outcome is Outcome.UNKNOWN
-        assert v.stats.budget_exhausted
+        assert v.reason is Reason.BUDGET_EXHAUSTED
 
     def test_serial_matches_oracle(self):
         rng = random.Random(3)
@@ -240,7 +240,7 @@ RESTATED_NOT_EXISTS = [
 def test_refutes_above_the_limit(s):
     assert s.m > criteria.EXHAUSTIVE_LIMIT
     v = decide(s, SearchConfig(t_max=s.m))
-    assert v.outcome is Outcome.NOT_EXISTS and not v.stats.budget_exhausted
+    assert v.outcome is Outcome.NOT_EXISTS
     assert v.reason is Reason.NECESSARY_FAILED and v.modulus == s.m
     assert walk_first(lift_period(s, 1), NECESSARY, NODE_BUDGET,
                       SearchStats()) is None
@@ -264,7 +264,6 @@ def test_restated_pool_refuted_at_base():
         v = decide(s, SearchConfig(t_max=s.m))
         assert v.outcome is Outcome.NOT_EXISTS, s
         assert v.reason is Reason.NECESSARY_FAILED and v.modulus == s.m, s
-        assert not v.stats.budget_exhausted, s
         nodes += v.stats.subsets_examined
     assert len(sets) == 278
     assert nodes == 1_194, nodes
@@ -289,7 +288,7 @@ def test_base_census_above_the_limit():
     for _ in range(400):
         s = census_set(rng)
         v = decide(s, SearchConfig(t_max=s.m))
-        assert not v.stats.budget_exhausted, s
+        assert v.reason is not Reason.BUDGET_EXHAUSTED, s
         if v.certificate is not None:
             assert check_certificate(lift_period(s, 1), v.certificate), s
         outcomes[v.outcome] += 1
@@ -373,15 +372,16 @@ def test_decide_at_large_period_without_the_limit():
         v = decide(EVENS, SearchConfig(t_max=2000))
     assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_BASE
     assert v.certificate.c.members() == tuple(range(0, 2000, 2))
-    assert v.stats.subsets_examined == 1000 and not v.stats.budget_exhausted
+    assert v.stats.subsets_examined == 1000
 
 
 def test_decide_survives_sufficient_budget(monkeypatch):
     """A base sufficient search that runs out proves nothing, and skips the
     necessary search at T = m, which could only hit or run out under the
     same budget (see test_sufficient_tree_within_necessary_miss): decide
-    reports the exhausted budget and goes on to the lifted moduli, which
-    above EXHAUSTIVE_LIMIT take the cover-driven search."""
+    goes on to the lifted moduli, which above EXHAUSTIVE_LIMIT take the
+    cover-driven search, and answers budget-exhausted if none of them
+    hits."""
     calls = []
     search = criteria.find_certificate
     heuristic = criteria._search_heuristic
@@ -401,17 +401,23 @@ def test_decide_survives_sufficient_budget(monkeypatch):
     s = restate(2, [0], [], [1], 13)
     v = decide(s, SearchConfig(t_max=s.m))
     assert calls == [(26, SUFFICIENT)]
-    assert v.outcome is Outcome.UNKNOWN and v.reason is Reason.SEARCH_EXHAUSTED
-    assert v.stats.budget_exhausted
+    assert v.outcome is Outcome.UNKNOWN and v.reason is Reason.BUDGET_EXHAUSTED
     calls.clear()
     v = decide(s, SearchConfig(t_max=2 * s.m))
     assert calls == [(26, SUFFICIENT), (52, "cover-driven")]
     assert v.outcome is Outcome.EXISTS and v.reason is Reason.CERTIFICATE_AT_LIFT
-    assert v.modulus == 52 and v.stats.budget_exhausted
+    assert v.modulus == 52
     assert check_certificate(lift_period(s, 2), v.certificate)
 
 
 DECIDE_POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "decide_pool.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_tables_every_reason():
+    rows = README.read_text(encoding="utf-8").splitlines()
+    for reason in Reason:
+        assert any(row.startswith(f"| `{reason.value}` |") for row in rows), reason
 
 
 def pool_entries(kind):
@@ -430,7 +436,7 @@ def test_deep_instances_scan_to_twenty_in_few_nodes(name):
     s = next(s for s, e in pool_entries("deep") if e["name"] == name)
     with bounded_work():
         v = decide(s, SearchConfig(t_max=20))
-    assert v.outcome is Outcome.UNKNOWN and not v.stats.budget_exhausted
+    assert v.outcome is Outcome.UNKNOWN and v.reason is Reason.SEARCH_EXHAUSTED
     assert 0 < v.stats.subsets_examined <= 50, v.stats
 
 
@@ -445,7 +451,7 @@ def test_deep_instances_scan_to_thirty(name, nodes):
     s = next(s for s, e in pool_entries("deep") if e["name"] == name)
     with bounded_work(max_lines=775_000) if name == "roadmap-m10" else nullcontext():
         v = decide(s, SearchConfig(t_max=30))
-    assert v.outcome is Outcome.UNKNOWN and not v.stats.budget_exhausted
+    assert v.outcome is Outcome.UNKNOWN and v.reason is Reason.SEARCH_EXHAUSTED
     assert v.stats.subsets_examined == nodes
 
 
@@ -534,6 +540,22 @@ class TestDecide:
         assert v.outcome is Outcome.UNKNOWN
         assert v.reason is Reason.SEARCH_EXHAUSTED
         assert v.stats.subsets_examined > 0
+
+    def test_run_out_budget_is_its_own_unknown(self, monkeypatch):
+        # A complete scan and one that ran out both answer Unknown at
+        # t_max, but only the first proves that no certificate exists
+        # there, so the two verdicts differ in their reason.
+        s = validate_canonical(5, [0, 1], [], [-2, 9])
+        complete = decide(s, SearchConfig(t_max=5))
+        monkeypatch.setattr(criteria, "NODE_BUDGET", 1)
+        ran_out = decide(s, SearchConfig(t_max=5))
+        assert complete.stats.subsets_examined == 3
+        assert (complete.outcome, complete.reason, complete.modulus) == (
+            Outcome.UNKNOWN, Reason.SEARCH_EXHAUSTED, 5)
+        assert (ran_out.outcome, ran_out.reason, ran_out.modulus) == (
+            Outcome.UNKNOWN, Reason.BUDGET_EXHAUSTED, 5)
+        assert complete != ran_out and hash(complete) != hash(ran_out)
+        assert ran_out.to_dict()["reason"] == "budget-exhausted"
 
     @pytest.mark.parametrize("t_max", [-5, 0, 4])
     def test_t_max_below_period_is_refused(self, t_max):

@@ -29,6 +29,11 @@ assignment at the top of a module, dunders aside) must be read somewhere
 in the package outside its own assignment, as a name or as a module
 attribute; one that only a test reads is a knob the program never turns.
 
+A field of a dataclass of ``src/minadd`` must be read as an attribute
+somewhere in the package outside its own declaration; a field that only
+a test or nothing reads is state the program carries for no one.
+``oracle.py`` is exempt, as above.
+
 A dataclass of ``src/minadd`` with a hand-written ``__init__`` must take
 exactly its fields, in order, with the same defaults, so that a field
 added later cannot be left out of its constructor.  A field with a
@@ -126,11 +131,15 @@ def test_every_public_name_is_used():
     assert unreferenced_public(files) == []
 
 
+def attribute_reads(trees) -> list[tuple[str, int]]:
+    """(name, node id) of every attribute read in the trees."""
+    return [(ref.attr, id(ref)) for tree in trees for ref in ast.walk(tree)
+            if isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load)]
+
+
 def unread_methods(files: list[Path]) -> list[str]:
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in files}
-    reads = [(ref.attr, id(ref)) for tree in trees.values()
-             for ref in ast.walk(tree)
-             if isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load)]
+    reads = attribute_reads(trees.values())
     unread = []
     for path, tree in trees.items():
         if path.name == "oracle.py":
@@ -191,6 +200,65 @@ def test_every_constant_is_read():
     assert len(files) >= 8
     assert sum(len(module_constants(p)) for p in files) >= 10
     assert unread_constants(files) == []
+
+
+def is_dataclass_def(node: ast.AST) -> bool:
+    """A class decorated with ``dataclass``, called or not, bare or as
+    ``dataclasses.dataclass``."""
+    if not isinstance(node, ast.ClassDef):
+        return False
+    decorators = (d.func if isinstance(d, ast.Call) else d
+                  for d in node.decorator_list)
+    return any("dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+               for d in decorators)
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """The dataclass fields, in modules given as file name -> source,
+    that no attribute read outside their own declaration names."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    reads = attribute_reads(trees.values())
+    unread = []
+    for name, tree in trees.items():
+        if name == "oracle.py":
+            continue
+        for cls in filter(is_dataclass_def, ast.walk(tree)):
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    continue
+                field = node.target.id
+                own = set(map(id, ast.walk(node)))
+                if not any(attr == field and ref not in own
+                           for attr, ref in reads):
+                    unread.append(f"{name}:{node.lineno}: {cls.name}.{field}")
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "minadd").glob("*.py"))}
+    assert sum(is_dataclass_def(node) for text in sources.values()
+               for node in ast.walk(ast.parse(text))) >= 10
+    assert unread_fields(sources) == []
+
+
+def test_field_guard_sees_an_unread_field():
+    assert unread_fields({
+        "a.py": ("from dataclasses import dataclass, field\n"
+                 "@dataclass(frozen=True)\n"
+                 "class Pair:\n"
+                 "    kept: int\n"
+                 "    unread: int = 0\n"
+                 "    stored: list = field(default_factory=list)\n"
+                 "def use(p):\n"
+                 "    p.stored = []\n"
+                 "    return p.kept\n"),
+        "oracle.py": "import dataclasses\n"
+                     "@dataclasses.dataclass\n"
+                     "class Naive:\n"
+                     "    never: int\n",
+    }) == ["a.py:5: Pair.unread", "a.py:6: Pair.stored"]
 
 
 def constructor_mismatches(cls: type) -> list[str]:

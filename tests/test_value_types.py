@@ -58,7 +58,7 @@ CASES = {
         "reason=<Reason.CERTIFICATE_AT_BASE: 'certificate-at-base-period'>, "
         "modulus=4, certificate=Certificate(T=4, c=ResidueSubset(modulus=4, "
         "mask=3), variant='sufficient'), stats=SearchStats(subsets_examined=3, "
-        "wall_time=0.5, budget_exhausted=False))",
+        "wall_time=0.5))",
         ("modulus", 8)),
 }
 
@@ -75,7 +75,7 @@ def test_equality_hash_and_repr(name):
     assert len({obj, twin, other}) == 2
     if name == "Verdict":
         # equality and hash follow the answer, not the search's counters
-        again = dataclasses.replace(obj, stats=SearchStats(7, 0.25, True))
+        again = dataclasses.replace(obj, stats=SearchStats(7, 0.25))
         assert again == obj and hash(again) == hash(obj)
 
 

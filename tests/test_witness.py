@@ -73,8 +73,8 @@ def test_deleted_element_breaks_coverage():
     )
     report = verify_coverage(EVEN_SET, pruned)
     assert not report.ok
-    assert report.first_difference == victim
-    assert report.failures == ("d_elements and the lift of (T, C) differ at 0",)
+    assert report.failures == (
+        f"d_elements and the lift of (T, C) differ at {victim}",)
 
 
 # With exceptions {1, 3} every odd target has two even preimages, so the
@@ -243,7 +243,7 @@ def test_random_exists_instances_verify():
         victim = interior[len(interior) // 2]
         holed = dataclasses.replace(
             w, d_elements=tuple(d for d in w.d_elements if d != victim))
-        assert verify_coverage(s, holed).first_difference == victim
+        assert first_difference(verify_coverage(s, holed)) == victim
         for win, covered in ((w, True), (holed, False)):
             d = WindowSet(win.lo, win.hi, win.d_elements)
             slow = verify_complement_window(d, s, inner_lo, inner_hi)
@@ -257,6 +257,16 @@ def test_serialization_round_trip():
     again = WitnessWindow.from_dict(w.to_dict())
     assert again == w
     assert verify_coverage(EVEN_SET, again).ok
+
+
+def first_difference(report):
+    """The integer at which a coverage report says the listing and the
+    lift part, or None when none of its failures says so."""
+    for text in report.failures:
+        head, _, n = text.rpartition(" differ at ")
+        if head == "d_elements and the lift of (T, C)":
+            return int(n)
+    return None
 
 
 def reference_coverage(s, w):
@@ -318,7 +328,7 @@ def test_class_arithmetic_matches_integer_walk():
         for record in (w, *tampered_listings(rng, s, w)):
             got = verify_coverage(s, record)
             want = reference_coverage(s, record)
-            assert (got.ok, got.first_difference) == want, record
+            assert (got.ok, first_difference(got)) == want, record
             compared += 1
             failed += not want[0]
     assert failed >= 700, failed
