@@ -156,15 +156,16 @@ def _emit_text(record: dict, indent: int = 0) -> None:
             print(f"{pad}{key} = {value}")
 
 
-#: What a command returns: input echo, config, result, exit code.  ``main``
-#: wraps the first three in the one run record it emits.
-CommandResult = tuple[dict, dict, dict, int]
+#: What a command returns: input echo, result, exit code.  ``main`` wraps
+#: the first two in the one run record it emits, with the config it reads
+#: off the parsed options.
+CommandResult = tuple[dict, dict, int]
 
 
 def cmd_canonicalize(args) -> CommandResult:
     s, fields, reflected = load_set(args.file)
     result = {"canonical": s.to_dict(), "reflected": reflected}
-    return fields, {}, result, EXIT_EXISTS
+    return fields, result, EXIT_EXISTS
 
 
 def _decided(args) -> tuple[CanonicalSet, dict, dict, criteria.Verdict]:
@@ -182,7 +183,7 @@ def _decided(args) -> tuple[CanonicalSet, dict, dict, criteria.Verdict]:
 
 def cmd_decide(args) -> CommandResult:
     _, fields, result, verdict = _decided(args)
-    return fields, {"t_max": args.t_max}, result, EXIT_OF_OUTCOME[verdict.outcome]
+    return fields, result, EXIT_OF_OUTCOME[verdict.outcome]
 
 
 def _parse_window(spec: str) -> tuple[int, int]:
@@ -196,13 +197,12 @@ def _parse_window(spec: str) -> tuple[int, int]:
 def cmd_witness(args) -> CommandResult:
     lo, hi = _parse_window(args.window)
     s, fields, result, verdict = _decided(args)
-    config = {"t_max": args.t_max, "window": args.window}
     if verdict.certificate is None:
         if verdict.outcome is criteria.Outcome.EXISTS:
             print("no certificate on this branch; witness unavailable",
                   file=sys.stderr)
-            return fields, config, result, EXIT_VERIFY_FAILED
-        return fields, config, result, EXIT_OF_OUTCOME[verdict.outcome]
+            return fields, result, EXIT_VERIFY_FAILED
+        return fields, result, EXIT_OF_OUTCOME[verdict.outcome]
     try:
         # the build lists every element of the lift in the window
         w = witness_mod.build_witness(s, verdict.certificate, lo, hi)
@@ -217,7 +217,7 @@ def cmd_witness(args) -> CommandResult:
         minimality={"ok": mini.ok, "failures": list(mini.failures)},
     )
     ok = cov.ok and mini.ok
-    return fields, config, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
+    return fields, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
 
 
 def _has_int_fields(part, scalars: str, lists: str) -> bool:
@@ -266,7 +266,7 @@ def cmd_verify_witness(args) -> CommandResult:
     result = {name: {"ok": rep.ok, "failures": list(rep.failures)}
               for name, rep in reports.items()}
     ok = all(rep.ok for rep in reports.values())
-    return {"file": args.file}, {}, result, (
+    return {"file": args.file}, result, (
         EXIT_EXISTS if ok else EXIT_VERIFY_FAILED)
 
 
@@ -302,8 +302,7 @@ def cmd_construct(args) -> CommandResult:
         report = generator.verify(state)
         result["report"] = report.to_dict()
         ok = report.ok
-    config = {"steps": args.steps, "slack": args.slack}
-    return {}, config, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
+    return {}, result, EXIT_EXISTS if ok else EXIT_VERIFY_FAILED
 
 
 @functools.cache
@@ -411,9 +410,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if isinstance(value, list):
             build_parser().error(f"argument --{dest.replace('_', '-')}: "
                                  "expected one argument")
+    # The config is every parsed option but the file, which the input
+    # echo covers, and the output format.
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "file", "format")}
     started = time.perf_counter()
     try:
-        inputs, config, result, code = args.func(args)
+        inputs, result, code = args.func(args)
     except MinaddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -31,8 +31,7 @@ first node a call builds only a few masks and Y1's residues, in O(|Y1|)
 Python steps, and reverses F's row through T/8 bytes, so it holds
 nothing larger than a mask and a T that the masks fit is searched; it
 builds nothing on first use, as the cover test reads U off its mask.
-``decide`` takes 3 130 nodes in all on the benchmark's 1 409 pool sets,
-where testing (b) only at full covers took 10.6 M.
+``decide`` takes 3 130 nodes in all on the benchmark's 1 409 pool sets.
 
 ``decide`` runs it at the base modulus, in both forms, and at lifted
 moduli up to EXHAUSTIVE_LIMIT.  Lifted moduli above the limit take a
@@ -46,7 +45,7 @@ the outcome.
 from __future__ import annotations
 
 import time
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
 from typing import Iterator, Optional
@@ -125,29 +124,30 @@ class Verdict:
 
     ``modulus`` carries the working modulus at which the deciding event
     fired (the base modulus m for NECESSARY_FAILED, the certificate's T
-    for the certificate reasons, t_max for the two Unknown reasons).  Its
+    for the certificate reasons, and for the two Unknown reasons the
+    largest scanned modulus, t_max rounded down to a multiple of m).  Its
     constructor stores its arguments directly (see ``ResidueSubset``);
-    ``stats`` left out is a fresh SearchStats.  Equality and hash follow
-    the answer and ignore ``stats``, whose wall time differs between
-    calls.
+    ``stats`` left out or None is a fresh SearchStats, so ``stats`` is
+    always one.  Equality and hash follow the answer and ignore
+    ``stats``, whose wall time differs between calls.
     """
 
     outcome: Outcome
     reason: Reason
     modulus: Optional[int] = None
     certificate: Optional[Certificate] = None
-    stats: SearchStats = field(default_factory=SearchStats, compare=False)
+    stats: SearchStats = field(default=None, compare=False)
 
     def __init__(self, outcome: Outcome, reason: Reason,
                  modulus: Optional[int] = None,
                  certificate: Optional[Certificate] = None,
-                 stats: SearchStats = MISSING) -> None:
+                 stats: Optional[SearchStats] = None) -> None:
         d = self.__dict__
         d["outcome"] = outcome
         d["reason"] = reason
         d["modulus"] = modulus
         d["certificate"] = certificate
-        d["stats"] = SearchStats() if stats is MISSING else stats
+        d["stats"] = SearchStats() if stats is None else stats
 
     def to_dict(self) -> dict:
         return {
@@ -414,7 +414,9 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     and the necessary (b) at every k*m (the lift lemma).  Both searches
     are complete, so Unknown with SEARCH_EXHAUSTED means that no
     sufficient certificate exists at any scanned T; BUDGET_EXHAUSTED means
-    that some search ran out of its budget and proved nothing.
+    that some search ran out of its budget and proved nothing.  Either
+    Unknown names the largest scanned modulus, t_max // m * m, so two
+    t_max that scan the same moduli give the same verdict.
 
     The base modulus and lifted moduli up to EXHAUSTIVE_LIMIT take
     ``find_certificate``; lifted moduli above it take the cover-driven
@@ -458,8 +460,9 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     elif not s.y1:
         outcome, reason = _NOT_EXISTS, _QUASIPERIODIC
     else:
-        outcome, reason, modulus = _UNKNOWN, _SEARCH_EXHAUSTED, t_max
-        for k in range(1, t_max // m + 1):
+        k_max = t_max // m
+        outcome, reason, modulus = _UNKNOWN, _SEARCH_EXHAUSTED, k_max * m
+        for k in range(1, k_max + 1):
             T = k * m
             ctx = lift_period(s, k)
             try:

@@ -71,15 +71,6 @@ class GeneratorState:
             "runs": [list(r) for r in self.runs],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorState":
-        return cls(
-            tuple(d["d_seq"]),
-            tuple(d["c_seq"]),
-            tuple(tuple(r) for r in d["runs"]),
-            tuple(d["slack_seq"]),
-        )
-
 
 def initial_state() -> GeneratorState:
     """Fixed base case: d_1 = -1, c_1 = -3, W_1 = {1, ..., 12}."""
@@ -243,13 +234,20 @@ def generate(
 
 @dataclass(frozen=True)
 class GeneratorReport:
-    """What ``verify`` found on the window [d_N, window_hi]."""
+    """What ``verify`` found on the window [d_N, window_hi]: whether the
+    gaps are all 1 or 2, the least integer of the window that no
+    translate covers (None when every one is covered), and the anchors
+    that fail unique representation.  Coverage passes exactly when
+    ``first_uncovered`` is None."""
 
     window_hi: int
     gaps_ok: bool
-    coverage_ok: bool
     first_uncovered: Optional[int]
     uniqueness_failures: tuple[str, ...]
+
+    @property
+    def coverage_ok(self) -> bool:
+        return self.first_uncovered is None
 
     @property
     def ok(self) -> bool:
@@ -298,8 +296,6 @@ def verify(state: GeneratorState) -> GeneratorReport:
     n = state.d_seq[-1]
     while n <= window_hi and (hits := _translates_at(runs, starts, c_seq, n)):
         n = max(b for _, b, _ in hits) + 1
-    coverage_ok = n > window_hi
-    first_uncovered = None if coverage_ok else n
 
     uniqueness_failures = []
     for d_j, c_j in zip(state.d_seq, c_seq):
@@ -312,7 +308,6 @@ def verify(state: GeneratorState) -> GeneratorReport:
     return GeneratorReport(
         window_hi,
         gaps_ok,
-        coverage_ok,
-        first_uncovered,
+        None if n > window_hi else n,
         tuple(uniqueness_failures),
     )

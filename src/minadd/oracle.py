@@ -124,12 +124,6 @@ def naive_find_certificate(
     return first
 
 
-def window_sumset(a: WindowSet, b: WindowSet, lo: int, hi: int) -> WindowSet:
-    """{x + y : x in a, y in b} clipped to [lo, hi]."""
-    sums = {x + y for x in a.members for y in b.members if lo <= x + y <= hi}
-    return WindowSet(lo, hi, tuple(sorted(sums)))
-
-
 def verify_complement_window(
     d: WindowSet, s: CanonicalSet, inner_lo: int, inner_hi: int
 ) -> CoverageReport:

@@ -60,14 +60,6 @@ class ResidueSubset:
                                       f"bit ({type(exc).__name__})") from exc
         return cls(modulus, mask)
 
-    @classmethod
-    def reduce(cls, modulus: int, values: Iterable[int]) -> "ResidueSubset":
-        """Build from arbitrary integers, reduced mod modulus into [0, m)."""
-        mask = 0
-        for v in values:
-            mask |= 1 << (v % modulus)
-        return cls(modulus, mask)
-
     def members(self) -> tuple[int, ...]:
         # bin() reversed puts bit r at index r; find() skips the zeros at C
         # speed, so the cost is one Python step per member.

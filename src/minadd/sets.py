@@ -240,10 +240,11 @@ class ConditionContext:
 def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
     """Lift the modulus-m description to modulus T = k*m.
 
-    The periodic residues expand to {i*m + x : 0 <= i < k, x in x_m}; the
-    finite exceptions reduce mod T (negative values wrap into [0, T)).
-    A T whose T-bit mask cannot be allocated raises ModulusTooLarge: at
-    k = 1 too, where the tiling is only the guard and x_m is the lift.
+    The periodic residues expand to {i*m + x : 0 <= i < k, x in x_m},
+    tiled from x_m's mask; the exceptions of Y1 set the bits of their
+    residues mod T, a negative one wrapping into [0, T).  A T whose T-bit
+    mask cannot be allocated raises ModulusTooLarge: at k = 1 too, where
+    the tiling is only the guard and x_m is the lift.
     """
     if not s.x_m:
         raise EmptySet("cannot lift a set with no periodic part")
@@ -256,4 +257,7 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
         raise ModulusTooLarge(f"modulus {T} is too large to lift: its masks "
                               f"do not fit in memory ({type(exc).__name__})") from exc
     x_t = s.x_m if k == 1 else ResidueSubset(T, x_mask)
-    return ConditionContext(T, x_t, ResidueSubset.reduce(T, s.y1))
+    y1_mask = 0
+    for y in s.y1:
+        y1_mask |= 1 << y % T
+    return ConditionContext(T, x_t, ResidueSubset(T, y1_mask))

@@ -76,8 +76,14 @@ from .sets import CanonicalSet, ConditionContext, Margins, lift_period, margins
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
+    """What one check found wrong, one message per failure; it passes
+    when there is none."""
+
     failures: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -248,7 +254,7 @@ def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
         failures.append(f"certificate modulus {w.T} is not a multiple of {s.m}")
     if w.margins != margins(s):
         failures.append("margins differ from their values recomputed from the set")
-    return VerificationReport(not failures, tuple(failures))
+    return VerificationReport(tuple(failures))
 
 
 def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
@@ -262,18 +268,18 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     try:
         ctx = _lift(s, w.T)
     except CertificateInvalid as exc:
-        return VerificationReport(False, (str(exc),))
+        return VerificationReport((str(exc),))
     if not cond_a(ctx, w.c):
-        return VerificationReport(False, (f"condition (a) fails at T = {w.T}",))
+        return VerificationReport((f"condition (a) fails at T = {w.T}",))
     ds = w.d_elements
     # (a) holds, so C is nonempty
     periods = len(ds) // len(w.c) + 1
     cut = _lift_cut(w.c, w.lo, min(w.hi, w.lo + periods * w.T - 1))
     if ds == cut:
-        return VerificationReport(True)
+        return VerificationReport()
     n = _first_difference(ds, cut)
     return VerificationReport(
-        False, (f"d_elements and the lift of (T, C) differ at {n}",))
+        (f"d_elements and the lift of (T, C) differ at {n}",))
 
 
 def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
@@ -283,10 +289,10 @@ def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationRe
     try:
         ctx = _lift(s, w.T)
     except CertificateInvalid as exc:
-        return VerificationReport(False, (str(exc),))
+        return VerificationReport((str(exc),))
     failures = [] if w.c else ["the certificate has no classes"]
     if s.y1 and w.T <= s.y1[-1] - s.y1[0]:
         failures.append(f"T = {w.T} is not above span(Y1) = {s.y1[-1] - s.y1[0]}")
     if not cond_b_sufficient(ctx, w.c):
         failures.append(f"condition (b) fails at T = {w.T}")
-    return VerificationReport(not failures, tuple(failures))
+    return VerificationReport(tuple(failures))

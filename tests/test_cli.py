@@ -716,6 +716,29 @@ class TestRecords:
             {"t_max": None, "window": "-40:40"},
             {"t_max": None, "window": "-40:40"}]
 
+    def test_config_is_every_option_but_file_and_format(
+            self, witness_record, setfile, tmp_path, capsys):
+        # main reads the config off the parsed options, so an option that a
+        # command gains shows in its records with no per-command copy
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(witness_record))
+        argvs = {
+            "canonicalize": [setfile(PAPERLIKE, "paperlike.set")],
+            "decide": [setfile(EVEN, "even.set"), "--t-max", "6"],
+            "witness": [setfile(EVEN, "even.set"), "--window=-40:40"],
+            "verify-witness": [str(path)],
+            "construct": ["--steps", "3", "--slack", "cycle:1,2"],
+        }
+        _, commands = cli._parsers()
+        assert argvs.keys() == commands.keys()
+        for name, argv in argvs.items():
+            _, rec = run_json(capsys, [name, *argv])
+            sub = commands[name]
+            options = {action.dest for action in sub._actions} - {
+                "help", "file", "format"}
+            parsed = vars(sub.parse_args(argv))
+            assert rec["config"] == {dest: parsed[dest] for dest in options}, name
+
     def test_finite_set_witness_explains_exit_four(self, setfile, capsys):
         assert cli.main(["witness", setfile(FINITE), "--window=-4:4"]) == (
             cli.EXIT_VERIFY_FAILED)

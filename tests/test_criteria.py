@@ -557,6 +557,21 @@ class TestDecide:
         assert complete != ran_out and hash(complete) != hash(ran_out)
         assert ran_out.to_dict()["reason"] == "budget-exhausted"
 
+    def test_unknown_names_the_largest_scanned_modulus(self, monkeypatch):
+        # t_max 7 and 9 both scan only T = 5, so they give one verdict,
+        # which names that modulus rather than the bound
+        s = validate_canonical(5, [0, 1], [], [-2, 9])
+        at7, at9 = (decide(s, SearchConfig(t_max=t)) for t in (7, 9))
+        assert (at9.outcome, at9.reason, at9.modulus) == (
+            Outcome.UNKNOWN, Reason.SEARCH_EXHAUSTED, 5)
+        assert at9.stats.subsets_examined == 3
+        assert at7 == at9 and hash(at7) == hash(at9)
+        assert at7.to_dict()["modulus"] == 5
+        assert decide(s, SearchConfig(t_max=10)).modulus == 10
+        monkeypatch.setattr(criteria, "NODE_BUDGET", 1)
+        ran_out = decide(s, SearchConfig(t_max=9))
+        assert (ran_out.reason, ran_out.modulus) == (Reason.BUDGET_EXHAUSTED, 5)
+
     @pytest.mark.parametrize("t_max", [-5, 0, 4])
     def test_t_max_below_period_is_refused(self, t_max):
         # No modulus lies in [m, t_max], so an Unknown would claim an

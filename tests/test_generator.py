@@ -313,14 +313,13 @@ def reference_verify(state):
     for a, b in reference_sumset_runs(state):
         if a <= n <= b:
             n = b + 1
-    coverage_ok = n > window_hi
     failures = []
     for d_j, c_j in zip(state.d_seq, state.c_seq):
         hits = [c for c in state.c_seq if runs_contains(state.runs, d_j - c)]
         if hits != [c_j]:
             failures.append(f"anchor {d_j} reached via {hits}, expected [{c_j}]")
-    return GeneratorReport(window_hi, gaps_ok, coverage_ok,
-                           None if coverage_ok else n, tuple(failures))
+    return GeneratorReport(window_hi, gaps_ok,
+                           None if n > window_hi else n, tuple(failures))
 
 
 _cycles = random.Random(1703)
@@ -399,7 +398,6 @@ def test_generate_carries_the_run_starts():
     with bounded_work(max_lines=80_000):
         st = generate(100)
     assert st.starts == tuple(a for a, _ in st.runs)
-    assert GeneratorState.from_dict(st.to_dict()).starts == st.starts
 
 
 def test_generate_freezes_one_state(monkeypatch):
@@ -434,8 +432,3 @@ def test_determinism():
     a = generate(8, lambda i: 1 + (i % 2))
     b = generate(8, lambda i: 1 + (i % 2))
     assert a == b
-
-
-def test_serialization_round_trip():
-    st = generate(6, lambda i: 2)
-    assert GeneratorState.from_dict(st.to_dict()) == st

@@ -29,6 +29,10 @@ assignment at the top of a module, dunders aside) must be read somewhere
 in the package outside its own assignment, as a name or as a module
 attribute; one that only a test reads is a knob the program never turns.
 
+``minadd.__all__`` lists exactly the names that ``__init__.py``
+imports, each once: it is the one list of the package's interface that
+is written twice, so the two copies must agree.
+
 A field of a dataclass of ``src/minadd`` must be read as an attribute
 somewhere in the package outside its own declaration; a field that only
 a test or nothing reads is state the program carries for no one.
@@ -53,6 +57,8 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+
+import minadd
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -129,6 +135,15 @@ def test_every_public_name_is_used():
     files = sorted((ROOT / "src" / "minadd").glob("*.py"))
     assert len(files) >= 8
     assert unreferenced_public(files) == []
+
+
+def test_all_is_what_init_imports():
+    path = ROOT / "src" / "minadd" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) >= 20
+    assert sorted(minadd.__all__) == sorted(imported)
 
 
 def attribute_reads(trees) -> list[tuple[str, int]]:

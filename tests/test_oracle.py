@@ -9,7 +9,6 @@ from minadd.oracle import (
     WindowSet,
     naive_find_certificate,
     verify_complement_window,
-    window_sumset,
 )
 from minadd.residues import ResidueSubset
 from minadd.sets import ConditionContext, validate_canonical
@@ -41,29 +40,6 @@ class TestNaiveSearch:
                 assert (slow is None) == (fast is None)
                 if slow is not None:
                     assert slow.c == fast.c
-
-
-class TestWindowSumset:
-    def test_interval_plus_singleton(self):
-        a = WindowSet(1, 12, tuple(range(1, 13)))
-        b = WindowSet(-3, -3, (-3,))
-        assert window_sumset(a, b, -5, 10).members == tuple(range(-2, 10))
-
-    def test_empty_operand(self):
-        a = WindowSet(0, 5, (1, 2))
-        assert window_sumset(a, WindowSet(0, 1, ()), -10, 10).members == ()
-
-    def test_zero_identity_clips(self):
-        z = WindowSet(0, 0, (0,))
-        b = WindowSet(-5, 5, (-5, 0, 5))
-        assert window_sumset(z, b, -1, 5).members == (0, 5)
-
-    def test_commutative(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            a = WindowSet(-9, 9, tuple(rng.sample(range(-9, 10), 5)))
-            b = WindowSet(-9, 9, tuple(rng.sample(range(-9, 10), 4)))
-            assert window_sumset(a, b, -6, 6) == window_sumset(b, a, -6, 6)
 
 
 class TestVerifyComplementWindow:

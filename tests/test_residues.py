@@ -27,11 +27,6 @@ def test_residue_beyond_an_index_rejected():
     assert isinstance(exc.value.__cause__, OverflowError)
 
 
-def test_reduce_wraps_negatives():
-    s = ResidueSubset.reduce(10, [-1, 4])
-    assert s.members() == (4, 9)
-
-
 def test_complement_and_full():
     s = ResidueSubset.of(4, [0, 2])
     assert s.complement().members() == (1, 3)

@@ -16,16 +16,36 @@ answer.
   has C, so the outcome stays.  The residues rotate by t and the
   canonical form changes, but the reason and the modulus that ``decide``
   reports do not.
+- Restating at k*m.  The same set with period k*m, X written out k
+  times, lifts to the same context at every common modulus, so a
+  certificate of one form is a certificate of the other there.  Both
+  answers are sound, so one form is never ``exists`` where the other is
+  ``not-exists``.
+- Reducing X to its minimal period d.  If X is d-periodic in Z_m then
+  m*N + X = d*N + X_d, so the form at d describes the same set.
+  ``canonicalize`` does not reduce the period yet, so the canonical
+  forms and certificates differ, and only the outcome is compared.
+- Reflecting.  An ``orientation = above`` file describes -W by the same
+  fields, and a complement C of -W gives the complement -C of W, so the
+  file decides as its ``below`` twin does, with ``reflected: true``.
 
 The draws are small (m <= 6, t_max = 2m), and hypothesis runs
 derandomized (see ``conftest``).
 """
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
-from minadd.criteria import SearchConfig, decide
+from minadd import cli
+from minadd.check import check_certificate
+from minadd.criteria import Outcome, SearchConfig, decide
 from minadd.residues import ResidueSubset, rotate
-from minadd.sets import RawSet, canonicalize, validate_canonical
+from minadd.sets import RawSet, canonicalize, lift_period, validate_canonical
 
 SYMMETRY = settings(max_examples=200, deadline=None)
 
@@ -89,3 +109,72 @@ def test_translation_by_the_period_moves_only_the_shift(raw, k):
 @given(raw_sets(), st.integers(-15, 15))
 def test_translation_keeps_the_answer(raw, t):
     assert answer(translate(raw, t)) == answer(raw)
+
+
+def restated(s, k: int):
+    """The canonical set ``s`` written with period k*m."""
+    m = s.m
+    return validate_canonical(
+        k * m, [i * m + x for i in range(k) for x in s.x_m.members()],
+        s.y0, s.y1, s.shift)
+
+
+#: Sets with Y1 nonempty: the others are refused as quasiperiodic before
+#: any search
+SEARCHED = canonical_sets().filter(lambda s: s.y1)
+
+
+@SYMMETRY
+@given(SEARCHED, st.integers(2, 3))
+def test_restatement_never_contradicts(s, k):
+    wide = restated(s, k)
+    assert lift_period(wide, 1) == lift_period(s, k)
+    cfg = SearchConfig(t_max=2 * wide.m)
+    narrow_v, wide_v = decide(s, cfg), decide(wide, cfg)
+    assert {narrow_v.outcome, wide_v.outcome} != {Outcome.EXISTS,
+                                                   Outcome.NOT_EXISTS}
+    if wide_v.certificate is not None:
+        # the narrow form scans every modulus the wide one does
+        cert = wide_v.certificate
+        assert check_certificate(lift_period(s, cert.T // s.m), cert)
+        assert narrow_v.outcome is Outcome.EXISTS
+
+
+@SYMMETRY
+@given(SEARCHED, st.integers(2, 3))
+def test_minimal_period_keeps_the_outcome(s, k):
+    # the wide form's X repeats with period m, a proper divisor of k*m,
+    # and s is the same set at that period
+    wide = restated(s, k)
+    cfg = SearchConfig(t_max=2 * wide.m)
+    assert decide(wide, cfg).outcome == decide(s, cfg).outcome
+
+
+def decide_record(text: str, t_max: int) -> tuple[int, dict]:
+    """``minadd decide`` on a set file of ``text``: exit code and record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.set"
+        path.write_text(text)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["decide", str(path), "--t-max", str(t_max),
+                             "--format", "json"])
+    return code, json.loads(out.getvalue())
+
+
+@SYMMETRY
+@given(raw_sets())
+def test_reflection_decides_the_same_fields(raw):
+    text = (f"period = {raw.period}\n"
+            f"residues = {','.join(map(str, raw.residues.members()))}\n"
+            f"threshold = {raw.threshold}\n"
+            f"extras = {','.join(map(str, raw.extras))}\n")
+    below_code, below = decide_record(text, 2 * raw.period)
+    above_code, above = decide_record(text + "orientation = above\n",
+                                      2 * raw.period)
+    assert above_code == below_code
+    for rec in (below, above):
+        del rec["result"]["verdict"]["stats"]["wall_time"]
+    assert (below["result"].pop("reflected"),
+            above["result"].pop("reflected")) == (False, True)
+    assert above["result"] == below["result"]

@@ -119,10 +119,11 @@ def test_defaults(name):
         a = Verdict(Outcome.UNKNOWN, Reason.SEARCH_EXHAUSTED)
         b = Verdict(Outcome.UNKNOWN, Reason.SEARCH_EXHAUSTED)
         assert (a.modulus, a.certificate) == (None, None)
-        # each Verdict gets its own fresh stats
+        # each Verdict gets its own fresh stats, and None means the same
         assert a.stats == SearchStats() and a.stats is not b.stats
-        assert Verdict(Outcome.UNKNOWN, Reason.SEARCH_EXHAUSTED,
-                       stats=None).stats is None
+        c = Verdict(Outcome.UNKNOWN, Reason.SEARCH_EXHAUSTED, stats=None)
+        assert c.stats == SearchStats() and c.stats is not a.stats
+        assert c.to_dict()["stats"] == SearchStats().to_dict()
     else:
         with pytest.raises(TypeError):
             CASES[name][0].__class__()
