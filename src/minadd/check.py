@@ -59,10 +59,6 @@ class Certificate:
     def to_dict(self) -> dict:
         return {"T": self.T, "c": list(self.c.members()), "variant": self.variant}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        return cls(d["T"], ResidueSubset.of(d["T"], d["c"]), d["variant"])
-
 
 def cond_a(ctx: ConditionContext, c: ResidueSubset) -> bool:
     """Covering condition: C + (X_T | Y1) hits every residue mod T."""

@@ -39,21 +39,15 @@ class GeneratorState:
     """Prefix of the construction after len(d_seq) steps.
 
     ``starts`` lists the run starts, which ``next_d`` and ``verify``
-    bisect.  The construction appends to it as it appends runs; left
-    unset, it is read off ``runs``.  It is derived, so it takes no part
-    in equality or in the record.
+    bisect.  The construction appends to it as it appends runs.  It is
+    derived, so it takes no part in equality or in the record.
     """
 
     d_seq: tuple[int, ...]
     c_seq: tuple[int, ...]
     runs: Runs
-    slack_seq: tuple[int, ...] = ()
-    starts: Optional[tuple[int, ...]] = field(
-        default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.starts is None:
-            object.__setattr__(self, "starts", tuple(a for a, _ in self.runs))
+    slack_seq: tuple[int, ...]
+    starts: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def steps(self) -> int:
@@ -108,22 +102,33 @@ class _Prefix:
 def _translates_at(
     runs: Sequence[tuple[int, int]], starts: Sequence[int],
     c_seq: Sequence[int], n: int,
-) -> list[tuple[int, int, int]]:
-    """The runs of prefix + c, over c in c_seq, that contain n, each as
-    (start, end, c), in the order of c_seq.
+) -> tuple[int, int, list[int]]:
+    """The runs of prefix + c, over c in c_seq, that contain n, as
+    (low, high, cs): the lowest start and the highest end among them, and
+    their c's in the order of c_seq.  When none holds n, low is n + 1,
+    high is n - 1 and cs is empty.
 
     ``starts`` lists the run starts.  Exact when the runs are sorted and
-    disjoint, as a step leaves them: then the only run that can hold
-    n - c is the last one starting at or below it, and one
-    ``bisect_right`` per c finds it.
+    disjoint, as a step leaves them, for any order of c_seq.  A run
+    holding n - c lies inside the prefix's span [min W, max W], read off
+    the first and last run, so a c outside [n - max W, n - min W] is
+    skipped without a bisection.  For any other c, the only run that can
+    hold n - c is the last one starting at or below it, and one
+    ``bisect_right`` finds it.
     """
-    hits = []
+    c_lo, c_hi = n - runs[-1][1], n - runs[0][0]
+    low, high, cs = n + 1, n - 1, []
     for c in c_seq:
-        i = bisect_right(starts, n - c) - 1
-        if i >= 0 and runs[i][1] >= n - c:
-            a, b = runs[i]
-            hits.append((a + c, b + c, c))
-    return hits
+        if c_lo <= c <= c_hi:
+            w = n - c
+            a, b = runs[bisect_right(starts, w) - 1]
+            if b >= w:
+                if a + c < low:
+                    low = a + c
+                if b + c > high:
+                    high = b + c
+                cs.append(c)
+    return low, high, cs
 
 
 def next_d(state: GeneratorState | _Prefix, start: int) -> int:
@@ -139,13 +144,16 @@ def next_d(state: GeneratorState | _Prefix, start: int) -> int:
     Walks down from start without building the sumset: while n is
     covered, every integer from the lowest start of a translate-run
     holding n up to n is covered too, so the walk jumps to one below
-    that start.  Each probe costs one bisection per c.  From d_{i-1} the
-    walk takes two probes per step on every slack tried; from -1 it
-    takes about i.
+    that start.  A probe bisects only for the c's whose translate can
+    reach n, those with n - c in the prefix's span [min W, max W], in
+    whatever order c_seq lists them; near an anchor that is about one or
+    two of them.  From d_{i-1} the walk takes two probes per step on
+    every slack tried; from -1 it takes about i.
     """
+    runs, starts, c_seq = state.runs, state.starts, state.c_seq
     n = start
-    while hits := _translates_at(state.runs, state.starts, state.c_seq, n):
-        n = min(a for a, _, _ in hits) - 1
+    while (low := _translates_at(runs, starts, c_seq, n)[0]) <= n:
+        n = low - 1
     return n
 
 
@@ -278,10 +286,13 @@ def verify(state: GeneratorState) -> GeneratorReport:
     Coverage (2) walks up from d_N the way ``next_d`` walks down: while n
     is covered it jumps to one above the highest end of a translate-run
     holding n.  The walk builds no sumset and is exact because the runs
-    are sorted and disjoint.  Each probe costs one bisection per c, and
-    each probe but the last passes the end of at least one translate-run
-    in the window.  Uniqueness (3) takes the c of each translate-run
-    holding d_j from the same probe.
+    are sorted and disjoint.  Each probe bisects only for the c's whose
+    translate can reach n, those with n - c in the prefix's span
+    [min W, max W], which holds for any order of c_seq, so a forged or
+    mutated state is checked as exactly as a generated one.  Each probe
+    but the last passes the end of at least one translate-run in the
+    window.  Uniqueness (3) takes the c's of the translate-runs holding
+    d_j from the same probe.
     """
     if state.steps < 2:
         raise PrefixTooShort("need at least two steps before verification")
@@ -294,15 +305,16 @@ def verify(state: GeneratorState) -> GeneratorReport:
 
     # n is the least integer of the window not yet known to be covered.
     n = state.d_seq[-1]
-    while n <= window_hi and (hits := _translates_at(runs, starts, c_seq, n)):
-        n = max(b for _, b, _ in hits) + 1
+    while (n <= window_hi
+           and (high := _translates_at(runs, starts, c_seq, n)[1]) >= n):
+        n = high + 1
 
     uniqueness_failures = []
     for d_j, c_j in zip(state.d_seq, c_seq):
-        hits = [c for *_, c in _translates_at(runs, starts, c_seq, d_j)]
-        if hits != [c_j]:
+        cs = _translates_at(runs, starts, c_seq, d_j)[2]
+        if cs != [c_j]:
             uniqueness_failures.append(
-                f"anchor {d_j} reached via {hits}, expected [{c_j}]"
+                f"anchor {d_j} reached via {cs}, expected [{c_j}]"
             )
 
     return GeneratorReport(

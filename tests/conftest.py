@@ -1,10 +1,10 @@
 """Shared builders for randomized and exhaustive instance sweeps, a
 window enumeration of canonical sets, the generic run helpers that the
-construct tests take as references, the plain certificate search the
-forward-checked one is diffed against, the forward-checked walk's first
-item, and a work bound for tests that must not depend on wall time.
-Hypothesis runs derandomized unless a seed or a profile is given on the
-command line."""
+construct tests take as references, a reader of serialized
+certificates, the plain certificate search the forward-checked one is
+diffed against, the forward-checked walk's first item, and a work bound
+for tests that must not depend on wall time.  Hypothesis runs
+derandomized unless a seed or a profile is given on the command line."""
 
 from __future__ import annotations
 
@@ -77,6 +77,11 @@ def merge_runs(intervals) -> tuple[tuple[int, int], ...]:
         else:
             out.append([a, b])
     return tuple((a, b) for a, b in out)
+
+
+def certificate_from_dict(d: dict) -> Certificate:
+    """The certificate that ``Certificate.to_dict`` wrote as ``d``."""
+    return Certificate(d["T"], ResidueSubset.of(d["T"], d["c"]), d["variant"])
 
 
 def reference_search(ctx: ConditionContext, variant: str):

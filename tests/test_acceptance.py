@@ -10,6 +10,7 @@ import random
 import time
 
 from conftest import (
+    certificate_from_dict,
     enumerate_contexts,
     random_canonical,
     random_context,
@@ -275,7 +276,7 @@ def test_criterion_9_invariance_properties():
         )
         payload = json.loads(record)["result"]
         s2 = CanonicalSet.from_dict(payload["canonical"])
-        cert = Certificate.from_dict(payload["verdict"]["certificate"])
+        cert = certificate_from_dict(payload["verdict"]["certificate"])
         ctx = lift_period(s2, cert.T // s2.m)
         ok = ok and check_certificate(ctx, cert)
         reverified += 1

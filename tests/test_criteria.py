@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     bounded_work,
+    certificate_from_dict,
     enumerate_contexts,
     random_canonical,
     random_context,
@@ -716,4 +717,4 @@ class TestProperties:
 
 def test_certificate_serialization_round_trip():
     cert = Certificate(6, ResidueSubset.of(6, [0, 3]), SUFFICIENT)
-    assert Certificate.from_dict(cert.to_dict()) == cert
+    assert certificate_from_dict(cert.to_dict()) == cert

@@ -1,5 +1,6 @@
 import random
 import time
+from bisect import bisect_right
 
 import pytest
 
@@ -183,7 +184,8 @@ def mutate(rng, state):
     elif b - a >= 2:
         p = rng.randint(a + 1, b - 1)
         runs[i:i + 1] = [(a, p - 1), (p + 1, b)]
-    return GeneratorState(state.d_seq, state.c_seq, tuple(runs), state.slack_seq)
+    return GeneratorState(state.d_seq, state.c_seq, tuple(runs),
+                          state.slack_seq, tuple(a for a, _ in runs))
 
 
 def test_run_coverage_matches_reference():
@@ -301,8 +303,9 @@ def reference_step(state, slack=1):
         cur = p + 1
     if cur <= hi:
         pieces.append((cur, hi))
-    return GeneratorState(state.d_seq + (d_i,), state.c_seq + (c_i,),
-                          merge_runs(pieces), state.slack_seq + (slack,))
+    runs = merge_runs(pieces)
+    return GeneratorState(state.d_seq + (d_i,), state.c_seq + (c_i,), runs,
+                          state.slack_seq + (slack,), tuple(a for a, _ in runs))
 
 
 def reference_verify(state):
@@ -367,20 +370,60 @@ def test_window_end():
 
 
 def test_one_point_windows_match_membership():
-    # The probe of the coverage walk at every integer of the authoritative
-    # window, run ends and starts of each translate included, so an
-    # off-by-one in a probe shows: it finds exactly the translate-runs of
-    # the prefix that hold n.
+    # The probe at every integer of the authoritative window, run ends and
+    # starts of each translate included, and at each end of every
+    # translate's span and one past it, so an off-by-one in a probe or in
+    # its range test shows: it finds exactly the translate-runs of the
+    # prefix that hold n.  Half the states list their c's shuffled, so the
+    # range test is shown not to lean on c_seq decreasing.
     rng = random.Random(31)
+    shuffled_states = 0
     for k in range(2, 7):
         base = generate(k, lambda i: rng.randint(1, 5))
-        for trial in range(8):
+        for trial in range(16):
             st = base if trial == 0 else mutate(rng, base)
-            starts = [a for a, _ in st.runs]
-            for n in range(st.d_seq[-1], -st.c_seq[-2]):
+            if trial % 2:
+                c_seq = list(st.c_seq)
+                rng.shuffle(c_seq)
+                st = GeneratorState(st.d_seq, tuple(c_seq), st.runs,
+                                    st.slack_seq, st.starts)
+                shuffled_states += c_seq != sorted(c_seq, reverse=True)
+            w_min, w_max = st.runs[0][0], st.runs[-1][1]
+            span_ends = {e for c in st.c_seq for e in (
+                w_min + c - 1, w_min + c, w_max + c, w_max + c + 1)}
+            for n in sorted({*range(st.d_seq[-1], -st.c_seq[-2]), *span_ends}):
                 want = [(a + c, b + c, c) for c in st.c_seq
                         for a, b in st.runs if a <= n - c <= b]
-                assert _translates_at(st.runs, starts, st.c_seq, n) == want
+                low = min((a for a, _, _ in want), default=n + 1)
+                high = max((b for _, b, _ in want), default=n - 1)
+                cs = [c for *_, c in want]
+                got = _translates_at(st.runs, st.starts, st.c_seq, n)
+                assert got == (low, high, cs)
+    assert shuffled_states >= 30
+
+
+def test_probes_bisect_only_translates_that_reach_them(monkeypatch):
+    # The work of a probe, pinned as a count that repeats on any host: a
+    # probe bisects only for the c's whose translate can reach it.  One
+    # bisection per c per probe made 132 and 300 bisections at 12 steps,
+    # and 9 900 and 20 100 at 100 steps.
+    calls = 0
+
+    def counting(a, x):
+        nonlocal calls
+        calls += 1
+        return bisect_right(a, x)
+
+    monkeypatch.setattr(generator, "bisect_right", counting)
+    slack_fn = parse_slack_spec("const:1")
+    got = []
+    for k in (12, 100):
+        calls = 0
+        st = generate(k, slack_fn)
+        built = calls
+        assert verify(st).ok
+        got.append((built, calls - built))
+    assert got == [(28, 186), (292, 10_394)]
 
 
 def test_generate_and_verify_work_is_bounded():
@@ -405,13 +448,13 @@ def test_generate_freezes_one_state(monkeypatch):
     # whole prefix, about i²/2 runs at step i, at every step: cubic work in
     # C-level tuple copies, which bounded_work's line count does not see.
     built = []
-    post_init = GeneratorState.__post_init__
+    init = GeneratorState.__init__
 
-    def counting(self):
+    def counting(self, *args):
+        init(self, *args)
         built.append(self.steps)
-        post_init(self)
 
-    monkeypatch.setattr(GeneratorState, "__post_init__", counting)
+    monkeypatch.setattr(GeneratorState, "__init__", counting)
     st = generate(100, parse_slack_spec("cycle:1,2,3"))
     assert built == [1, 100]  # initial_state and the one frozen at the end
     built.clear()

@@ -21,8 +21,9 @@ nothing in the package calls it.
 A public method of a public class of ``src/minadd`` must be read as an
 attribute somewhere in the package outside its own definition; one that
 only tests call belongs with the tests.  Only attribute reads count, so a
-local variable that shares the method's name does not keep it.
-``oracle.py`` is exempt, as above.
+local variable that shares the method's name does not keep it, and a
+read through a class's name (``CanonicalSet.from_dict``) counts only for
+that class.  ``oracle.py`` is exempt, as above.
 
 A module-level constant of ``src/minadd`` (a name bound by a plain
 assignment at the top of a module, dunders aside) must be read somewhere
@@ -152,12 +153,24 @@ def attribute_reads(trees) -> list[tuple[str, int]]:
             if isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load)]
 
 
-def unread_methods(files: list[Path]) -> list[str]:
-    trees = {p: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in files}
-    reads = attribute_reads(trees.values())
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """The public methods of public classes, in modules given as file
+    name -> source, that no attribute read outside their own definition
+    names.  A read through a class's name, as ``Cls.method`` or
+    ``module.Cls.method``, counts only for that class."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    classes = {cls.name for tree in trees.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef)}
+    reads = []  # (method name, class it is read through or None, node id)
+    for tree in trees.values():
+        for ref in ast.walk(tree):
+            if isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load):
+                base = getattr(ref.value, "id", getattr(ref.value, "attr", None))
+                reads.append((ref.attr, base if base in classes else None,
+                              id(ref)))
     unread = []
-    for path, tree in trees.items():
-        if path.name == "oracle.py":
+    for name, tree in trees.items():
+        if name == "oracle.py":
             continue
         for cls in tree.body:
             if not (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")):
@@ -167,17 +180,39 @@ def unread_methods(files: list[Path]) -> list[str]:
                         and not node.name.startswith("_")):
                     continue
                 own = set(map(id, ast.walk(node)))
-                if not any(name == node.name and ref not in own
-                           for name, ref in reads):
-                    unread.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
-                                  f"{cls.name}.{node.name}")
+                if not any(attr == node.name and owner in (None, cls.name)
+                           and ref not in own for attr, owner, ref in reads):
+                    unread.append(f"{name}:{node.lineno}: {cls.name}.{node.name}")
     return unread
 
 
 def test_every_public_method_is_read():
-    files = sorted((ROOT / "src" / "minadd").glob("*.py"))
-    assert len(files) >= 8
-    assert unread_methods(files) == []
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "minadd").glob("*.py"))}
+    assert len(sources) >= 8
+    assert unread_methods(sources) == []
+
+
+def test_method_guard_counts_a_class_read_for_that_class_only():
+    # a.Box.from_dict reads Box's method and not Pair's; p.to_dict, read
+    # through no class name, may read either's.
+    assert unread_methods({
+        "a.py": ("class Pair:\n"
+                 "    def to_dict(self):\n"
+                 "        return {}\n"
+                 "    @classmethod\n"
+                 "    def from_dict(cls, d):\n"
+                 "        return cls()\n"
+                 "class Box:\n"
+                 "    @classmethod\n"
+                 "    def from_dict(cls, d):\n"
+                 "        return cls()\n"
+                 "    def to_dict(self):\n"
+                 "        return {}\n"),
+        "b.py": ("import a\n"
+                 "def use(p, d):\n"
+                 "    return p.to_dict(), a.Box.from_dict(d)\n"),
+    }) == ["a.py:5: Pair.from_dict"]
 
 
 def module_constants(path: Path) -> list[tuple[str, int, set]]:
