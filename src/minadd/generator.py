@@ -291,8 +291,15 @@ def verify(state: GeneratorState) -> GeneratorReport:
     [min W, max W], which holds for any order of c_seq, so a forged or
     mutated state is checked as exactly as a generated one.  Each probe
     but the last passes the end of at least one translate-run in the
-    window.  Uniqueness (3) takes the c's of the translate-runs holding
-    d_j from the same probe.
+    window.  Uniqueness (3) needs the c's of the translate-runs holding
+    each d_j, and reads them off the walk's probe at d_j.  On a generated
+    state the walk probes every anchor, so verify makes at most N + 1
+    probes, where a second probe per anchor made 2N + 1.  An anchor the
+    walk does not probe gets a probe of its own: on a forged state, one
+    outside [d_N, window_hi], one above the uncovered integer where the
+    walk stops, or one between two of its probes.  Each probe is exact
+    wherever it lands, so the check stays exact on any state, and it
+    reports its failures in d_seq order.
     """
     if state.steps < 2:
         raise PrefixTooShort("need at least two steps before verification")
@@ -304,14 +311,22 @@ def verify(state: GeneratorState) -> GeneratorReport:
     )
 
     # n is the least integer of the window not yet known to be covered.
+    # at_anchor keeps the c's the walk's probe found at each anchor.
+    at_anchor = dict.fromkeys(state.d_seq)
     n = state.d_seq[-1]
-    while (n <= window_hi
-           and (high := _translates_at(runs, starts, c_seq, n)[1]) >= n):
+    while n <= window_hi:
+        _, high, cs = _translates_at(runs, starts, c_seq, n)
+        if n in at_anchor:
+            at_anchor[n] = cs
+        if high < n:
+            break
         n = high + 1
 
     uniqueness_failures = []
     for d_j, c_j in zip(state.d_seq, c_seq):
-        cs = _translates_at(runs, starts, c_seq, d_j)[2]
+        cs = at_anchor[d_j]
+        if cs is None:
+            cs = at_anchor[d_j] = _translates_at(runs, starts, c_seq, d_j)[2]
         if cs != [c_j]:
             uniqueness_failures.append(
                 f"anchor {d_j} reached via {cs}, expected [{c_j}]"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import random
 import sys
 import tracemalloc
@@ -18,14 +19,21 @@ from math import inf
 
 from hypothesis import settings
 
-from minadd.check import cond_b_necessary, cond_b_sufficient
-from minadd.criteria import (
+# A compiled cache of the package outlives the run: a later import in the
+# same checkout reads it, whatever PYTHONDONTWRITEBYTECODE says then, and
+# starts faster and smaller than from a clean one.  So neither the tests
+# nor the CLI subprocesses they start write one.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from minadd.check import cond_b_necessary, cond_b_sufficient  # noqa: E402
+from minadd.criteria import (  # noqa: E402
     Certificate,
     NECESSARY,
     _search_exhaustive,
 )
-from minadd.residues import ResidueSubset, rotate
-from minadd.sets import (
+from minadd.residues import ResidueSubset, rotate  # noqa: E402
+from minadd.sets import (  # noqa: E402
     CanonicalSet,
     ConditionContext,
     RawSet,

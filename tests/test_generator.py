@@ -345,6 +345,59 @@ def test_step_appends_what_a_merge_gives(spec):
     assert all(report.ok for report in reports)
 
 
+def forge(rng, state, kind):
+    """``state`` with its anchors or c's moved as a hand-written state might
+    move them: d_seq shuffled (kind 0), one anchor repeated (1), one anchor
+    moved below d_N or above the window (2), or c_seq shuffled (3)."""
+    d_seq, c_seq = list(state.d_seq), list(state.c_seq)
+    if kind == 0:
+        rng.shuffle(d_seq)
+    elif kind == 1:
+        i, j = rng.sample(range(len(d_seq)), 2)
+        d_seq[i] = d_seq[j]
+    elif kind == 2:
+        window_hi, off = -c_seq[-2] - 1, rng.randint(1, 5)
+        d_seq[rng.randrange(len(d_seq) - 1)] = rng.choice(
+            (d_seq[-1] - off, window_hi + off))
+    else:
+        rng.shuffle(c_seq)
+    return GeneratorState(tuple(d_seq), tuple(c_seq), state.runs,
+                          state.slack_seq, state.starts)
+
+
+def test_verify_matches_reference_on_forged_states(monkeypatch):
+    # On a forged state an anchor can lie where the coverage walk never
+    # probes: below d_N, above the window, above the uncovered integer
+    # where the walk stops, or between two of its probes.  verify then
+    # probes that anchor itself, and it still probes no integer twice.
+    rng = random.Random(3407)
+    probed = []
+
+    def probing(runs, starts, c_seq, n):
+        probed.append(n)
+        return _translates_at(runs, starts, c_seq, n)
+
+    monkeypatch.setattr(generator, "_translates_at", probing)
+    unique_failed = uncovered = unreached = 0
+    for k in range(2, 9):
+        base = generate(k, lambda i: rng.randint(1, 5))
+        for trial in range(24):
+            st = forge(rng, base, trial % 4)
+            for _ in range(trial % 3):
+                st = mutate(rng, st)
+            probed.clear()
+            report = verify(st)
+            assert len(probed) == len(set(probed))
+            assert report == reference_verify(st)
+            stop = (report.window_hi if report.coverage_ok
+                    else report.first_uncovered)
+            unreached += any(not st.d_seq[-1] <= d <= stop for d in st.d_seq)
+            unique_failed += bool(report.uniqueness_failures)
+            uncovered += not report.coverage_ok
+    # 162, 27 and 96 of the 168 states: both of verify's paths run.
+    assert unique_failed >= 100 and uncovered >= 10 and unreached >= 50
+
+
 @pytest.mark.parametrize("slack", [1, 2, 3, 4])
 def test_unguarded_choice_collides(slack, monkeypatch):
     # Without its prefix guard, choose_c puts the first excluded point
@@ -403,27 +456,40 @@ def test_one_point_windows_match_membership():
 
 
 def test_probes_bisect_only_translates_that_reach_them(monkeypatch):
-    # The work of a probe, pinned as a count that repeats on any host: a
-    # probe bisects only for the c's whose translate can reach it.  One
-    # bisection per c per probe made 132 and 300 bisections at 12 steps,
-    # and 9 900 and 20 100 at 100 steps.
-    calls = 0
+    # The work of a probe, pinned as counts that repeat on any host: a
+    # probe bisects only for the c's whose translate can reach it, and
+    # verify probes each anchor once, reading the uniqueness check off the
+    # coverage walk's probe there.  One bisection per c per probe made 132
+    # and 300 bisections at 12 steps, and 9 900 and 20 100 at 100 steps; a
+    # second probe per anchor made verify's 186 and 10 394 bisections in
+    # 25 and 201 probes.
+    calls = probes = 0
 
     def counting(a, x):
         nonlocal calls
         calls += 1
         return bisect_right(a, x)
 
+    def probing(*args):
+        nonlocal probes
+        probes += 1
+        return _translates_at(*args)
+
     monkeypatch.setattr(generator, "bisect_right", counting)
     slack_fn = parse_slack_spec("const:1")
-    got = []
+    got, verify_probes = [], []
     for k in (12, 100):
         calls = 0
         st = generate(k, slack_fn)
         built = calls
-        assert verify(st).ok
+        probes = 0
+        with monkeypatch.context() as m:
+            m.setattr(generator, "_translates_at", probing)
+            assert verify(st).ok
         got.append((built, calls - built))
-    assert got == [(28, 186), (292, 10_394)]
+        verify_probes.append(probes)
+    assert got == [(28, 99), (292, 5_247)]
+    assert verify_probes == [13, 101]
 
 
 def test_generate_and_verify_work_is_bounded():
