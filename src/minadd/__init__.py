@@ -8,7 +8,7 @@ non-eventually-periodic example set that still has one.
 
 from .check import Certificate, cond_a, cond_b_necessary, cond_b_sufficient
 from .criteria import Outcome, Reason, SearchConfig, Verdict, decide, find_certificate
-from .generator import GeneratorState, generate, step
+from .generator import GeneratorState, generate
 from .residues import ResidueSubset
 from .sets import (
     CanonicalSet,
@@ -45,7 +45,6 @@ __all__ = [
     "generate",
     "lift_period",
     "margins",
-    "step",
     "validate_canonical",
     "verify_coverage",
     "verify_local_minimality",

@@ -16,6 +16,13 @@ the previous anchor rather than at -1.  The free negative offset
 ("slack") in the choice of c_i is the injection point for breaking
 eventual periodicity.
 
+A ``GeneratorState`` holds four fields: d_seq, c_seq, the runs and the
+slack of each step after the first.  ``generate`` is the one way to build
+one from the base case.  The run starts, which every probe bisects, are
+derived from the runs and no caller can pass them, so a state cannot
+carry starts that disagree with its runs; ``generate`` hands over the
+list it wrote beside the runs rather than read them off again.
+
 ``verify`` re-checks an N-step prefix on the one window its answer rests
 on, [d_N, -c_{N-1} - 1]: the gaps, the coverage of that window, and the
 unique representation of each anchor.  Non-periodicity belongs to the
@@ -26,7 +33,8 @@ probed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
@@ -36,26 +44,26 @@ Runs = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class GeneratorState:
-    """Prefix of the construction after len(d_seq) steps.
+    """Prefix of the construction after len(d_seq) steps: the anchors,
+    the c's, the prefix's runs and the slack of each step after the first.
 
-    ``starts`` lists the run starts, which ``next_d`` and ``verify``
-    bisect.  The construction appends to it as it appends runs.  It is
-    derived, so it takes no part in equality or in the record.
+    ``starts`` is read off ``runs`` once, so the two cannot disagree; it
+    is no field, so it takes no part in equality or in the record.
     """
 
     d_seq: tuple[int, ...]
     c_seq: tuple[int, ...]
     runs: Runs
     slack_seq: tuple[int, ...]
-    starts: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def steps(self) -> int:
         return len(self.d_seq)
 
-    @property
-    def w_max(self) -> int:
-        return self.runs[-1][1]
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """The run starts, which ``next_d`` and ``verify`` bisect."""
+        return tuple(a for a, _ in self.runs)
 
     def to_dict(self) -> dict:
         return {
@@ -66,37 +74,33 @@ class GeneratorState:
         }
 
 
-def initial_state() -> GeneratorState:
-    """Fixed base case: d_1 = -1, c_1 = -3, W_1 = {1, ..., 12}."""
-    return GeneratorState((-1,), (-3,), ((1, 12),), (), (1,))
-
-
 class _Prefix:
     """A prefix under construction: the fields of a ``GeneratorState`` as
-    lists, which ``_extend`` appends to in place.  It reads like a state to
-    ``next_d`` and ``choose_c``."""
+    lists, which ``_extend`` appends to in place, and the run starts beside
+    the runs.  It starts from the fixed base case d_1 = -1, c_1 = -3,
+    W_1 = {1, ..., 12}, and reads like a state to ``next_d`` and
+    ``choose_c``."""
 
     __slots__ = ("d_seq", "c_seq", "runs", "slack_seq", "starts")
 
-    def __init__(self, state: GeneratorState):
-        self.d_seq = list(state.d_seq)
-        self.c_seq = list(state.c_seq)
-        self.runs = list(state.runs)
-        self.slack_seq = list(state.slack_seq)
-        self.starts = list(state.starts)
-
-    @property
-    def w_max(self) -> int:
-        return self.runs[-1][1]
+    def __init__(self):
+        self.d_seq = [-1]
+        self.c_seq = [-3]
+        self.runs = [(1, 12)]
+        self.slack_seq = []
+        self.starts = [1]
 
     def freeze(self) -> GeneratorState:
-        return GeneratorState(
+        """The prefix as a state, whose ``starts`` are the ones ``_extend``
+        appended beside the runs, handed over rather than read off again."""
+        state = GeneratorState(
             tuple(self.d_seq),
             tuple(self.c_seq),
             tuple(self.runs),
             tuple(self.slack_seq),
-            tuple(self.starts),
         )
+        state.__dict__["starts"] = tuple(self.starts)
+        return state
 
 
 def _translates_at(
@@ -169,7 +173,7 @@ def choose_c(state: GeneratorState | _Prefix, d_i: int, slack: int) -> int:
         raise InvalidConstructParameter(f"slack must be >= 1, got {slack}")
     c_prev = state.c_seq[-1]
     d_prev = state.d_seq[-1]
-    return min(d_i + 2 * c_prev - slack, d_prev - state.w_max - 1)
+    return min(d_i + 2 * c_prev - slack, d_prev - state.runs[-1][1] - 1)
 
 
 def _extend(prefix: _Prefix, slack: int) -> None:
@@ -217,24 +221,20 @@ def _extend(prefix: _Prefix, slack: int) -> None:
     prefix.slack_seq.append(slack)
 
 
-def step(state: GeneratorState, slack: int = 1) -> GeneratorState:
-    """One induction step: ``state`` extended by ``_extend``, on a copy."""
-    prefix = _Prefix(state)
-    _extend(prefix, slack)
-    return prefix.freeze()
-
-
 def generate(
     k: int, slack_fn: Callable[[int], int] = lambda i: 1
 ) -> GeneratorState:
-    """Run k induction steps; slack_fn(i) supplies the offset at step i.
+    """Run k induction steps from the base case; slack_fn(i) supplies the
+    offset at step i.  This is the construction's one entry point:
+    ``generate(1)`` is the base case, and a record's ``slack_seq`` replays
+    as ``generate(len(d_seq), lambda i: slack_seq[i - 2])``.
 
     The steps extend one prefix in place, and one state is frozen at the
     end: building a state per step would copy the whole prefix, about
     i²/2 runs at step i, at every step."""
     if k < 1:
         raise InvalidConstructParameter(f"step count must be >= 1, got {k}")
-    prefix = _Prefix(initial_state())
+    prefix = _Prefix()
     for i in range(2, k + 1):
         _extend(prefix, slack_fn(i))
     return prefix.freeze()

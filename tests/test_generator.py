@@ -14,15 +14,24 @@ from minadd.generator import (
     _translates_at,
     choose_c,
     generate,
-    initial_state,
     next_d,
-    step,
     verify,
 )
 
+# The fixed base case d_1 = -1, c_1 = -3, W_1 = {1, ..., 12}, written out
+# so the reference step does not start from generate's own.
+BASE = GeneratorState((-1,), (-3,), ((1, 12),), ())
+
+
+def extended(state, slack=1):
+    """``state`` with one more step at ``slack``: its ``slack_seq`` and
+    ``slack`` replayed through ``generate`` from the base case."""
+    slacks = state.slack_seq + (slack,)
+    return generate(state.steps + 1, lambda i: slacks[i - 2])
+
 
 def test_initial_state():
-    st = initial_state()
+    st = generate(1)
     assert st.d_seq == (-1,)
     assert st.c_seq == (-3,)
     assert st.runs == ((1, 12),)
@@ -42,11 +51,11 @@ def test_runs_contains():
 
 def test_second_anchor():
     # W_1 + {-3} = {-2..9}; the largest missed negative is -3
-    assert next_d(initial_state(), -1) == -3
+    assert next_d(generate(1), -1) == -3
 
 
 def test_third_anchor():
-    st = step(initial_state())
+    st = generate(2)
     # sumset covers {-13..24}
     assert next_d(st, -1) == -14
 
@@ -54,28 +63,28 @@ def test_third_anchor():
 def test_choose_c_first_step():
     # bare inequality would allow -10, but the excluded point -c+d_1 must
     # clear the prefix maximum 12, forcing -14
-    assert choose_c(initial_state(), -3, 1) == -14
+    assert choose_c(generate(1), -3, 1) == -14
 
 
 def test_choose_c_second_step():
-    st = step(initial_state())
+    st = generate(2)
     assert st.c_seq[-1] == -14
     assert choose_c(st, -14, 1) == -43
 
 
 def test_step_two_prefix():
-    st = step(initial_state())
+    st = generate(2)
     assert st.d_seq == (-1, -3)
     assert st.c_seq == (-3, -14)
     assert st.runs == ((1, 12), (14, 27))
 
 
 def test_excluded_points_distinct_and_above_prefix():
-    st = initial_state()
+    st = generate(1)
     for _ in range(8):
-        prev_max = st.w_max
+        prev_max = st.runs[-1][1]
         prev_c = st.c_seq[-1]
-        st = step(st)
+        st = extended(st)
         c_i = st.c_seq[-1]
         excluded = [-c_i + d for d in st.d_seq[:-1]]
         assert len(set(excluded)) == len(excluded)
@@ -86,9 +95,7 @@ def test_excluded_points_distinct_and_above_prefix():
 
 
 def test_anchor_monotonicity():
-    st = initial_state()
-    for _ in range(19):
-        st = step(st)
+    st = generate(20)
     for a, b in zip(st.d_seq, st.d_seq[1:]):
         assert b <= a - 2
     for a, b in zip(st.c_seq, st.c_seq[1:]):
@@ -102,15 +109,15 @@ def test_gap_property():
 
 
 def test_anchor_not_in_prior_sumset():
-    st = initial_state()
+    st = generate(1)
     for _ in range(10):
         d = next_d(st, -1)
         assert not any(runs_contains(st.runs, d - c) for c in st.c_seq)
-        st = step(st)
+        st = extended(st)
 
 
 def test_generate_one_is_initial():
-    assert generate(1) == initial_state()
+    assert generate(1) == BASE
 
 
 def test_generate_two():
@@ -135,7 +142,7 @@ def test_verify_unique_representation_of_second_anchor():
 
 def test_verify_rejects_short_prefix():
     with pytest.raises(PrefixTooShort):
-        verify(initial_state())
+        verify(generate(1))
 
 
 def periodic_candidates(state, period_max=50):
@@ -185,7 +192,7 @@ def mutate(rng, state):
         p = rng.randint(a + 1, b - 1)
         runs[i:i + 1] = [(a, p - 1), (p + 1, b)]
     return GeneratorState(state.d_seq, state.c_seq, tuple(runs),
-                          state.slack_seq, tuple(a for a, _ in runs))
+                          state.slack_seq)
 
 
 def test_run_coverage_matches_reference():
@@ -228,12 +235,12 @@ SLACK_SPECS = ("const:1", "const:2", "cycle:1,2,3", "cycle:3,1,4,1,5")
 @pytest.mark.parametrize("spec", SLACK_SPECS)
 def test_next_d_matches_reference(spec):
     slack_fn = parse_slack_spec(spec)
-    st = initial_state()
+    st = generate(1)
     for i in range(2, 31):
         want = reference_next_d(st)
         assert next_d(st, -1) == want, (spec, st.steps)
         assert next_d(st, st.d_seq[-1]) == want, (spec, st.steps)
-        st = step(st, slack_fn(i))
+        st = extended(st, slack_fn(i))
 
 
 def test_next_d_matches_reference_on_mutated_states():
@@ -305,7 +312,7 @@ def reference_step(state, slack=1):
         pieces.append((cur, hi))
     runs = merge_runs(pieces)
     return GeneratorState(state.d_seq + (d_i,), state.c_seq + (c_i,), runs,
-                          state.slack_seq + (slack,), tuple(a for a, _ in runs))
+                          state.slack_seq + (slack,))
 
 
 def reference_verify(state):
@@ -337,7 +344,7 @@ def test_step_appends_what_a_merge_gives(spec):
     slack_fn = parse_slack_spec(spec)
     got = [generate(k, slack_fn) for k in range(1, 41)]
     reports = [verify(st) for st in got[1:]]
-    want = [initial_state()]
+    want = [BASE]
     for i in range(2, 41):
         want.append(reference_step(want[-1], slack_fn(i)))
     assert got == want
@@ -362,7 +369,7 @@ def forge(rng, state, kind):
     else:
         rng.shuffle(c_seq)
     return GeneratorState(tuple(d_seq), tuple(c_seq), state.runs,
-                          state.slack_seq, state.starts)
+                          state.slack_seq)
 
 
 def test_verify_matches_reference_on_forged_states(monkeypatch):
@@ -398,6 +405,34 @@ def test_verify_matches_reference_on_forged_states(monkeypatch):
     assert unique_failed >= 100 and uncovered >= 10 and unreached >= 50
 
 
+def test_verify_reads_the_starts_off_the_runs():
+    # generate(3) with a hole punched at 29.  A state that carried its run
+    # starts as a field could carry (1, 14, 14, 41, 43) here, and verify,
+    # bisecting those, passed it; the true starts show -14 uncovered.
+    st = generate(3)
+    assert st.runs == ((1, 12), (14, 39), (41, 41), (43, 85))
+    punched = GeneratorState(st.d_seq, st.c_seq,
+                             ((1, 12), (14, 28), (30, 39), (41, 41), (43, 85)),
+                             st.slack_seq)
+    assert punched.starts == (1, 14, 30, 41, 43)
+    report = verify(punched)
+    assert report == reference_verify(punched)
+    assert report.first_uncovered == -14
+    assert report.uniqueness_failures == (
+        "anchor -14 reached via [], expected [-43]",)
+
+
+@pytest.mark.parametrize("spec", SLACK_SPECS)
+def test_generate_replays_its_slacks(spec):
+    # A construct record's slack_seq rebuilds its state through generate,
+    # run starts included, on every state the construct benchmark builds.
+    slack_fn = parse_slack_spec(spec)
+    for steps in range(1, 13):
+        st = generate(steps, slack_fn)
+        replayed = generate(st.steps, lambda i: st.slack_seq[i - 2])
+        assert replayed == st and replayed.starts == st.starts
+
+
 @pytest.mark.parametrize("slack", [1, 2, 3, 4])
 def test_unguarded_choice_collides(slack, monkeypatch):
     # Without its prefix guard, choose_c puts the first excluded point
@@ -407,9 +442,9 @@ def test_unguarded_choice_collides(slack, monkeypatch):
 
     monkeypatch.setattr(generator, "choose_c", unguarded)
     with pytest.raises(ExclusionCollision):
-        reference_step(initial_state(), slack)
+        reference_step(BASE, slack)
     with pytest.raises(ExclusionCollision):
-        step(initial_state(), slack)
+        generate(2, lambda i: slack)
 
 
 def test_window_end():
@@ -439,7 +474,7 @@ def test_one_point_windows_match_membership():
                 c_seq = list(st.c_seq)
                 rng.shuffle(c_seq)
                 st = GeneratorState(st.d_seq, tuple(c_seq), st.runs,
-                                    st.slack_seq, st.starts)
+                                    st.slack_seq)
                 shuffled_states += c_seq != sorted(c_seq, reverse=True)
             w_min, w_max = st.runs[0][0], st.runs[-1][1]
             span_ends = {e for c in st.c_seq for e in (
@@ -501,8 +536,8 @@ def test_generate_and_verify_work_is_bounded():
 
 
 def test_generate_carries_the_run_starts():
-    # step extends the starts with its new runs rather than rebuilding them
-    # from the prefix's runs, so generate(100) runs about 65 000 lines,
+    # _extend extends the starts with its new runs rather than rebuilding
+    # them from the prefix's runs, so generate(100) runs about 65 000 lines,
     # where a rebuild at every step ran 221 505.
     with bounded_work(max_lines=80_000):
         st = generate(100)
@@ -521,11 +556,8 @@ def test_generate_freezes_one_state(monkeypatch):
         built.append(self.steps)
 
     monkeypatch.setattr(GeneratorState, "__init__", counting)
-    st = generate(100, parse_slack_spec("cycle:1,2,3"))
-    assert built == [1, 100]  # initial_state and the one frozen at the end
-    built.clear()
-    assert step(st, 2) == reference_step(st, 2)
-    assert built == [101, 101]  # one per step, the reference's included
+    generate(100, parse_slack_spec("cycle:1,2,3"))
+    assert built == [100]  # the one frozen at the end
 
 
 def test_full_authoritative_window_is_fast():

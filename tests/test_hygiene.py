@@ -12,10 +12,11 @@ reference it somewhere outside its own definition; one that only a test
 or nothing at all calls is dead code.
 
 A public module-level function or class of ``src/minadd`` must be
-referenced somewhere in the package outside its own definition, or be
-named in ``__init__.py`` as part of the package's interface; one that
-only tests call belongs with the tests.  ``oracle.py`` is exempt: it is
-the naive reference that the tests diff the fast paths against, so
+referenced somewhere in the package outside its own definition and
+outside ``__init__.py``: a re-export there names the package's interface
+but uses nothing, so an exported name that no module reads is one only
+tests call, and it belongs with the tests.  ``oracle.py`` is exempt: it
+is the naive reference that the tests diff the fast paths against, so
 nothing in the package calls it.
 
 A public method of a public class of ``src/minadd`` must be read as an
@@ -114,8 +115,8 @@ NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 def unreferenced_public(files: list[Path]) -> list[str]:
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in files}
     refs = [(getattr(ref, NAME_FIELD[type(ref)]), id(ref))
-            for tree in trees.values() for ref in ast.walk(tree)
-            if type(ref) in NAME_FIELD]
+            for path, tree in trees.items() if path.name != "__init__.py"
+            for ref in ast.walk(tree) if type(ref) in NAME_FIELD]
     unused = []
     for path, tree in trees.items():
         if path.name in ("__init__.py", "oracle.py"):
