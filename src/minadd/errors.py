@@ -79,11 +79,6 @@ class MarginTooSmall(MinaddError):
     pass
 
 
-class ExclusionCollision(MinaddError):
-    """An excluded point of the inductive construction fell into the
-    already-built prefix; unreachable under the default offset rule."""
-
-
 class PrefixTooShort(MinaddError):
     pass
 

@@ -1,33 +1,80 @@
 """Inductive construction of a non-eventually-periodic set with a
 minimal complement.
 
-The construction keeps three sequences: excluded anchors d_i (the largest
-negative integer the partial sumset misses), complement elements c_i, and
-a growing prefix W_i of the target set, stored as maximal runs.  Each step
-appends the interval [-2c_{i-1}, -2c_i - 1] minus the points -c_i + d_j,
-which punches single-integer holes so consecutive elements always differ
-by 1 or 2.  That interval starts inside or just past the prefix's top
-run, and every excluded point lies above the prefix, so a step appends
-its runs above the prefix, the first one extending the top run: the runs
-stay sorted and disjoint without a merge.  A step thus only adds to the
-prefix and to the c's, so the integers of (d_{i-1}, -1], all covered
-when d_{i-1} was found, stay covered, and each anchor walk starts at
-the previous anchor rather than at -1.  The free negative offset
-("slack") in the choice of c_i is the injection point for breaking
-eventual periodicity.
+The construction keeps three sequences: anchors d_i, complement elements
+c_i, and a growing prefix W_i of the target set, stored as maximal runs.
+It starts from d_1 = -1, c_1 = -3 and W_1 = {1, ..., 12}.  Step i >= 2
+takes as d_i the largest negative integer that W_{i-1} + {c_1, ...,
+c_{i-1}} misses, chooses
+
+    c_i = min(d_i + 2c_{i-1} - s_i, d_{i-1} - max W_{i-1} - 1)
+
+for a slack s_i >= 1, and appends to the prefix the interval
+I_i = [-2c_{i-1}, -2c_i - 1] minus the excluded points
+E_i = {-c_i + d_j : j < i}.  The slack is the free negative offset in the
+choice of c_i, the injection point for breaking eventual periodicity.
+Three facts about every slack sequence carry the code: (i) each step
+appends above the prefix, (a) the anchors have a closed form, and (ii)
+the limit set is not eventually periodic.
+
+Lemma (i).  At every step i >= 2, d_i <= d_{i-1} - 2; the points of E_i
+are distinct and lie in (max W_{i-1}, -c_i - 1]; and I_i starts inside or
+just past the top run of W_{i-1}.  So a step appends its runs above the
+prefix, the first one extending the top run, and the runs stay sorted and
+disjoint without a merge.  For i >= 3 the first term of c_i is the
+smaller: the second, the guard, binds only at step 2.  For i >= 2 the
+top run of W_i is [-c_i, -2c_i - 1].
+
+Lemma (a).  d_k = c_{k-1} for k <= 3, and d_k = c_{k-1} - c_{k-2} - 1
+for k >= 4.
+
+Proof of (i) and (a), together by induction on the step.  Step 2:
+W_1 + c_1 = [-2, 9] and -3 - c_1 = 0 is not in W_1, so d_2 = -3 = c_1.
+The guard makes c_2 <= d_1 - 12 - 1 = -14, so E_2's one point
+-c_2 + d_1 = -c_2 - 1 >= 13 lies above W_1, inside I_2 = [6, -2c_2 - 1],
+which meets the top run [1, 12].  So W_2 = [1, -c_2 - 2] | [-c_2, -2c_2 - 1].
+Then d_3 = c_2: W_2 + c_1 holds [-2, 9] and W_2 + c_2 holds [c_2 + 1, -2],
+while c_2 - c_1 < 1 and c_2 - c_2 = 0 miss W_2.  And d_3 <= -14 < d_2.
+
+Step i >= 3, given both lemmas for the steps before it.  The top run of
+W_{i-1} is [-c_{i-1}, -2c_{i-1} - 1], so I_i starts just past it.  The
+guard term is d_{i-1} + 2c_{i-1}, above the first term since d_i < d_{i-1}
+and s_i >= 1; so c_i = d_i + 2c_{i-1} - s_i, and each excluded point
+-c_i + d_j = -2c_{i-1} + s_i + (d_j - d_i) is at least -2c_{i-1} + s_i + 2
+and at most -c_i - 1, as d_j <= -1.  The d_j are distinct, and so are
+these points.  The largest of them is -c_i - 1, so the top run of W_i is
+[-c_i, -2c_i - 1].
+
+The anchor after step i >= 3 is n = c_i - c_{i-1} - 1.  n is missed:
+for j < i, n - c_j < 0, since c_i - c_{i-1} = d_i + c_{i-1} - s_i < c_j;
+and n - c_i = -c_{i-1} + d_1, a point of E_{i-1}, which lies above
+W_{i-2} and below I_i and every later interval.  (n, -1] is covered:
+(d_i, -1] was covered by the previous prefix, and [n + 1, d_i] is c_i
+plus [-c_{i-1}, -2c_{i-1} + s_i], the top run of W_{i-1} followed by the
+start of I_i, which lies below E_i.  Finally d_{i+1} = d_i + c_{i-1} -
+s_i - 1 <= d_i - 5.
+
+Lemma (ii).  For i >= 2, the limit W = W_1 | W_2 | ... has the maximal
+run [-c_i, -c_{i+1} + d_i - 1], with at least |c_i| elements, so W is
+not eventually periodic.  Proof: the holes -c_i - 1 = -c_i + d_1 and
+-c_{i+1} + d_i lie in E_i and E_{i+1}, and every later interval starts at
+-2c_{i+1} or above, so they stay holes.  Between them lie the top run of
+W_i and the part of I_{i+1} below E_{i+1}, with
+|c_i| + (d_i - d_{i+1}) + s_{i+1} elements.  Were W periodic with period
+P above some N, a hole above N would repeat every P integers, so no run
+above it would have P elements; but |c_i| grows without bound.
 
 A ``GeneratorState`` holds four fields: d_seq, c_seq, the runs and the
 slack of each step after the first.  ``generate`` is the one way to build
 one from the base case.  The run starts, which every probe bisects, are
 derived from the runs and no caller can pass them, so a state cannot
-carry starts that disagree with its runs; ``generate`` hands over the
-list it wrote beside the runs rather than read them off again.
+carry starts that disagree with its runs.
 
 ``verify`` re-checks an N-step prefix on the one window its answer rests
 on, [d_N, -c_{N-1} - 1]: the gaps, the coverage of that window, and the
-unique representation of each anchor.  Non-periodicity belongs to the
-limit set and is not something a finite prefix can show, so it is not
-probed.
+unique representation of each anchor.  It checks what the prefix holds,
+and does not read the lemmas, so a wrong anchor fails its coverage or
+uniqueness check.
 """
 
 from __future__ import annotations
@@ -37,7 +84,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import ExclusionCollision, InvalidConstructParameter, PrefixTooShort
+from .errors import InvalidConstructParameter, PrefixTooShort
 
 Runs = tuple[tuple[int, int], ...]
 
@@ -62,8 +109,12 @@ class GeneratorState:
 
     @cached_property
     def starts(self) -> tuple[int, ...]:
-        """The run starts, which ``next_d`` and ``verify`` bisect."""
-        return tuple(a for a, _ in self.runs)
+        """The run starts, which ``verify`` bisects."""
+        # From a list, so the tuple is allocated once at its size: a tuple
+        # built from a generator is regrown as it fills, and over 30 000
+        # construct ops those regrowths left about 35 bytes more heap per
+        # op behind than the list does.
+        return tuple([a for a, _ in self.runs])
 
     def to_dict(self) -> dict:
         return {
@@ -76,41 +127,34 @@ class GeneratorState:
 
 class _Prefix:
     """A prefix under construction: the fields of a ``GeneratorState`` as
-    lists, which ``_extend`` appends to in place, and the run starts beside
-    the runs.  It starts from the fixed base case d_1 = -1, c_1 = -3,
-    W_1 = {1, ..., 12}, and reads like a state to ``next_d`` and
-    ``choose_c``."""
+    lists, which ``_extend`` appends to in place.  It starts from the fixed
+    base case d_1 = -1, c_1 = -3, W_1 = {1, ..., 12}, and reads like a
+    state to ``choose_c``."""
 
-    __slots__ = ("d_seq", "c_seq", "runs", "slack_seq", "starts")
+    __slots__ = ("d_seq", "c_seq", "runs", "slack_seq")
 
     def __init__(self):
         self.d_seq = [-1]
         self.c_seq = [-3]
         self.runs = [(1, 12)]
         self.slack_seq = []
-        self.starts = [1]
 
     def freeze(self) -> GeneratorState:
-        """The prefix as a state, whose ``starts`` are the ones ``_extend``
-        appended beside the runs, handed over rather than read off again."""
-        state = GeneratorState(
+        return GeneratorState(
             tuple(self.d_seq),
             tuple(self.c_seq),
             tuple(self.runs),
             tuple(self.slack_seq),
         )
-        state.__dict__["starts"] = tuple(self.starts)
-        return state
 
 
 def _translates_at(
     runs: Sequence[tuple[int, int]], starts: Sequence[int],
     c_seq: Sequence[int], n: int,
-) -> tuple[int, int, list[int]]:
+) -> tuple[int, list[int]]:
     """The runs of prefix + c, over c in c_seq, that contain n, as
-    (low, high, cs): the lowest start and the highest end among them, and
-    their c's in the order of c_seq.  When none holds n, low is n + 1,
-    high is n - 1 and cs is empty.
+    (high, cs): the highest end among them, and their c's in the order of
+    c_seq.  When none holds n, high is n - 1 and cs is empty.
 
     ``starts`` lists the run starts.  Exact when the runs are sorted and
     disjoint, as a step leaves them, for any order of c_seq.  A run
@@ -121,44 +165,16 @@ def _translates_at(
     ``bisect_right`` finds it.
     """
     c_lo, c_hi = n - runs[-1][1], n - runs[0][0]
-    low, high, cs = n + 1, n - 1, []
+    high, cs = n - 1, []
     for c in c_seq:
         if c_lo <= c <= c_hi:
             w = n - c
-            a, b = runs[bisect_right(starts, w) - 1]
+            b = runs[bisect_right(starts, w) - 1][1]
             if b >= w:
-                if a + c < low:
-                    low = a + c
                 if b + c > high:
                     high = b + c
                 cs.append(c)
-    return low, high, cs
-
-
-def next_d(state: GeneratorState | _Prefix, start: int) -> int:
-    """Largest integer <= start missed by W_prefix + {c_1, ..., c_i}.
-
-    This is the next anchor, the largest negative integer the sumset
-    misses, whenever (start, -1] is covered; each step passes the
-    previous anchor d_{i-1}, which qualifies because a step only adds to
-    W and C: it refills from the top run's start and appends above it,
-    so what was covered below zero stays covered.  Start -1 needs no
-    such premise.
-
-    Walks down from start without building the sumset: while n is
-    covered, every integer from the lowest start of a translate-run
-    holding n up to n is covered too, so the walk jumps to one below
-    that start.  A probe bisects only for the c's whose translate can
-    reach n, those with n - c in the prefix's span [min W, max W], in
-    whatever order c_seq lists them; near an anchor that is about one or
-    two of them.  From d_{i-1} the walk takes two probes per step on
-    every slack tried; from -1 it takes about i.
-    """
-    runs, starts, c_seq = state.runs, state.starts, state.c_seq
-    n = start
-    while (low := _translates_at(runs, starts, c_seq, n)[0]) <= n:
-        n = low - 1
-    return n
+    return high, cs
 
 
 def choose_c(state: GeneratorState | _Prefix, d_i: int, slack: int) -> int:
@@ -166,8 +182,8 @@ def choose_c(state: GeneratorState | _Prefix, d_i: int, slack: int) -> int:
 
     The first term keeps c_i strictly below d_i + 2*c_{i-1} (slack >= 1);
     the second keeps every excluded point -c_i + d_j above the current
-    prefix maximum, which the bare inequality alone does not guarantee on
-    the very first step.
+    prefix maximum, which the first alone does not guarantee on the very
+    first step.  By lemma (i) it binds at no later step.
     """
     if slack < 1:
         raise InvalidConstructParameter(f"slack must be >= 1, got {slack}")
@@ -180,44 +196,31 @@ def _extend(prefix: _Prefix, slack: int) -> None:
     """One induction step on ``prefix``, in place: extend d, c, and the
     prefix runs.
 
-    The new interval [lo, hi] starts inside or just past the prefix's top
-    run, and every excluded point lies above the prefix, so the pieces
-    between consecutive excluded points are appended in order, the first
-    one extending the top run.
+    The anchor comes from lemma (a), with no probe of the sumset.  By
+    lemma (i) the new interval [lo, hi] starts inside or just past the
+    prefix's top run, and every excluded point lies above the prefix, so
+    the pieces between consecutive excluded points are appended in order,
+    the first one extending the top run.
     """
-    d_i = next_d(prefix, prefix.d_seq[-1])
+    c = prefix.c_seq
+    d_i = c[-1] if len(c) < 3 else c[-1] - c[-2] - 1
     c_i = choose_c(prefix, d_i, slack)
-    c_prev = prefix.c_seq[-1]
-    assert d_i <= prefix.d_seq[-1] - 2, "anchor sequence must drop by >= 2"
 
-    lo, hi = -2 * c_prev, -2 * c_i - 1
-    runs, starts = prefix.runs, prefix.starts
-    top_lo, w_max = runs[-1]
-    assert top_lo <= lo <= w_max + 1, "the new interval must meet the top run"
+    lo, hi = -2 * c[-1], -2 * c_i - 1
+    runs = prefix.runs
+    top_lo, w_max = runs.pop()
     excluded = sorted(-c_i + d_j for d_j in prefix.d_seq)
-    assert len(set(excluded)) == len(excluded)
-    if excluded[0] <= w_max:
-        raise ExclusionCollision(
-            f"excluded point {excluded[0]} already lies in the prefix"
-        )
-    if excluded[0] <= lo or excluded[-1] > -c_i - 1:
-        raise ExclusionCollision(
-            f"excluded points {excluded} not all in ({lo}, {-c_i - 1}]"
-        )
+    assert top_lo <= lo <= w_max + 1 <= excluded[0], "lemma (i)"
 
-    runs.pop()
-    starts.pop()
     cur = top_lo
     for p in excluded:
         if cur <= p - 1:
             runs.append((cur, p - 1))
-            starts.append(cur)
         cur = p + 1
     if cur <= hi:
         runs.append((cur, hi))
-        starts.append(cur)
     prefix.d_seq.append(d_i)
-    prefix.c_seq.append(c_i)
+    c.append(c_i)
     prefix.slack_seq.append(slack)
 
 
@@ -279,17 +282,17 @@ def verify(state: GeneratorState) -> GeneratorReport:
     (3) each d_j is reachable from exactly the matching c_j.  The window
     ends at -c_{N-1} - 1, the authoritative bound of an N-step prefix:
     above it, coverage may rest on elements that later steps add.
-    Eventual non-periodicity is a property of the limit set, which no
-    finite prefix can certify, so it is not checked.
+    Non-periodicity belongs to the limit set, and lemma (ii) proves it for
+    every slack sequence, so it is not checked here.
 
     Every check works on the prefix runs, never integer by integer.
-    Coverage (2) walks up from d_N the way ``next_d`` walks down: while n
-    is covered it jumps to one above the highest end of a translate-run
-    holding n.  The walk builds no sumset and is exact because the runs
-    are sorted and disjoint.  Each probe bisects only for the c's whose
-    translate can reach n, those with n - c in the prefix's span
-    [min W, max W], which holds for any order of c_seq, so a forged or
-    mutated state is checked as exactly as a generated one.  Each probe
+    Coverage (2) walks up from d_N: while n is covered it jumps to one
+    above the highest end of a translate-run holding n.  The walk builds
+    no sumset and is exact because the runs are sorted and disjoint.
+    Each probe bisects only for the c's whose translate can reach n,
+    those with n - c in the prefix's span [min W, max W], which holds for
+    any order of c_seq, so a forged or mutated state is checked as
+    exactly as a generated one.  Each probe
     but the last passes the end of at least one translate-run in the
     window.  Uniqueness (3) needs the c's of the translate-runs holding
     each d_j, and reads them off the walk's probe at d_j.  On a generated
@@ -315,7 +318,7 @@ def verify(state: GeneratorState) -> GeneratorReport:
     at_anchor = dict.fromkeys(state.d_seq)
     n = state.d_seq[-1]
     while n <= window_hi:
-        _, high, cs = _translates_at(runs, starts, c_seq, n)
+        high, cs = _translates_at(runs, starts, c_seq, n)
         if n in at_anchor:
             at_anchor[n] = cs
         if high < n:
@@ -326,7 +329,7 @@ def verify(state: GeneratorState) -> GeneratorReport:
     for d_j, c_j in zip(state.d_seq, c_seq):
         cs = at_anchor[d_j]
         if cs is None:
-            cs = at_anchor[d_j] = _translates_at(runs, starts, c_seq, d_j)[2]
+            cs = at_anchor[d_j] = _translates_at(runs, starts, c_seq, d_j)[1]
         if cs != [c_j]:
             uniqueness_failures.append(
                 f"anchor {d_j} reached via {cs}, expected [{c_j}]"

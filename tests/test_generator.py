@@ -7,14 +7,13 @@ import pytest
 from conftest import bounded_work, merge_runs, runs_contains
 from minadd import generator
 from minadd.cli import parse_slack_spec
-from minadd.errors import ExclusionCollision, PrefixTooShort
+from minadd.errors import PrefixTooShort
 from minadd.generator import (
     GeneratorReport,
     GeneratorState,
     _translates_at,
     choose_c,
     generate,
-    next_d,
     verify,
 )
 
@@ -51,13 +50,12 @@ def test_runs_contains():
 
 def test_second_anchor():
     # W_1 + {-3} = {-2..9}; the largest missed negative is -3
-    assert next_d(generate(1), -1) == -3
+    assert generate(2).d_seq[-1] == reference_next_d(generate(1)) == -3
 
 
 def test_third_anchor():
-    st = generate(2)
-    # sumset covers {-13..24}
-    assert next_d(st, -1) == -14
+    # W_2 + {-3, -14} covers {-13..24}
+    assert generate(3).d_seq[-1] == reference_next_d(generate(2)) == -14
 
 
 def test_choose_c_first_step():
@@ -111,9 +109,10 @@ def test_gap_property():
 def test_anchor_not_in_prior_sumset():
     st = generate(1)
     for _ in range(10):
-        d = next_d(st, -1)
+        nxt = extended(st)
+        d = nxt.d_seq[-1]
         assert not any(runs_contains(st.runs, d - c) for c in st.c_seq)
-        st = extended(st)
+        st = nxt
 
 
 def test_generate_one_is_initial():
@@ -145,22 +144,28 @@ def test_verify_rejects_short_prefix():
         verify(generate(1))
 
 
-def periodic_candidates(state, period_max=50):
-    """The periods 1..period_max under which no hole of the prefix has a
-    prefix element that many below it.  A finite prefix cannot certify
-    periodicity of the limit set, so this is only a probe of the prefix."""
-    holes = [state.runs[i][1] + 1 for i in range(len(state.runs) - 1)]
-    w_min = state.runs[0][0]
-    return tuple(
-        P for P in range(1, period_max + 1)
-        if not any(h - P >= w_min and runs_contains(state.runs, h - P)
-                   for h in holes))
+def random_slacks(rng, steps):
+    """A slack sequence for ``steps`` steps, its slacks drawn up to a bound
+    that is itself drawn from 1 to 10**6."""
+    top = rng.choice((1, 2, 5, 10, 1000, 10**6))
+    slacks = [rng.randint(1, top) for _ in range(steps - 1)]
+    return lambda i: slacks[i - 2]
 
 
 def test_varying_slack_breaks_small_periods():
-    st = generate(15, lambda i: 1 + (i % 3))
-    assert verify(st).ok
-    assert periodic_candidates(st) == ()
+    # Lemma (ii): for i >= 2 the run [-c_i, -c_{i+1} + d_i - 1] is maximal,
+    # has at least |c_i| elements, and no later step touches it, so the
+    # limit set has arbitrarily long runs between holes and no period.
+    rng = random.Random(1802)
+    for _ in range(150):
+        k = rng.randint(3, 12)
+        slack_fn = random_slacks(rng, k + 2)
+        states = [generate(j, slack_fn) for j in (k, k + 1, k + 2)]
+        d, c = states[0].d_seq, states[0].c_seq
+        for i in range(1, k - 1):  # 0-based: i is step i + 1 >= 2
+            run = (-c[i], -c[i + 1] + d[i] - 1)
+            assert run[1] - run[0] + 1 >= -c[i]
+            assert all(run in st.runs for st in states)
 
 
 def test_random_slacks():
@@ -232,29 +237,35 @@ def reference_next_d(state):
 SLACK_SPECS = ("const:1", "const:2", "cycle:1,2,3", "cycle:3,1,4,1,5")
 
 
-@pytest.mark.parametrize("spec", SLACK_SPECS)
-def test_next_d_matches_reference(spec):
-    slack_fn = parse_slack_spec(spec)
-    st = generate(1)
-    for i in range(2, 31):
-        want = reference_next_d(st)
-        assert next_d(st, -1) == want, (spec, st.steps)
-        assert next_d(st, st.d_seq[-1]) == want, (spec, st.steps)
-        st = extended(st, slack_fn(i))
+def test_anchors_match_reference_on_random_slacks():
+    # generate takes each anchor from lemma (a), without looking at the
+    # sumset; the reference reads it off the merged sumset of the prefix.
+    rng = random.Random(3601)
+    for _ in range(300):
+        k = rng.randint(2, 12)
+        st = generate(k, random_slacks(rng, k))
+        prefix = generate(k - 1, lambda i: st.slack_seq[i - 2])
+        assert st.d_seq[-1] == reference_next_d(prefix), st.slack_seq
 
 
-def test_next_d_matches_reference_on_mutated_states():
-    rng = random.Random(1706)
-    moved = 0
-    for k in range(2, 13):
-        base = generate(k, lambda i: rng.randint(1, 5))
-        d_base = reference_next_d(base)
-        for _ in range(40):
-            st = mutate(rng, base)
-            want = reference_next_d(st)
-            assert next_d(st, -1) == want
-            moved += want != d_base
-    assert moved > 0  # some mutations must open a hole above the anchor
+def test_guard_binds_only_at_step_two():
+    # Lemma (i): from step 3 on, choose_c's first term is the smaller, so
+    # its guard term d_{i-1} - max W_{i-1} - 1 decides c_i at step 2 only.
+    rng = random.Random(3602)
+    bound_at = []
+    for _ in range(300):
+        k = rng.randint(2, 12)
+        slack_fn = random_slacks(rng, k)
+        prev = generate(1)
+        for i in range(2, k + 1):
+            st = generate(i, slack_fn)
+            first = st.d_seq[-1] + 2 * prev.c_seq[-1] - slack_fn(i)
+            guard = prev.d_seq[-1] - prev.runs[-1][1] - 1
+            if guard < first:
+                bound_at.append(i)
+            prev = st
+    assert set(bound_at) == {2}
+    assert 0 < len(bound_at) < 300  # at step 2 it binds in some sequences
 
 
 def assert_runs_contains_matches_members(runs):
@@ -284,27 +295,28 @@ def test_runs_contains_matches_members_on_mutated_states():
 
 
 @pytest.mark.parametrize("spec", SLACK_SPECS)
-def test_generate_matches_reference(spec, monkeypatch):
+def test_generate_matches_reference(spec):
+    # Each anchor of 25 steps under the spec, against the reference walk
+    # over the sumset of the prefix before it.
     slack_fn = parse_slack_spec(spec)
     got = [generate(k, slack_fn) for k in range(1, 26)]
-    monkeypatch.setattr(generator, "next_d",
-                        lambda state, start: reference_next_d(state))
-    assert got == [generate(k, slack_fn) for k in range(1, 26)]
+    for prefix, st in zip(got, got[1:]):
+        assert st.d_seq[-1] == reference_next_d(prefix), (spec, st.steps)
 
 
 def reference_step(state, slack=1):
-    """The step as a generic union, its anchor walked down from -1: the
-    excluded points are tested for membership in the prefix, and the new
-    pieces are merged with all of the prefix runs."""
-    d_i = generator.next_d(state, -1)
-    c_i = generator.choose_c(state, d_i, slack)
+    """The step as a generic union, its anchor read off the merged sumset:
+    the excluded points are asserted to lie outside the prefix and inside
+    the new interval, as lemma (i) says, and the new pieces are merged
+    with all of the prefix runs."""
+    d_i = reference_next_d(state)
+    c_i = choose_c(state, d_i, slack)
     lo, hi = -2 * state.c_seq[-1], -2 * c_i - 1
     excluded = sorted(-c_i + d_j for d_j in state.d_seq)
     pieces = list(state.runs)
     cur = lo
     for p in excluded:
-        if runs_contains(state.runs, p) or not lo < p <= -c_i - 1:
-            raise ExclusionCollision(f"excluded point {p}")
+        assert not runs_contains(state.runs, p) and lo < p <= -c_i - 1, p
         if cur <= p - 1:
             pieces.append((cur, p - 1))
         cur = p + 1
@@ -434,17 +446,16 @@ def test_generate_replays_its_slacks(spec):
 
 
 @pytest.mark.parametrize("slack", [1, 2, 3, 4])
-def test_unguarded_choice_collides(slack, monkeypatch):
-    # Without its prefix guard, choose_c puts the first excluded point
-    # inside W_1 = {1, ..., 12}; only the collision check stops the step.
-    def unguarded(state, d_i, slack):
-        return d_i + 2 * state.c_seq[-1] - slack
-
-    monkeypatch.setattr(generator, "choose_c", unguarded)
-    with pytest.raises(ExclusionCollision):
-        reference_step(BASE, slack)
-    with pytest.raises(ExclusionCollision):
-        generate(2, lambda i: slack)
+def test_unguarded_choice_collides(slack):
+    # Lemma (i) needs choose_c's guard at step 2: without it, c_2 would be
+    # d_2 + 2c_1 - slack and the excluded point -c_2 + d_1 would fall
+    # inside W_1 = {1, ..., 12}.  With it, that point lies above W_1.
+    d_1, c_1, d_2 = BASE.d_seq[0], BASE.c_seq[0], reference_next_d(BASE)
+    unguarded = d_2 + 2 * c_1 - slack
+    assert runs_contains(BASE.runs, -unguarded + d_1)
+    c_2 = choose_c(BASE, d_2, slack)
+    assert c_2 < unguarded and -c_2 + d_1 > BASE.runs[-1][1]
+    assert generate(2, lambda i: slack).c_seq[-1] == c_2
 
 
 def test_window_end():
@@ -482,22 +493,23 @@ def test_one_point_windows_match_membership():
             for n in sorted({*range(st.d_seq[-1], -st.c_seq[-2]), *span_ends}):
                 want = [(a + c, b + c, c) for c in st.c_seq
                         for a, b in st.runs if a <= n - c <= b]
-                low = min((a for a, _, _ in want), default=n + 1)
                 high = max((b for _, b, _ in want), default=n - 1)
                 cs = [c for *_, c in want]
                 got = _translates_at(st.runs, st.starts, st.c_seq, n)
-                assert got == (low, high, cs)
+                assert got == (high, cs)
     assert shuffled_states >= 30
 
 
 def test_probes_bisect_only_translates_that_reach_them(monkeypatch):
-    # The work of a probe, pinned as counts that repeat on any host: a
+    # The work of a probe, pinned as counts that repeat on any host:
+    # generation takes its anchors from lemma (a) and bisects nothing, a
     # probe bisects only for the c's whose translate can reach it, and
     # verify probes each anchor once, reading the uniqueness check off the
-    # coverage walk's probe there.  One bisection per c per probe made 132
-    # and 300 bisections at 12 steps, and 9 900 and 20 100 at 100 steps; a
-    # second probe per anchor made verify's 186 and 10 394 bisections in
-    # 25 and 201 probes.
+    # coverage walk's probe there.  An anchor walk made generation's 28 and
+    # 292 bisections at 12 and 100 steps.  One bisection per c per probe
+    # made 132 and 300 bisections at 12 steps, and 9 900 and 20 100 at 100
+    # steps; a second probe per anchor made verify's 186 and 10 394
+    # bisections in 25 and 201 probes.
     calls = probes = 0
 
     def counting(a, x):
@@ -523,23 +535,23 @@ def test_probes_bisect_only_translates_that_reach_them(monkeypatch):
             assert verify(st).ok
         got.append((built, calls - built))
         verify_probes.append(probes)
-    assert got == [(28, 99), (292, 5_247)]
+    assert got == [(0, 99), (0, 5_247)]
     assert verify_probes == [13, 101]
 
 
 def test_generate_and_verify_work_is_bounded():
-    # Each anchor walk starts at the previous anchor, so each of 80 steps
-    # takes two probes; a walk from -1 at every step runs over the
-    # budget.
+    # Generation makes no probes, and verify probes each anchor once; an
+    # anchor walk from -1 at every step ran over the budget.
     with bounded_work():
         assert verify(generate(80)).ok
 
 
 def test_generate_carries_the_run_starts():
-    # _extend extends the starts with its new runs rather than rebuilding
-    # them from the prefix's runs, so generate(100) runs about 65 000 lines,
-    # where a rebuild at every step ran 221 505.
-    with bounded_work(max_lines=80_000):
+    # generate keeps no run starts while it builds, and the state reads
+    # them off its runs once, when first asked.  generate(100) runs about
+    # 27 000 lines; an anchor walk with starts carried beside the runs ran
+    # about 55 000, and rebuilding the starts at every step ran 221 505.
+    with bounded_work(max_lines=40_000):
         st = generate(100)
     assert st.starts == tuple(a for a, _ in st.runs)
 

@@ -40,6 +40,10 @@ somewhere in the package outside its own declaration; a field that only
 a test or nothing reads is state the program carries for no one.
 ``oracle.py`` is exempt, as above.
 
+Every exception class of ``errors.py`` must be raised somewhere in
+``src/minadd``, or be the base of a class that is: an error no code
+raises guards a branch that cannot run, and only a test could name it.
+
 A dataclass of ``src/minadd`` with a hand-written ``__init__`` must take
 exactly its fields, in order, with the same defaults, so that a field
 added later cannot be left out of its constructor.  A field with a
@@ -251,6 +255,56 @@ def test_every_constant_is_read():
     assert len(files) >= 8
     assert sum(len(module_constants(p)) for p in files) >= 10
     assert unread_constants(files) == []
+
+
+def unraised_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """The classes of ``errors_source`` that no ``raise`` in the modules,
+    given as file name -> source, names, bare, called or as a module
+    attribute, and that are no base, however deep, of a class one does."""
+    bases = {node.name: [getattr(b, "id", None) for b in node.bases]
+             for node in ast.parse(errors_source).body
+             if isinstance(node, ast.ClassDef)}
+    live = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                live.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    todo = list(live & bases.keys())
+    while todo:
+        for base in bases.get(todo.pop(), ()):
+            if base in bases and base not in live:
+                live.add(base)
+                todo.append(base)
+    return [name for name in bases if name not in live]
+
+
+def test_every_error_is_raised():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "minadd").glob("*.py"))}
+    assert sum(isinstance(node, ast.ClassDef)
+               for node in ast.parse(sources["errors.py"]).body) >= 15
+    assert unraised_errors(sources["errors.py"], sources) == []
+
+
+def test_error_guard_sees_an_unraised_error():
+    assert unraised_errors(
+        "class Base(Exception):\n    pass\n"
+        "class Mid(Base):\n    pass\n"
+        "class Leaf(Mid):\n    pass\n"
+        "class Called(Base):\n    pass\n"
+        "class Dead(Base):\n    pass\n"
+        "class DeadBase(Exception):\n    pass\n"
+        "class DeadLeaf(DeadBase):\n    pass\n",
+        {"a.py": "from . import errors\n"
+                 "def f(x):\n"
+                 "    if x:\n"
+                 "        raise errors.Leaf\n"
+                 "    raise Called('no') from None\n"
+                 "    Dead('built, never raised')\n"},
+    ) == ["Dead", "DeadBase", "DeadLeaf"]
 
 
 def is_dataclass_def(node: ast.AST) -> bool:
