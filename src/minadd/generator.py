@@ -13,17 +13,19 @@ for a slack s_i >= 1, and appends to the prefix the interval
 I_i = [-2c_{i-1}, -2c_i - 1] minus the excluded points
 E_i = {-c_i + d_j : j < i}.  The slack is the free negative offset in the
 choice of c_i, the injection point for breaking eventual periodicity.
-Three facts about every slack sequence carry the code: (i) each step
-appends above the prefix, (a) the anchors have a closed form, and (ii)
-the limit set is not eventually periodic.
+Four facts about every slack sequence carry the code: (i) each step
+appends above the prefix, (a) the anchors have a closed form, (ii) the
+limit set is not eventually periodic, and (iii) {c_i} is a minimal
+complement of it.  (ii) and (iii) together are the paper's second result.
 
 Lemma (i).  At every step i >= 2, d_i <= d_{i-1} - 2; the points of E_i
 are distinct and lie in (max W_{i-1}, -c_i - 1]; and I_i starts inside or
-just past the top run of W_{i-1}.  So a step appends its runs above the
-prefix, the first one extending the top run, and the runs stay sorted and
-disjoint without a merge.  For i >= 3 the first term of c_i is the
+just past the top run of W_{i-1}.  So W_i is [1, max W_i] minus the
+excluded points of steps 2 to i, and its runs are the gaps between those
+points, in order: a step closes one run below each of its points and
+never re-reads the prefix.  For i >= 3 the first term of c_i is the
 smaller: the second, the guard, binds only at step 2.  For i >= 2 the
-top run of W_i is [-c_i, -2c_i - 1].
+top run of W_i is [-c_i, -2c_i - 1], so max W_i = -2c_i - 1.
 
 Lemma (a).  d_k = c_{k-1} for k <= 3, and d_k = c_{k-1} - c_{k-2} - 1
 for k >= 4.
@@ -63,6 +65,30 @@ W_i and the part of I_{i+1} below E_{i+1}, with
 |c_i| + (d_i - d_{i+1}) + s_{i+1} elements.  Were W periodic with period
 P above some N, a hole above N would repeat every P integers, so no run
 above it would have P elements; but |c_i| grows without bound.
+
+Lemma (iii).  C = {c_1, c_2, ...} is a minimal complement of the limit
+W.  Three facts carry it.  (1) The windows [d_N, -c_{N-1} - 1], N >= 2,
+nest and exhaust Z: d_{N+1} <= d_N - 2 and -c_N - 1 > -c_{N-1} - 1, so
+each end moves out by at least one integer per step.  (2) A step only
+adds: W_N lies in W_{N+1} and c_1, ..., c_N stay in C, so an integer
+that W_N + {c_1, ..., c_N} covers stays covered in W + C.
+(3) No later step reaches an earlier anchor.
+Proof.  Coverage: by (1) and (2) it is enough that W_N + {c_1, ..., c_N}
+covers window N.  For n in it, n - c_N lies in I_N = [-2c_{N-1},
+-2c_N - 1]: n - c_N >= d_N - c_N >= -2c_{N-1} + s_N by the first term of
+c_N, and n - c_N <= -c_{N-1} - 1 - c_N <= -2c_N - 1.  So n - c_N is in
+W_N unless it is an excluded point -c_N + d_j, that is, unless n = d_j
+for some j < N; and d_j is covered by c_j, as d_1 - c_1 = 2 is in W_1
+and, for j >= 2, d_j - c_j lies in I_j by the same bound and outside E_j,
+since the anchors are distinct.  Minimality: each d_j is reached through
+c_j alone, so C minus c_j misses d_j.  For i > j, d_j - c_i = -c_i + d_j
+is a point of E_i: it lies above W_{i-1} by lemma (i), and every later
+interval starts at -2c_i or above, so no step adds it.  For i < j,
+d_j - c_i is missed by W_{j-1}, as lemma (a)'s anchor d_j is missed by
+W_{j-1} + {c_1, ..., c_{j-1}}; and d_j - c_i <= -3 - c_{j-1} < max W_{j-1},
+below everything a later step adds.  So each window's coverage and each
+anchor's unique representation, which ``verify`` re-checks on an N-step
+prefix, hold for the limit as well.
 
 A ``GeneratorState`` holds four fields: d_seq, c_seq, the runs and the
 slack of each step after the first.  ``generate`` is the one way to build
@@ -125,29 +151,6 @@ class GeneratorState:
         }
 
 
-class _Prefix:
-    """A prefix under construction: the fields of a ``GeneratorState`` as
-    lists, which ``_extend`` appends to in place.  It starts from the fixed
-    base case d_1 = -1, c_1 = -3, W_1 = {1, ..., 12}, and reads like a
-    state to ``choose_c``."""
-
-    __slots__ = ("d_seq", "c_seq", "runs", "slack_seq")
-
-    def __init__(self):
-        self.d_seq = [-1]
-        self.c_seq = [-3]
-        self.runs = [(1, 12)]
-        self.slack_seq = []
-
-    def freeze(self) -> GeneratorState:
-        return GeneratorState(
-            tuple(self.d_seq),
-            tuple(self.c_seq),
-            tuple(self.runs),
-            tuple(self.slack_seq),
-        )
-
-
 def _translates_at(
     runs: Sequence[tuple[int, int]], starts: Sequence[int],
     c_seq: Sequence[int], n: int,
@@ -177,53 +180,6 @@ def _translates_at(
     return high, cs
 
 
-def choose_c(state: GeneratorState | _Prefix, d_i: int, slack: int) -> int:
-    """Next complement element.
-
-    The first term keeps c_i strictly below d_i + 2*c_{i-1} (slack >= 1);
-    the second keeps every excluded point -c_i + d_j above the current
-    prefix maximum, which the first alone does not guarantee on the very
-    first step.  By lemma (i) it binds at no later step.
-    """
-    if slack < 1:
-        raise InvalidConstructParameter(f"slack must be >= 1, got {slack}")
-    c_prev = state.c_seq[-1]
-    d_prev = state.d_seq[-1]
-    return min(d_i + 2 * c_prev - slack, d_prev - state.runs[-1][1] - 1)
-
-
-def _extend(prefix: _Prefix, slack: int) -> None:
-    """One induction step on ``prefix``, in place: extend d, c, and the
-    prefix runs.
-
-    The anchor comes from lemma (a), with no probe of the sumset.  By
-    lemma (i) the new interval [lo, hi] starts inside or just past the
-    prefix's top run, and every excluded point lies above the prefix, so
-    the pieces between consecutive excluded points are appended in order,
-    the first one extending the top run.
-    """
-    c = prefix.c_seq
-    d_i = c[-1] if len(c) < 3 else c[-1] - c[-2] - 1
-    c_i = choose_c(prefix, d_i, slack)
-
-    lo, hi = -2 * c[-1], -2 * c_i - 1
-    runs = prefix.runs
-    top_lo, w_max = runs.pop()
-    excluded = sorted(-c_i + d_j for d_j in prefix.d_seq)
-    assert top_lo <= lo <= w_max + 1 <= excluded[0], "lemma (i)"
-
-    cur = top_lo
-    for p in excluded:
-        if cur <= p - 1:
-            runs.append((cur, p - 1))
-        cur = p + 1
-    if cur <= hi:
-        runs.append((cur, hi))
-    prefix.d_seq.append(d_i)
-    c.append(c_i)
-    prefix.slack_seq.append(slack)
-
-
 def generate(
     k: int, slack_fn: Callable[[int], int] = lambda i: 1
 ) -> GeneratorState:
@@ -232,15 +188,33 @@ def generate(
     ``generate(1)`` is the base case, and a record's ``slack_seq`` replays
     as ``generate(len(d_seq), lambda i: slack_seq[i - 2])``.
 
-    The steps extend one prefix in place, and one state is frozen at the
-    end: building a state per step would copy the whole prefix, about
-    i²/2 runs at step i, at every step."""
+    The loop follows the recurrences: d_i by lemma (a), c_i by the
+    paper's rule with max W_{i-1} by lemma (i), and the runs as the gaps
+    between the excluded points, which by lemma (i) each step places above
+    the last step's.  So a step closes one run below each of its points,
+    and the run above the last point stays open until the end.  One state
+    is built at the end: a state per step would copy the whole prefix,
+    about i²/2 runs at step i, at every step."""
     if k < 1:
         raise InvalidConstructParameter(f"step count must be >= 1, got {k}")
-    prefix = _Prefix()
+    d, c, slacks, runs = [-1], [-3], [], []
+    lo, top = 1, 12  # the open run's start, and max W_{i-1}
     for i in range(2, k + 1):
-        _extend(prefix, slack_fn(i))
-    return prefix.freeze()
+        slack = slack_fn(i)
+        if slack < 1:
+            raise InvalidConstructParameter(f"slack must be >= 1, got {slack}")
+        d_i = c[-1] if i <= 3 else c[-1] - c[-2] - 1
+        c_i = min(d_i + 2 * c[-1] - slack, d[-1] - top - 1)
+        assert top < -c_i + d[-1] and d_i <= d[-1] - 2, "lemma (i)"
+        for d_j in reversed(d):
+            runs.append((lo, -c_i + d_j - 1))
+            lo = -c_i + d_j + 1
+        d.append(d_i)
+        c.append(c_i)
+        slacks.append(slack)
+        top = -2 * c_i - 1
+    runs.append((lo, top))
+    return GeneratorState(tuple(d), tuple(c), tuple(runs), tuple(slacks))
 
 
 @dataclass(frozen=True)

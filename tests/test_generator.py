@@ -12,7 +12,6 @@ from minadd.generator import (
     GeneratorReport,
     GeneratorState,
     _translates_at,
-    choose_c,
     generate,
     verify,
 )
@@ -61,13 +60,12 @@ def test_third_anchor():
 def test_choose_c_first_step():
     # bare inequality would allow -10, but the excluded point -c+d_1 must
     # clear the prefix maximum 12, forcing -14
-    assert choose_c(generate(1), -3, 1) == -14
+    assert generate(2).c_seq[-1] == -14
 
 
 def test_choose_c_second_step():
-    st = generate(2)
-    assert st.c_seq[-1] == -14
-    assert choose_c(st, -14, 1) == -43
+    # d_3 = -14 and c_2 = -14, so c_3 = -14 + 2*(-14) - 1
+    assert generate(3).c_seq[-1] == -43
 
 
 def test_step_two_prefix():
@@ -168,6 +166,49 @@ def test_varying_slack_breaks_small_periods():
             assert all(run in st.runs for st in states)
 
 
+def test_windows_nest_and_exhaust():
+    # Lemma (iii), fact (1): window N = [d_N, -c_{N-1} - 1] lies inside
+    # window N + 1 with both ends moved out, so the windows exhaust Z.
+    rng = random.Random(3702)
+    for _ in range(150):
+        k = rng.randint(3, 20)
+        slack_fn = random_slacks(rng, k)
+        windows = [(st.d_seq[-1], -st.c_seq[-2] - 1)
+                   for st in (generate(n, slack_fn) for n in range(2, k + 1))]
+        for (lo, hi), (next_lo, next_hi) in zip(windows, windows[1:]):
+            assert next_lo < lo <= hi < next_hi
+
+
+def test_a_step_only_adds():
+    # Lemma (iii), fact (2): every run of generate(N) lies inside a run of
+    # generate(N + 1), and the c's stay, so coverage found stays.
+    rng = random.Random(3703)
+    for _ in range(300):
+        k = rng.randint(1, 20)
+        slack_fn = random_slacks(rng, k + 1)
+        st, nxt = generate(k, slack_fn), generate(k + 1, slack_fn)
+        assert nxt.c_seq[:-1] == st.c_seq
+        for a, b in st.runs:
+            i = bisect_right(nxt.starts, a) - 1
+            assert i >= 0 and b <= nxt.runs[i][1], (a, b)
+
+
+def test_last_translate_covers_the_window_but_the_earlier_anchors():
+    # Lemma (iii)'s coverage, integer by integer: on window N, n - c_N lies
+    # in W_N for every n but the earlier anchors d_1, ..., d_{N-1}, and
+    # each of those is reached through its own c_j.
+    rng = random.Random(3704)
+    for _ in range(40):
+        k = rng.randint(2, 8)
+        st = generate(k, lambda i: rng.randint(1, 5))
+        d, c = st.d_seq, st.c_seq
+        missed = [n for n in range(d[-1], -c[-2])
+                  if not runs_contains(st.runs, n - c[-1])]
+        assert missed == sorted(d[:-1])
+        assert all(runs_contains(st.runs, d_j - c_j)
+                   for d_j, c_j in zip(d, c))
+
+
 def test_random_slacks():
     rng = random.Random(13)
     for _ in range(10):
@@ -249,7 +290,7 @@ def test_anchors_match_reference_on_random_slacks():
 
 
 def test_guard_binds_only_at_step_two():
-    # Lemma (i): from step 3 on, choose_c's first term is the smaller, so
+    # Lemma (i): from step 3 on, the rule's first term is the smaller, so
     # its guard term d_{i-1} - max W_{i-1} - 1 decides c_i at step 2 only.
     rng = random.Random(3602)
     bound_at = []
@@ -305,12 +346,14 @@ def test_generate_matches_reference(spec):
 
 
 def reference_step(state, slack=1):
-    """The step as a generic union, its anchor read off the merged sumset:
-    the excluded points are asserted to lie outside the prefix and inside
-    the new interval, as lemma (i) says, and the new pieces are merged
-    with all of the prefix runs."""
+    """The step as a generic union, its anchor read off the merged sumset
+    and c_i by the paper's rule, with max W_{i-1} read off the prefix's
+    top run: the excluded points are asserted to lie outside the prefix and
+    inside the new interval, as lemma (i) says, and the new pieces are
+    merged with all of the prefix runs."""
     d_i = reference_next_d(state)
-    c_i = choose_c(state, d_i, slack)
+    c_i = min(d_i + 2 * state.c_seq[-1] - slack,
+              state.d_seq[-1] - state.runs[-1][1] - 1)
     lo, hi = -2 * state.c_seq[-1], -2 * c_i - 1
     excluded = sorted(-c_i + d_j for d_j in state.d_seq)
     pieces = list(state.runs)
@@ -351,17 +394,31 @@ RANDOM_CYCLES = tuple(
     for _ in range(10))
 
 
-@pytest.mark.parametrize("spec", SLACK_SPECS[:3] + RANDOM_CYCLES)
-def test_step_appends_what_a_merge_gives(spec):
-    slack_fn = parse_slack_spec(spec)
-    got = [generate(k, slack_fn) for k in range(1, 41)]
+def assert_generate_matches_reference_chain(slack_fn, steps):
+    """generate(k) for k = 1..steps, and verify's report on each, equal
+    the reference_step chain from BASE and reference_verify's reports."""
+    got = [generate(k, slack_fn) for k in range(1, steps + 1)]
     reports = [verify(st) for st in got[1:]]
     want = [BASE]
-    for i in range(2, 41):
+    for i in range(2, steps + 1):
         want.append(reference_step(want[-1], slack_fn(i)))
     assert got == want
     assert reports == [reference_verify(st) for st in want[1:]]
     assert all(report.ok for report in reports)
+
+
+@pytest.mark.parametrize("spec", SLACK_SPECS[:3] + RANDOM_CYCLES)
+def test_step_appends_what_a_merge_gives(spec):
+    assert_generate_matches_reference_chain(parse_slack_spec(spec), 40)
+
+
+def test_step_matches_the_reference_on_large_slacks():
+    # Slacks up to 10**6 move the excluded points far apart and far above
+    # the prefix, where the spec slacks of 1 to 9 keep them close.
+    rng = random.Random(3701)
+    for _ in range(30):
+        steps = rng.randint(2, 20)
+        assert_generate_matches_reference_chain(random_slacks(rng, steps), steps)
 
 
 def forge(rng, state, kind):
@@ -447,15 +504,16 @@ def test_generate_replays_its_slacks(spec):
 
 @pytest.mark.parametrize("slack", [1, 2, 3, 4])
 def test_unguarded_choice_collides(slack):
-    # Lemma (i) needs choose_c's guard at step 2: without it, c_2 would be
+    # Lemma (i) needs the rule's guard at step 2: without it, c_2 would be
     # d_2 + 2c_1 - slack and the excluded point -c_2 + d_1 would fall
-    # inside W_1 = {1, ..., 12}.  With it, that point lies above W_1.
+    # inside W_1 = {1, ..., 12}.  With it, c_2 = d_1 - 12 - 1 and that
+    # point lies above W_1.
     d_1, c_1, d_2 = BASE.d_seq[0], BASE.c_seq[0], reference_next_d(BASE)
     unguarded = d_2 + 2 * c_1 - slack
     assert runs_contains(BASE.runs, -unguarded + d_1)
-    c_2 = choose_c(BASE, d_2, slack)
-    assert c_2 < unguarded and -c_2 + d_1 > BASE.runs[-1][1]
-    assert generate(2, lambda i: slack).c_seq[-1] == c_2
+    c_2 = generate(2, lambda i: slack).c_seq[-1]
+    assert c_2 == d_1 - BASE.runs[-1][1] - 1 < unguarded
+    assert -c_2 + d_1 > BASE.runs[-1][1]
 
 
 def test_window_end():
@@ -549,17 +607,20 @@ def test_generate_and_verify_work_is_bounded():
 def test_generate_carries_the_run_starts():
     # generate keeps no run starts while it builds, and the state reads
     # them off its runs once, when first asked.  generate(100) runs about
-    # 27 000 lines; an anchor walk with starts carried beside the runs ran
-    # about 55 000, and rebuilding the starts at every step ran 221 505.
+    # 16 000 lines; extending a prefix object through a step function that
+    # re-sorted each step's excluded points ran about 27 000, an anchor
+    # walk with starts carried beside the runs about 55 000, and
+    # rebuilding the starts at every step 221 505.
     with bounded_work(max_lines=40_000):
         st = generate(100)
     assert st.starts == tuple(a for a, _ in st.runs)
 
 
 def test_generate_freezes_one_state(monkeypatch):
-    # generate extends one prefix in place.  A state per step copied the
-    # whole prefix, about i²/2 runs at step i, at every step: cubic work in
-    # C-level tuple copies, which bounded_work's line count does not see.
+    # generate appends each step's runs to one list and builds one state at
+    # the end.  A state per step copied the whole prefix, about i²/2 runs at
+    # step i, at every step: cubic work in C-level tuple copies, which
+    # bounded_work's line count does not see.
     built = []
     init = GeneratorState.__init__
 
@@ -569,7 +630,7 @@ def test_generate_freezes_one_state(monkeypatch):
 
     monkeypatch.setattr(GeneratorState, "__init__", counting)
     generate(100, parse_slack_spec("cycle:1,2,3"))
-    assert built == [100]  # the one frozen at the end
+    assert built == [100]  # the one built at the end
 
 
 def test_full_authoritative_window_is_fast():

@@ -420,7 +420,14 @@ def test_constructor_guard_sees_a_missing_field():
     assert constructor_mismatches(Pair) != []
 
 
-CHECK_IMPORTS = {".residues", ".sets", ".errors"}
+# The only modules of the package that a module may import, besides the
+# standard library: the checks take nothing from the search, and the
+# construction, which a checker of construct records is to trust, nothing
+# from either.
+ONLY_IMPORTS = {
+    "check.py": {".residues", ".sets", ".errors"},
+    "generator.py": {".errors"},
+}
 SEARCH_SIDE = {".criteria", ".cli", ".generator"}
 CHECK_NAMES = {"Certificate", "cond_a", "_cond_b", "check_certificate"}
 
@@ -450,13 +457,14 @@ def imported_modules(tree: ast.Module) -> set[str]:
 
 def boundary_violations(sources: dict[str, str]) -> list[str]:
     """Where the modules, given as file name -> source, cross the line
-    between the checks and the search."""
+    between the checks and the search, or import into the construction
+    more than its errors."""
     out = []
     for name, text in sources.items():
         tree = ast.parse(text, name)
         mods = imported_modules(tree)
-        if name == "check.py":
-            bad = {m for m in mods if m not in CHECK_IMPORTS
+        if name in ONLY_IMPORTS:
+            bad = {m for m in mods if m not in ONLY_IMPORTS[name]
                    and (m.startswith(".") or m not in sys.stdlib_module_names)}
         elif name in ("witness.py", "oracle.py"):
             bad = mods & SEARCH_SIDE
@@ -477,6 +485,7 @@ def test_checks_import_none_of_the_search():
                for p in sorted((ROOT / "src" / "minadd").glob("*.py"))}
     assert ".check" in imported_modules(ast.parse(sources["witness.py"]))
     assert ".check" in imported_modules(ast.parse(sources["oracle.py"]))
+    assert ".errors" in imported_modules(ast.parse(sources["generator.py"]))
     assert boundary_violations(sources) == []
 
 
@@ -485,11 +494,15 @@ def test_boundary_guard_sees_a_forbidden_import():
         "check.py": "import os\nfrom .criteria import decide\nimport numpy\n",
         "witness.py": "from . import cli, sets\n",
         "oracle.py": "import minadd.generator\nfrom minadd import residues\n",
+        "generator.py": "import bisect\nfrom .criteria import decide\n"
+                        "from . import errors\nimport numpy\n",
         "sets.py": "def cond_a(ctx, c):\n    return True\n",
     }) == [
         "check.py: imports .criteria",
         "check.py: imports numpy",
         "witness.py: imports .cli",
         "oracle.py: imports .generator",
+        "generator.py: imports .criteria",
+        "generator.py: imports numpy",
         "sets.py: defines cond_a",
     ]
