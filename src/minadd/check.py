@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ModulusMismatch
+from .errors import MinaddError
 from .residues import ResidueSubset
 from .sets import ConditionContext
 
@@ -82,7 +82,7 @@ def _cond_b(ctx: ConditionContext, c: ResidueSubset, necessary: bool) -> bool:
     """
     T = ctx.T
     if c.modulus != T:
-        raise ModulusMismatch(
+        raise MinaddError(
             f"candidate modulus {c.modulus} does not match context T={T}")
     x_mask, y_mask = ctx.x_t.mask, ctx.y1_res.mask
     f_mask = x_mask if necessary else x_mask | y_mask

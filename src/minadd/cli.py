@@ -29,7 +29,7 @@ import time
 from typing import Callable, Optional
 
 from . import __version__, criteria, generator, witness as witness_mod
-from .errors import MinaddError, ParseError, WindowTooLarge
+from .errors import MinaddError
 from .residues import ResidueSubset
 from .sets import CanonicalSet, RawSet, canonicalize, validate_canonical
 
@@ -49,11 +49,17 @@ BELOW = "below"
 ABOVE = "above"
 
 
+def _ascending(ints: list[int]) -> bool:
+    """Each integer of the list is above the one before it: a list with a
+    repeat or a descent is refused where it is read, never merged."""
+    return all(a < b for a, b in zip(ints, ints[1:]))
+
+
 def _ints(value: str) -> list[int]:
     """A comma-separated, strictly ascending list of integers; an empty
     value is the empty list."""
     ints = [int(tok) for tok in value.split(",")] if value else []
-    if any(a >= b for a, b in zip(ints, ints[1:])):
+    if not _ascending(ints):
         raise ValueError("list is not strictly ascending")
     return ints
 
@@ -86,21 +92,21 @@ def parse_set_file(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"line {line_no}: expected 'key = value', got {line!r}")
+            raise MinaddError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in fields:
-            raise ParseError(f"line {line_no}: duplicate field {key!r}")
+            raise MinaddError(f"line {line_no}: duplicate field {key!r}")
         if key not in keys:
-            raise ParseError(f"line {line_no}: unknown field {key!r}")
+            raise MinaddError(f"line {line_no}: unknown field {key!r}")
         try:
             fields[key] = keys[key][0](value)
         except ValueError as exc:
-            raise ParseError(f"line {line_no}: field {key!r}: {exc}") from exc
+            raise MinaddError(f"line {line_no}: field {key!r}: {exc}") from exc
     if not fields:
-        raise ParseError("empty set description")
+        raise MinaddError("empty set description")
     if not (fields.keys() <= RAW_FORM.keys()
             or fields.keys() <= CANONICAL_FORM.keys()):
-        raise ParseError(
+        raise MinaddError(
             "mixed raw and canonical fields in one file: raw "
             + ", ".join(key for key in fields if key in RAW_FORM)
             + "; canonical "
@@ -114,7 +120,7 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise MinaddError(f"cannot read {path}: {exc}") from exc
 
 
 def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
@@ -128,8 +134,8 @@ def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
     v = {key: fields.get(key, default) for key, (_, default) in form.items()}
     missing = [key for key in form if v[key] is None]
     if missing:
-        raise ParseError(f"{'canonical' if canonical else 'raw'} description "
-                         f"missing {', '.join(map(repr, missing))}")
+        raise MinaddError(f"{'canonical' if canonical else 'raw'} description "
+                          f"missing {', '.join(map(repr, missing))}")
     if canonical:
         return validate_canonical(**v), fields, False
     raw = RawSet(v["period"], ResidueSubset.of(v["period"], v["residues"]),
@@ -191,7 +197,7 @@ def _parse_window(spec: str) -> tuple[int, int]:
         lo_s, hi_s = spec.split(":", 1)
         return int(lo_s), int(hi_s)
     except ValueError as exc:
-        raise ParseError(f"bad window {spec!r}, expected LO:HI") from exc
+        raise MinaddError(f"bad window {spec!r}, expected LO:HI") from exc
 
 
 def cmd_witness(args) -> CommandResult:
@@ -209,8 +215,8 @@ def cmd_witness(args) -> CommandResult:
         cov = witness_mod.verify_coverage(s, w)
         mini = witness_mod.verify_local_minimality(s, w)
     except (OverflowError, MemoryError) as exc:
-        raise WindowTooLarge(f"window {args.window} does not fit in "
-                             f"memory ({type(exc).__name__})") from exc
+        raise MinaddError(f"window {args.window} does not fit in "
+                          f"memory ({type(exc).__name__})") from exc
     result.update(
         witness=w.to_dict(),
         coverage={"ok": cov.ok, "failures": list(cov.failures)},
@@ -237,21 +243,28 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
     """Read a ``witness`` run record (or its bare result) for re-checking.
 
     Only the fields the checks start from are read: a ``provenance`` map
-    that older records carry is ignored."""
+    that older records carry is ignored.  The set's lists and ``c`` must
+    be strictly ascending, as the record writes them, since reading them
+    as sets would merge a repeat; ``d_elements`` is left to the coverage
+    check, which compares it with the lift."""
     try:
         record = json.loads(_read_text(path))
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"witness record is not valid JSON: {exc}") from exc
+        raise MinaddError(f"witness record is not valid JSON: {exc}") from exc
     payload = record.get("result", record) if isinstance(record, dict) else None
     if not isinstance(payload, dict):
-        raise ParseError("witness record is not a JSON object")
+        raise MinaddError("witness record is not a JSON object")
     canonical, window = payload.get("canonical"), payload.get("witness")
     if not (_has_int_fields(canonical, "m", "x y0 y1")
             and type(canonical.get("shift", 0)) is int
             and _has_int_fields(window, "lo hi T y_plus y_minus",
                                 "c d_elements")):
-        raise ParseError("witness record: 'canonical' or 'witness' lacks a "
-                         "field or holds a non-integer where an integer belongs")
+        raise MinaddError("witness record: 'canonical' or 'witness' lacks a "
+                          "field or holds a non-integer where an integer belongs")
+    for part, key in ((canonical, "x"), (canonical, "y0"), (canonical, "y1"),
+                      (window, "c")):
+        if not _ascending(part[key]):
+            raise MinaddError(f"witness record: {key!r} is not strictly ascending")
     return (CanonicalSet.from_dict(canonical),
             witness_mod.WitnessWindow.from_dict(window))
 
@@ -286,10 +299,10 @@ def parse_slack_spec(spec: str) -> Callable[[int], int]:
         elif kind == "cycle":
             values = [int(tok) for tok in rest.split(",")]
         else:
-            raise ParseError(
+            raise MinaddError(
                 f"bad slack spec {spec!r}; use const:N or cycle:a,b,c")
     except ValueError as exc:
-        raise ParseError(f"bad slack spec {spec!r}") from exc
+        raise MinaddError(f"bad slack spec {spec!r}") from exc
     return lambda i: values[i % len(values)]
 
 

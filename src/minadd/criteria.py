@@ -51,7 +51,7 @@ from itertools import count
 from typing import Iterator, Optional
 
 from .check import NECESSARY, SUFFICIENT, Certificate, check_certificate
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, MinaddError
 from .residues import ResidueSubset, mask_members, reverse
 from .sets import CanonicalSet, ConditionContext, lift_period
 
@@ -396,7 +396,7 @@ def find_certificate(
     when it reaches more than NODE_BUDGET nodes first.
     """
     if variant not in (NECESSARY, SUFFICIENT):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise MinaddError(f"unknown variant {variant!r}")
     stats = stats if stats is not None else SearchStats()
     return next(_search_exhaustive(ctx, variant, NODE_BUDGET, stats), None)
 
@@ -441,13 +441,13 @@ def decide(s: CanonicalSet, cfg: Optional[SearchConfig] = None) -> Verdict:
     Each modulus costs the searches' nodes, summed in
     ``stats.subsets_examined``.  Unknown is a value, not an error.  A
     t_max below m leaves no modulus to scan, so it is refused with
-    ValidationError rather than answered Unknown.
+    MinaddError rather than answered Unknown.
     """
     cfg = cfg or SearchConfig()
     m = s.m
     t_max = cfg.t_max if cfg.t_max is not None else 8 * m
     if t_max < m:
-        raise ValidationError(
+        raise MinaddError(
             f"t_max {t_max} is below the period {m}: no modulus to scan")
     stats = SearchStats()
     t0 = time.perf_counter()

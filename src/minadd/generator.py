@@ -110,7 +110,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidConstructParameter, PrefixTooShort
+from .errors import MinaddError
 
 Runs = tuple[tuple[int, int], ...]
 
@@ -196,13 +196,13 @@ def generate(
     is built at the end: a state per step would copy the whole prefix,
     about i²/2 runs at step i, at every step."""
     if k < 1:
-        raise InvalidConstructParameter(f"step count must be >= 1, got {k}")
+        raise MinaddError(f"step count must be >= 1, got {k}")
     d, c, slacks, runs = [-1], [-3], [], []
     lo, top = 1, 12  # the open run's start, and max W_{i-1}
     for i in range(2, k + 1):
         slack = slack_fn(i)
         if slack < 1:
-            raise InvalidConstructParameter(f"slack must be >= 1, got {slack}")
+            raise MinaddError(f"slack must be >= 1, got {slack}")
         d_i = c[-1] if i <= 3 else c[-1] - c[-2] - 1
         c_i = min(d_i + 2 * c[-1] - slack, d[-1] - top - 1)
         assert top < -c_i + d[-1] and d_i <= d[-1] - 2, "lemma (i)"
@@ -279,7 +279,7 @@ def verify(state: GeneratorState) -> GeneratorReport:
     reports its failures in d_seq order.
     """
     if state.steps < 2:
-        raise PrefixTooShort("need at least two steps before verification")
+        raise MinaddError("need at least two steps before verification")
     runs, starts, c_seq = state.runs, state.starts, state.c_seq
     window_hi = -c_seq[-2] - 1
 

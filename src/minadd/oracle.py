@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .check import SUFFICIENT, Certificate
-from .errors import CapExceeded, MarginTooSmall
+from .errors import MinaddError
 from .residues import ResidueSubset
 from .sets import CanonicalSet, ConditionContext, margins
 
@@ -34,7 +34,7 @@ class WindowSet:
         ms = tuple(sorted(set(self.members)))
         for v in ms:
             if not self.lo <= v <= self.hi:
-                raise ValueError(f"member {v} outside window [{self.lo}, {self.hi}]")
+                raise MinaddError(f"member {v} outside window [{self.lo}, {self.hi}]")
         object.__setattr__(self, "members", ms)
 
 
@@ -96,7 +96,7 @@ def naive_certificates(
     """
     T = ctx.T
     if T > NAIVE_T_CAP:
-        raise CapExceeded(f"reference search capped at T={NAIVE_T_CAP}, got {T}")
+        raise MinaddError(f"reference search capped at T={NAIVE_T_CAP}, got {T}")
     X = set(ctx.x_t.members())
     Y = set(ctx.y1_res.members())
     cond_b = _cond_b_sufficient if variant == SUFFICIENT else _cond_b_necessary
@@ -130,7 +130,7 @@ def verify_complement_window(
     """Check d + W covers [inner_lo, inner_hi] by direct enumeration."""
     guard = s.m + (margins(s).y0_margin if (s.y0 or s.y1) else 0)
     if d.lo > inner_lo - guard or d.hi < inner_hi + guard:
-        raise MarginTooSmall(
+        raise MinaddError(
             f"window [{d.lo}, {d.hi}] must exceed [{inner_lo}, {inner_hi}] "
             f"by at least {guard} on each side"
         )
@@ -157,7 +157,7 @@ def private_target_owners(
     """
     ys = s.y0 + s.y1 + (0,)
     if d.lo > t_lo - 2 * period - max(ys) - 1 or d.hi < t_hi - min(ys):
-        raise MarginTooSmall(
+        raise MinaddError(
             f"window [{d.lo}, {d.hi}] is too short for the targets "
             f"[{t_lo}, {t_hi}] at period {period}"
         )

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    ModulusMismatch,
-    ModulusTooLarge,
-    NonPositivePeriod,
-    ResidueOutOfRange,
-)
+from .errors import MinaddError
 
 
 @dataclass(frozen=True, init=False)
@@ -37,9 +32,9 @@ class ResidueSubset:
 
     def __init__(self, modulus: int, mask: int = 0) -> None:
         if modulus < 1:
-            raise NonPositivePeriod(f"modulus must be positive, got {modulus}")
+            raise MinaddError(f"modulus must be positive, got {modulus}")
         if mask < 0 or mask >> modulus:
-            raise ResidueOutOfRange(
+            raise MinaddError(
                 f"mask {mask:#x} has bits outside modulus {modulus}"
             )
         d = self.__dict__
@@ -52,12 +47,12 @@ class ResidueSubset:
         mask = 0
         for r in members:
             if not 0 <= r < modulus:
-                raise ResidueOutOfRange(f"residue {r} not in [0, {modulus})")
+                raise MinaddError(f"residue {r} not in [0, {modulus})")
             try:
                 mask |= 1 << r
             except (OverflowError, MemoryError) as exc:
-                raise ModulusTooLarge(f"residue {r} is too large to hold as a "
-                                      f"bit ({type(exc).__name__})") from exc
+                raise MinaddError(f"residue {r} is too large to hold as a "
+                                  f"bit ({type(exc).__name__})") from exc
         return cls(modulus, mask)
 
     def members(self) -> tuple[int, ...]:
@@ -100,7 +95,7 @@ class ResidueSubset:
 
     def _check(self, other: "ResidueSubset") -> None:
         if self.modulus != other.modulus:
-            raise ModulusMismatch(
+            raise MinaddError(
                 f"moduli differ: {self.modulus} vs {other.modulus}"
             )
 

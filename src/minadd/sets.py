@@ -19,17 +19,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    DuplicateElement,
-    EmptySet,
-    ExtraNotBelowThreshold,
-    ModulusTooLarge,
-    NonPositivePeriod,
-    ResidueOutOfRange,
-    Y0NotNegative,
-    Y0ResidueOutsideX,
-    Y1ResidueInsideX,
-)
+from .errors import MinaddError
 from .residues import ResidueSubset, tile
 
 
@@ -54,15 +44,15 @@ class RawSet:
 
     def __post_init__(self) -> None:
         if self.period < 1:
-            raise NonPositivePeriod(f"period must be positive, got {self.period}")
+            raise MinaddError(f"period must be positive, got {self.period}")
         if self.residues.modulus != self.period:
-            raise ValueError("residues modulus must equal period")
+            raise MinaddError("residues modulus must equal period")
         extras = tuple(sorted(self.extras))
         if len(set(extras)) != len(extras):
-            raise DuplicateElement(f"duplicate extras in {extras}")
+            raise MinaddError(f"duplicate extras in {extras}")
         for e in extras:
             if e >= self.threshold:
-                raise ExtraNotBelowThreshold(
+                raise MinaddError(
                     f"extra {e} is not below the threshold {self.threshold}"
                 )
         object.__setattr__(self, "extras", extras)
@@ -80,7 +70,7 @@ class CanonicalSet:
 
     ``shift`` records the translation applied to the original set:
     W_original = W_canonical + shift.  Validation happens on construction;
-    an invalid combination raises one of the specific errors below.
+    an invalid combination raises MinaddError, naming the rule it breaks.
     """
 
     m: int
@@ -91,26 +81,26 @@ class CanonicalSet:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ResidueOutOfRange(f"m must be positive, got {self.m}")
+            raise MinaddError(f"m must be positive, got {self.m}")
         if self.x_m.modulus != self.m:
-            raise ResidueOutOfRange(
+            raise MinaddError(
                 f"x_m modulus {self.x_m.modulus} does not match m={self.m}"
             )
         y0 = tuple(sorted(self.y0))
         y1 = tuple(sorted(self.y1))
         for name, part in (("y0", y0), ("y1", y1)):
             if len(set(part)) != len(part):
-                raise DuplicateElement(f"duplicate element in {name}={part}")
+                raise MinaddError(f"duplicate element in {name}={part}")
         for e in y0:
             if e >= 0:
-                raise Y0NotNegative(f"y0 element {e} is not negative")
+                raise MinaddError(f"y0 element {e} is not negative")
             if (e % self.m) not in self.x_m:
-                raise Y0ResidueOutsideX(
+                raise MinaddError(
                     f"y0 element {e} has residue {e % self.m} outside x_m"
                 )
         for e in y1:
             if (e % self.m) in self.x_m:
-                raise Y1ResidueInsideX(
+                raise MinaddError(
                     f"y1 element {e} has residue {e % self.m} inside x_m"
                 )
         object.__setattr__(self, "y0", y0)
@@ -153,7 +143,7 @@ def validate_canonical(
     y1: Iterable[int] = (),
     shift: int = 0,
 ) -> CanonicalSet:
-    """Validation gate: build a CanonicalSet or raise a specific error."""
+    """Validation gate: build a CanonicalSet or raise MinaddError."""
     return CanonicalSet(m, ResidueSubset.of(m, x), tuple(y0), tuple(y1), shift)
 
 
@@ -191,7 +181,12 @@ def canonicalize(raw: RawSet) -> CanonicalSet:
 
 @dataclass(frozen=True)
 class Margins:
-    """Safety buffers for windowed verification, from the finite exceptions."""
+    """The largest and smallest finite exceptions, max and min of Y0 | Y1.
+
+    A witness record carries them, and ``verify_certificate`` compares
+    them with the set's; no witness check sizes its window by them.  Only
+    the naive reference, ``oracle``, takes its window guard from
+    ``y0_margin``."""
 
     y_plus: int
     y_minus: int
@@ -205,7 +200,7 @@ def margins(s: CanonicalSet) -> Margins:
     """Margins of a canonical set; requires a nonempty exceptional part."""
     ys = s.y0 + s.y1
     if not ys:
-        raise EmptySet("margins are undefined when y0 and y1 are both empty")
+        raise MinaddError("margins are undefined when y0 and y1 are both empty")
     return Margins(max(ys), min(ys))
 
 
@@ -226,9 +221,9 @@ class ConditionContext:
 
     def __init__(self, T: int, x_t: ResidueSubset, y1_res: ResidueSubset) -> None:
         if x_t.modulus != T or y1_res.modulus != T:
-            raise ResidueOutOfRange("context masks must use modulus T")
+            raise MinaddError("context masks must use modulus T")
         if x_t.mask & y1_res.mask:
-            raise Y1ResidueInsideX(
+            raise MinaddError(
                 "lifted periodic residues and exception residues overlap"
             )
         d = self.__dict__
@@ -243,19 +238,19 @@ def lift_period(s: CanonicalSet, k: int) -> ConditionContext:
     The periodic residues expand to {i*m + x : 0 <= i < k, x in x_m},
     tiled from x_m's mask; the exceptions of Y1 set the bits of their
     residues mod T, a negative one wrapping into [0, T).  A T whose T-bit
-    mask cannot be allocated raises ModulusTooLarge: at k = 1 too, where
+    mask cannot be allocated raises MinaddError: at k = 1 too, where
     the tiling is only the guard and x_m is the lift.
     """
     if not s.x_m:
-        raise EmptySet("cannot lift a set with no periodic part")
+        raise MinaddError("cannot lift a set with no periodic part")
     if k < 1:
-        raise ValueError(f"lift factor must be positive, got {k}")
+        raise MinaddError(f"lift factor must be positive, got {k}")
     T = k * s.m
     try:
         x_mask = tile(s.x_m.mask, s.m, k)
     except (OverflowError, MemoryError) as exc:
-        raise ModulusTooLarge(f"modulus {T} is too large to lift: its masks "
-                              f"do not fit in memory ({type(exc).__name__})") from exc
+        raise MinaddError(f"modulus {T} is too large to lift: its masks "
+                          f"do not fit in memory ({type(exc).__name__})") from exc
     x_t = s.x_m if k == 1 else ResidueSubset(T, x_mask)
     y1_mask = 0
     for y in s.y1:

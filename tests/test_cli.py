@@ -9,7 +9,7 @@ import pytest
 import minadd
 from conftest import bounded_work
 from minadd import cli, criteria, sets
-from minadd.errors import ModulusTooLarge
+from minadd.errors import MinaddError
 from minadd.residues import tile
 
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
@@ -52,18 +52,19 @@ class TestParse:
         assert fields == {"m": 2, "x": [0]}
 
     def test_bad_line_rejected(self):
-        with pytest.raises(cli.ParseError):
+        with pytest.raises(MinaddError, match="line 1: expected 'key = value'"):
             cli.parse_set_file("m: 2\n")
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(cli.ParseError):
+        with pytest.raises(MinaddError, match="line 1: unknown field 'modulus'"):
             cli.parse_set_file("modulus = 2\n")
 
     def test_mixed_forms_rejected(self, setfile, capsys):
         # One key of the other form is refused, never dropped: the raw file
         # alone is quasiperiodic (exit 1), and with ``y1 = 1`` it would
         # describe EVEN (exit 0).
-        with pytest.raises(cli.ParseError):
+        with pytest.raises(MinaddError, match="mixed raw and canonical fields in "
+                                              "one file: raw period; canonical m"):
             cli.parse_set_file("m = 2\nperiod = 2\n")
         raw = "period = 2\nresidues = 0\nthreshold = 0\n"
         value = {"period": "2", "residues": "0", "threshold": "0",
@@ -905,7 +906,8 @@ class TestBadInputNeverExitsOne:
         monkeypatch.setattr(sets, "tile", no_memory_at_k)
         for j in range(1, k):
             sets.lift_period(s, j)
-        with pytest.raises(ModulusTooLarge) as exc:
+        with pytest.raises(MinaddError,
+                           match=f"modulus {7 * k} is too large to lift") as exc:
             sets.lift_period(s, k)
         assert isinstance(exc.value.__cause__, MemoryError)
         path = setfile(text)

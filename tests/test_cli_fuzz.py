@@ -136,6 +136,29 @@ def test_unedited_record_verifies(workdir):
     assert cli.main(["verify-witness", str(path)]) == cli.EXIT_EXISTS
 
 
+@pytest.mark.parametrize("part, key, value", [
+    ("canonical", "x", [0, 0, 3]),
+    ("canonical", "x", [3, 0]),
+    ("canonical", "y0", [-6, -6]),
+    ("canonical", "y0", [-6, -12]),
+    ("canonical", "y1", [-7, 1, 1, 4]),
+    ("canonical", "y1", [4, 1, -7]),
+    ("witness", "c", [0, 0, 3, 6, 9]),
+    ("witness", "c", [0, 6, 3, 9]),
+])
+def test_record_lists_are_read_as_written(workdir, capsys, part, key, value):
+    # Read as sets, a repeat would be merged and a descent sorted, and the
+    # record would verify (exit 0) though it lists no set it describes; a
+    # set file's lists are refused the same way.
+    record = json.loads(json.dumps(RECORD))
+    record["result"][part][key] = value
+    path = workdir / "record.json"
+    path.write_text(json.dumps(record))
+    assert cli.main(["verify-witness", str(path)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == (
+        f"error: witness record: {key!r} is not strictly ascending\n")
+
+
 def relist(w: dict, T: int, c: list) -> None:
     """Give the record the certificate (T, c), listed as its lift."""
     w.update(T=T, c=sorted(c), d_elements=[

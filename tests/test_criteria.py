@@ -33,7 +33,7 @@ from minadd.criteria import (
     decide,
     find_certificate,
 )
-from minadd.errors import BudgetExceeded, ModulusMismatch, ValidationError
+from minadd.errors import BudgetExceeded, MinaddError
 from minadd.oracle import naive_find_certificate
 from minadd.residues import ResidueSubset, rotate
 from minadd.sets import ConditionContext, lift_period, validate_canonical
@@ -59,7 +59,7 @@ class TestCondA:
         assert not cond_a(ctx_of(5, [2, 3], [4]), subset(5, [0, 1]))
 
     def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(MinaddError, match="moduli differ: 4 vs 3"):
             cond_a(ctx_of(3, [0], [1]), subset(4, [0]))
 
 
@@ -98,6 +98,10 @@ class TestFindCertificate:
 
     def test_reference_example_refuted(self):
         assert find_certificate(ctx_of(5, [2, 3], [4]), NECESSARY) is None
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(MinaddError, match="unknown variant 'strict'"):
+            find_certificate(ctx_of(2, [0], [1]), "strict")
 
     def test_lex_minimal_result(self):
         ctx = ctx_of(3, [0], [1, 2])
@@ -578,7 +582,7 @@ class TestDecide:
         # No modulus lies in [m, t_max], so an Unknown would claim an
         # exhausted search that never ran.
         s = validate_canonical(5, [2, 3], [-3], [-1, 4])
-        with pytest.raises(ValidationError, match="below the period 5"):
+        with pytest.raises(MinaddError, match="below the period 5"):
             decide(s, SearchConfig(t_max=t_max))
 
     def test_certificates_reverify(self):

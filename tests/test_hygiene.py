@@ -43,6 +43,11 @@ a test or nothing reads is state the program carries for no one.
 Every exception class of ``errors.py`` must be raised somewhere in
 ``src/minadd``, or be the base of a class that is: an error no code
 raises guards a branch that cannot run, and only a test could name it.
+It must also be handled: named by an ``except`` clause in ``src/minadd``
+or ``tests/``, or be the base of a class that is.  A class that no
+handler tells apart from its base should be its base, raised with a
+message; ``pytest.raises`` handles nothing, it only asserts the raise.
+No other module of the package defines an exception class.
 
 A dataclass of ``src/minadd`` with a hand-written ``__init__`` must take
 exactly its fields, in order, with the same defaults, so that a field
@@ -257,21 +262,12 @@ def test_every_constant_is_read():
     assert unread_constants(files) == []
 
 
-def unraised_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
-    """The classes of ``errors_source`` that no ``raise`` in the modules,
-    given as file name -> source, names, bare, called or as a module
-    attribute, and that are no base, however deep, of a class one does."""
+def unnamed_errors(errors_source: str, live: set) -> list[str]:
+    """The classes of ``errors_source`` not in ``live`` and no base,
+    however deep, of a class that is."""
     bases = {node.name: [getattr(b, "id", None) for b in node.bases]
              for node in ast.parse(errors_source).body
              if isinstance(node, ast.ClassDef)}
-    live = set()
-    for text in sources.values():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc
-                if isinstance(exc, ast.Call):
-                    exc = exc.func
-                live.add(getattr(exc, "id", getattr(exc, "attr", None)))
     todo = list(live & bases.keys())
     while todo:
         for base in bases.get(todo.pop(), ()):
@@ -281,12 +277,69 @@ def unraised_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
     return [name for name in bases if name not in live]
 
 
+def referenced_name(node: ast.expr):
+    """The name an expression refers to, bare or as a module attribute."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def unraised_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """The classes of ``errors_source`` that no ``raise`` in the modules,
+    given as file name -> source, names, bare, called or as a module
+    attribute, and that are no base, however deep, of a class one does."""
+    live = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                live.add(referenced_name(
+                    exc.func if isinstance(exc, ast.Call) else exc))
+    return unnamed_errors(errors_source, live)
+
+
+def unhandled_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """The classes of ``errors_source`` that no ``except`` clause in the
+    modules, given as file name -> source, names, bare, in a tuple or as
+    a module attribute, and that are no base, however deep, of a class
+    one does."""
+    live = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type
+                live.update(map(referenced_name, caught.elts
+                                if isinstance(caught, ast.Tuple) else [caught]))
+    return unnamed_errors(errors_source, live)
+
+
 def test_every_error_is_raised():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted((ROOT / "src" / "minadd").glob("*.py"))}
     assert sum(isinstance(node, ast.ClassDef)
-               for node in ast.parse(sources["errors.py"]).body) >= 15
+               for node in ast.parse(sources["errors.py"]).body) >= 4
     assert unraised_errors(sources["errors.py"], sources) == []
+
+
+def test_every_error_is_handled():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for d in ("src/minadd", "tests")
+               for p in sorted((ROOT / d).glob("*.py"))}
+    errors = sources["src/minadd/errors.py"]
+    assert sum(isinstance(node, ast.ClassDef)
+               for node in ast.parse(errors).body) >= 4
+    assert any(name.startswith("tests/") for name in sources)
+    assert unhandled_errors(errors, sources) == []
+
+
+def test_only_errors_defines_exceptions():
+    defined = []
+    for path in sorted((ROOT / "src" / "minadd").glob("*.py")):
+        module = importlib.import_module(f"minadd.{path.stem}")
+        defined += [f"{path.name}: {cls.__name__}"
+                    for cls in vars(module).values()
+                    if isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__]
+    assert "errors.py: MinaddError" in defined
+    assert [d for d in defined if not d.startswith("errors.py: ")] == []
 
 
 def test_error_guard_sees_an_unraised_error():
@@ -305,6 +358,29 @@ def test_error_guard_sees_an_unraised_error():
                  "    raise Called('no') from None\n"
                  "    Dead('built, never raised')\n"},
     ) == ["Dead", "DeadBase", "DeadLeaf"]
+
+
+def test_error_guard_sees_an_unhandled_error():
+    # Loose is raised and asserted by pytest.raises, but no except
+    # clause names it; Base is kept by Leaf, which a tuple names.
+    assert unhandled_errors(
+        "class Base(Exception):\n    pass\n"
+        "class Leaf(Base):\n    pass\n"
+        "class Other(Base):\n    pass\n"
+        "class Loose(Base):\n    pass\n",
+        {"a.py": "from . import errors\n"
+                 "def f(g):\n"
+                 "    try:\n"
+                 "        g()\n"
+                 "    except (KeyError, errors.Leaf):\n"
+                 "        pass\n"
+                 "    except Other:\n"
+                 "        raise Loose('no')\n",
+         "test_a.py": "import pytest\n"
+                      "def test_f():\n"
+                      "    with pytest.raises(Loose):\n"
+                      "        raise Loose('no')\n"},
+    ) == ["Loose"]
 
 
 def is_dataclass_def(node: ast.AST) -> bool:

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from conftest import random_context
 from minadd.criteria import NECESSARY, SUFFICIENT, find_certificate
-from minadd.errors import CapExceeded, MarginTooSmall
+from minadd.errors import MinaddError
 from minadd.oracle import (
     WindowSet,
     naive_find_certificate,
@@ -27,7 +28,8 @@ class TestNaiveSearch:
         assert naive_find_certificate(ctx_of(3, [0], [1]), NECESSARY) is None
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(MinaddError,
+                           match="reference search capped at T=16, got 17"):
             naive_find_certificate(ctx_of(17, [0], [1]), SUFFICIENT)
 
     def test_agreement_with_fast_search(self):
@@ -62,5 +64,11 @@ class TestVerifyComplementWindow:
     def test_margin_enforced(self):
         s = validate_canonical(2, [0], (), [1])
         d = WindowSet(-10, 10, tuple(range(-10, 11, 2)))
-        with pytest.raises(MarginTooSmall):
+        with pytest.raises(MinaddError, match=re.escape(
+                "window [-10, 10] must exceed [-10, 10] by at least 3 on each side")):
             verify_complement_window(d, s, -10, 10)
+
+    def test_member_outside_window_rejected(self):
+        with pytest.raises(MinaddError,
+                           match=re.escape("member 5 outside window [0, 4]")):
+            WindowSet(0, 4, (1, 5))

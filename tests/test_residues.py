@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from minadd.errors import ModulusMismatch, ModulusTooLarge, ResidueOutOfRange
+from minadd.errors import MinaddError
 from minadd.residues import ResidueSubset, mask_members, reverse, rotate
 
 
@@ -14,15 +15,16 @@ def test_of_and_members():
 
 
 def test_out_of_range_rejected():
-    with pytest.raises(ResidueOutOfRange):
+    with pytest.raises(MinaddError, match=re.escape("residue 5 not in [0, 5)")):
         ResidueSubset.of(5, [5])
-    with pytest.raises(ResidueOutOfRange):
+    with pytest.raises(MinaddError, match=re.escape("residue -1 not in [0, 3)")):
         ResidueSubset.of(3, [-1])
 
 
 def test_residue_beyond_an_index_rejected():
     # bit 10**20 fits no index, so the mask fails before it allocates
-    with pytest.raises(ModulusTooLarge) as exc:
+    with pytest.raises(MinaddError,
+                       match=f"residue {10**20} is too large to hold as a bit") as exc:
         ResidueSubset.of(10**21, [0, 10**20])
     assert isinstance(exc.value.__cause__, OverflowError)
 
@@ -43,7 +45,7 @@ def test_sumset():
 
 
 def test_sumset_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
+    with pytest.raises(MinaddError, match="moduli differ: 3 vs 4"):
         ResidueSubset.of(3, [0]).sumset(ResidueSubset.of(4, [0]))
 
 

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import window_elements
 from minadd import cli
-from minadd.errors import (
-    EmptySet,
-    ModulusTooLarge,
-    Y0NotNegative,
-    Y0ResidueOutsideX,
-    Y1ResidueInsideX,
-)
+from minadd.errors import MinaddError
 from minadd.residues import ResidueSubset
 from minadd.sets import (
     CanonicalSet,
@@ -42,15 +36,17 @@ class TestValidate:
         assert s.y1 == ()
 
     def test_y1_residue_inside_x_rejected(self):
-        with pytest.raises(Y1ResidueInsideX):
+        with pytest.raises(MinaddError,
+                           match="y1 element -3 has residue 2 inside x_m"):
             validate_canonical(5, [2, 3], [-3], [-3])
 
     def test_y0_positive_rejected(self):
-        with pytest.raises(Y0NotNegative):
+        with pytest.raises(MinaddError, match="y0 element 2 is not negative"):
             validate_canonical(5, [2, 3], [2])
 
     def test_y0_residue_outside_x_rejected(self):
-        with pytest.raises(Y0ResidueOutsideX):
+        with pytest.raises(MinaddError,
+                           match="y0 element -1 has residue 4 outside x_m"):
             validate_canonical(5, [2, 3], [-1])
 
 
@@ -85,6 +81,10 @@ class TestCanonicalize:
         s = canonicalize(RawSet(2, ResidueSubset(2, 0), 0))
         assert s == validate_canonical(2, [])
         assert s.is_empty and s.shift == 0
+
+    def test_residues_of_another_modulus_rejected(self):
+        with pytest.raises(MinaddError, match="residues modulus must equal period"):
+            RawSet(5, ResidueSubset.of(4, [0]), 0)
 
     def test_threshold_between_multiples_routes_to_y0(self):
         raw = RawSet(5, ResidueSubset.of(5, [2, 3]), 11, ())
@@ -179,6 +179,13 @@ class TestLift:
         assert ctx.T == 5
         assert ctx.x_t == s.x_m
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_lift_by_no_factor_rejected(self, k):
+        s = validate_canonical(5, [2, 3], [-3], [-1, 4])
+        with pytest.raises(MinaddError,
+                           match=f"lift factor must be positive, got {k}"):
+            lift_period(s, k)
+
     def test_lift_matches_shifted_copies(self):
         for m in range(1, 9):
             for x_mask in range(1, 1 << m):
@@ -206,7 +213,8 @@ class TestLift:
         s = validate_canonical(m, [0], (), [1])
         tracemalloc.start()
         try:
-            with pytest.raises(ModulusTooLarge) as exc:
+            with pytest.raises(MinaddError,
+                               match=f"modulus {m * k} is too large to lift") as exc:
                 lift_period(s, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -234,7 +242,8 @@ def test_margins():
     marg = margins(s)
     assert (marg.y_plus, marg.y_minus) == (4, -3)
     assert marg.y0_margin == max(4, 3, 7) == 7
-    with pytest.raises(EmptySet):
+    with pytest.raises(MinaddError, match="margins are undefined when y0 and "
+                                          "y1 are both empty"):
         margins(validate_canonical(3, [0]))
 
 

@@ -20,7 +20,7 @@ from minadd.criteria import (
     SearchStats,
     Verdict,
 )
-from minadd.errors import NonPositivePeriod, ResidueOutOfRange, Y1ResidueInsideX
+from minadd.errors import MinaddError
 from minadd.residues import ResidueSubset
 from minadd.sets import ConditionContext
 
@@ -133,18 +133,18 @@ def test_defaults(name):
 # first check in the constructor's order is the one raised
 BAD = {
     "ResidueSubset": [
-        ((0, 1), NonPositivePeriod, "modulus must be positive, got 0"),
-        ((-2, -1), NonPositivePeriod, "modulus must be positive, got -2"),
-        ((3, -1), ResidueOutOfRange, "mask -0x1 has bits outside modulus 3"),
-        ((3, 8), ResidueOutOfRange, "mask 0x8 has bits outside modulus 3"),
-        ((3, 0b1001), ResidueOutOfRange, "mask 0x9 has bits outside modulus 3"),
+        ((0, 1), MinaddError, "modulus must be positive, got 0"),
+        ((-2, -1), MinaddError, "modulus must be positive, got -2"),
+        ((3, -1), MinaddError, "mask -0x1 has bits outside modulus 3"),
+        ((3, 8), MinaddError, "mask 0x8 has bits outside modulus 3"),
+        ((3, 0b1001), MinaddError, "mask 0x9 has bits outside modulus 3"),
     ],
     "ConditionContext": [
-        ((5, X, Y), ResidueOutOfRange, "context masks must use modulus T"),
-        ((4, X, ResidueSubset(5, 2)), ResidueOutOfRange,
+        ((5, X, Y), MinaddError, "context masks must use modulus T"),
+        ((4, X, ResidueSubset(5, 2)), MinaddError,
          "context masks must use modulus T"),
-        ((5, X, X), ResidueOutOfRange, "context masks must use modulus T"),
-        ((4, X, ResidueSubset(4, 0b0110)), Y1ResidueInsideX,
+        ((5, X, X), MinaddError, "context masks must use modulus T"),
+        ((4, X, ResidueSubset(4, 0b0110)), MinaddError,
          "lifted periodic residues and exception residues overlap"),
     ],
     "Certificate": [],
