@@ -130,10 +130,51 @@ class CanonicalSet:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CanonicalSet":
-        return validate_canonical(
-            d["m"], d["x"], d["y0"], d["y1"], d.get("shift", 0)
-        )
+    def from_dict(cls, d) -> "CanonicalSet":
+        """The set that ``to_dict`` wrote as ``d``, as ``read_part`` reads
+        it (``shift`` may be absent, and is then 0), built through
+        ``validate_canonical``.  A missing field, a non-integer, or an
+        ``x``, ``y0`` or ``y1`` that is not strictly ascending raises
+        MinaddError, which ``verify-witness`` reports with exit 2."""
+        m, shift, x, y0, y1 = read_part(d, "m shift", "x y0 y1", shift=0)
+        return validate_canonical(m, x, y0, y1, shift)
+
+
+#: What ``read_part`` says of a record part that lacks a field or holds
+#: what ``to_dict`` never writes; ``verify-witness`` prints it.
+UNREADABLE_PART = ("witness record: 'canonical' or 'witness' lacks a field "
+                   "or holds a non-integer where an integer belongs")
+
+
+def read_part(part, ints: str, lists: str, listing: str = "",
+              **defaults) -> list:
+    """The fields of a record part that a ``from_dict`` reads, in order:
+    an exact ``int`` for each name of ``ints``, a strictly ascending list
+    of exact ``int``s for each name of ``lists``, and a list of exact
+    ``int``s for each name of ``listing``.  A name of ``defaults`` may be
+    absent and takes its default; any other key of ``part`` is ignored.
+
+    Exact types tell JSON's ``true``, ``1.0`` and ``"1"`` from an int,
+    and one C-speed pass types each list.  A list is read as written,
+    never as a set, which would merge a repeat and sort a descent, so
+    the checks would pass a record that does not hold what it says.
+    Raises MinaddError, with ``UNREADABLE_PART`` when a field is missing
+    or mistyped, after all types are tested, and then naming the first
+    list of ``lists`` that is not strictly ascending.
+    """
+    if not isinstance(part, dict):
+        raise MinaddError(UNREADABLE_PART)
+    n = len(ints.split())
+    keys = f"{ints} {lists} {listing}".split()
+    values = [part.get(key, defaults.get(key)) for key in keys]
+    if not (all(type(v) is int for v in values[:n])
+            and all(isinstance(v, list) and {int}.issuperset(map(type, v))
+                    for v in values[n:])):
+        raise MinaddError(UNREADABLE_PART)
+    for key, v in zip(lists.split(), values[n:]):
+        if not all(a < b for a, b in zip(v, v[1:])):
+            raise MinaddError(f"witness record: {key!r} is not strictly ascending")
+    return values
 
 
 def validate_canonical(

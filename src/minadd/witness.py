@@ -71,7 +71,8 @@ from operator import ne
 from .check import SUFFICIENT, Certificate, check_certificate, cond_a, cond_b_sufficient
 from .errors import CertificateInvalid, WindowTooSmall
 from .residues import ResidueSubset, tile
-from .sets import CanonicalSet, ConditionContext, Margins, lift_period, margins
+from .sets import (CanonicalSet, ConditionContext, Margins, lift_period, margins,
+                   read_part)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,9 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def to_dict(self) -> dict:
+        return {"ok": self.ok, "failures": list(self.failures)}
 
 
 @dataclass(frozen=True)
@@ -114,14 +118,16 @@ class WitnessWindow:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "WitnessWindow":
-        return cls(
-            d["lo"],
-            d["hi"],
-            ResidueSubset.of(d["T"], d["c"]),
-            Margins(d["y_plus"], d["y_minus"]),
-            tuple(d["d_elements"]),
-        )
+    def from_dict(cls, d) -> "WitnessWindow":
+        """The window that ``to_dict`` wrote as ``d``, as ``read_part``
+        reads it.  A missing field, a non-integer, or a ``c`` that is not
+        strictly ascending raises MinaddError, which ``verify-witness``
+        reports with exit 2; ``d_elements`` may hold any integers in any
+        order, since ``verify_coverage`` compares it with the lift."""
+        lo, hi, T, y_plus, y_minus, c, d_elements = read_part(
+            d, "lo hi T y_plus y_minus", "c", "d_elements")
+        return cls(lo, hi, ResidueSubset.of(T, c), Margins(y_plus, y_minus),
+                   tuple(d_elements))
 
 
 def _lift(s: CanonicalSet, T: int) -> ConditionContext:

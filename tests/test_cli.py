@@ -8,7 +8,7 @@ import pytest
 
 import minadd
 from conftest import bounded_work
-from minadd import cli, criteria, sets
+from minadd import cli, criteria, sets, witness as witness_mod
 from minadd.errors import MinaddError
 from minadd.residues import tile
 
@@ -779,6 +779,10 @@ class TestBadInputNeverExitsOne:
     ):
         witness_record["result"]["witness"][field].append(value)
         assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
+        # the library reader refuses the same part, with the same message
+        with pytest.raises(MinaddError) as exc:
+            witness_mod.WitnessWindow.from_dict(witness_record["result"]["witness"])
+        assert str(exc.value) == sets.UNREADABLE_PART
 
     @pytest.mark.parametrize("value", [True, 1.0, "1"])
     def test_non_integer_provenance_value(
@@ -790,6 +794,9 @@ class TestBadInputNeverExitsOne:
     def test_string_lo(self, witness_record, tmp_path, capsys):
         witness_record["result"]["witness"]["lo"] = "-40"
         assert verify_record(tmp_path, witness_record) == cli.EXIT_BAD_INPUT
+        with pytest.raises(MinaddError) as exc:
+            witness_mod.WitnessWindow.from_dict(witness_record["result"]["witness"])
+        assert str(exc.value) == sets.UNREADABLE_PART
 
     @pytest.mark.parametrize("spec", [
         "²", "①", "const:²", "cycle:1,²",

@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minadd import cli
 from minadd.criteria import decide
-from minadd.sets import validate_canonical
-from minadd.witness import build_witness
+from minadd.errors import MinaddError
+from minadd.sets import UNREADABLE_PART, CanonicalSet, validate_canonical
+from minadd.witness import WitnessWindow, build_witness
 
 CODES = set(range(5))
 FUZZ = settings(max_examples=150, deadline=None,
@@ -70,6 +71,8 @@ FIELDS = [("canonical", k) for k in RECORD["result"]["canonical"]] + [
     ("witness", k) for k in RECORD["result"]["witness"]]
 INT_FIELDS = [(part, key) for part, key in FIELDS
               if type(RECORD["result"][part][key]) is int]
+# the library's reader of each record part, which verify-witness calls
+READERS = {"canonical": CanonicalSet.from_dict, "witness": WitnessWindow.from_dict}
 
 
 def exit_code(argv) -> int:
@@ -145,11 +148,13 @@ def test_unedited_record_verifies(workdir):
     ("canonical", "y1", [4, 1, -7]),
     ("witness", "c", [0, 0, 3, 6, 9]),
     ("witness", "c", [0, 6, 3, 9]),
+    ("witness", "c", [2, 0, 0]),
 ])
 def test_record_lists_are_read_as_written(workdir, capsys, part, key, value):
     # Read as sets, a repeat would be merged and a descent sorted, and the
     # record would verify (exit 0) though it lists no set it describes; a
-    # set file's lists are refused the same way.
+    # set file's lists are refused the same way.  The CLI and the part's
+    # library reader refuse it alike.
     record = json.loads(json.dumps(RECORD))
     record["result"][part][key] = value
     path = workdir / "record.json"
@@ -157,6 +162,59 @@ def test_record_lists_are_read_as_written(workdir, capsys, part, key, value):
     assert cli.main(["verify-witness", str(path)]) == cli.EXIT_BAD_INPUT
     assert capsys.readouterr().err == (
         f"error: witness record: {key!r} is not strictly ascending\n")
+    with pytest.raises(MinaddError) as exc:
+        READERS[part](record["result"][part])
+    assert str(exc.value) == f"witness record: {key!r} is not strictly ascending"
+
+
+@pytest.mark.parametrize("part, key", FIELDS)
+def test_readers_refuse_a_missing_field(workdir, capsys, part, key):
+    # every field but the canonical shift, which reads as 0, is required
+    record = json.loads(json.dumps(RECORD))
+    del record["result"][part][key]
+    path = workdir / "record.json"
+    path.write_text(json.dumps(record))
+    if key == "shift":
+        assert cli.main(["verify-witness", str(path)]) == cli.EXIT_EXISTS
+        assert READERS[part](record["result"][part]).shift == 0
+        return
+    assert cli.main(["verify-witness", str(path)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {UNREADABLE_PART}\n"
+    with pytest.raises(MinaddError) as exc:
+        READERS[part](record["result"][part])
+    assert str(exc.value) == UNREADABLE_PART
+
+
+def rewritten(field):
+    """A value for ``field``: any JSON, a short integer list, or, for a
+    list field, its written entries reordered or repeated."""
+    written = RECORD["result"][field[0]][field[1]]
+    values = json_value | st.lists(st.integers(-12, 12), max_size=4)
+    if isinstance(written, list) and written:
+        values |= st.permutations(written) | st.lists(
+            st.sampled_from(written), min_size=1, max_size=len(written) + 1)
+    return st.tuples(st.just(field), values)
+
+
+@FUZZ
+@given(edits=st.lists(st.sampled_from(FIELDS).flatmap(rewritten),
+                      min_size=1, max_size=3),
+       extra=st.dictionaries(st.text(max_size=4), json_value, max_size=2))
+def test_readers_neither_merge_sort_nor_coerce(edits, extra):
+    # What a reader accepts, its to_dict gives back as written, but for
+    # the keys it ignores; JSON text tells 1 from true and from 1.0.
+    record = json.loads(json.dumps(RECORD))["result"]
+    for (part, key), value in edits:
+        record[part][key] = value
+    for part, read in READERS.items():
+        written = record[part]
+        fields = written.copy()
+        written.update((k, v) for k, v in extra.items() if k not in fields)
+        try:
+            got = read(written).to_dict()
+        except MinaddError:
+            continue
+        assert json.dumps(got, sort_keys=True) == json.dumps(fields, sort_keys=True)
 
 
 def relist(w: dict, T: int, c: list) -> None:

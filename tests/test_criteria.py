@@ -59,8 +59,16 @@ class TestCondA:
         assert not cond_a(ctx_of(5, [2, 3], [4]), subset(5, [0, 1]))
 
     def test_modulus_mismatch(self):
-        with pytest.raises(MinaddError, match="moduli differ: 4 vs 3"):
-            cond_a(ctx_of(3, [0], [1]), subset(4, [0]))
+        # cond_a fails in the sumset; both forms of (b) at their own guard
+        ctx = ctx_of(3, [0], [1])
+        for cond, message in (
+            (cond_a, "moduli differ: 4 vs 3"),
+            (cond_b_necessary, "candidate modulus 4 does not match context T=3"),
+            (cond_b_sufficient, "candidate modulus 4 does not match context T=3"),
+        ):
+            with pytest.raises(MinaddError) as exc:
+                cond(ctx, subset(4, [0]))
+            assert str(exc.value) == message
 
 
 class TestCondBNecessary:
