@@ -145,8 +145,11 @@ def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        # One line: without ``indent`` the C encoder does the work.
-        print(json.dumps(record, sort_keys=True))
+        # One line: without ``indent`` the C encoder does the work.  The
+        # record is a tree that ``main`` assembles from fresh ``to_dict``
+        # output, so it holds no cycle, and the encoder's cycle scan, an
+        # id-marker entry per list and dict, is skipped.
+        print(json.dumps(record, sort_keys=True, check_circular=False))
         return
     _emit_text(record)
 
@@ -210,9 +213,9 @@ def cmd_witness(args) -> CommandResult:
             return fields, result, EXIT_VERIFY_FAILED
         return fields, result, EXIT_OF_OUTCOME[verdict.outcome]
     try:
-        # the build lists every element of the lift in the window
+        # the build lists the lift's cut, so only condition (a) can fail
         w = witness_mod.build_witness(s, verdict.certificate, lo, hi)
-        cov = witness_mod.verify_coverage(s, w)
+        cov = witness_mod.verify_condition_a(s, w)
         mini = witness_mod.verify_local_minimality(s, w)
     except (OverflowError, MemoryError) as exc:
         raise MinaddError(f"window {args.window} does not fit in "

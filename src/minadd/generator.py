@@ -262,21 +262,28 @@ def verify(state: GeneratorState) -> GeneratorReport:
     Every check works on the prefix runs, never integer by integer.
     Coverage (2) walks up from d_N: while n is covered it jumps to one
     above the highest end of a translate-run holding n.  The walk builds
-    no sumset and is exact because the runs are sorted and disjoint.
-    Each probe bisects only for the c's whose translate can reach n,
-    those with n - c in the prefix's span [min W, max W], which holds for
-    any order of c_seq, so a forged or mutated state is checked as
-    exactly as a generated one.  Each probe
-    but the last passes the end of at least one translate-run in the
-    window.  Uniqueness (3) needs the c's of the translate-runs holding
-    each d_j, and reads them off the walk's probe at d_j.  On a generated
-    state the walk probes every anchor, so verify makes at most N + 1
-    probes, where a second probe per anchor made 2N + 1.  An anchor the
-    walk does not probe gets a probe of its own: on a forged state, one
-    outside [d_N, window_hi], one above the uncovered integer where the
-    walk stops, or one between two of its probes.  Each probe is exact
-    wherever it lands, so the check stays exact on any state, and it
-    reports its failures in d_seq order.
+    no sumset.  Each probe bisects only for the c's whose translate can
+    reach n, those with n - c in the prefix's span [min W, max W], which
+    holds for any order of c_seq.  Each probe but the last passes the end
+    of at least one translate-run in the window.  Uniqueness (3) needs the
+    c's of the translate-runs holding each d_j, and reads them off the
+    walk's probe at d_j.  On a generated state the walk probes every
+    anchor, so verify makes at most N + 1 probes, where a second probe per
+    anchor made 2N + 1.  An anchor the walk does not probe gets a probe of
+    its own: on a forged state, one outside [d_N, window_hi], one above
+    the uncovered integer where the walk stops, or one between two of its
+    probes.  The failures are reported in d_seq order.
+
+    Every check is exact when the runs ascend and are disjoint, as
+    ``generate`` leaves them, whatever d_seq and c_seq hold: a forged
+    anchor, a shuffled c_seq, a dropped run or a punched hole is checked
+    as exactly as a generated state.  The probes bisect the run starts,
+    so on runs that do not ascend they can miss a run, and
+    ``first_uncovered`` and ``uniqueness_failures`` may be wrong there.
+    Such a state still fails: where a run (a', b') follows a run (a, b)
+    with a' < a <= b, a' - b is negative, not 2, so ``gaps_ok`` is False,
+    and so is ``ok``.  The order is not checked apart, so a generated
+    state pays nothing for it.
     """
     if state.steps < 2:
         raise MinaddError("need at least two steps before verification")

@@ -58,7 +58,10 @@ Passing all three proves, by the lemma, that the lift of (T, C) is a
 minimal complement of W on all of Z, and that ``d_elements`` is its cut.
 They cost the lift of the set to T and O(|C| * T / 64) word operations
 for (a) and (b), plus O(|C|) Python steps and O(|D| + |C|) steps at C
-speed for the listing, whatever the window's length.
+speed for the listing, whatever the window's length.  A window that
+``build_witness`` has just built lists the cut by construction, so its
+coverage is checked by ``verify_condition_a``, the half of
+``verify_coverage`` that reads no listing.
 """
 
 from __future__ import annotations
@@ -263,22 +266,30 @@ def verify_certificate(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     return VerificationReport(tuple(failures))
 
 
-def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
-    """Condition (a) at T, so the lift covers Z, and ``d_elements`` is
-    exactly the lift's cut to [lo, hi].
-
-    The cut is built only over the first |D| // |C| + 1 periods from lo,
-    more than |D| elements and at most |D| + |C|, and compared with the
-    listing at C speed, so a forged ``hi`` costs nothing.
-    """
+def verify_condition_a(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
+    """Condition (a) at T, so the lift covers Z: the half of
+    ``verify_coverage`` that reads no listing.  ``witness`` reports it
+    alone, since the window ``build_witness`` just built lists the lift's
+    cut by construction, and the listing half would compare that cut with
+    itself."""
     try:
         ctx = _lift(s, w.T)
     except CertificateInvalid as exc:
         return VerificationReport((str(exc),))
     if not cond_a(ctx, w.c):
         return VerificationReport((f"condition (a) fails at T = {w.T}",))
+    return VerificationReport()
+
+
+def _verify_listing(w: WitnessWindow) -> VerificationReport:
+    """``d_elements`` is exactly the lift's cut to [lo, hi]; C must be
+    nonempty.
+
+    The cut is built only over the first |D| // |C| + 1 periods from lo,
+    more than |D| elements and at most |D| + |C|, and compared with the
+    listing at C speed, so a forged ``hi`` costs nothing.
+    """
     ds = w.d_elements
-    # (a) holds, so C is nonempty
     periods = len(ds) // len(w.c) + 1
     cut = _lift_cut(w.c, w.lo, min(w.hi, w.lo + periods * w.T - 1))
     if ds == cut:
@@ -286,6 +297,16 @@ def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
     n = _first_difference(ds, cut)
     return VerificationReport(
         (f"d_elements and the lift of (T, C) differ at {n}",))
+
+
+def verify_coverage(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:
+    """Condition (a) at T, so the lift covers Z, and ``d_elements`` is
+    exactly the lift's cut to [lo, hi]: ``verify_condition_a``, then,
+    when it passes, the listing half.  A record read from a file needs
+    both."""
+    report = verify_condition_a(s, w)
+    # (a) holds, so C is nonempty, as the listing half needs
+    return _verify_listing(w) if report.ok else report
 
 
 def verify_local_minimality(s: CanonicalSet, w: WitnessWindow) -> VerificationReport:

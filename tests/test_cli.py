@@ -1,16 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import minadd
 from conftest import bounded_work
 from minadd import cli, criteria, sets, witness as witness_mod
 from minadd.errors import MinaddError
-from minadd.residues import tile
+from minadd.residues import ResidueSubset, tile
 
 PAPERLIKE = "period = 5\nresidues = 2,3\nthreshold = 10\nextras = 2,4,7,8,9\n"
 EVEN = "m = 2\nx = 0\ny1 = 1\n"
@@ -332,6 +336,72 @@ class TestWitness:
                 "error: bad window '4', expected LO:HI\n")
 
 
+def built_window(text, window):
+    """The ``witness`` record's result for the set file ``text`` on
+    ``window``, or None when the command prints no record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.set"
+        path.write_text(text)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            cli.main(["witness", str(path), f"--window={window}",
+                      "--format", "json"])
+    return json.loads(out.getvalue())["result"] if out.getvalue() else None
+
+
+def coverage_of_the_built_window(result) -> bool:
+    """The ``witness`` record's coverage report is ``verify_coverage``'s,
+    both halves, on the window the command built; returns whether it
+    built one."""
+    if result is None or "witness" not in result:
+        return False
+    s = sets.CanonicalSet.from_dict(result["canonical"])
+    w = witness_mod.WitnessWindow.from_dict(result["witness"])
+    assert result["coverage"] == witness_mod.verify_coverage(s, w).to_dict()
+    assert result["coverage"]["ok"]
+    return True
+
+
+@pytest.mark.parametrize("text, window, T, listed", [
+    (EVEN, "5:4", 2, 0),
+    (EVEN, "8:8", 2, 1),
+    (EVEN, "1001:1040", 2, 20),
+    (CYCLE, "-60:60", 8, 46),
+    (CYCLE, "1000:1200", 8, 76),
+], ids=["empty", "one-integer", "off-origin", "prune", "prune-off-origin"])
+def test_witness_reports_the_coverage_of_its_window(text, window, T, listed):
+    # EVEN's certificate T = 2 is above span(Y1) = 0; CYCLE's T = 4 is
+    # not above span(Y1) = 4, so the build takes the prune's cycle, T = 8.
+    result = built_window(text, window)
+    assert coverage_of_the_built_window(result)
+    w = result["witness"]
+    assert (w["T"], len(w["d_elements"])) == (T, listed)
+
+
+@st.composite
+def witness_inputs(draw):
+    """A canonical set file with m <= 6, X nonempty, and one to four Y1
+    elements in [-12, 12] where X leaves room, often two in one class so
+    that the build prunes; and a window of 0 to 121 integers, lo in
+    [-100, 100]."""
+    m = draw(st.integers(1, 6))
+    x = ResidueSubset(m, draw(st.integers(1, (1 << m) - 1)))
+    outside = [e for e in range(-12, 13) if e % m not in x]
+    y1 = sorted(draw(st.lists(st.sampled_from(outside), unique=True,
+                              min_size=1, max_size=4)) if outside else [])
+    lo = draw(st.integers(-100, 100))
+    hi = lo + draw(st.integers(-1, 120))
+    text = (f"m = {m}\nx = {','.join(map(str, x.members()))}\n"
+            f"y1 = {','.join(map(str, y1))}\n")
+    return text, f"{lo}:{hi}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_inputs())
+def test_witness_coverage_is_verify_coverage(inputs):
+    coverage_of_the_built_window(built_window(*inputs))
+
+
 class TestConstruct:
     def test_two_steps(self, capsys):
         code, rec = run_json(
@@ -644,6 +714,18 @@ def records(setfile, capsys):
     return out
 
 
+def containers(value):
+    """Every list, tuple and dict in ``value``, once per path to it."""
+    if isinstance(value, dict):
+        yield value
+        for v in value.values():
+            yield from containers(v)
+    elif isinstance(value, (list, tuple)):
+        yield value
+        for v in value:
+            yield from containers(v)
+
+
 class TestRecords:
     def test_parser_reused_after_bad_argv(self, setfile, capsys):
         before = records(setfile, capsys)
@@ -657,20 +739,32 @@ class TestRecords:
         ["canonicalize", PAPERLIKE],
         ["decide", EVEN],
         ["witness", EVEN, "--window=-40:40"],
+        ["verify-witness"],
         ["construct", "--steps", "5"],
+        ["construct", "--steps", "12"],
     ])
-    def test_json_is_one_line_of_the_record(self, setfile, capsys,
-                                            monkeypatch, argv):
+    def test_json_is_one_line_of_the_record(self, setfile, witness_record,
+                                            tmp_path, capsys, monkeypatch,
+                                            argv):
+        # Every command's record is a tree, each list and dict reached
+        # once, that round-trips through json: what encoding it without
+        # json's cycle scan relies on.
         emitted = []
         emit = cli._emit
         monkeypatch.setattr(
             cli, "_emit", lambda rec, fmt: (emitted.append(rec), emit(rec, fmt)))
-        if argv[0] != "construct":
+        if argv[0] == "verify-witness":
+            path = tmp_path / "record.json"
+            path.write_text(json.dumps(witness_record))
+            argv = [argv[0], str(path)]
+        elif argv[0] != "construct":
             argv = [argv[0], setfile(argv[1])] + argv[2:]
         cli.main(argv + ["--format", "json"])
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith("\n")
         assert json.loads(out) == emitted[0]
+        reached = list(containers(emitted[0]))
+        assert len({id(c) for c in reached}) == len(reached)
 
     def test_every_command_records_the_version(self, witness_record, setfile,
                                                tmp_path, capsys):
