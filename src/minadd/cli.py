@@ -143,18 +143,33 @@ def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
     return canonicalize(raw), fields, v["orientation"] == ABOVE
 
 
+#: The one encoder of every JSON record.  ``json.dumps`` with options
+#: builds an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         # One line: without ``indent`` the C encoder does the work.  The
-        # record is a tree that ``main`` assembles from fresh ``to_dict``
-        # output, so it holds no cycle, and the encoder's cycle scan, an
-        # id-marker entry per list and dict, is skipped.
-        print(json.dumps(record, sort_keys=True, check_circular=False))
+        # record is a tree that ``main`` assembles from ``to_dict`` output:
+        # fresh dicts and lists, and the construction state's own tuples,
+        # which the encoder writes as arrays, as it writes lists.  So it
+        # holds no cycle, and the encoder's cycle scan, an id-marker entry
+        # per list and dict, is skipped.
+        print(_ENCODER.encode(record))
         return
     _emit_text(record)
 
 
+def _listed(value):
+    """``value`` with each tuple in it, nested ones too, made a list."""
+    if isinstance(value, tuple):
+        return [_listed(v) for v in value]
+    return value
+
+
 def _emit_text(record: dict, indent: int = 0) -> None:
+    # A tuple prints as the list that JSON reads it as.
     pad = "  " * indent
     for key in sorted(record):
         value = record[key]
@@ -162,7 +177,7 @@ def _emit_text(record: dict, indent: int = 0) -> None:
             print(f"{pad}{key}:")
             _emit_text(value, indent + 1)
         else:
-            print(f"{pad}{key} = {value}")
+            print(f"{pad}{key} = {_listed(value)}")
 
 
 #: What a command returns: input echo, result, exit code.  ``main`` wraps
@@ -394,14 +409,40 @@ def _join_window(argv: list[str]) -> list[str]:
     return joined
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = parse_args(_join_window(sys.argv[1:] if argv is None else argv))
-    # Python 3.11's argparse hands ``--opt=--`` an empty list, past the
-    # option's type and choices; every option here takes one value.
-    for dest, value in vars(args).items():
-        if isinstance(value, list):
-            build_parser().error(f"argument --{dest.replace('_', '-')}: "
+def _refuse_dashes(argv: list[str]) -> None:
+    """Exit 2 on a token ``--NAME=--`` that gives an option of the command
+    ``--`` as its value, before argparse reads it.
+
+    argparse reads such a token by its version: 3.11 and 3.12 hand the
+    option an empty list, past its type and choices, and 3.13 hands
+    ``'--'`` to its type.  So it is refused here, on every version, with
+    the message of the top-level parser that 3.11's empty list was given.
+    NAME is the option's name or a prefix that argparse takes for it,
+    one that no other option string starts with.  Tokens after the first
+    bare ``--`` are not options, and are not read.
+    """
+    sub = _parsers()[1].get(argv[0]) if argv else None
+    if sub is None:
+        return
+    actions = sub._option_string_actions
+    for token in argv[1:]:
+        if token == "--":
+            return
+        name, _, value = token.partition("=")
+        if value != "--" or not name.startswith("--"):
+            continue
+        named = [name] if name in actions else [
+            option for option in actions if option.startswith(name)]
+        if len(named) == 1 and actions[named[0]].nargs is None:
+            action = actions[named[0]]
+            build_parser().error(f"argument {'/'.join(action.option_strings)}: "
                                  "expected one argument")
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = _join_window(sys.argv[1:] if argv is None else argv)
+    _refuse_dashes(argv)
+    args = parse_args(argv)
     # The config is every parsed option but the file, which the input
     # echo covers, and the output format.
     config = {key: value for key, value in vars(args).items()

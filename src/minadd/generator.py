@@ -92,9 +92,9 @@ prefix, hold for the limit as well.
 
 A ``GeneratorState`` holds four fields: d_seq, c_seq, the runs and the
 slack of each step after the first.  ``generate`` is the one way to build
-one from the base case.  The run starts, which every probe bisects, are
-derived from the runs and no caller can pass them, so a state cannot
-carry starts that disagree with its runs.
+one from the base case.  The state holds no run starts: ``verify`` reads
+them off the runs into a local list, which every probe bisects, so no
+caller can pass starts that disagree with the runs.
 
 ``verify`` re-checks an N-step prefix on the one window its answer rests
 on, [d_N, -c_{N-1} - 1]: the gaps, the coverage of that window, and the
@@ -107,7 +107,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import MinaddError
@@ -115,13 +114,14 @@ from .errors import MinaddError
 Runs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneratorState:
     """Prefix of the construction after len(d_seq) steps: the anchors,
     the c's, the prefix's runs and the slack of each step after the first.
 
-    ``starts`` is read off ``runs`` once, so the two cannot disagree; it
-    is no field, so it takes no part in equality or in the record.
+    Its constructor stores its arguments directly (see
+    ``residues.ResidueSubset``), and ``to_dict`` hands the tuples to the
+    JSON encoder as they are, which writes each as an array.
     """
 
     d_seq: tuple[int, ...]
@@ -129,25 +129,24 @@ class GeneratorState:
     runs: Runs
     slack_seq: tuple[int, ...]
 
+    def __init__(self, d_seq: tuple[int, ...], c_seq: tuple[int, ...],
+                 runs: Runs, slack_seq: tuple[int, ...]) -> None:
+        d = self.__dict__
+        d["d_seq"] = d_seq
+        d["c_seq"] = c_seq
+        d["runs"] = runs
+        d["slack_seq"] = slack_seq
+
     @property
     def steps(self) -> int:
         return len(self.d_seq)
 
-    @cached_property
-    def starts(self) -> tuple[int, ...]:
-        """The run starts, which ``verify`` bisects."""
-        # From a list, so the tuple is allocated once at its size: a tuple
-        # built from a generator is regrown as it fills, and over 30 000
-        # construct ops those regrowths left about 35 bytes more heap per
-        # op behind than the list does.
-        return tuple([a for a, _ in self.runs])
-
     def to_dict(self) -> dict:
         return {
-            "d_seq": list(self.d_seq),
-            "c_seq": list(self.c_seq),
-            "slack_seq": list(self.slack_seq),
-            "runs": [list(r) for r in self.runs],
+            "d_seq": self.d_seq,
+            "c_seq": self.c_seq,
+            "slack_seq": self.slack_seq,
+            "runs": self.runs,
         }
 
 
@@ -217,18 +216,28 @@ def generate(
     return GeneratorState(tuple(d), tuple(c), tuple(runs), tuple(slacks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneratorReport:
     """What ``verify`` found on the window [d_N, window_hi]: whether the
     gaps are all 1 or 2, the least integer of the window that no
     translate covers (None when every one is covered), and the anchors
     that fail unique representation.  Coverage passes exactly when
-    ``first_uncovered`` is None."""
+    ``first_uncovered`` is None.  Its constructor and ``to_dict`` work
+    as ``GeneratorState``'s do."""
 
     window_hi: int
     gaps_ok: bool
     first_uncovered: Optional[int]
     uniqueness_failures: tuple[str, ...]
+
+    def __init__(self, window_hi: int, gaps_ok: bool,
+                 first_uncovered: Optional[int],
+                 uniqueness_failures: tuple[str, ...]) -> None:
+        d = self.__dict__
+        d["window_hi"] = window_hi
+        d["gaps_ok"] = gaps_ok
+        d["first_uncovered"] = first_uncovered
+        d["uniqueness_failures"] = uniqueness_failures
 
     @property
     def coverage_ok(self) -> bool:
@@ -244,7 +253,7 @@ class GeneratorReport:
             "gaps_ok": self.gaps_ok,
             "coverage_ok": self.coverage_ok,
             "first_uncovered": self.first_uncovered,
-            "uniqueness_failures": list(self.uniqueness_failures),
+            "uniqueness_failures": self.uniqueness_failures,
         }
 
 
@@ -287,12 +296,12 @@ def verify(state: GeneratorState) -> GeneratorReport:
     """
     if state.steps < 2:
         raise MinaddError("need at least two steps before verification")
-    runs, starts, c_seq = state.runs, state.starts, state.c_seq
+    runs, c_seq = state.runs, state.c_seq
     window_hi = -c_seq[-2] - 1
 
-    gaps_ok = all(
-        runs[i + 1][0] - runs[i][1] == 2 for i in range(len(runs) - 1)
-    )
+    # Each run starts two past the end of the run before it.
+    starts = [a for a, _ in runs]
+    gaps_ok = starts[1:] == [b + 2 for _, b in runs[:-1]]
 
     # n is the least integer of the window not yet known to be covered.
     # at_anchor keeps the c's the walk's probe found at each anchor.

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import minadd
 from conftest import bounded_work
-from minadd import cli, criteria, sets, witness as witness_mod
+from minadd import cli, criteria, generator, sets, witness as witness_mod
 from minadd.errors import MinaddError
 from minadd.residues import ResidueSubset, tile
 
@@ -726,6 +727,73 @@ def containers(value):
             yield from containers(v)
 
 
+def listed(value):
+    """``value`` with every tuple in it read as a list, as JSON reads it."""
+    if isinstance(value, dict):
+        return {k: listed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [listed(v) for v in value]
+    return value
+
+
+def construct_record(steps, spec, wall_time):
+    """The construct record built from list copies of the generated state
+    and of its report, in the record's envelope."""
+    state = generator.generate(steps, cli.parse_slack_spec(spec))
+    report = generator.verify(state)
+    return {
+        "command": "construct",
+        "input": {},
+        "config": {"steps": steps, "slack": spec},
+        "result": {
+            "state": {"d_seq": list(state.d_seq),
+                      "c_seq": list(state.c_seq),
+                      "slack_seq": list(state.slack_seq),
+                      "runs": [list(run) for run in state.runs]},
+            "report": {"window_hi": report.window_hi,
+                       "gaps_ok": report.gaps_ok,
+                       "coverage_ok": report.coverage_ok,
+                       "first_uncovered": report.first_uncovered,
+                       "uniqueness_failures": list(report.uniqueness_failures)},
+        },
+        "timing": {"wall_time": wall_time},
+        "version": minadd.__version__,
+    }
+
+
+def text_of(record, indent=0):
+    """The text format of a record of dicts, lists and scalars: each key
+    in sorted order, a dict under its key, any other value after it."""
+    pad = "  " * indent
+    out = ""
+    for key in sorted(record):
+        value = record[key]
+        if isinstance(value, dict):
+            out += f"{pad}{key}:\n" + text_of(value, indent + 1)
+        else:
+            out += f"{pad}{key} = {value}\n"
+    return out
+
+
+@pytest.mark.parametrize("spec", ["const:1", "const:2", "cycle:1,2,3"])
+def test_construct_record_bytes(capsys, spec):
+    # The state and report hand their tuples to the encoder, which writes
+    # them as arrays, and the text format prints them as lists: both
+    # outputs are the bytes that list copies of the state give, on every
+    # state the construct benchmark builds, the wall time read back.
+    for steps in range(2, 13):
+        argv = ["construct", "--steps", str(steps), "--slack", spec]
+        assert cli.main(argv + ["--format", "json"]) == cli.EXIT_EXISTS
+        out = capsys.readouterr().out
+        record = construct_record(
+            steps, spec, json.loads(out)["timing"]["wall_time"])
+        assert out == json.dumps(record, sort_keys=True) + "\n"
+        assert cli.main(argv + ["--format", "text"]) == cli.EXIT_EXISTS
+        out = capsys.readouterr().out
+        wall = out.rsplit("wall_time = ", 1)[1].split("\n", 1)[0]
+        assert out == text_of(construct_record(steps, spec, float(wall)))
+
+
 class TestRecords:
     def test_parser_reused_after_bad_argv(self, setfile, capsys):
         before = records(setfile, capsys)
@@ -762,7 +830,7 @@ class TestRecords:
         cli.main(argv + ["--format", "json"])
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith("\n")
-        assert json.loads(out) == emitted[0]
+        assert json.loads(out) == listed(emitted[0])
         reached = list(containers(emitted[0]))
         assert len({id(c) for c in reached}) == len(reached)
 
@@ -1039,6 +1107,28 @@ class TestBadInputNeverExitsOne:
         assert capsys.readouterr().err.endswith(
             f"error: argument {option}: expected one argument\n")
 
+    @pytest.mark.parametrize("argv, option", [
+        (["construct", "--st=--"], "--steps"),
+        (["witness", "W.set", "--w=--"], "--window"),
+        (["construct", "--steps", "3", "--", "--slack=--"], None),
+        (["construct", "--steps", "3", "--s=--"], None),
+    ], ids=["steps-prefix", "window-prefix", "after-dashes", "ambiguous"])
+    def test_dashes_read_as_argparse_reads_options(self, setfile, capsys,
+                                                   argv, option):
+        # A prefix that argparse takes for one option alone is refused as
+        # that option.  A token after a bare ``--`` is no option, and a
+        # prefix of two options is argparse's to refuse.
+        argv = [setfile(EVEN) if a == "W.set" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        if option:
+            assert err.endswith(
+                f"error: argument {option}: expected one argument\n")
+        else:
+            assert "expected one argument" not in err
+
     @pytest.mark.parametrize("t_max", ["-5", "0", "1"])
     @pytest.mark.parametrize("command", [[], ["--window=-40:40"]],
                              ids=["decide", "witness"])
@@ -1060,8 +1150,24 @@ class TestBadInputNeverExitsOne:
             assert exc.value.code == cli.EXIT_BAD_INPUT
 
 
+def typed_dashes():
+    """What this interpreter's argparse gives ``--n=--`` for an option with
+    a type: a namespace ("ok") where it hands the option an empty list,
+    past its type, or the exit code it stops with where it hands ``'--'``
+    to the type."""
+    probe = argparse.ArgumentParser()
+    probe.add_argument("--n", type=int)
+    try:
+        with redirect_stderr(io.StringIO()):
+            probe.parse_args(["--n=--"])
+    except SystemExit as exc:
+        return exc.code
+    return "ok"
+
+
 # Each argv with what the full two-pass parse gives it: a namespace
-# ("ok"), or the exit code argparse stops with.
+# ("ok"), or the exit code argparse stops with.  ``--opt=--`` for a typed
+# option gives what this interpreter's argparse does.
 ARGV_CORPUS = [
     ([], 2),
     (["-h"], 0),
@@ -1082,7 +1188,7 @@ ARGV_CORPUS = [
     (["decide", "W.set", "--t-max", "x"], 2),
     (["decide", "W.set", "--bogus"], 2),
     (["decide", "W.set", "--bogus", "1", "extra"], 2),
-    (["decide", "W.set", "--t-max=--"], "ok"),
+    (["decide", "W.set", "--t-max=--"], typed_dashes()),
     (["decide", "--help"], 0),
     (["witness", "W.set", "--window=-40:40"], "ok"),
     (["witness", "W.set", "--window", "-8:8", "--t-max", "8"], 2),
@@ -1098,7 +1204,7 @@ ARGV_CORPUS = [
     (["construct", "--steps", "5"], "ok"),
     (["construct", "--steps", "5", "--slack", "cycle:1,2,3",
       "--format", "json"], "ok"),
-    (["construct", "--steps=--"], "ok"),
+    (["construct", "--steps=--"], typed_dashes()),
     (["construct", "--steps", "3", "--slack=--"], "ok"),
     (["construct"], 2),
     (["construct", "--steps", "x"], 2),

@@ -189,8 +189,9 @@ def test_a_step_only_adds():
         slack_fn = random_slacks(rng, k + 1)
         st, nxt = generate(k, slack_fn), generate(k + 1, slack_fn)
         assert nxt.c_seq[:-1] == st.c_seq
+        starts = [a for a, _ in nxt.runs]
         for a, b in st.runs:
-            i = bisect_right(nxt.starts, a) - 1
+            i = bisect_right(starts, a) - 1
             assert i >= 0 and b <= nxt.runs[i][1], (a, b)
 
 
@@ -497,17 +498,25 @@ def test_swapped_runs_fail_the_gaps():
     assert swapped_states >= 400
 
 
-def test_verify_reads_the_starts_off_the_runs():
+def test_verify_reads_the_starts_off_the_runs(monkeypatch):
     # generate(3) with a hole punched at 29.  A state that carried its run
     # starts as a field could carry (1, 14, 14, 41, 43) here, and verify,
-    # bisecting those, passed it; the true starts show -14 uncovered.
+    # bisecting those, passed it; verify reads the true starts off the
+    # runs, and they show -14 uncovered.
     st = generate(3)
     assert st.runs == ((1, 12), (14, 39), (41, 41), (43, 85))
     punched = GeneratorState(st.d_seq, st.c_seq,
                              ((1, 12), (14, 28), (30, 39), (41, 41), (43, 85)),
                              st.slack_seq)
-    assert punched.starts == (1, 14, 30, 41, 43)
+    bisected = set()
+
+    def probing(runs, starts, c_seq, n):
+        bisected.add(tuple(starts))
+        return _translates_at(runs, starts, c_seq, n)
+
+    monkeypatch.setattr(generator, "_translates_at", probing)
     report = verify(punched)
+    assert bisected == {(1, 14, 30, 41, 43)}
     assert report == reference_verify(punched)
     assert report.first_uncovered == -14
     assert report.uniqueness_failures == (
@@ -517,12 +526,12 @@ def test_verify_reads_the_starts_off_the_runs():
 @pytest.mark.parametrize("spec", SLACK_SPECS)
 def test_generate_replays_its_slacks(spec):
     # A construct record's slack_seq rebuilds its state through generate,
-    # run starts included, on every state the construct benchmark builds.
+    # on every state the construct benchmark builds.
     slack_fn = parse_slack_spec(spec)
     for steps in range(1, 13):
         st = generate(steps, slack_fn)
         replayed = generate(st.steps, lambda i: st.slack_seq[i - 2])
-        assert replayed == st and replayed.starts == st.starts
+        assert replayed == st
 
 
 @pytest.mark.parametrize("slack", [1, 2, 3, 4])
@@ -569,6 +578,7 @@ def test_one_point_windows_match_membership():
                                     st.slack_seq)
                 shuffled_states += c_seq != sorted(c_seq, reverse=True)
             w_min, w_max = st.runs[0][0], st.runs[-1][1]
+            starts = [a for a, _ in st.runs]
             span_ends = {e for c in st.c_seq for e in (
                 w_min + c - 1, w_min + c, w_max + c, w_max + c + 1)}
             for n in sorted({*range(st.d_seq[-1], -st.c_seq[-2]), *span_ends}):
@@ -576,7 +586,7 @@ def test_one_point_windows_match_membership():
                         for a, b in st.runs if a <= n - c <= b]
                 high = max((b for _, b, _ in want), default=n - 1)
                 cs = [c for *_, c in want]
-                got = _translates_at(st.runs, st.starts, st.c_seq, n)
+                got = _translates_at(st.runs, starts, st.c_seq, n)
                 assert got == (high, cs)
     assert shuffled_states >= 30
 
@@ -627,16 +637,16 @@ def test_generate_and_verify_work_is_bounded():
         assert verify(generate(80)).ok
 
 
-def test_generate_carries_the_run_starts():
-    # generate keeps no run starts while it builds, and the state reads
-    # them off its runs once, when first asked.  generate(100) runs about
-    # 16 000 lines; extending a prefix object through a step function that
+def test_generate_keeps_no_run_starts():
+    # generate keeps no run starts, while it builds or in the state, and
+    # verify reads them off the runs.  generate(100) runs about 16 000
+    # lines; extending a prefix object through a step function that
     # re-sorted each step's excluded points ran about 27 000, an anchor
     # walk with starts carried beside the runs about 55 000, and
     # rebuilding the starts at every step 221 505.
     with bounded_work(max_lines=20_000):
         st = generate(100)
-    assert st.starts == tuple(a for a, _ in st.runs)
+    assert tuple(vars(st)) == ("d_seq", "c_seq", "runs", "slack_seq")
 
 
 def test_generate_freezes_one_state(monkeypatch):

@@ -1,5 +1,6 @@
-"""The contract of decide's value types: ResidueSubset, ConditionContext,
-Certificate and Verdict.
+"""The contract of decide's value types, ResidueSubset, ConditionContext,
+Certificate and Verdict, and of the construction's, GeneratorState and
+GeneratorReport.
 
 Each is a frozen dataclass with a written-out constructor.  These tests
 pin what callers see: fields and their order, defaults, equality, hash,
@@ -21,6 +22,7 @@ from minadd.criteria import (
     Verdict,
 )
 from minadd.errors import MinaddError
+from minadd.generator import GeneratorReport, GeneratorState
 from minadd.residues import ResidueSubset
 from minadd.sets import ConditionContext
 
@@ -60,6 +62,21 @@ CASES = {
         "mask=3), variant='sufficient'), stats=SearchStats(subsets_examined=3, "
         "wall_time=0.5))",
         ("modulus", 8)),
+    "GeneratorState": (
+        GeneratorState((-1, -3), (-3, -14), ((1, 12), (14, 27)), (1,)),
+        GeneratorState(tuple([-1, -3]), tuple([-3, -14]),
+                       tuple([(1, 12), (14, 27)]), tuple([1])),
+        ("d_seq", "c_seq", "runs", "slack_seq"),
+        "GeneratorState(d_seq=(-1, -3), c_seq=(-3, -14), "
+        "runs=((1, 12), (14, 27)), slack_seq=(1,))",
+        ("runs", ((1, 12), (15, 27)))),
+    "GeneratorReport": (
+        GeneratorReport(2, True, None, ()),
+        GeneratorReport(2, True, None, tuple([])),
+        ("window_hi", "gaps_ok", "first_uncovered", "uniqueness_failures"),
+        "GeneratorReport(window_hi=2, gaps_ok=True, first_uncovered=None, "
+        "uniqueness_failures=())",
+        ("first_uncovered", -3)),
 }
 
 pytestmark = pytest.mark.parametrize("name", sorted(CASES))
@@ -149,6 +166,8 @@ BAD = {
     ],
     "Certificate": [],
     "Verdict": [],
+    "GeneratorState": [],
+    "GeneratorReport": [],
 }
 
 
