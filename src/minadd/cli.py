@@ -15,6 +15,11 @@ strictly ascending; a list with a repeat or a descent is bad input.
 The fields of an ``orientation = above`` file describe -W, so the set that
 is canonicalized, decided and witnessed is -W, and the records of
 canonicalize, decide and witness say ``reflected: true``.
+
+Arguments are read in two steps: ``_resolve_options`` resolves each option
+token of the command, before the first bare ``--``, through the command's
+option table, and ``parse_args`` then parses the result in one pass.
+Tokens after a bare ``--`` are passed on as typed.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from typing import Callable, Optional
 from . import __version__, criteria, generator, witness as witness_mod
 from .errors import MinaddError
 from .residues import ResidueSubset
-from .sets import CanonicalSet, RawSet, canonicalize, validate_canonical
+from .sets import (CanonicalSet, RawSet, ascending, canonicalize,
+                   validate_canonical)
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -49,17 +55,12 @@ BELOW = "below"
 ABOVE = "above"
 
 
-def _ascending(ints: list[int]) -> bool:
-    """Each integer of the list is above the one before it: a list with a
-    repeat or a descent is refused where it is read, never merged."""
-    return all(a < b for a, b in zip(ints, ints[1:]))
-
-
 def _ints(value: str) -> list[int]:
     """A comma-separated, strictly ascending list of integers; an empty
-    value is the empty list."""
+    value is the empty list.  A list with a repeat or a descent is refused,
+    never merged or sorted."""
     ints = [int(tok) for tok in value.split(",")] if value else []
-    if not _ascending(ints):
+    if not ascending(ints):
         raise ValueError("list is not strictly ascending")
     return ints
 
@@ -139,7 +140,7 @@ def load_set(path: str) -> tuple[CanonicalSet, dict, bool]:
     if canonical:
         return validate_canonical(**v), fields, False
     raw = RawSet(v["period"], ResidueSubset.of(v["period"], v["residues"]),
-                 v["threshold"], tuple(v["extras"]))
+                 v["threshold"], v["extras"])
     return canonicalize(raw), fields, v["orientation"] == ABOVE
 
 
@@ -363,13 +364,8 @@ def _parsers() -> tuple[argparse.ArgumentParser,
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of ``minadd``."""
-    return _parsers()[0]
-
-
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, in one pass over ``argv``.
+    """The top-level parser's ``parse_args(argv)``, in one pass over ``argv``.
 
     The top-level parser scans every argument and then hands all but the
     first to the command's parser, which scans them again.  So an ``argv``
@@ -389,60 +385,65 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _join_window(argv: list[str]) -> list[str]:
-    """``argv`` with ``--window LO:HI`` written as ``--window=LO:HI``.
+_WINDOW = re.compile(r"-?\d+:-?\d+")
 
-    argparse takes a value that starts with ``-`` and is not a plain
-    negative number for an option, so ``--window -40:40`` would leave
-    ``--window`` without its value.  Every spelling argparse takes for
-    ``--window``, its unique prefixes ``--w`` to ``--windo`` too, is
-    joined, and only with a token of the form LO:HI, so an option that
-    follows is still reported as the missing value.
+
+def _resolve_options(argv: list[str]) -> list[str]:
+    """``argv`` as ``parse_args`` should read it, in one pass, or exit 2.
+
+    Up to the first bare ``--``, each token of the command that starts
+    with ``--`` is resolved through the command's option table, as
+    argparse resolves it: ``--NAME`` or ``--NAME=VALUE``, where NAME is an
+    option string or a prefix that no other option string starts with.
+
+    - ``--NAME=--`` for an option that takes a value exits 2 with the
+      top-level parser's ``argument --OPTION: expected one argument``.
+      argparse reads it by its version: 3.11 and 3.12 hand the option an
+      empty list, past its type and choices, and 3.13 hands ``'--'`` to
+      its type.
+    - A bare ``--NAME`` that resolves to ``--window`` takes a following
+      LO:HI token as ``--NAME=LO:HI``.  argparse takes a value that starts
+      with ``-`` and is not a plain negative number for an option, so
+      ``--window -40:40`` would leave ``--window`` without its value; any
+      other token after it is still reported as the missing value.
+
+    Every other token is passed on as typed, those after a bare ``--`` and
+    those of an ``argv`` that names no command too, so an error echoes
+    only what was typed.
     """
-    joined: list[str] = []
-    for token in argv:
-        if (joined and len(joined[-1]) > 2 and "--window".startswith(joined[-1])
-                and re.fullmatch(r"-?\d+:-?\d+", token)):
-            joined[-1] = f"{joined[-1]}={token}"
-        else:
-            joined.append(token)
-    return joined
-
-
-def _refuse_dashes(argv: list[str]) -> None:
-    """Exit 2 on a token ``--NAME=--`` that gives an option of the command
-    ``--`` as its value, before argparse reads it.
-
-    argparse reads such a token by its version: 3.11 and 3.12 hand the
-    option an empty list, past its type and choices, and 3.13 hands
-    ``'--'`` to its type.  So it is refused here, on every version, with
-    the message of the top-level parser that 3.11's empty list was given.
-    NAME is the option's name or a prefix that argparse takes for it,
-    one that no other option string starts with.  Tokens after the first
-    bare ``--`` are not options, and are not read.
-    """
-    sub = _parsers()[1].get(argv[0]) if argv else None
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
     if sub is None:
-        return
+        return argv
     actions = sub._option_string_actions
-    for token in argv[1:]:
+    resolved = argv[:1]
+    join_at = 0  # the index of a LO:HI token that --window would take
+    for i, token in enumerate(argv[1:], start=1):
         if token == "--":
-            return
-        name, _, value = token.partition("=")
-        if value != "--" or not name.startswith("--"):
+            return resolved + argv[i:]
+        if i == join_at and _WINDOW.fullmatch(token):
+            resolved[-1] += "=" + token
             continue
-        named = [name] if name in actions else [
-            option for option in actions if option.startswith(name)]
-        if len(named) == 1 and actions[named[0]].nargs is None:
-            action = actions[named[0]]
-            build_parser().error(f"argument {'/'.join(action.option_strings)}: "
-                                 "expected one argument")
+        resolved.append(token)
+        if token[:2] != "--":
+            continue
+        name, _, value = token.partition("=")
+        action = actions.get(name)
+        if action is None:
+            named = [option for option in actions if option.startswith(name)]
+            action = actions[named[0]] if len(named) == 1 else None
+        if action is None or action.nargs is not None:
+            continue
+        if value == "--":
+            parser.error(f"argument {'/'.join(action.option_strings)}: "
+                         "expected one argument")
+        if token == name and action.dest == "window":
+            join_at = i + 1
+    return resolved
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = _join_window(sys.argv[1:] if argv is None else argv)
-    _refuse_dashes(argv)
-    args = parse_args(argv)
+    args = parse_args(_resolve_options(sys.argv[1:] if argv is None else argv))
     # The config is every parsed option but the file, which the input
     # echo covers, and the output format.
     config = {key: value for key, value in vars(args).items()

@@ -32,8 +32,10 @@ class RawSet:
         n in W  <=>  (n >= threshold and n % period in residues)
                      or n in extras,
 
-    with every extra strictly below the threshold.  An above-bounded set W
-    is described by -W: a minimal complement C of -W gives the minimal
+    with every extra strictly below the threshold.  ``extras`` is read as
+    a set: a repeat is merged and the order is sorted, as
+    ``ResidueSubset.of`` reads residues.  An above-bounded set W is
+    described by -W: a minimal complement C of -W gives the minimal
     complement -C of W, since C + W = Z iff (-C) + (-W) = Z elementwise.
     """
 
@@ -47,9 +49,7 @@ class RawSet:
             raise MinaddError(f"period must be positive, got {self.period}")
         if self.residues.modulus != self.period:
             raise MinaddError("residues modulus must equal period")
-        extras = tuple(sorted(self.extras))
-        if len(set(extras)) != len(extras):
-            raise MinaddError(f"duplicate extras in {extras}")
+        extras = tuple(sorted(set(self.extras)))
         for e in extras:
             if e >= self.threshold:
                 raise MinaddError(
@@ -69,8 +69,10 @@ class CanonicalSet:
     """Normalized form (m*N + x_m) | y0 | y1, shifted by ``shift``.
 
     ``shift`` records the translation applied to the original set:
-    W_original = W_canonical + shift.  Validation happens on construction;
-    an invalid combination raises MinaddError, naming the rule it breaks.
+    W_original = W_canonical + shift.  ``y0`` and ``y1`` are read as sets:
+    a repeat is merged and the order is sorted, as ``ResidueSubset.of``
+    reads ``x``.  Validation happens on construction; an invalid
+    combination raises MinaddError, naming the rule it breaks.
     """
 
     m: int
@@ -86,11 +88,8 @@ class CanonicalSet:
             raise MinaddError(
                 f"x_m modulus {self.x_m.modulus} does not match m={self.m}"
             )
-        y0 = tuple(sorted(self.y0))
-        y1 = tuple(sorted(self.y1))
-        for name, part in (("y0", y0), ("y1", y1)):
-            if len(set(part)) != len(part):
-                raise MinaddError(f"duplicate element in {name}={part}")
+        y0 = tuple(sorted(set(self.y0)))
+        y1 = tuple(sorted(set(self.y1)))
         for e in y0:
             if e >= 0:
                 raise MinaddError(f"y0 element {e} is not negative")
@@ -140,6 +139,13 @@ class CanonicalSet:
         return validate_canonical(m, x, y0, y1, shift)
 
 
+def ascending(ints: list[int]) -> bool:
+    """Each integer of the list is above the one before it.  Set files and
+    records refuse a list for which this fails; the constructors read
+    theirs as sets."""
+    return all(a < b for a, b in zip(ints, ints[1:]))
+
+
 #: What ``read_part`` says of a record part that lacks a field or holds
 #: what ``to_dict`` never writes; ``verify-witness`` prints it.
 UNREADABLE_PART = ("witness record: 'canonical' or 'witness' lacks a field "
@@ -172,7 +178,7 @@ def read_part(part, ints: str, lists: str, listing: str = "",
                     for v in values[n:])):
         raise MinaddError(UNREADABLE_PART)
     for key, v in zip(lists.split(), values[n:]):
-        if not all(a < b for a, b in zip(v, v[1:])):
+        if not ascending(v):
             raise MinaddError(f"witness record: {key!r} is not strictly ascending")
     return values
 
@@ -185,7 +191,7 @@ def validate_canonical(
     shift: int = 0,
 ) -> CanonicalSet:
     """Validation gate: build a CanonicalSet or raise MinaddError."""
-    return CanonicalSet(m, ResidueSubset.of(m, x), tuple(y0), tuple(y1), shift)
+    return CanonicalSet(m, ResidueSubset.of(m, x), y0, y1, shift)
 
 
 def canonicalize(raw: RawSet) -> CanonicalSet:
@@ -217,7 +223,7 @@ def canonicalize(raw: RawSet) -> CanonicalSet:
             y0.append(v)
         else:
             y1.append(v)
-    return CanonicalSet(m, raw.residues, tuple(sorted(y0)), tuple(sorted(y1)), shift)
+    return CanonicalSet(m, raw.residues, y0, y1, shift)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import os
@@ -1129,6 +1130,21 @@ class TestBadInputNeverExitsOne:
         else:
             assert "expected one argument" not in err
 
+    @pytest.mark.parametrize("argv, echo", [
+        (["witness", "W.set", "--window=-4:4", "--", "--window", "-4:4"],
+         "-- --window -4:4"),
+        (["construct", "--steps", "3", "--w", "-1:1"], "--w -1:1"),
+    ], ids=["after-dashes", "no-window-option"])
+    def test_leftovers_echo_what_was_typed(self, setfile, capsys, argv, echo):
+        # LO:HI is joined only onto an option of the command that resolves
+        # to --window, before a bare --; other tokens reach argparse as typed
+        argv = [setfile(EVEN) if a == "W.set" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {echo}\n")
+
     @pytest.mark.parametrize("t_max", ["-5", "0", "1"])
     @pytest.mark.parametrize("command", [[], ["--window=-40:40"]],
                              ids=["decide", "witness"])
@@ -1227,7 +1243,7 @@ def test_one_pass_parse_matches_parser(capsys, argv, want):
             out = capsys.readouterr()
             return exc.code, out.out, out.err
 
-    full = outcome(cli.build_parser().parse_args)
+    full = outcome(cli._parsers()[0].parse_args)
     assert full[0] == want
     assert outcome(cli.parse_args) == full
 
@@ -1242,6 +1258,16 @@ def test_leftovers_are_reported_by_the_top_level_parser(capsys):
 
 
 SRC = Path(minadd.__file__).resolve().parents[1]
+
+
+def test_script_entry_is_main():
+    # the [project.scripts] line that pip installs as the minadd command;
+    # read as text, since 3.10 has no tomllib
+    lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
+    section = lines[lines.index("[project.scripts]") + 1:]
+    entry = next(line for line in section if line.startswith("minadd ="))
+    module, _, name = entry.split("=", 1)[1].strip().strip('"').partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -49,6 +49,14 @@ class TestValidate:
                            match="y0 element -1 has residue 4 outside x_m"):
             validate_canonical(5, [2, 3], [-1])
 
+    def test_collections_are_read_as_sets(self):
+        # a repeat is merged and a descent sorted, as ResidueSubset.of
+        # reads x; set files and records refuse both before they get here
+        assert validate_canonical(4, [0, 0], y0=[-4, -4], y1=[5, 1, 1]) == (
+            validate_canonical(4, [0], y0=[-4], y1=[1, 5]))
+        assert RawSet(4, ResidueSubset.of(4, [0]), 10, (5, 3, 3)).extras == (
+            3, 5)
+
 
 class TestCanonicalize:
     def test_running_example(self):
