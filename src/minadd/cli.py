@@ -20,6 +20,13 @@ Arguments are read in two steps: ``_resolve_options`` resolves each option
 token of the command, before the first bare ``--``, through the command's
 option table, and ``parse_args`` then parses the result in one pass.
 Tokens after a bare ``--`` are passed on as typed.
+
+Each option value that is not a plain integer has one grammar, whatever
+its spelling.  A window is ``LO:HI``, each end decimal digits after an
+optional '-' (``_WINDOW``), given as ``--window=LO:HI`` or as
+``--window LO:HI``.  A slack is ``N``, ``const:N`` or ``cycle:a,b,c``,
+each value decimal digits (``_SLACK``).  Neither takes a '+', a space
+or a '_', which ``int`` would.
 """
 
 from __future__ import annotations
@@ -211,11 +218,15 @@ def cmd_decide(args) -> CommandResult:
     return fields, result, EXIT_OF_OUTCOME[verdict.outcome]
 
 
+#: A window, ``LO:HI``: each end is decimal digits after an optional '-'.
+_WINDOW = re.compile(r"(-?\d+):(-?\d+)")
+
+
 def _parse_window(spec: str) -> tuple[int, int]:
+    match = _WINDOW.fullmatch(spec)
     try:
-        lo_s, hi_s = spec.split(":", 1)
-        return int(lo_s), int(hi_s)
-    except ValueError as exc:
+        return int(match[1]), int(match[2])
+    except (TypeError, ValueError) as exc:  # no match, or past int's limit
         raise MinaddError(f"bad window {spec!r}, expected LO:HI") from exc
 
 
@@ -278,25 +289,25 @@ def cmd_verify_witness(args) -> CommandResult:
         EXIT_EXISTS if ok else EXIT_VERIFY_FAILED)
 
 
-def parse_slack_spec(spec: str) -> Callable[[int], int]:
-    """'const:N', 'cycle:a,b,c', or a bare integer.
+#: A slack, ``N``, ``const:N`` or ``cycle:a,b,c``: each value is decimal digits.
+_SLACK = re.compile(r"(?:const:)?(\d+)|cycle:(\d+(?:,\d+)*)")
 
-    A bare integer is a string of decimal digits.  ``str.isdigit`` would
-    also pass superscripts such as '²', which ``int`` rejects; any
-    ``ValueError`` of ``int``, the digit limit's included, is bad input.
+
+def parse_slack_spec(spec: str) -> Callable[[int], int]:
+    """'const:N', 'cycle:a,b,c', or a bare N, each value decimal digits.
+
+    ``_SLACK``'s ``\\d`` passes what ``str.isdecimal`` passes: no sign,
+    space or '_', which ``int`` would take, and no superscript such as
+    '²', which ``str.isdigit`` would pass and ``int`` rejects.  A value
+    past ``int``'s digit limit is bad input too.
     """
-    kind, _, rest = spec.partition(":")
+    match = _SLACK.fullmatch(spec)
+    if match is None:
+        raise MinaddError(
+            f"bad slack spec {spec!r}; use const:N or cycle:a,b,c")
     try:
-        if spec.isdecimal():
-            values = [int(spec)]
-        elif kind == "const":
-            values = [int(rest)]
-        elif kind == "cycle":
-            values = [int(tok) for tok in rest.split(",")]
-        else:
-            raise MinaddError(
-                f"bad slack spec {spec!r}; use const:N or cycle:a,b,c")
-    except ValueError as exc:
+        values = [int(tok) for tok in (match[1] or match[2]).split(",")]
+    except ValueError as exc:  # past int's digit limit
         raise MinaddError(f"bad slack spec {spec!r}") from exc
     return lambda i: values[i % len(values)]
 
@@ -383,9 +394,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
-
-
-_WINDOW = re.compile(r"-?\d+:-?\d+")
 
 
 def _resolve_options(argv: list[str]) -> list[str]:

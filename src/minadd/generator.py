@@ -114,28 +114,19 @@ from .errors import MinaddError
 Runs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GeneratorState:
     """Prefix of the construction after len(d_seq) steps: the anchors,
     the c's, the prefix's runs and the slack of each step after the first.
 
-    Its constructor stores its arguments directly (see
-    ``residues.ResidueSubset``), and ``to_dict`` hands the tuples to the
-    JSON encoder as they are, which writes each as an array.
+    ``to_dict`` hands the tuples to the JSON encoder as they are, which
+    writes each as an array.
     """
 
     d_seq: tuple[int, ...]
     c_seq: tuple[int, ...]
     runs: Runs
     slack_seq: tuple[int, ...]
-
-    def __init__(self, d_seq: tuple[int, ...], c_seq: tuple[int, ...],
-                 runs: Runs, slack_seq: tuple[int, ...]) -> None:
-        d = self.__dict__
-        d["d_seq"] = d_seq
-        d["c_seq"] = c_seq
-        d["runs"] = runs
-        d["slack_seq"] = slack_seq
 
     @property
     def steps(self) -> int:
@@ -216,28 +207,19 @@ def generate(
     return GeneratorState(tuple(d), tuple(c), tuple(runs), tuple(slacks))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GeneratorReport:
     """What ``verify`` found on the window [d_N, window_hi]: whether the
     gaps are all 1 or 2, the least integer of the window that no
     translate covers (None when every one is covered), and the anchors
     that fail unique representation.  Coverage passes exactly when
-    ``first_uncovered`` is None.  Its constructor and ``to_dict`` work
-    as ``GeneratorState``'s do."""
+    ``first_uncovered`` is None.  ``to_dict`` works as
+    ``GeneratorState``'s does."""
 
     window_hi: int
     gaps_ok: bool
     first_uncovered: Optional[int]
     uniqueness_failures: tuple[str, ...]
-
-    def __init__(self, window_hi: int, gaps_ok: bool,
-                 first_uncovered: Optional[int],
-                 uniqueness_failures: tuple[str, ...]) -> None:
-        d = self.__dict__
-        d["window_hi"] = window_hi
-        d["gaps_ok"] = gaps_ok
-        d["first_uncovered"] = first_uncovered
-        d["uniqueness_failures"] = uniqueness_failures
 
     @property
     def coverage_ok(self) -> bool:

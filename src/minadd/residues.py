@@ -23,8 +23,10 @@ class ResidueSubset:
     them in the instance dict.  The generated one sets each field through
     ``object.__setattr__`` and then reads them back to validate, which
     costs about twice as much, and a small ``decide`` call builds several
-    of these.  ``Certificate``, ``Verdict`` and ``ConditionContext`` are
-    built the same way.
+    of these.  A value type's constructor is written out only where a
+    measured per-call cost pays for it: today this one and those of
+    ``Certificate``, ``Verdict`` and ``ConditionContext``, all built on
+    ``decide``'s path.  Every other value type keeps the generated one.
     """
 
     modulus: int

@@ -32,10 +32,11 @@ class RawSet:
         n in W  <=>  (n >= threshold and n % period in residues)
                      or n in extras,
 
-    with every extra strictly below the threshold.  ``extras`` is read as
-    a set: a repeat is merged and the order is sorted, as
-    ``ResidueSubset.of`` reads residues.  An above-bounded set W is
-    described by -W: a minimal complement C of -W gives the minimal
+    with every extra strictly below the threshold.  ``period`` must equal
+    the residues' modulus, which ``ResidueSubset`` keeps positive.
+    ``extras`` is read as a set: a repeat is merged and the order is
+    sorted, as ``ResidueSubset.of`` reads residues.  An above-bounded set
+    W is described by -W: a minimal complement C of -W gives the minimal
     complement -C of W, since C + W = Z iff (-C) + (-W) = Z elementwise.
     """
 
@@ -45,8 +46,6 @@ class RawSet:
     extras: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise MinaddError(f"period must be positive, got {self.period}")
         if self.residues.modulus != self.period:
             raise MinaddError("residues modulus must equal period")
         extras = tuple(sorted(set(self.extras)))
@@ -72,7 +71,8 @@ class CanonicalSet:
     W_original = W_canonical + shift.  ``y0`` and ``y1`` are read as sets:
     a repeat is merged and the order is sorted, as ``ResidueSubset.of``
     reads ``x``.  Validation happens on construction; an invalid
-    combination raises MinaddError, naming the rule it breaks.
+    combination raises MinaddError, naming the rule it breaks.  ``m``
+    must equal ``x_m``'s modulus, which ``ResidueSubset`` keeps positive.
     """
 
     m: int
@@ -82,8 +82,6 @@ class CanonicalSet:
     shift: int = 0
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise MinaddError(f"m must be positive, got {self.m}")
         if self.x_m.modulus != self.m:
             raise MinaddError(
                 f"x_m modulus {self.x_m.modulus} does not match m={self.m}"

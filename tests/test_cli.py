@@ -971,6 +971,30 @@ class TestBadInputNeverExitsOne:
         assert cli.main(argv) == cli.EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith("error: bad slack spec")
 
+    @pytest.mark.parametrize("spec", ["const:+1", "cycle:1, 2", "const:1_0",
+                                      "cycle:1,-2"])
+    def test_listed_slack_is_decimal_digits(self, capsys, spec):
+        # a const: or cycle: value has the bare value's grammar, so a sign,
+        # a space or a '_' that int would take is refused
+        argv = ["construct", "--steps", "3", "--slack", spec]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: bad slack spec {spec!r}; use const:N or cycle:a,b,c\n")
+
+    @pytest.mark.parametrize("window", ["-1_0:5", "1_0:20", "+1:5", " 1:5"])
+    def test_window_has_one_grammar(self, setfile, capsys, window):
+        # --window=LO:HI reads LO:HI as --window LO:HI does: each end is
+        # decimal digits after an optional '-', whatever int would take
+        argv = ["witness", setfile(EVEN), f"--window={window}"]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: bad window {window!r}, expected LO:HI\n")
+        try:
+            code = cli.main(["witness", setfile(EVEN), "--window", window])
+        except SystemExit as exc:  # argparse reads -1_0:5 as an option
+            code = exc.code
+        assert code == cli.EXIT_BAD_INPUT
+
     def test_window_beyond_an_index(self, setfile, capsys):
         bound = 10**19
         argv = ["witness", setfile(EVEN), f"--window=-{bound}:{bound}"]

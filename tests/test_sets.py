@@ -57,6 +57,23 @@ class TestValidate:
         assert RawSet(4, ResidueSubset.of(4, [0]), 10, (5, 3, 3)).extras == (
             3, 5)
 
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_non_positive_period_refused_by_its_modulus(self, period):
+        # ResidueSubset keeps its modulus positive, so the modulus check
+        # refuses every period below 1
+        with pytest.raises(MinaddError,
+                           match="^residues modulus must equal period$"):
+            RawSet(period, ResidueSubset.of(5, [1]), 0)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_non_positive_m_refused_by_its_modulus(self, m):
+        with pytest.raises(MinaddError,
+                           match=f"^x_m modulus 5 does not match m={m}$"):
+            CanonicalSet(m, ResidueSubset.of(5, [0]))
+        with pytest.raises(MinaddError, match=f"^modulus must be positive, "
+                                              f"got {m}$"):
+            validate_canonical(m, [])
+
 
 class TestCanonicalize:
     def test_running_example(self):

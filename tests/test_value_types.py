@@ -2,8 +2,9 @@
 Certificate and Verdict, and of the construction's, GeneratorState and
 GeneratorReport.
 
-Each is a frozen dataclass with a written-out constructor.  These tests
-pin what callers see: fields and their order, defaults, equality, hash,
+Each is a frozen dataclass; decide's four write their constructors out,
+and the construction's two keep the generated ones.  These tests pin what
+callers see: fields and their order, defaults, equality, hash,
 repr, immutability, ``dataclasses.replace``, pickle and deepcopy, and
 the exception class and message of each bad argument.
 """
