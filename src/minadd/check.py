@@ -20,6 +20,10 @@ form.  A residue is *blocked* if it is in ``ones`` (necessary) or in
 unblocked residue; those residues are the member's *private mask*.  The
 checker and both searches of ``criteria`` read (b) off this count.
 
+A certificate names its form in ``variant``, and ``check_certificate``
+checks (b) in that form alone (``_COND_B``): a certificate whose variant
+is neither ``necessary`` nor ``sufficient`` fails.
+
 This module imports only ``residues``, ``sets`` and ``errors``, so to
 trust a certificate one reads it and those three, not the search.
 """
@@ -107,9 +111,13 @@ def cond_b_sufficient(ctx: ConditionContext, c: ResidueSubset) -> bool:
     return _cond_b(ctx, c, False)
 
 
+#: Condition (b) in the form each variant names.
+_COND_B = {NECESSARY: cond_b_necessary, SUFFICIENT: cond_b_sufficient}
+
+
 def check_certificate(ctx: ConditionContext, cert: Certificate) -> bool:
-    """Re-verify a certificate from scratch against its context."""
-    if cert.T != ctx.T:
-        return False
-    b = cond_b_sufficient if cert.variant == SUFFICIENT else cond_b_necessary
-    return cond_a(ctx, cert.c) and b(ctx, cert.c)
+    """Re-verify a certificate from scratch against its context, in the
+    form of (b) its variant names; a certificate of neither form fails."""
+    b = _COND_B.get(cert.variant)
+    return (b is not None and cert.T == ctx.T
+            and cond_a(ctx, cert.c) and b(ctx, cert.c))

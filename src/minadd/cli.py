@@ -259,12 +259,16 @@ def cmd_witness(args) -> CommandResult:
 def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWindow]:
     """Read a ``witness`` run record (or its bare result) for re-checking.
 
-    The JSON is parsed here, and its ``canonical`` and then its
-    ``witness`` part are read by ``CanonicalSet.from_dict`` and
-    ``WitnessWindow.from_dict``, which refuse a missing field, a
-    non-integer and a list that is not strictly ascending with
-    MinaddError, so ``verify-witness`` exits 2.  Keys they do not read,
-    such as the ``provenance`` map of older records, are ignored."""
+    The JSON is parsed here.  A run record names its kind in ``command``,
+    and one of any other kind, such as a ``decide`` or a ``construct``
+    record, is refused with MinaddError naming both kinds, so
+    ``verify-witness`` exits 2; an object without ``command`` is read as
+    a bare result.  Its ``canonical`` and then its ``witness`` part are
+    read by ``CanonicalSet.from_dict`` and ``WitnessWindow.from_dict``,
+    which refuse a missing field, a non-integer and a list that is not
+    strictly ascending with MinaddError, so ``verify-witness`` exits 2.
+    Keys they do not read, such as the ``provenance`` map of older
+    records, are ignored."""
     try:
         record = json.loads(_read_text(path))
     except (ValueError, RecursionError) as exc:
@@ -272,6 +276,10 @@ def load_witness_record(path: str) -> tuple[CanonicalSet, witness_mod.WitnessWin
     payload = record.get("result", record) if isinstance(record, dict) else None
     if not isinstance(payload, dict):
         raise MinaddError("witness record is not a JSON object")
+    kind = record.get("command", "witness")
+    if kind != "witness":
+        raise MinaddError(f"witness record: got a {kind!r} record, and "
+                          f"verify-witness reads a 'witness' record")
     return (CanonicalSet.from_dict(payload.get("canonical")),
             witness_mod.WitnessWindow.from_dict(payload.get("witness")))
 

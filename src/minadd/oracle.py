@@ -58,7 +58,8 @@ def _subsets_lex(T: int):
 
 
 def _cond_a(T: int, X: set, Y: set, C: list[int]) -> bool:
-    sums = {(c + u) % T for c in C for u in X | Y}
+    U = X | Y
+    sums = {(c + u) % T for c in C for u in U}
     return sums == set(range(T))
 
 
@@ -72,13 +73,14 @@ def _cond_b_necessary(T: int, X: set, Y: set, C: list[int]) -> bool:
 
 
 def _cond_b_sufficient(T: int, X: set, Y: set, C: list[int]) -> bool:
+    U = X | Y
     for c in C:
         if not any(
             all(
                 (c + y) % T != (cp + x) % T
                 for cp in C
                 if cp != c
-                for x in X | Y
+                for x in U
             )
             for y in Y
         ):

@@ -4,6 +4,12 @@ A residue subset is stored as an integer whose bit r is set when residue r
 is a member.  All the hot loops in the certificate search work directly on
 these masks; the dataclass is the typed wrapper the rest of the package
 passes around.
+
+A translate r + S (mod m), for 0 <= r < m, is read one way throughout
+the package: off the doubled mask ``S | S << m`` as ``>> (m - r)``, whose
+low m bits are the translate (bit i comes from bit i - r of S, or from
+bit i - r + m where i < r).  ``sumset``, the checker's condition (b) and
+both searches of ``criteria`` all read translates so.
 """
 
 from __future__ import annotations
@@ -88,25 +94,22 @@ class ResidueSubset:
         return ResidueSubset(self.modulus, self.mask | other.mask)
 
     def sumset(self, other: "ResidueSubset") -> "ResidueSubset":
-        """{a + b mod m : a in self, b in other}."""
+        """{a + b mod m : a in self, b in other}: the union of the
+        translates r + other for r in self, each read off the doubled mask
+        (see the module docstring) and cut to m bits once, at the end."""
         self._check(other)
+        m = self.modulus
+        doubled = other.mask | other.mask << m
         acc = 0
         for r in self.members():
-            acc |= rotate(other.mask, r, self.modulus)
-        return ResidueSubset(self.modulus, acc)
+            acc |= doubled >> (m - r)
+        return ResidueSubset(m, acc & ((1 << m) - 1))
 
     def _check(self, other: "ResidueSubset") -> None:
         if self.modulus != other.modulus:
             raise MinaddError(
                 f"moduli differ: {self.modulus} vs {other.modulus}"
             )
-
-
-def rotate(mask: int, k: int, modulus: int) -> int:
-    """Cyclically shift a modulus-bit mask by k positions (adding k mod m)."""
-    k %= modulus
-    full = (1 << modulus) - 1
-    return ((mask << k) | (mask >> (modulus - k))) & full if k else mask
 
 
 def tile(mask: int, width: int, k: int) -> int:

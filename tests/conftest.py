@@ -1,10 +1,11 @@
 """Shared builders for randomized and exhaustive instance sweeps, a
 window enumeration of canonical sets, the generic run helpers that the
 construct tests take as references, a reader of serialized
-certificates, the plain certificate search the forward-checked one is
-diffed against, the forward-checked walk's first item, and a work bound
-for tests that must not depend on wall time.  Hypothesis runs
-derandomized unless a seed or a profile is given on the command line."""
+certificates, a residue set's translate by definition, the plain
+certificate search the forward-checked one is diffed against, the
+forward-checked walk's first item, and a work bound for tests that must
+not depend on wall time.  Hypothesis runs derandomized unless a seed or
+a profile is given on the command line."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from minadd.criteria import (  # noqa: E402
     NECESSARY,
     _search_exhaustive,
 )
-from minadd.residues import ResidueSubset, rotate  # noqa: E402
+from minadd.residues import ResidueSubset  # noqa: E402
 from minadd.sets import (  # noqa: E402
     CanonicalSet,
     ConditionContext,
@@ -92,6 +93,12 @@ def certificate_from_dict(d: dict) -> Certificate:
     return Certificate(d["T"], ResidueSubset.of(d["T"], d["c"]), d["variant"])
 
 
+def translate_residues(s: ResidueSubset, t: int) -> ResidueSubset:
+    """t + S (mod m), by definition: each residue moved by t."""
+    m = s.modulus
+    return ResidueSubset.of(m, [(r + t) % m for r in s.members()])
+
+
 def reference_search(ctx: ConditionContext, variant: str):
     """The lexicographically smallest valid C containing 0, or None, by a
     plain DFS over every subset in lexicographic order.
@@ -101,9 +108,9 @@ def reference_search(ctx: ConditionContext, variant: str):
     """
     T = ctx.T
     full = (1 << T) - 1
-    u_mask = ctx.x_t.mask | ctx.y1_res.mask
+    u = ctx.x_t.union(ctx.y1_res)
     cond_b = cond_b_necessary if variant == NECESSARY else cond_b_sufficient
-    rot_u = [rotate(u_mask, r, T) for r in range(T)]
+    rot_u = [translate_residues(u, r).mask for r in range(T)]
     tail_u = [0] * (T + 1)
     for k in range(T - 1, -1, -1):
         tail_u[k] = tail_u[k + 1] | rot_u[k]

@@ -16,6 +16,7 @@ from conftest import (
     random_context,
     runs_contains,
     shifted_copy,
+    translate_residues,
 )
 from minadd.check import cond_b_necessary, cond_b_sufficient
 from minadd.criteria import (
@@ -31,7 +32,7 @@ from minadd.criteria import (
 )
 from minadd.generator import generate, verify
 from minadd.oracle import naive_find_certificate
-from minadd.residues import ResidueSubset, rotate
+from minadd.residues import ResidueSubset
 from minadd.sets import (
     CanonicalSet,
     ConditionContext,
@@ -252,8 +253,7 @@ def test_criterion_9_invariance_properties():
         if cert is None:
             continue
         t = rng.randrange(1, ctx.T) if ctx.T > 1 else 0
-        moved_c = ResidueSubset(ctx.T, rotate(cert.c.mask, t, ctx.T))
-        moved = Certificate(ctx.T, moved_c, SUFFICIENT)
+        moved = Certificate(ctx.T, translate_residues(cert.c, t), SUFFICIENT)
         ok = ok and check_certificate(ctx, moved)
         checked += 1
 

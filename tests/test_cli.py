@@ -499,6 +499,16 @@ class TestVerifyWitness:
         assert {k: v["ok"] for k, v in rec["result"].items()} == {
             "certificate": True, "coverage": True, "minimality": True}
 
+    @pytest.mark.parametrize("kind", ["decide", "construct"])
+    def test_record_of_another_kind_is_named(self, setfile, tmp_path, capsys,
+                                             kind):
+        argv = [kind, setfile(EVEN)] if kind == "decide" else [kind, "--steps", "3"]
+        _, record = run_json(capsys, argv)
+        assert verify_record(tmp_path, record) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: witness record: got a {kind!r} record, and "
+            f"verify-witness reads a 'witness' record\n")
+
     def test_forged_margins_fail(self, witness_record, tmp_path, capsys):
         witness_record["result"]["witness"]["y_plus"] = 15
         assert verify_record(tmp_path, witness_record) == cli.EXIT_VERIFY_FAILED

@@ -14,6 +14,7 @@ from conftest import (
     random_context,
     reference_search,
     shifted_copy,
+    translate_residues,
     walk_first,
 )
 from minadd import criteria, oracle
@@ -35,7 +36,7 @@ from minadd.criteria import (
 )
 from minadd.errors import BudgetExceeded, MinaddError
 from minadd.oracle import naive_find_certificate
-from minadd.residues import ResidueSubset, rotate
+from minadd.residues import ResidueSubset
 from minadd.sets import ConditionContext, lift_period, validate_canonical
 
 
@@ -94,6 +95,19 @@ class TestCondBSufficient:
 
     def test_two_element_pass(self):
         assert cond_b_sufficient(ctx_of(4, [0, 2], [1]), subset(4, [0, 2]))
+
+
+class TestCheckCertificate:
+    """m = 3, X = {0}, Y1 = {1, 5}: C = {0, 1} covers and passes (b) in
+    the necessary form, but not in the sufficient one, where 0 + 1 and
+    0 + 5 are 1 + 0 and 1 + 1 (mod 3)."""
+
+    @pytest.mark.parametrize("variant, valid", [
+        (NECESSARY, True), (SUFFICIENT, False),
+        ("sufficent", False), ("Sufficient", False), ("strict", False), ("", False)])
+    def test_checked_in_the_form_named(self, variant, valid):
+        ctx, c = ctx_of(3, [0], [1, 5 % 3]), subset(3, [0, 1])
+        assert check_certificate(ctx, Certificate(3, c, variant)) is valid
 
 
 class TestFindCertificate:
@@ -636,7 +650,7 @@ class TestProperties:
             ctx = random_context(rng, 2, 9)
             c = ResidueSubset(ctx.T, rng.getrandbits(ctx.T) or 1)
             t = rng.randrange(ctx.T)
-            shifted = ResidueSubset(ctx.T, rotate(c.mask, t, ctx.T))
+            shifted = translate_residues(c, t)
             assert cond_a(ctx, c) == cond_a(ctx, shifted)
             assert cond_b_necessary(ctx, c) == cond_b_necessary(ctx, shifted)
             assert cond_b_sufficient(ctx, c) == cond_b_sufficient(ctx, shifted)

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+from conftest import bounded_work
 from minadd.errors import MinaddError
-from minadd.residues import ResidueSubset, mask_members, reverse, rotate
+from minadd.residues import ResidueSubset, mask_members, reverse
 
 
 def test_of_and_members():
@@ -42,6 +43,21 @@ def test_sumset():
     assert a.sumset(b).members() == (0, 1, 2)
     empty = ResidueSubset(3, 0)
     assert a.sumset(empty).members() == ()
+    # random pairs against the definition: every pair of members added
+    rng = random.Random(11)
+    for m in range(1, 65):
+        for _ in range(20):
+            a, b = (ResidueSubset(m, rng.getrandbits(m)) for _ in "ab")
+            want = {(r + s) % m for r in a.members() for s in b.members()}
+            assert a.sumset(b) == ResidueSubset.of(m, want)
+    # a sparse pair at a large modulus costs shifts of its masks, not a
+    # Python step per residue
+    m = 10**6
+    a, b = ResidueSubset.of(m, [0, 1, m - 1]), ResidueSubset.of(m, [3, m // 2, m - 2])
+    with bounded_work():
+        got = a.sumset(b)
+    want = {(r + s) % m for r in a.members() for s in b.members()}
+    assert got == ResidueSubset.of(m, want)
 
 
 def test_sumset_modulus_mismatch():
@@ -49,25 +65,9 @@ def test_sumset_modulus_mismatch():
         ResidueSubset.of(3, [0]).sumset(ResidueSubset.of(4, [0]))
 
 
-def test_shifted_rotation():
-    mask = ResidueSubset.of(5, [0, 4]).mask
-    assert mask_members(rotate(mask, 1, 5)) == (0, 1)
-    assert mask_members(rotate(mask, -1, 5)) == (3, 4)
-    assert rotate(mask, 5, 5) == mask
-
-
 @pytest.mark.parametrize("mask,expected", [(0, ()), (0b1011, (0, 1, 3))])
 def test_mask_members(mask, expected):
     assert mask_members(mask) == expected
-
-
-def test_rotate_matches_member_arithmetic():
-    for modulus in (1, 2, 7):
-        for mask in range(1 << modulus):
-            for k in range(-3, modulus + 3):
-                got = mask_members(rotate(mask, k, modulus))
-                want = tuple(sorted({(r + k) % modulus for r in mask_members(mask)}))
-                assert got == want
 
 
 def test_members_matches_mask_members():

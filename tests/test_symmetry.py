@@ -41,10 +41,11 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import translate_residues
 from minadd import cli
 from minadd.check import check_certificate
 from minadd.criteria import Outcome, SearchConfig, decide
-from minadd.residues import ResidueSubset, rotate
+from minadd.residues import ResidueSubset
 from minadd.sets import RawSet, canonicalize, lift_period, validate_canonical
 
 SYMMETRY = settings(max_examples=200, deadline=None)
@@ -78,7 +79,7 @@ def raw_sets(draw):
 def translate(raw: RawSet, t: int) -> RawSet:
     """The raw description of W + t."""
     m = raw.period
-    return RawSet(m, ResidueSubset(m, rotate(raw.residues.mask, t, m)),
+    return RawSet(m, translate_residues(raw.residues, t),
                   raw.threshold + t, tuple(e + t for e in raw.extras))
 
 
